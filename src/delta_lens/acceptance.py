@@ -26,8 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .evalcore import (DEFAULT_OPTIONS, EvalOptions, beta_L, dirichlet_L,
-                       hurwitz_zeta, zeta)
+from .evalcore import (DEFAULT_OPTIONS, EvalOptions, _central_difference, beta_L,
+                       dirichlet_L, hurwitz_zeta, zeta)
 from .quotient import (QuotientKind, bracket_phase_zeros, critical_phase_approx,
                        delta5, fold_phase, functional_equation_residual)
 from .critical import (POLE_SIGMAS, ZERO_SIGMAS, completed_beta,
@@ -145,9 +145,7 @@ def _check_slopes(ctx: VerificationContext) -> tuple[bool, str]:
                             f"reference {ref} (diff {diff:.1e} > tol 1e-03)")
     # independent route: measure the slope from the quotient itself and
     # compare against the closed form 2 zeta(3/4) beta(3/4)
-    h = 1e-6
-    measured = (delta5(0.75 + h, ctx.opts).real
-                - delta5(0.75 - h, ctx.opts).real) / (2.0 * h)
+    measured = _central_difference(delta5, 0.75, ctx.opts).real
     cross = abs(measured
                 - 2.0 * zeta(0.75, ctx.opts).real * beta_L(0.75, ctx.opts).real)
     if cross > 1e-8:

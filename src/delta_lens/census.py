@@ -30,9 +30,9 @@ from .errors import (
     FormatVersionMismatch,
     IoFailure,
     MissingTrace,
-    UnsupportedDiscriminant,
 )
 from .evalcore import DEFAULT_OPTIONS, TWO_PI, EvalOptions
+from .quotient import QuotientKind
 
 _CATALOG_SOURCES = ("zeta", "beta", "delta5_merged")
 _ENTRY_SOURCE_FOR = {"zeta": "zeta_zero", "beta": "beta_zero"}
@@ -91,28 +91,28 @@ class DistributionReport:
                 f"residual {self.residual:.3f} exceeds the declared envelope {self.envelope}")
 
 
-def n_zeta_main(t: float) -> float:
-    """Main term of the zeta zero count: (t/2pi)(log t - 1 - log 2pi)."""
+def _main_term(t: float, modulus: float) -> float:
+    # (t/2pi)(log t - 1 - log(2pi/modulus)), the main term of the zero count
+    # of an L-function with conductor `modulus`
     if not t > 0:
         raise DomainError("t must be positive")
-    return (t / TWO_PI) * (math.log(t) - 1.0 - math.log(TWO_PI))
+    return (t / TWO_PI) * (math.log(t) - 1.0 - math.log(TWO_PI / modulus))
+
+
+def n_zeta_main(t: float) -> float:
+    """Main term of the zeta zero count: (t/2pi)(log t - 1 - log 2pi)."""
+    return _main_term(t, 1.0)
 
 
 def n_beta_main(t: float) -> float:
     """Main term of the beta zero count: (t/2pi)(log t - 1 - log(pi/2))."""
-    if not t > 0:
-        raise DomainError("t must be positive")
-    return (t / TWO_PI) * (math.log(t) - 1.0 - math.log(math.pi / 2.0))
+    return _main_term(t, 4.0)
 
 
 def n_Lq_main(q: int, t: float) -> float:
     """Main term for the discriminant -q character L-function:
     (t/2pi)(log t - 1 - log(2pi/q)); q = 4 reduces to the beta count."""
-    if q not in (3, 4, 7, 8):
-        raise UnsupportedDiscriminant(f"q = {q} is not one of 3, 4, 7, 8")
-    if not t > 0:
-        raise DomainError("t must be positive")
-    return (t / TWO_PI) * (math.log(t) - 1.0 - math.log(TWO_PI / q))
+    return _main_term(t, QuotientKind(q).discriminant_label)
 
 
 def count_entries(catalog: ZeroCatalog, t: float, kind: Optional[str] = None) -> int:

@@ -115,17 +115,13 @@ class AmplitudeCircle:
                               "closed form for this A")
 
 
-def _delta_at(pts: np.ndarray, opts: EvalOptions) -> np.ndarray:
-    return _delta_q_values(4, np.ascontiguousarray(pts, dtype=np.complex128), opts)
-
-
 def _corrector(kind: str, sigma: float, t: float, opts: EvalOptions):
     """Newton in t at fixed sigma, driving Im(delta) (phase lines) or
     log|delta| (amplitude lines) to zero.  Returns (t, delta, delta') on
     convergence, None if 8 iterations do not converge."""
     for _ in range(8):
         s = sigma + 1j * t
-        batch = _delta_at(np.array([s, s + _DERIV_H, s - _DERIV_H]), opts)
+        batch = _delta_q_values(4, np.array([s, s + _DERIV_H, s - _DERIV_H]), opts)
         if not np.all(np.isfinite(batch)):
             return None
         v = complex(batch[0])
@@ -290,7 +286,7 @@ def winding_count(polyline, refine_limit: int = 40,
     if refine_limit < 1:
         raise DomainError("refine_limit must be a positive integer")
     pts = _polyline_complex(polyline)
-    vals = _delta_at(pts, opts)
+    vals = _delta_q_values(4, pts, opts)
     _check_contour_values(vals, pts)
 
     total = 0.0
@@ -309,7 +305,7 @@ def winding_count(polyline, refine_limit: int = 40,
                 f"edge near sigma={sa.real:.6f}, t={sa.imag:.6f} still jumps "
                 f"{abs(inc):.3f} rad after {refine_limit} splits")
         sm = 0.5 * (sa + sb)
-        vm = _delta_at(np.array([sm]), opts)
+        vm = _delta_q_values(4, np.array([sm]), opts)
         _check_contour_values(vm, np.array([sm]))
         edge(sa, va, sm, complex(vm[0]), depth + 1)
         edge(sm, complex(vm[0]), sb, vb, depth + 1)
@@ -386,7 +382,7 @@ def export_trace_csv(path: PhasePath, destination,
     the principal argument in (-pi, pi].  destination is a filename or a
     writable file object."""
     pts = np.array([complex(s, t) for s, t in path.points])
-    vals = _delta_at(pts, opts)
+    vals = _delta_q_values(4, pts, opts)
     lines = ["sigma,t,phase,modulus"]
     for (sig, t), v in zip(path.points, vals):
         lines.append("%.12g,%.12g,%.12g,%.12g"

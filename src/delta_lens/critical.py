@@ -33,6 +33,7 @@ from .evalcore import (
     EvalOptions,
     LN_PI,
     _beta_values,
+    _central_difference,
     _coerce,
     _release,
     _stirling_lgamma,
@@ -93,18 +94,23 @@ class RealAxisFeature:
             raise DomainError(f"sigma {self.sigma} is not a catalogued real-axis {self.kind}")
 
 
-def _completed_zeta_values(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def _log_prefactor(source: str, s: np.ndarray) -> np.ndarray:
+    """Log of the gamma prefactor that completes zeta or beta:
+    pi^(-s/2) Gamma(s/2) for zeta, (pi/4)^(-(s+1)/2) Gamma((s+1)/2) for beta."""
+    if source == "zeta":
+        half = 0.5 * s
+        return _stirling_lgamma(half) - half * LN_PI
+    w = 0.5 * (s + 1.0)
+    return _stirling_lgamma(w) - w * math.log(math.pi / 4.0)
+
+
+_BASE_VALUES = {"zeta": _zeta_values, "beta": _beta_values}
+
+
+def _completed_values(source: str, s: np.ndarray, opts: EvalOptions) -> np.ndarray:
     s = np.ascontiguousarray(s, dtype=np.complex128)
     s = np.where(s.real < 0.5, 1.0 - s, s)  # use the symmetric half-plane
-    half = 0.5 * s
-    return np.exp(_stirling_lgamma(half) - half * LN_PI) * _zeta_values(s, opts)
-
-
-def _completed_beta_values(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
-    s = np.ascontiguousarray(s, dtype=np.complex128)
-    s = np.where(s.real < 0.5, 1.0 - s, s)
-    w = 0.5 * (s + 1.0)
-    return np.exp(_stirling_lgamma(w) - w * math.log(math.pi / 4.0)) * _beta_values(s, opts)
+    return np.exp(_log_prefactor(source, s)) * _BASE_VALUES[source](s, opts)
 
 
 def completed_zeta(s, opts: EvalOptions = DEFAULT_OPTIONS):
@@ -114,14 +120,14 @@ def completed_zeta(s, opts: EvalOptions = DEFAULT_OPTIONS):
     for pole in (0.0, 1.0):
         if np.any(np.abs(arr - pole) <= 1e-12):
             raise PoleOfCompletedZeta(f"completed zeta pole at s = {pole}", complex(pole))
-    return _release(_completed_zeta_values(arr, opts), scalar)
+    return _release(_completed_values("zeta", arr, opts), scalar)
 
 
 def completed_beta(s, opts: EvalOptions = DEFAULT_OPTIONS):
     """(pi/4)^(-(s+1)/2) Gamma((s+1)/2) beta(s): entire, real on the critical
     line, symmetric under s -> 1-s."""
     arr, scalar = _coerce(s)
-    return _release(_completed_beta_values(arr, opts), scalar)
+    return _release(_completed_values("beta", arr, opts), scalar)
 
 
 def _line_values(source: str, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
@@ -130,14 +136,7 @@ def _line_values(source: str, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
     # exp(-pi t / 4); zeros and signs are unchanged and the derivative guard
     # threshold stays meaningful at large t
     s = 0.5 + 1j * np.asarray(ts, dtype=np.float64)
-    if source == "zeta":
-        log_pref = _stirling_lgamma(0.5 * s) - 0.5 * s * LN_PI
-        vals = _zeta_values(s, opts)
-    else:
-        w = 0.5 * (s + 1.0)
-        log_pref = _stirling_lgamma(w) - w * math.log(math.pi / 4.0)
-        vals = _beta_values(s, opts)
-    return (np.exp(1j * log_pref.imag) * vals).real
+    return (np.exp(1j * _log_prefactor(source, s).imag) * _BASE_VALUES[source](s, opts)).real
 
 
 def find_zeros(source: str, t_min: float, t_max: float, scan_step: float = 0.01,
@@ -180,9 +179,7 @@ def find_zeros(source: str, t_min: float, t_max: float, scan_step: float = 0.01,
             flo = np.where(take_hi, flo, fmid)
     roots = 0.5 * (lo + hi)
     if roots.size:
-        h = 1e-6
-        deriv = (_line_values(source, roots + h, opts)
-                 - _line_values(source, roots - h, opts)) / (2.0 * h)
+        deriv = _central_difference(lambda x: _line_values(source, x, opts), roots)
         if np.any(np.abs(deriv) <= 1e-8):
             t_bad = float(roots[np.argmax(np.abs(deriv) <= 1e-8)])
             raise UnexpectedCoincidence(
@@ -218,14 +215,6 @@ def singular_points_delta5(t_min: float, t_max: float, scan_step: float = 0.01,
     return points
 
 
-def _zeta_derivative(x: float, opts: EvalOptions, h: float = 1e-6) -> float:
-    return (zeta(x + h, opts).real - zeta(x - h, opts).real) / (2.0 * h)
-
-
-def _beta_derivative(x: float, opts: EvalOptions, h: float = 1e-6) -> float:
-    return (beta_L(x + h, opts).real - beta_L(x - h, opts).real) / (2.0 * h)
-
-
 def residue_at_pole(sigma: float, opts: EvalOptions = DEFAULT_OPTIONS) -> RealAxisFeature:
     """Residue of the quotient at one of its real poles.
 
@@ -242,7 +231,7 @@ def residue_at_pole(sigma: float, opts: EvalOptions = DEFAULT_OPTIONS) -> RealAx
         value = beta_L(1.0, opts).real / zeta(1.5, opts).real
     else:
         value = (zeta(a, opts).real * beta_L(a, opts).real
-                 / (2.0 * _zeta_derivative(2.0 * a - 0.5, opts)))
+                 / (2.0 * _central_difference(zeta, 2.0 * a - 0.5, opts).real))
     return RealAxisFeature(sigma=a, kind="pole", coefficient=value)
 
 
@@ -263,7 +252,7 @@ def slope_at_zero(sigma: float, opts: EvalOptions = DEFAULT_OPTIONS) -> RealAxis
     else:
         den = zeta(2.0 * a - 0.5, opts).real
         if int(round(a)) % 2 == 0:
-            value = _zeta_derivative(a, opts) * beta_L(a, opts).real / den
+            value = _central_difference(zeta, a, opts).real * beta_L(a, opts).real / den
         else:
-            value = zeta(a, opts).real * _beta_derivative(a, opts) / den
+            value = zeta(a, opts).real * _central_difference(beta_L, a, opts).real / den
     return RealAxisFeature(sigma=a, kind="zero", coefficient=value)

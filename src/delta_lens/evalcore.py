@@ -52,6 +52,7 @@ CHARACTER_TABLES = {
 }
 
 _POLE_TOL = 1e-12
+_DIFF_STEP = 1e-6  # step of the central-difference derivative
 
 
 @dataclass(frozen=True)
@@ -118,16 +119,17 @@ def _cvz_weights(n: int) -> np.ndarray:
 _log_cache: dict[tuple, np.ndarray] = {}
 
 
-def _arith_logs(base: float, step: float, n: int) -> np.ndarray:
-    key = (base, step, n)
+def _arith_logs(step: float, n: int) -> np.ndarray:
+    key = (step, n)
     if key not in _log_cache:
-        _log_cache[key] = np.log(base + step * np.arange(n))
+        _log_cache[key] = np.log(1.0 + step * np.arange(n))
     return _log_cache[key]
 
 
-def _cvz_terms(t_abs: float, sigma_min: float, digits: int) -> int:
+def _cvz_terms(s: np.ndarray, digits: int) -> int:
     # weight ratio c_k/d stops decreasing past k ~ n, so large heights need
     # n ~ pi |t| / (2 ln(3+sqrt8)); small sigma inflates the constant a bit
+    t_abs, sigma_min = np.abs(s.imag).max(initial=0.0), s.real.min()
     penalty = 0.0
     if sigma_min < 0.5:
         penalty = min(12.0, max(0.0, -math.log(max(sigma_min, 1e-8))))
@@ -135,17 +137,22 @@ def _cvz_terms(t_abs: float, sigma_min: float, digits: int) -> int:
     return min(n, 347)  # weight recurrence overflows past n ~ 415
 
 
-def _alt_weighted_sum(s: np.ndarray, base: float, step: float, n: int) -> np.ndarray:
-    """sum_k w_k (base + step k)^(-s), blocked so the outer product stays small."""
+def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k w_k exp(-s logs_k), blocked so the outer product stays small."""
     flat = np.ascontiguousarray(s, dtype=np.complex128).reshape(-1)
-    w = _cvz_weights(n).astype(np.complex128)
-    logs = _arith_logs(base, step, n)
     out = np.empty(flat.shape, dtype=np.complex128)
     blk = 4096
     for i in range(0, flat.size, blk):
         chunk = flat[i:i + blk]
         out[i:i + blk] = np.exp(np.multiply.outer(-chunk, logs)) @ w
     return out.reshape(s.shape)
+
+
+def _alt_weighted_sum(s: np.ndarray, step: float, digits: int) -> np.ndarray:
+    """sum_k w_k (1 + step k)^(-s) with the CVZ weights w_k, the term count
+    sized for the whole batch."""
+    n = _cvz_terms(s, digits)
+    return _power_sum(s, _arith_logs(step, n), _cvz_weights(n).astype(np.complex128))
 
 
 def _stirling_lgamma(z: np.ndarray) -> np.ndarray:
@@ -187,9 +194,10 @@ def _log_sin(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _em_terms(t_abs: float, digits: int) -> int:
+def _em_terms(s: np.ndarray, opts: EvalOptions) -> int:
     # Bernoulli tail converges once the cutoff exceeds |s| / 2pi
-    return int(0.75 * t_abs) + 4 * max(digits - 10, 0) + 20
+    t_abs = np.abs(s.imag).max(initial=0.0)
+    return max(opts.series_terms, int(0.75 * t_abs) + 4 * max(opts.target_digits - 10, 0) + 20)
 
 
 def _phi_expm1_over_x(x: np.ndarray) -> np.ndarray:
@@ -200,22 +208,15 @@ def _phi_expm1_over_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + x / 2.0 + x * x / 6.0, np.expm1(safe) / safe)
 
 
-def _em_hurwitz(s: np.ndarray, a: float, N: int, m: int, minus_pole: bool = False) -> np.ndarray:
+def _em_hurwitz(s: np.ndarray, a: float, opts: EvalOptions, minus_pole: bool = False) -> np.ndarray:
     """Euler-Maclaurin sum for zeta(s, a); optionally with 1/(s-1) removed.
 
     The minus_pole variant stays finite (and exact) at s = 1, which is what
     the character sums in dirichlet_L need.
     """
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    flat = s.reshape(-1)
-    logs = np.log(a + np.arange(N))
-    ones = np.ones(N, dtype=np.complex128)
-    direct = np.empty(flat.shape, dtype=np.complex128)
-    blk = 4096
-    for i in range(0, flat.size, blk):
-        chunk = flat[i:i + blk]
-        direct[i:i + blk] = np.exp(np.multiply.outer(-chunk, logs)) @ ones
-    direct = direct.reshape(s.shape)
+    N, m = _em_terms(s, opts), opts.em_order
+    direct = _power_sum(s, np.log(a + np.arange(N)), np.ones(N, dtype=np.complex128))
     P = N + a
     logP = math.log(P)
     Ppow = np.exp(-s * logP)  # P^-s
@@ -238,20 +239,15 @@ def _em_hurwitz(s: np.ndarray, a: float, N: int, m: int, minus_pole: bool = Fals
 
 def _zeta_right(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
     """zeta for Re s > 0 (pole neighborhood of s = 1 gives a huge finite value)."""
-    digits = opts.target_digits
     # eta route; 1 - 2^(1-s) via expm1 keeps accuracy near s = 1
     q = -np.expm1((1.0 - s) * LN2)
     bad = np.abs(q) < 0.05  # near s = 1 + 2 pi i k / ln 2 the eta route loses digits
     good = ~bad
     vals = np.empty(s.shape, dtype=np.complex128)
     if np.any(good):
-        sg = s[good]
-        n = _cvz_terms(np.abs(sg.imag).max(initial=0.0), sg.real.min(), digits)
-        vals[good] = _alt_weighted_sum(sg, 1.0, 1.0, n) / q[good]
+        vals[good] = _alt_weighted_sum(s[good], 1.0, opts.target_digits) / q[good]
     if np.any(bad):
-        sb = s[bad]
-        N = max(opts.series_terms, _em_terms(np.abs(sb.imag).max(initial=0.0), digits))
-        vals[bad] = _em_hurwitz(sb, 1.0, N, opts.em_order)
+        vals[bad] = _em_hurwitz(s[bad], 1.0, opts)
     return vals
 
 
@@ -265,8 +261,7 @@ def _zeta_values(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarr
     small = ~pos & (np.abs(s) < 1e-8)
     if np.any(small):
         # reflection would hit the u = 1 pole; Euler-Maclaurin is exact here
-        N = max(opts.series_terms, _em_terms(0.0, opts.target_digits))
-        out[small] = _em_hurwitz(s[small], 1.0, N, opts.em_order)
+        out[small] = _em_hurwitz(s[small], 1.0, opts)
     neg = ~pos & ~small
     if np.any(neg):
         sn = s[neg]
@@ -281,27 +276,30 @@ def _beta_values(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarr
     """Vector Dirichlet beta (no poles; trivial zeros returned exactly)."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     out = np.empty(s.shape, dtype=np.complex128)
-    digits = opts.target_digits
     pos = s.real > 0.0
     if np.any(pos):
-        sp = s[pos]
-        n = _cvz_terms(np.abs(sp.imag).max(initial=0.0), sp.real.min(), digits)
-        out[pos] = _alt_weighted_sum(sp, 1.0, 2.0, n)
+        out[pos] = _alt_weighted_sum(s[pos], 2.0, opts.target_digits)
     neg = ~pos
     if np.any(neg):
         sn = s[neg]
-        u = 1.0 - sn
-        n = _cvz_terms(np.abs(u.imag).max(initial=0.0), u.real.min(), digits)
-        bu = _alt_weighted_sum(u, 1.0, 2.0, n)
-        w = 0.5 * (sn + 1.0)
-        wr = np.round(w.real)
-        # gamma pole of the reflection factor = trivial zero of beta
-        triv = (np.abs(w.real - wr) < 1e-13) & (wr <= 0.0) & (np.abs(w.imag) < 1e-13)
-        wsafe = np.where(triv, 0.5, w)
-        factor = np.exp((sn - 0.5) * math.log(math.pi / 4.0)
-                        + _stirling_lgamma(1.0 - 0.5 * sn) - _stirling_lgamma(wsafe))
-        out[neg] = np.where(triv, 0.0, factor * bu)
+        out[neg] = _odd_reflection(4, sn, _alt_weighted_sum(1.0 - sn, 2.0, opts.target_digits))
     return out
+
+
+def _odd_reflection(q: int, s: np.ndarray, l_reflected: np.ndarray) -> np.ndarray:
+    """L_{-q}(s) from L_{-q}(1 - s) by the odd-character functional equation
+
+        L(s) = (pi/q)^(s - 1/2) Gamma(1 - s/2) / Gamma((s + 1)/2) L(1 - s).
+
+    The gamma poles of the denominator are the trivial zeros, returned as 0.
+    """
+    w = 0.5 * (s + 1.0)
+    wr = np.round(w.real)
+    triv = (np.abs(w.real - wr) < 1e-13) & (wr <= 0.0) & (np.abs(w.imag) < 1e-13)
+    wsafe = np.where(triv, 0.5, w)
+    factor = np.exp((s - 0.5) * math.log(math.pi / q)
+                    + _stirling_lgamma(1.0 - 0.5 * s) - _stirling_lgamma(wsafe))
+    return np.where(triv, 0.0, factor * l_reflected)
 
 
 def _hurwitz_rational_left(s: np.ndarray, p: int, q: int, opts: EvalOptions) -> np.ndarray:
@@ -312,12 +310,10 @@ def _hurwitz_rational_left(s: np.ndarray, p: int, q: int, opts: EvalOptions) -> 
     """
     s = np.ascontiguousarray(s, dtype=np.complex128)
     u = 1.0 - s
-    digits = opts.target_digits
-    N = max(opts.series_terms, _em_terms(np.abs(u.imag).max(initial=0.0), digits))
     acc = np.zeros(s.shape, dtype=np.complex128)
     for r in range(1, q + 1):
         phase = TWO_PI * r * p / q
-        acc = acc + np.cos(0.5 * math.pi * u - phase) * _em_hurwitz(u, r / q, N, opts.em_order)
+        acc = acc + np.cos(0.5 * math.pi * u - phase) * _em_hurwitz(u, r / q, opts)
     scale = np.exp(_stirling_lgamma(u) + LN2 - u * math.log(TWO_PI * q))
     return scale * acc
 
@@ -325,32 +321,25 @@ def _hurwitz_rational_left(s: np.ndarray, p: int, q: int, opts: EvalOptions) -> 
 def _hurwitz_values(s: np.ndarray, a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """Vector Hurwitz zeta for a in (0, 1], reflection used where it pays off."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    digits = opts.target_digits
-    left = s.real < 0.0
     frac = Fraction(a).limit_denominator(64)
     rational = abs(a - float(frac)) <= 1e-12 and frac.numerator >= 1
-    if rational and np.any(left):
-        out = np.empty(s.shape, dtype=np.complex128)
+    left = (s.real < 0.0) & rational
+    out = np.empty(s.shape, dtype=np.complex128)
+    if np.any(left):
         out[left] = _hurwitz_rational_left(s[left], frac.numerator, frac.denominator, opts)
-        right = ~left
-        if np.any(right):
-            sr = s[right]
-            N = max(opts.series_terms, _em_terms(np.abs(sr.imag).max(initial=0.0), digits))
-            out[right] = _em_hurwitz(sr, a, N, opts.em_order)
-        return out
     # irrational offsets: direct Euler-Maclaurin everywhere (accuracy degrades
     # below Re s ~ -2 from cancellation; nothing in this package needs it)
-    N = max(opts.series_terms, _em_terms(np.abs(s.imag).max(initial=0.0), digits))
-    return _em_hurwitz(s, a, N, opts.em_order)
+    right = ~left
+    if np.any(right):
+        out[right] = _em_hurwitz(s[right], a, opts)
+    return out
 
 
 def _dirichlet_direct(q: int, s: np.ndarray, opts: EvalOptions) -> np.ndarray:
     """q^-s sum_a chi(a) [zeta(s, a/q) - 1/(s-1)]; entire since sum chi = 0."""
-    digits = opts.target_digits
-    N = max(opts.series_terms, _em_terms(np.abs(s.imag).max(initial=0.0), digits))
     acc = np.zeros(s.shape, dtype=np.complex128)
     for a, chi in CHARACTER_TABLES[q].items():
-        acc = acc + chi * _em_hurwitz(s, a / q, N, opts.em_order, minus_pole=True)
+        acc = acc + chi * _em_hurwitz(s, a / q, opts, minus_pole=True)
     return np.exp(-s * math.log(q)) * acc
 
 
@@ -364,20 +353,19 @@ def _dirichlet_values(q: int, s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS
     left = ~right
     if np.any(left):
         sl = s[left]
-        lu = _dirichlet_direct(q, 1.0 - sl, opts)
-        w = 0.5 * (sl + 1.0)
-        wr = np.round(w.real)
-        triv = (np.abs(w.real - wr) < 1e-13) & (wr <= 0.0) & (np.abs(w.imag) < 1e-13)
-        wsafe = np.where(triv, 0.5, w)
-        factor = np.exp((0.5 - sl) * math.log(q / math.pi)
-                        + _stirling_lgamma(1.0 - 0.5 * sl) - _stirling_lgamma(wsafe))
-        out[left] = np.where(triv, 0.0, factor * lu)
+        out[left] = _odd_reflection(q, sl, _dirichlet_direct(q, 1.0 - sl, opts))
     return out
 
 
 def _near_nonpositive_integer(z: np.ndarray, tol: float = _POLE_TOL):
     zr = np.round(z.real)
     return (np.abs(z.real - zr) <= tol) & (np.abs(z.imag) <= tol) & (zr <= 0.0)
+
+
+def _central_difference(f, x, *args):
+    """Derivative of f(., *args) at x (a number or an array) by the symmetric
+    quotient (f(x + h) - f(x - h)) / 2h, h = _DIFF_STEP."""
+    return (f(x + _DIFF_STEP, *args) - f(x - _DIFF_STEP, *args)) / (2.0 * _DIFF_STEP)
 
 
 def log_gamma(s):

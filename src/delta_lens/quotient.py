@@ -6,17 +6,23 @@ Conventions used throughout:
 
 * "folded" phase means the representative of arg modulo pi inside the
   half-open interval (-pi/2, pi/2].
-* pole proximity tolerance for the quotients is 1e-10; evaluation closer
-  than that raises PoleOfDelta5 / PoleOfDeltaQ instead of returning a huge
-  number, so path-tracing code can never silently step onto a pole.
-* the first-order zero of delta5 at s = 3/4 is returned as exactly 0 for
-  |s - 3/4| <= 1e-12 (the raw quotient there would divide by a pole of the
-  denominator zeta).
+* pole rule: delta5 / delta_q raise PoleOfDelta5 (q = 4) / PoleOfDeltaQ
+  within 1e-10 of a pole (with a 1e-3 relative margin for the rounding of
+  pole + 1e-10), so path-tracing code never silently steps onto one; an
+  array raises for its first offending element.  Closed forms cover s = 1,
+  the real poles s = 1/4 - k (k >= 1), and for q != 4 the bracket zero
+  s = 1/2 plus, for q = 7, 8, s = 1/2 + i k 2 pi / ln(q/4); the error
+  carries the pole itself.  The critical-line poles 1/2 + i gamma/2 raise
+  when the first-order distance |Z| / (2 |Z'|), Z = zeta(2s - 1/2) and Z' a
+  central difference, is within the disc; the error carries the point.
+* the first-order zero of every quotient at s = 3/4 is returned as exactly
+  0 for |s - 3/4| <= 1e-12 (the raw quotient divides by a pole there).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +41,7 @@ from .evalcore import (
     EvalOptions,
     LN2,
     _beta_values,
+    _central_difference,
     _coerce,
     _dirichlet_values,
     _near_nonpositive_integer,
@@ -43,8 +50,13 @@ from .evalcore import (
     _zeta_values,
 )
 
-_QUOTIENT_POLE_TOL = 1e-10
+_QUOTIENT_POLE_TOL = 1e-10 * (1.0 + 1e-3)
 _EXACT_ZERO_TOL = 1e-12
+# the distance rule only looks at points this close to the critical line
+# whose denominator is this small; inside the disc |Z| <= 2e-10 |Z'|, and
+# |zeta'| at the zeta zeros up to t = 200 stays below 6, far under 5e3
+_LINE_SCREEN = 1e-9
+_DEN_SCREEN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,9 +66,15 @@ class QuotientKind:
     discriminant_label: int = 4
 
     def __post_init__(self):
-        if self.discriminant_label not in (3, 4, 7, 8):
+        label = self.discriminant_label
+        if not isinstance(label, numbers.Integral) or label not in CHARACTER_TABLES:
             raise UnsupportedDiscriminant(
                 f"discriminant_label must be 3, 4, 7 or 8, got {self.discriminant_label}")
+
+
+def _label(kind) -> int:
+    """The validated discriminant label of a QuotientKind or a plain int."""
+    return (kind if isinstance(kind, QuotientKind) else QuotientKind(kind)).discriminant_label
 
 
 @dataclass(frozen=True)
@@ -79,9 +97,13 @@ def fold_phase(phi: float) -> float:
     return r
 
 
-def _bracket_ratio(q: int) -> float:
+def _log_bracket_ratio(q: int) -> float:
     # ratio r < 1 so that the factor 1 - r^(s - 1/2) tends to 1 as sigma grows
-    return q / 4.0 if q < 4 else 4.0 / q
+    return math.log(q / 4.0 if q < 4 else 4.0 / q)
+
+
+def _bracket_values(q: int, s: np.ndarray) -> np.ndarray:
+    return -np.expm1((s - 0.5) * _log_bracket_ratio(q))
 
 
 def bracket_factor(q: int, s):
@@ -89,20 +111,17 @@ def bracket_factor(q: int, s):
 
     For q = 4 the factor is identically 1.
     """
-    if q not in (3, 4, 7, 8):
-        raise UnsupportedDiscriminant(f"unsupported discriminant label {q}")
+    q = _label(q)
     arr, scalar = _coerce(s)
-    if q == 4:
-        return _release(np.ones(arr.shape, dtype=np.complex128), scalar)
-    r = _bracket_ratio(q)
-    return _release(-np.expm1((arr - 0.5) * math.log(r)), scalar)
+    vals = np.ones(arr.shape, dtype=np.complex128) if q == 4 else _bracket_values(q, arr)
+    return _release(vals, scalar)
 
 
 def _delta_q_values(q: int, s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
     """Vector quotient values; pole neighborhoods yield inf/nan, never raise.
 
-    This is the grid backend for rendering and tracing; the scalar wrappers
-    delta5 / delta_q add the pole bookkeeping.
+    This is the grid backend for rendering and tracing; delta5 / delta_q add
+    the pole classification on top of it.
     """
     s = np.ascontiguousarray(s, dtype=np.complex128)
     with np.errstate(all="ignore"):
@@ -110,87 +129,61 @@ def _delta_q_values(q: int, s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) 
         num = num * (_beta_values(s, opts) if q == 4 else _dirichlet_values(q, s, opts))
         den = _zeta_values(2.0 * s - 0.5, opts)
         if q == 3:
-            num = num * -np.expm1((s - 0.5) * math.log(0.75))
-        elif q in (7, 8):
-            den = den * -np.expm1((s - 0.5) * math.log(4.0 / q))
+            num = num * _bracket_values(q, s)
+        elif q > 4:
+            den = den * _bracket_values(q, s)
         return num / den
 
 
-def _check_delta5_poles(z: complex):
-    if abs(z - 1.0) <= _QUOTIENT_POLE_TOL:
-        raise PoleOfDelta5("delta5 pole at s = 1", 1.0 + 0.0j)
-    # uncancelled trivial zeros of the denominator sit at s = 1/4 - k, k >= 1
-    k = round(0.25 - z.real)
-    if k >= 1 and abs(z - (0.25 - k)) <= _QUOTIENT_POLE_TOL:
-        loc = complex(0.25 - k)
-        raise PoleOfDelta5(f"delta5 pole at s = {loc.real}", loc)
+def _check_poles(q: int, s: np.ndarray, opts: EvalOptions):
+    """Raise for the first element of the flat array s inside a pole disc."""
+    k = np.maximum(np.round(0.25 - s.real), 1.0)
+    closed = [1.0, 0.25 - k]  # s = 1 and the real poles s = 1/4 - k
+    if q != 4:  # bracket zeros 1/2 + i m 2 pi/ln(q/4); for q = 3 only m = 0
+        period = 2.0 * math.pi / abs(_log_bracket_ratio(q))
+        closed.append(0.5 + 1j * period * (np.round(s.imag / period) if q > 4 else 0.0))
+    hit = np.zeros(s.shape, dtype=bool)
+    loc = s
+    for pole in closed:
+        near = np.abs(s - pole) <= _QUOTIENT_POLE_TOL
+        hit |= near
+        loc = np.where(near, pole, loc)
+    # critical-line poles: first-order distance |Z| / (2 |Z'|), Z = zeta(2s - 1/2)
+    line = np.flatnonzero(np.abs(s.real - 0.5) <= _LINE_SCREEN)
+    if line.size:
+        w = 2.0 * s[line] - 0.5
+        z = np.abs(_zeta_values(w, opts))
+        small = z <= _DEN_SCREEN
+        if np.any(small):
+            dz = np.abs(_central_difference(_zeta_values, w[small], opts))
+            hit[line[small]] |= z[small] <= 2.0 * _QUOTIENT_POLE_TOL * dz
+    if np.any(hit):
+        i = int(np.argmax(hit))
+        name, err = ("delta5", PoleOfDelta5) if q == 4 else (f"delta_q (q = {q})", PoleOfDeltaQ)
+        raise err(f"{name}: s = {complex(s[i])} is within 1e-10 of a pole", complex(loc[i]))
 
 
 def delta5(s, opts: EvalOptions = DEFAULT_OPTIONS):
-    """The quotient zeta(s) L_-4(s) / zeta(2s - 1/2).
-
-    Returns exactly 0 at the first-order zero s = 3/4; raises PoleOfDelta5
-    within 1e-10 of s = 1, of the real poles s = 1/4 - k, and of the
-    critical-line poles where the denominator vanishes.
-    """
-    arr, scalar = _coerce(s)
-    out = np.empty(arr.shape, dtype=np.complex128)
-    for i, z in enumerate(arr):
-        z = complex(z)
-        if abs(z - 0.75) <= _EXACT_ZERO_TOL:
-            out[i] = 0.0
-            continue
-        _check_delta5_poles(z)
-        with np.errstate(all="ignore"):
-            num = complex(_zeta_values(np.array([z]), opts)[0]
-                          * _beta_values(np.array([z]), opts)[0])
-            den = complex(_zeta_values(np.array([2.0 * z - 0.5]), opts)[0])
-        if abs(den) <= 1e-9 and abs(num) > 1e-9:
-            raise PoleOfDelta5(f"denominator zero of delta5 near s = {z}", z)
-        out[i] = num / den
-    return _release(out, scalar)
+    """The quotient zeta(s) L_-4(s) / zeta(2s - 1/2), i.e. delta_q(4, s):
+    exactly 0 at s = 3/4, PoleOfDelta5 within 1e-10 of a pole."""
+    return delta_q(4, s, opts)
 
 
 def delta_q(kind, s, opts: EvalOptions = DEFAULT_OPTIONS):
-    """The quotient family member for discriminant label q in {3, 4, 7, 8}.
+    """The quotient family member for discriminant label q in {3, 4, 7, 8},
+    given as a QuotientKind or a plain int; q = 4 is delta5.
 
-    q = 4 reduces to delta5.  The bracket factor 1 - r^(s-1/2) vanishes at
-    s = 1/2 for every q != 4, so that point (an unresolved degeneracy of the
-    construction) is reported through PoleOfDeltaQ rather than as a value,
-    as are the bracket zeros on the critical line when they sit in the
-    denominator (q > 4).
+    The bracket factor 1 - r^(s-1/2) vanishes at s = 1/2 for every q != 4;
+    that degeneracy of the construction is reported as a pole, like the
+    bracket zeros in the denominator (q > 4).  Pole rule: module docstring.
     """
-    q = kind.discriminant_label if isinstance(kind, QuotientKind) else int(kind)
-    if q not in (3, 4, 7, 8):
-        raise UnsupportedDiscriminant(f"unsupported discriminant label {q}")
-    if q == 4:
-        return delta5(s, opts)
+    q = _label(kind)
     arr, scalar = _coerce(s)
-    out = np.empty(arr.shape, dtype=np.complex128)
-    r = _bracket_ratio(q)
-    period = 2.0 * math.pi / abs(math.log(r))
-    for i, z in enumerate(arr):
-        z = complex(z)
-        if abs(z - 0.5) <= _QUOTIENT_POLE_TOL:
-            raise PoleOfDeltaQ("bracket factor vanishes at s = 1/2", 0.5 + 0.0j)
-        if abs(z - 1.0) <= _QUOTIENT_POLE_TOL:
-            raise PoleOfDeltaQ("delta_q pole at s = 1", 1.0 + 0.0j)
-        if q > 4:
-            # remaining bracket zeros: s = 1/2 + i k (2 pi / ln(q/4))
-            k = round(z.imag / period)
-            if k != 0 and abs(z - complex(0.5, k * period)) <= _QUOTIENT_POLE_TOL:
-                loc = complex(0.5, k * period)
-                raise PoleOfDeltaQ(f"bracket-factor zero of delta_q at s = {loc}", loc)
-        with np.errstate(all="ignore"):
-            num = complex(_zeta_values(np.array([z]), opts)[0]
-                          * _dirichlet_values(q, np.array([z]), opts)[0])
-            den = complex(_zeta_values(np.array([2.0 * z - 0.5]), opts)[0])
-            brk = complex(-np.expm1((z - 0.5) * math.log(r)))
-        num, den = (num * brk, den) if q == 3 else (num, den * brk)
-        if abs(den) <= 1e-9 and abs(num) > 1e-9:
-            raise PoleOfDeltaQ(f"denominator zero of delta_q near s = {z}", z)
-        out[i] = num / den
-    return _release(out, scalar)
+    flat = arr.reshape(-1)
+    _check_poles(q, flat, opts)
+    out = _delta_q_values(q, flat, opts)
+    out[np.abs(flat - 0.75) <= _EXACT_ZERO_TOL] = 0.0
+    return _release(out.reshape(arr.shape), scalar)
 
 
 _F5_SHIFTS = (  # gamma arguments of f5 as (scale, offset): arg = scale*s + offset
@@ -283,31 +276,21 @@ def bracket_phase_zeros(q: int, sigma: float, t_max: float, scan_step: float = 0
     Located by sign changes of Im bracket_factor refined by bisection; for
     q != 4 these sit at multiples of pi / ln(1/r).
     """
+    q = _label(q)
     if q == 4:
         return []
-    if q not in (3, 7, 8):
-        raise UnsupportedDiscriminant(f"unsupported discriminant label {q}")
     ts = np.arange(0.0, t_max + scan_step, scan_step)
-    vals = bracket_factor(q, sigma + 1j * ts)
-    ims = np.asarray(vals).imag
-    roots = []
-    for i in range(len(ts) - 1):
-        lo, hi = ts[i], ts[i + 1]
-        flo, fhi = ims[i], ims[i + 1]
-        if flo == 0.0 and lo > 0.0:
-            roots.append(float(lo))
-            continue
-        if flo * fhi >= 0.0:
-            continue
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = complex(bracket_factor(q, sigma + 1j * mid)).imag
-            if flo * fm <= 0.0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-        roots.append(0.5 * (lo + hi))
-    return [r for r in roots if 0.0 < r <= t_max]
+    ims = _bracket_values(q, sigma + 1j * ts).imag
+    exact = ts[:-1][(ims[:-1] == 0.0) & (ts[:-1] > 0.0)]
+    cross = ims[:-1] * ims[1:] < 0.0
+    lo, hi, flo = ts[:-1][cross], ts[1:][cross], ims[:-1][cross]
+    for _ in range(60):  # every bracket bisected in lockstep
+        mid = 0.5 * (lo + hi)
+        fm = _bracket_values(q, sigma + 1j * mid).imag
+        left = flo * fm <= 0.0
+        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
+    roots = np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
+    return [float(r) for r in roots if 0.0 < r <= t_max]
 
 
 def lattice_sum_C(s, opts: EvalOptions = DEFAULT_OPTIONS):

@@ -1,7 +1,21 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from delta_lens.census import build_catalog
 from delta_lens.contours import trace_amplitude_one_line, trace_phase_zero_line
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference.json"
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """Frozen mpmath values (30 digits): zeta zero ordinates to t = 200 and a
+    1,000-point probe pool over sigma in [-3, 4], |t| <= 200."""
+    with open(REFERENCE, encoding="ascii") as fh:
+        return json.load(fh)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,66 @@
+"""Accuracy contract over the frozen mpmath probe pool (1,000 points over
+sigma in [-3, 4], |t| <= 200; the quotients and f5 on the half with
+|t| <= 100), checked once as one vector call and once as scalar calls.
+
+A scalar call must return the bits of the same point evaluated as a
+one-element vector by the raw vector evaluator: there is one evaluation
+path per function.  (A longer vector can differ in the last bits, because
+the series length follows the largest |Im s| of the batch.)
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from delta_lens.evalcore import (_beta_values, _dirichlet_values, _zeta_values, beta_L,
+                                 dirichlet_L, zeta)
+from delta_lens.quotient import _delta_q_values, delta5, delta_q, f5
+
+REL_TOL = 1e-12
+SCALAR_SAMPLE = 30
+SAMPLE_SEED = 7
+
+# reference key -> (public function, raw vector evaluator)
+FUNCTIONS = {
+    "zeta": (zeta, _zeta_values),
+    "beta": (beta_L, _beta_values),
+    **{f"L{q}": (lambda s, q=q: dirichlet_L(q, s), lambda s, q=q: _dirichlet_values(q, s))
+       for q in (3, 7, 8)},
+    "delta5": (delta5, lambda s: _delta_q_values(4, s)),
+    **{f"deltaq{q}": (lambda s, q=q: delta_q(q, s), lambda s, q=q: _delta_q_values(q, s))
+       for q in (3, 7, 8)},
+    "f5": (f5, f5),
+}
+
+
+def _pool(reference, key):
+    probes = [p for p in reference["probes"] if key in p]
+    s = np.array([complex(p["sigma"], p["t"]) for p in probes])
+    want = np.array([complex(*p[key]) for p in probes])
+    return s, want
+
+
+def _rel_err(got, want):
+    return np.abs(np.asarray(got) - want) / np.abs(want)
+
+
+@pytest.mark.parametrize("key", sorted(FUNCTIONS))
+def test_vector_call_over_pool(reference, key):
+    s, want = _pool(reference, key)
+    assert len(s) == (1000 if key in ("zeta", "beta", "L3", "L7", "L8") else 756)
+    err = _rel_err(FUNCTIONS[key][0](s), want)
+    worst = int(np.argmax(err))
+    assert err[worst] <= REL_TOL, f"{key} off by {err[worst]:.2e} at s = {s[worst]}"
+
+
+@pytest.mark.parametrize("key", sorted(FUNCTIONS))
+def test_scalar_calls_match_vector_path_bitwise(reference, key):
+    s, want = _pool(reference, key)
+    public, raw = FUNCTIONS[key]
+    for i in random.Random(SAMPLE_SEED).sample(range(len(s)), SCALAR_SAMPLE):
+        got = public(complex(s[i]))
+        assert isinstance(got, complex)
+        assert _rel_err(got, want[i]) <= REL_TOL, f"{key} at s = {s[i]}"
+        one = raw(s[i:i + 1])[0]
+        assert (got.real, got.imag) == (one.real, one.imag), f"{key} at s = {s[i]}"

@@ -154,6 +154,14 @@ def test_bracket_factor():
     for q, logr in ((3, math.log(4.0 / 3.0)), (8, math.log(2.0))):
         t1 = math.pi / logr
         assert abs(complex(bracket_factor(q, 14.0 + 1j * t1)).imag) < 1e-12
+    # one discriminant check: non-integer and unsupported labels are rejected
+    for bad in (5, 3.5, 8.0):
+        with pytest.raises(UnsupportedDiscriminant):
+            bracket_factor(bad, 2.0 + 3.0j)
+        with pytest.raises(UnsupportedDiscriminant):
+            bracket_phase_zeros(bad, 14.0, 30.0)
+        with pytest.raises(UnsupportedDiscriminant):
+            delta_q(bad, 2.0 + 3.0j)
 
 
 def test_bracket_phase_zero_anchors():
@@ -163,6 +171,7 @@ def test_bracket_phase_zero_anchors():
         assert abs(zeros3[m - 1] - m * math.pi / math.log(4.0 / 3.0)) < 1e-8
         assert abs(zeros8[m - 1] - m * math.pi / math.log(2.0)) < 1e-8
     assert bracket_phase_zeros(4, 14.0, 30.0) == []
+    assert bracket_phase_zeros(QuotientKind(8), 14.0, 24.0) == zeros8
 
 
 def test_lattice_sum_known_values():
