@@ -101,8 +101,8 @@ def _cmd_eval(args) -> int:
     note: Optional[str] = None
     if value == 0:
         phase = folded = 0.0
-        if fn == "delta5":
-            note = "zero of delta5"
+        if fn in ("delta5", "deltaq"):
+            note = f"zero of {fn}"
     else:
         phase = float(np.angle(value))
         folded = fold_phase(phase)

@@ -53,6 +53,9 @@ CHARACTER_TABLES = {
 
 _POLE_TOL = 1e-12
 _DIFF_STEP = 1e-6  # step of the central-difference derivative
+# below this many points the np.unique grid test in _power_sum costs more
+# than it can save (3-point Newton batches, 1-point winding midpoints)
+_GRID_MIN_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -138,8 +141,24 @@ def _cvz_terms(s: np.ndarray, digits: int) -> int:
 
 
 def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k w_k exp(-s logs_k), blocked so the outer product stays small."""
+    """sum_k w_k exp(-s logs_k).
+
+    Grid rule: when s holds at least _GRID_MIN_POINTS points with R >= 2
+    distinct real parts and I >= 2 distinct imaginary parts, and the points
+    fill at least half of the R x I grid those parts span (R*I <= 2N), the
+    term splits as exp(-sigma logs_k) w_k * exp(-i t logs_k) and the sum is
+    one (R x n) @ (n x I) product.  Any other input (short Newton batches,
+    scans along one vertical line, scattered probes) takes the outer product
+    exp(-s logs) @ w, blocked so it stays small.
+    """
     flat = np.ascontiguousarray(s, dtype=np.complex128).reshape(-1)
+    if flat.size >= _GRID_MIN_POINTS:
+        ur, ir = np.unique(flat.real, return_inverse=True)
+        ui, ii = np.unique(flat.imag, return_inverse=True)
+        if ur.size >= 2 and ui.size >= 2 and ur.size * ui.size <= 2 * flat.size:
+            a = np.exp(-np.multiply.outer(ur, logs)) * w
+            b = np.exp(-1j * np.multiply.outer(ui, logs))
+            return (a @ b.T)[ir, ii].reshape(s.shape)
     out = np.empty(flat.shape, dtype=np.complex128)
     blk = 4096
     for i in range(0, flat.size, blk):

@@ -9,16 +9,15 @@ modulus 1 and green below, with a white band where the modulus is 1 to
 within 1e-3.
 
 Rendering is deterministic for a fixed spec: pixel centers map linearly into
-the rectangle (top pixel row carries t_max), each pixel is a pure function
-of its center, and worker threads (row blocks of 64, capped by the
-DELTA_LENS_THREADS environment variable) only ever write disjoint slices.
+the rectangle (top pixel row carries t_max), and rows are evaluated on one
+thread in blocks of 64.  Each block is a sigma x t grid, so evalcore sums its
+Dirichlet series as one matrix product per block.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +60,8 @@ class PortraitSpec:
         if not (math.isfinite(self.t_min) and math.isfinite(self.t_max)
                 and self.t_min < self.t_max):
             raise SpecInvalid("need t_min < t_max, both finite")
-        if self.width < 1 or self.height < 1:
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+                   for n in (self.width, self.height)):
             raise SpecInvalid("width and height must be positive integers")
         if self.width * self.height > 4e7:
             raise SpecInvalid("width * height must not exceed 4e7 pixels")
@@ -84,19 +84,6 @@ class PixelGrid:
     def __post_init__(self):
         if len(self.pixels) != 3 * self.width * self.height:
             raise SpecInvalid("pixel buffer length must be 3 * width * height")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("DELTA_LENS_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise SpecInvalid("DELTA_LENS_THREADS must be a positive integer")
-        if n < 1:
-            raise SpecInvalid("DELTA_LENS_THREADS must be a positive integer")
-        return n
-    return min(4, os.cpu_count() or 1)
 
 
 def _phase_colors(vals: np.ndarray) -> np.ndarray:
@@ -127,30 +114,21 @@ def _amplitude_colors(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _render(spec: PortraitSpec, opts: EvalOptions) -> PixelGrid:
-    w, h = spec.width, spec.height
+def _render_rows(spec: PortraitSpec, opts: EvalOptions, j0: int, j1: int) -> bytes:
+    """RGB bytes of the pixel rows j0 <= j < j1 (row 0 carries t_max)."""
     dsig, dt = spec.pixel_size()
-    sig = spec.sigma_min + (np.arange(w) + 0.5) * dsig
+    sig = spec.sigma_min + (np.arange(spec.width) + 0.5) * dsig
+    ts = spec.t_max - (np.arange(j0, j1) + 0.5) * dt
+    s = (sig[None, :] + 1j * ts[:, None]).ravel()
     color = _phase_colors if spec.mode == "phase_quadrant" else _amplitude_colors
-    q = spec.function.discriminant_label
-    buf = bytearray(3 * w * h)
+    return color(_delta_q_values(spec.function.discriminant_label, s, opts)).tobytes()
 
-    def block(j0: int) -> None:
-        j1 = min(j0 + _ROW_BLOCK, h)
-        ts = spec.t_max - (np.arange(j0, j1) + 0.5) * dt
-        s = (sig[None, :] + 1j * ts[:, None]).ravel()
-        rgb = color(_delta_q_values(q, s, opts))
-        buf[3 * w * j0:3 * w * j1] = rgb.tobytes()
 
-    starts = range(0, h, _ROW_BLOCK)
-    workers = _worker_count()
-    if workers == 1 or len(starts) == 1:
-        for j0 in starts:
-            block(j0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(block, starts))
-    return PixelGrid(width=w, height=h, pixels=bytes(buf))
+def _render(spec: PortraitSpec, opts: EvalOptions) -> PixelGrid:
+    h = spec.height
+    pixels = b"".join(_render_rows(spec, opts, j0, min(j0 + _ROW_BLOCK, h))
+                      for j0 in range(0, h, _ROW_BLOCK))
+    return PixelGrid(width=spec.width, height=h, pixels=pixels)
 
 
 def render_phase_quadrants(spec: PortraitSpec,

@@ -80,7 +80,8 @@ def test_criterion_11_bracket_anchors(ctx):
 
 
 def test_criterion_12_render_regression(ctx):
-    _run(12, ctx)
+    result = _run(12, ctx)
+    assert "row partitions 64/37" in result.detail
 
 
 def test_criterion_13_special_values(ctx):

@@ -48,10 +48,12 @@ def test_eval_json_payload(capsys):
     assert payload["im"] == 0.0
 
 
-def test_eval_delta5_zero_note(capsys):
-    code, out, _ = run_cli(capsys, "eval", "--function", "delta5", "--s", "0.75")
+@pytest.mark.parametrize("fn, extra", [("delta5", ()), ("deltaq", ("--q", "8"))],
+                         ids=["delta5", "deltaq"])
+def test_eval_delta5_zero_note(capsys, fn, extra):
+    code, out, _ = run_cli(capsys, "eval", "--function", fn, "--s", "0.75", *extra)
     assert code == 0
-    assert "re 0" in out and "note zero of delta5" in out
+    assert "re 0" in out and f"note zero of {fn}" in out
 
 
 def test_eval_f5_critical_line(capsys):

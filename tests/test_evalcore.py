@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import delta_lens.evalcore as evalcore
 from delta_lens.errors import PoleOfGamma, PoleOfZeta, UnsupportedDiscriminant
-from delta_lens.evalcore import (DEFAULT_OPTIONS, EvalOptions, beta_L,
+from delta_lens.evalcore import (DEFAULT_OPTIONS, EvalOptions, _beta_values,
+                                 _dirichlet_values, _zeta_values, beta_L,
                                  dirichlet_L, hurwitz_zeta, log_gamma, zeta)
+from delta_lens.quotient import _delta_q_values
 
 # reference values computed independently at 30+ digit working precision
 ZETA_32 = 2.6123753486854883
@@ -58,6 +61,28 @@ def test_zeta_vector_matches_scalar():
     vec = zeta(pts)
     for k, s in enumerate(pts):
         assert abs(vec[k] - zeta(complex(s))) < 1e-13 * max(1.0, abs(vec[k]))
+
+
+@pytest.mark.parametrize("values", [
+    _zeta_values, _beta_values, lambda s: _dirichlet_values(8, s),
+    lambda s: _delta_q_values(4, s)], ids=["zeta", "beta", "L8", "delta5"])
+def test_grid_path_matches_point_path(values, monkeypatch):
+    # a 16x16 grid across the reflection line sigma = 0 and sigma = 1/2,
+    # one point masked out, evaluated as one batch (the matrix-product grid
+    # path of _power_sum) against the blocked outer-product path on the same
+    # batch and against one-point calls
+    sig = np.linspace(-1.5, 2.25, 16)
+    t = np.linspace(0.7, 61.3, 16)
+    s = np.delete((sig[None, :] + 1j * t[:, None]).ravel(), 37)
+    grid = values(s)
+    point = np.array([values(s[k:k + 1])[0] for k in range(s.size)])
+    monkeypatch.setattr(evalcore, "_GRID_MIN_POINTS", s.size + 1)
+    blocked = values(s)
+    assert np.any(grid != blocked)  # the grid path really ran
+    assert np.max(np.abs(grid - blocked) / np.abs(blocked)) <= 1e-13
+    # one-point calls size their series for that point alone, so they agree
+    # only to the accuracy bound pinned against mpmath in test_contract_map
+    assert np.max(np.abs(grid - point) / np.abs(point)) <= 1e-12
 
 
 def test_zeta_near_denominator_bad_point():

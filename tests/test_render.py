@@ -2,15 +2,16 @@
 and the binary pixmap writer."""
 
 import math
-import os
 
 import numpy as np
 import pytest
 
 from delta_lens.errors import IoFailure, SpecInvalid
+from delta_lens.evalcore import DEFAULT_OPTIONS
 from delta_lens.quotient import QuotientKind, delta5
 from delta_lens.render import (PixelGrid, PortraitSpec, Q1_RGB, Q2_RGB, Q3_RGB,
-                               Q4_RGB, locate_quadrant_meeting_points,
+                               Q4_RGB, _render_rows,
+                               locate_quadrant_meeting_points,
                                render_amplitude, render_phase_quadrants,
                                write_ppm)
 
@@ -32,9 +33,12 @@ def test_spec_validation():
     with pytest.raises(SpecInvalid):
         PortraitSpec(sigma_min=1.0, sigma_max=0.0, t_min=0.0, t_max=1.0,
                      width=4, height=4, mode="phase_quadrant")
-    with pytest.raises(SpecInvalid):
-        PortraitSpec(sigma_min=0.0, sigma_max=1.0, t_min=0.0, t_max=1.0,
-                     width=0, height=4, mode="phase_quadrant")
+    for width, height in ((0, 4), (2.5, 4), (2.0, 4), (4, 3.0), (True, 4), ("4", 4)):
+        with pytest.raises(SpecInvalid):
+            PortraitSpec(sigma_min=0.0, sigma_max=1.0, t_min=0.0, t_max=1.0,
+                         width=width, height=height, mode="phase_quadrant")
+    PortraitSpec(sigma_min=0.0, sigma_max=1.0, t_min=0.0, t_max=1.0,
+                 width=np.int64(4), height=4, mode="phase_quadrant")
     with pytest.raises(SpecInvalid):
         PortraitSpec(sigma_min=0.0, sigma_max=1.0, t_min=0.0, t_max=1.0,
                      width=100000, height=100000, mode="phase_quadrant")
@@ -174,21 +178,14 @@ def test_meeting_points_invariant_with_subpixel_exemption(merged_catalog):
         assert min(abs(t - u) for u in anchors) <= 2.0 * pitch
 
 
-def test_thread_count_does_not_change_pixels():
+def test_row_partition_does_not_change_pixels():
     spec = PortraitSpec(sigma_min=0.0, sigma_max=1.0, t_min=5.0, t_max=8.0,
-                        width=64, height=64, mode="phase_quadrant")
-    saved = os.environ.get("DELTA_LENS_THREADS")
-    try:
-        os.environ["DELTA_LENS_THREADS"] = "1"
-        one = render_phase_quadrants(spec).pixels
-        os.environ["DELTA_LENS_THREADS"] = "3"
-        three = render_phase_quadrants(spec).pixels
-    finally:
-        if saved is None:
-            os.environ.pop("DELTA_LENS_THREADS", None)
-        else:
-            os.environ["DELTA_LENS_THREADS"] = saved
-    assert bytes(one) == bytes(three)
+                        width=64, height=100, mode="phase_quadrant")
+    whole = render_phase_quadrants(spec).pixels
+    for rows in (1, 37, 100):
+        parts = b"".join(_render_rows(spec, DEFAULT_OPTIONS, j0, min(j0 + rows, 100))
+                         for j0 in range(0, 100, rows))
+        assert parts == whole
 
 
 def test_other_discriminant_renders():
