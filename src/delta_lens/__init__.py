@@ -36,6 +36,6 @@ from .errors import (
     UnexpectedCoincidence,
     UnsupportedDiscriminant,
 )
-from .evalcore import EvalOptions, beta_L, dirichlet_L, hurwitz_zeta, log_gamma, zeta
+from .evalcore import beta_L, dirichlet_L, hurwitz_zeta, log_gamma, zeta
 
 __version__ = "0.1.0"

@@ -25,8 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .evalcore import (DEFAULT_OPTIONS, EvalOptions, _central_difference, beta_L,
-                       dirichlet_L, hurwitz_zeta, zeta)
+from .evalcore import _central_difference, beta_L, dirichlet_L, hurwitz_zeta, zeta
 from .quotient import (QuotientKind, bracket_phase_zeros, critical_phase_approx,
                        delta5, fold_phase, functional_equation_residual)
 from .critical import (POLE_SIGMAS, ZERO_SIGMAS, completed_beta,
@@ -84,46 +83,40 @@ class CriterionResult:
 class VerificationContext:
     """Shared lazily-built inputs for the checks."""
 
-    def __init__(self, opts: EvalOptions = DEFAULT_OPTIONS):
-        self.opts = opts
-
     @cached_property
     def merged_catalog(self):
-        return build_catalog("delta5_merged", 60.0, opts=self.opts)
+        return build_catalog("delta5_merged", 60.0)
 
     @cached_property
     def zeta_catalog(self):
-        return build_catalog("zeta", 120.0, opts=self.opts)
+        return build_catalog("zeta", 120.0)
 
     @cached_property
     def beta_catalog(self):
-        return build_catalog("beta", 101.0, opts=self.opts)
+        return build_catalog("beta", 101.0)
 
     @cached_property
     def phase_traces(self):
         pts = self.merged_catalog.entries
-        return {n: trace_phase_zero_line(n, catalog=pts, opts=self.opts)
-                for n in range(1, _TRACE_COUNT + 1)}
+        return {n: trace_phase_zero_line(n, catalog=pts) for n in range(1, _TRACE_COUNT + 1)}
 
     @cached_property
     def amplitude_traces(self):
         pts = self.merged_catalog.entries
-        return {n: trace_amplitude_one_line(n, catalog=pts, opts=self.opts)
-                for n in range(1, _TRACE_COUNT + 1)}
+        return {n: trace_amplitude_one_line(n, catalog=pts) for n in range(1, _TRACE_COUNT + 1)}
 
 
 def _check_residues(ctx: VerificationContext) -> tuple[bool, str]:
     failures = []
     worst = 0.0
     for sigma, ref, tol in REFERENCE_RESIDUES:
-        got = residue_at_pole(sigma, ctx.opts).coefficient
+        got = residue_at_pole(sigma).coefficient
         diff = abs(got - ref)
         worst = max(worst, diff)
         if diff > tol:
             failures.append(f"sigma={sigma:g}: computed {got:.8f} vs "
                             f"reference {ref} (diff {diff:.1e} > tol {tol:.0e})")
-    cross = abs(residue_at_pole(1.0, ctx.opts).coefficient
-                - (math.pi / 4.0) / zeta(1.5, ctx.opts).real)
+    cross = abs(residue_at_pole(1.0).coefficient - (math.pi / 4.0) / zeta(1.5).real)
     if cross > 1e-9:
         failures.append(f"sigma=1 cross-check off by {cross:.1e} (tol 1e-09)")
     if failures:
@@ -136,7 +129,7 @@ def _check_slopes(ctx: VerificationContext) -> tuple[bool, str]:
     failures = []
     worst = 0.0
     for sigma, ref in REFERENCE_SLOPES:
-        got = slope_at_zero(sigma, ctx.opts).coefficient
+        got = slope_at_zero(sigma).coefficient
         diff = abs(got - ref)
         worst = max(worst, diff)
         if diff > 1e-3:
@@ -144,9 +137,8 @@ def _check_slopes(ctx: VerificationContext) -> tuple[bool, str]:
                             f"reference {ref} (diff {diff:.1e} > tol 1e-03)")
     # independent route: measure the slope from the quotient itself and
     # compare against the closed form 2 zeta(3/4) beta(3/4)
-    measured = _central_difference(delta5, 0.75, ctx.opts).real
-    cross = abs(measured
-                - 2.0 * zeta(0.75, ctx.opts).real * beta_L(0.75, ctx.opts).real)
+    measured = _central_difference(delta5, 0.75).real
+    cross = abs(measured - 2.0 * zeta(0.75).real * beta_L(0.75).real)
     if cross > 1e-8:
         failures.append(f"sigma=3/4 cross-check off by {cross:.1e} (tol 1e-08)")
     if failures:
@@ -180,7 +172,7 @@ def _check_functional_equation(ctx: VerificationContext) -> tuple[bool, str]:
     worst = 0.0
     worst_s = samples[0]
     for s in samples:
-        r = functional_equation_residual(s, ctx.opts)
+        r = functional_equation_residual(s)
         if r > worst:
             worst, worst_s = r, s
     ok = worst <= 1e-8
@@ -191,7 +183,7 @@ def _check_functional_equation(ctx: VerificationContext) -> tuple[bool, str]:
 def _check_critical_phase(ctx: VerificationContext) -> tuple[bool, str]:
     worst = 0.0
     for t in (5.0, 10.0, 20.0, 40.0, 80.0):
-        phase = fold_phase(float(np.angle(delta5(complex(0.5, t), ctx.opts))))
+        phase = fold_phase(float(np.angle(delta5(complex(0.5, t)))))
         approx = critical_phase_approx(t)
         worst = max(worst, abs(phase - approx.phase_mod_pi))
     ok = worst <= 2e-2
@@ -214,7 +206,7 @@ def _bisect(fn: Callable[[float], float], a: float, b: float, fa: float) -> floa
     return 0.5 * (a + b)
 
 
-def _oracle_singular_points(ctx, t_hi=15.5, step=1e-3):
+def _oracle_singular_points(t_hi=15.5, step=1e-3):
     """Independent scan oracle: plain sign scan at the stated step over the
     real-valued completed functions, bisected to refinement.  Deliberately
     simpler than (and separate from) the production scanner."""
@@ -228,18 +220,16 @@ def _oracle_singular_points(ctx, t_hi=15.5, step=1e-3):
             found.append((t, kind))
 
     line = 0.5 + 1j * grid
-    scan(completed_zeta(line, ctx.opts).real,
-         lambda t: completed_zeta(complex(0.5, t), ctx.opts).real, "zero")
-    scan(completed_beta(line, ctx.opts).real,
-         lambda t: completed_beta(complex(0.5, t), ctx.opts).real, "zero")
-    scan(completed_zeta(0.5 + 2j * grid, ctx.opts).real,
-         lambda t: completed_zeta(complex(0.5, 2.0 * t), ctx.opts).real, "pole")
+    scan(completed_zeta(line).real, lambda t: completed_zeta(complex(0.5, t)).real, "zero")
+    scan(completed_beta(line).real, lambda t: completed_beta(complex(0.5, t)).real, "zero")
+    scan(completed_zeta(0.5 + 2j * grid).real,
+         lambda t: completed_zeta(complex(0.5, 2.0 * t)).real, "pole")
     found.sort()
     return found
 
 
 def _check_singular_sequence(ctx: VerificationContext) -> tuple[bool, str]:
-    oracle = _oracle_singular_points(ctx)
+    oracle = _oracle_singular_points()
     catalog = ctx.merged_catalog.entries[:6]
     if len(catalog) < 6 or len(oracle) < 6:
         return False, "fewer than six singular points found below t = 15.5"
@@ -286,7 +276,7 @@ def _check_termini(ctx: VerificationContext) -> tuple[bool, str]:
 def _check_box_balance(ctx: VerificationContext) -> tuple[bool, str]:
     failures = []
     for n in range(1, 11):
-        report = argument_principle_box(n, n + 1, opts=ctx.opts)
+        report = argument_principle_box(n, n + 1)
         if report.zeros_minus_poles != 0:
             failures.append(f"box ({n},{n + 1}) winding "
                             f"{report.zeros_minus_poles} != 0")
@@ -377,18 +367,18 @@ def _check_bracket_anchors(ctx: VerificationContext) -> tuple[bool, str]:
                  f"(worst {worst:.1e})"
 
 
-def _render_invariant_portrait(ctx):
+def _render_invariant_portrait():
     spec = PortraitSpec(sigma_min=-1.0, sigma_max=2.0, t_min=0.0, t_max=60.0,
                         width=600, height=1200, mode="phase_quadrant",
                         function=QuotientKind(4))
-    return spec, render_phase_quadrants(spec, ctx.opts)
+    return spec, render_phase_quadrants(spec)
 
 
 def _check_render_regression(ctx: VerificationContext) -> tuple[bool, str]:
-    spec, first = _render_invariant_portrait(ctx)
-    _, again = _render_invariant_portrait(ctx)
+    spec, first = _render_invariant_portrait()
+    _, again = _render_invariant_portrait()
     # a row partition other than the 64-row blocks must give the same bytes
-    partitioned = b"".join(_render_rows(spec, ctx.opts, j0, min(j0 + 37, spec.height))
+    partitioned = b"".join(_render_rows(spec, j0, min(j0 + 37, spec.height))
                            for j0 in range(0, spec.height, 37))
     if again.pixels != first.pixels:
         return False, "pixel bytes differ across repeat runs"
@@ -413,18 +403,15 @@ def _check_render_regression(ctx: VerificationContext) -> tuple[bool, str]:
 
 
 def _check_special_values(ctx: VerificationContext) -> tuple[bool, str]:
-    o = ctx.opts
     table = (
-        ("zeta(2)", zeta(2.0, o).real, math.pi ** 2 / 6.0, 1e-10),
-        ("zeta(0)", zeta(0.0, o).real, -0.5, 1e-10),
-        ("zeta(-2)", zeta(-2.0, o).real, 0.0, 1e-10),
-        ("beta(1)", beta_L(1.0, o).real, math.pi / 4.0, 1e-10),
-        ("beta(0)", beta_L(0.0, o).real, 0.5, 1e-10),
-        ("beta(2)", beta_L(2.0, o).real, CATALAN, 1e-9),
-        ("L(-3)(1)", dirichlet_L(3, 1.0, o).real,
-         math.pi / (3.0 * math.sqrt(3.0)), 1e-10),
-        ("hurwitz(2,1/2)", hurwitz_zeta(2.0, 0.5, o).real,
-         math.pi ** 2 / 2.0, 1e-10),
+        ("zeta(2)", zeta(2.0).real, math.pi ** 2 / 6.0, 1e-10),
+        ("zeta(0)", zeta(0.0).real, -0.5, 1e-10),
+        ("zeta(-2)", zeta(-2.0).real, 0.0, 1e-10),
+        ("beta(1)", beta_L(1.0).real, math.pi / 4.0, 1e-10),
+        ("beta(0)", beta_L(0.0).real, 0.5, 1e-10),
+        ("beta(2)", beta_L(2.0).real, CATALAN, 1e-9),
+        ("L(-3)(1)", dirichlet_L(3, 1.0).real, math.pi / (3.0 * math.sqrt(3.0)), 1e-10),
+        ("hurwitz(2,1/2)", hurwitz_zeta(2.0, 0.5).real, math.pi ** 2 / 2.0, 1e-10),
     )
     failures = []
     worst = 0.0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Mapping, Optional
 
@@ -31,7 +31,7 @@ from .errors import (
     IoFailure,
     MissingTrace,
 )
-from .evalcore import DEFAULT_OPTIONS, TWO_PI, EvalOptions
+from .evalcore import TWO_PI
 from .quotient import QuotientKind
 
 _CATALOG_SOURCES = ("zeta", "beta", "delta5_merged")
@@ -122,17 +122,16 @@ def count_entries(catalog: ZeroCatalog, t: float, kind: Optional[str] = None) ->
 
 
 def build_catalog(source: str, t_max: float, scan_step: float = 0.01,
-                  timestamp: Optional[str] = None,
-                  opts: EvalOptions = DEFAULT_OPTIONS) -> ZeroCatalog:
+                  timestamp: Optional[str] = None) -> ZeroCatalog:
     """Scan and refine a fresh catalog.  zeta/beta catalogs hold zeros of the
     respective function; delta5_merged interleaves the quotient's critical
     zeros and poles (pole scan runs to 2 t_max, so t_max <= 100 there)."""
     if source == "zeta":
-        entries = find_zeros("zeta", 0.0, t_max, scan_step, opts)
+        entries = find_zeros("zeta", 0.0, t_max, scan_step)
     elif source == "beta":
-        entries = find_zeros("beta", 0.0, t_max, scan_step, opts)
+        entries = find_zeros("beta", 0.0, t_max, scan_step)
     elif source == "delta5_merged":
-        entries = singular_points_delta5(0.0, t_max, scan_step, opts)
+        entries = singular_points_delta5(0.0, t_max, scan_step)
     else:
         raise DomainError(f"source must be one of {_CATALOG_SOURCES}")
     if timestamp is None:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeltaLensError, DomainError
-from .evalcore import DEFAULT_OPTIONS, beta_L, dirichlet_L, zeta
+from .evalcore import beta_L, dirichlet_L, zeta
 from .quotient import QuotientKind, delta5, delta_q, f5, fold_phase, lattice_sum_C
 from .contours import argument_principle_box, export_trace_csv, \
     trace_amplitude_one_line, trace_phase_zero_line
@@ -81,23 +81,25 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _cmd_eval(args) -> int:
     fn = args.function
-    if fn in ("Lq", "deltaq") and args.q is None:
+    takes_q = fn in ("Lq", "deltaq")
+    if takes_q and args.q is None:
         raise DomainError(f"--q is required for function {fn}")
-    opts = DEFAULT_OPTIONS
+    if not takes_q and args.q is not None:
+        raise DomainError(f"--q applies only to Lq and deltaq, not to {fn}")
     if fn == "zeta":
-        value = complex(zeta(args.s, opts))
+        value = complex(zeta(args.s))
     elif fn == "beta":
-        value = complex(beta_L(args.s, opts))
+        value = complex(beta_L(args.s))
     elif fn == "Lq":
-        value = complex(dirichlet_L(args.q, args.s, opts))
+        value = complex(dirichlet_L(args.q, args.s))
     elif fn == "delta5":
-        value = complex(delta5(args.s, opts))
+        value = complex(delta5(args.s))
     elif fn == "deltaq":
-        value = complex(delta_q(QuotientKind(args.q), args.s, opts))
+        value = complex(delta_q(QuotientKind(args.q), args.s))
     elif fn == "f5":
-        value = complex(f5(args.s, opts))
+        value = complex(f5(args.s))
     else:
-        value = complex(lattice_sum_C(args.s, opts))
+        value = complex(lattice_sum_C(args.s))
     note: Optional[str] = None
     if value == 0:
         phase = folded = 0.0
@@ -233,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("zeta", "beta", "Lq", "delta5", "deltaq", "f5", "C"))
     p.add_argument("--s", required=True, type=parse_complex,
                    help='complex point, e.g. "0.5+14.1i"')
-    p.add_argument("--q", type=int, help="discriminant label (3, 4, 7 or 8)")
+    p.add_argument("--q", type=int, help="discriminant label (3, 4, 7 or 8) for Lq and deltaq")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_eval)
 

@@ -37,7 +37,7 @@ from .errors import (
     TerminusNotBetweenSingularities,
     TraceStalled,
 )
-from .evalcore import DEFAULT_OPTIONS, LN2, EvalOptions
+from .evalcore import LN2
 from .quotient import _delta_q_values
 
 _LINE_KINDS = ("phase_zero", "amplitude_one")
@@ -115,13 +115,13 @@ class AmplitudeCircle:
                               "closed form for this A")
 
 
-def _corrector(kind: str, sigma: float, t: float, opts: EvalOptions):
+def _corrector(kind: str, sigma: float, t: float):
     """Newton in t at fixed sigma, driving Im(delta) (phase lines) or
     log|delta| (amplitude lines) to zero.  Returns (t, delta, delta') on
     convergence, None if 8 iterations do not converge."""
     for _ in range(8):
         s = sigma + 1j * t
-        batch = _delta_q_values(4, np.array([s, s + _DERIV_H, s - _DERIV_H]), opts)
+        batch = _delta_q_values(4, np.array([s, s + _DERIV_H, s - _DERIV_H]))
         if not np.all(np.isfinite(batch)):
             return None
         v = complex(batch[0])
@@ -171,15 +171,14 @@ def _sigma_schedule(sigma_start: float, step: float) -> list[float]:
     return targets
 
 
-def _window_catalog(t_star: float, opts: EvalOptions) -> list[CriticalPoint]:
+def _window_catalog(t_star: float) -> list[CriticalPoint]:
     lo = max(t_star - 4.0, 0.0)
     hi = min(t_star + 4.0, 100.0)
-    return singular_points_delta5(lo, hi, 0.01, opts)
+    return singular_points_delta5(lo, hi, 0.01)
 
 
 def _trace(kind: str, n: int, sigma_start: float, step: float,
-           catalog: Optional[Sequence[CriticalPoint]],
-           opts: EvalOptions) -> PhasePath:
+           catalog: Optional[Sequence[CriticalPoint]]) -> PhasePath:
     if int(n) != n or n < 1:
         raise DomainError("n must be a positive integer")
     if sigma_start < 8.0:
@@ -188,7 +187,7 @@ def _trace(kind: str, n: int, sigma_start: float, step: float,
         raise DomainError("step must lie in (0, 0.5]")
     n = int(n)
     t0 = (n + (0.5 if kind == "amplitude_one" else 0.0)) * math.pi / LN2
-    got = _corrector(kind, sigma_start, t0, opts)
+    got = _corrector(kind, sigma_start, t0)
     if got is None:
         raise TraceStalled(f"{kind} corrector failed at the seed (n={n})")
     t_cur, v_cur, d_cur = got
@@ -198,7 +197,7 @@ def _trace(kind: str, n: int, sigma_start: float, step: float,
     while pending:
         target = pending[-1]
         slope = _predictor_slope(kind, v_cur, d_cur)
-        got = _corrector(kind, target, t_cur + slope * (target - sigma_cur), opts)
+        got = _corrector(kind, target, t_cur + slope * (target - sigma_cur))
         if got is None:
             half = 0.5 * (sigma_cur + target)
             if sigma_cur - half < _MIN_STEP:
@@ -214,7 +213,7 @@ def _trace(kind: str, n: int, sigma_start: float, step: float,
     (sa, ta), (sb, tb) = points[-2], points[-1]
     t_star = ta + (tb - ta) * (sa - 0.5) / (sa - sb)
     if catalog is None:
-        catalog = _window_catalog(t_star, opts)
+        catalog = _window_catalog(t_star)
     terminus_point = None
     if kind == "phase_zero":
         if not catalog:
@@ -238,22 +237,20 @@ def _trace(kind: str, n: int, sigma_start: float, step: float,
 
 
 def trace_phase_zero_line(n: int, sigma_start: float = 12.0, step: float = 0.02,
-                          catalog: Optional[Sequence[CriticalPoint]] = None,
-                          opts: EvalOptions = DEFAULT_OPTIONS) -> PhasePath:
+                          catalog: Optional[Sequence[CriticalPoint]] = None) -> PhasePath:
     """Trace the n-th phase-zero line from (sigma_start, n pi/ln 2) down
     across the critical line; the terminus must match a catalogued zero or
     pole within 0.05 in t (NoCatalogMatch otherwise).  Pass a precomputed
     catalog to skip the local critical-line scan."""
-    return _trace("phase_zero", n, sigma_start, step, catalog, opts)
+    return _trace("phase_zero", n, sigma_start, step, catalog)
 
 
 def trace_amplitude_one_line(n: int, sigma_start: float = 12.0, step: float = 0.02,
-                             catalog: Optional[Sequence[CriticalPoint]] = None,
-                             opts: EvalOptions = DEFAULT_OPTIONS) -> PhasePath:
+                             catalog: Optional[Sequence[CriticalPoint]] = None) -> PhasePath:
     """Trace the n-th amplitude-one line from (sigma_start, (n+1/2) pi/ln 2);
     its terminus must fall strictly between two consecutive catalogued
     critical-line points (TerminusNotBetweenSingularities otherwise)."""
-    return _trace("amplitude_one", n, sigma_start, step, catalog, opts)
+    return _trace("amplitude_one", n, sigma_start, step, catalog)
 
 
 def _polyline_complex(polyline) -> np.ndarray:
@@ -274,8 +271,7 @@ def _check_contour_values(vals: np.ndarray, where: np.ndarray) -> None:
             "has |delta5| outside [1e-8, 1e8]")
 
 
-def winding_count(polyline, refine_limit: int = 40,
-                  opts: EvalOptions = DEFAULT_OPTIONS) -> WindingReport:
+def winding_count(polyline, refine_limit: int = 40) -> WindingReport:
     """Total argument change of the quotient around a closed polyline.
 
     Edge increments are principal arguments of ratios of consecutive values;
@@ -286,7 +282,7 @@ def winding_count(polyline, refine_limit: int = 40,
     if refine_limit < 1:
         raise DomainError("refine_limit must be a positive integer")
     pts = _polyline_complex(polyline)
-    vals = _delta_q_values(4, pts, opts)
+    vals = _delta_q_values(4, pts)
     _check_contour_values(vals, pts)
 
     total = 0.0
@@ -305,7 +301,7 @@ def winding_count(polyline, refine_limit: int = 40,
                 f"edge near sigma={sa.real:.6f}, t={sa.imag:.6f} still jumps "
                 f"{abs(inc):.3f} rad after {refine_limit} splits")
         sm = 0.5 * (sa + sb)
-        vm = _delta_q_values(4, np.array([sm]), opts)
+        vm = _delta_q_values(4, np.array([sm]))
         _check_contour_values(vm, np.array([sm]))
         edge(sa, va, sm, complex(vm[0]), depth + 1)
         edge(sm, complex(vm[0]), sb, vb, depth + 1)
@@ -325,16 +321,15 @@ def winding_count(polyline, refine_limit: int = 40,
 
 
 def argument_principle_box(n_low: int, n_high: int, sigma_right: float = 12.0,
-                           refine_limit: int = 40,
-                           opts: EvalOptions = DEFAULT_OPTIONS) -> WindingReport:
+                           refine_limit: int = 40) -> WindingReport:
     """Winding count around the box bounded below and above by phase-zero
     lines n_low < n_high, on the right by sigma = sigma_right, and on the
     left by sigma = 1/2 + 0.02 (clearance from the critical-line poles and
     zeros).  Zero-pole balance in the strip makes the expected count 0."""
     if n_low >= n_high:
         raise DomainError("need n_low < n_high: equal indices bound no region")
-    low = trace_phase_zero_line(n_low, sigma_right, opts=opts)
-    high = trace_phase_zero_line(n_high, sigma_right, opts=opts)
+    low = trace_phase_zero_line(n_low, sigma_right)
+    high = trace_phase_zero_line(n_high, sigma_right)
 
     def trimmed(path):
         return [p for p in path.points if p[0] >= 0.5 + _EPS_BOX - 1e-9]
@@ -351,7 +346,7 @@ def argument_principle_box(n_low: int, n_high: int, sigma_right: float = 12.0,
     for t in np.arange(t_top - _EPS_BOX, t_bot + 1e-9, -_EPS_BOX):
         poly.append((0.5 + _EPS_BOX, float(t)))
     poly.append(poly[0])
-    return winding_count(poly, refine_limit, opts)
+    return winding_count(poly, refine_limit)
 
 
 def amplitude_circle(A: float) -> AmplitudeCircle:
@@ -375,14 +370,13 @@ def sample_circle_moduli(circle: AmplitudeCircle, count: int = 32) -> np.ndarray
     return np.abs(1.0 - 1.0 / (16.0 * np.conj(s)))
 
 
-def export_trace_csv(path: PhasePath, destination,
-                     opts: EvalOptions = DEFAULT_OPTIONS) -> None:
+def export_trace_csv(path: PhasePath, destination) -> None:
     """Write the path as CSV (header sigma,t,phase,modulus) with the phase
     and modulus of the quotient recomputed at every recorded point; phase is
     the principal argument in (-pi, pi].  destination is a filename or a
     writable file object."""
     pts = np.array([complex(s, t) for s, t in path.points])
-    vals = _delta_q_values(4, pts, opts)
+    vals = _delta_q_values(4, pts)
     lines = ["sigma,t,phase,modulus"]
     for (sig, t), v in zip(path.points, vals):
         lines.append("%.12g,%.12g,%.12g,%.12g"

@@ -16,7 +16,7 @@ zero really is simple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .errors import (
     UnexpectedCoincidence,
 )
 from .evalcore import (
-    DEFAULT_OPTIONS,
-    EvalOptions,
     LN_PI,
     _beta_values,
     _central_difference,
@@ -107,40 +105,40 @@ def _log_prefactor(source: str, s: np.ndarray) -> np.ndarray:
 _BASE_VALUES = {"zeta": _zeta_values, "beta": _beta_values}
 
 
-def _completed_values(source: str, s: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _completed_values(source: str, s: np.ndarray) -> np.ndarray:
     s = np.ascontiguousarray(s, dtype=np.complex128)
     s = np.where(s.real < 0.5, 1.0 - s, s)  # use the symmetric half-plane
-    return np.exp(_log_prefactor(source, s)) * _BASE_VALUES[source](s, opts)
+    return np.exp(_log_prefactor(source, s)) * _BASE_VALUES[source](s)
 
 
-def completed_zeta(s, opts: EvalOptions = DEFAULT_OPTIONS):
+def completed_zeta(s):
     """pi^(-s/2) Gamma(s/2) zeta(s): real on the critical line, symmetric
     under s -> 1-s.  Raises PoleOfCompletedZeta at s = 0 and s = 1."""
     arr, scalar = _coerce(s)
     for pole in (0.0, 1.0):
         if np.any(np.abs(arr - pole) <= 1e-12):
             raise PoleOfCompletedZeta(f"completed zeta pole at s = {pole}", complex(pole))
-    return _release(_completed_values("zeta", arr, opts), scalar)
+    return _release(_completed_values("zeta", arr), scalar)
 
 
-def completed_beta(s, opts: EvalOptions = DEFAULT_OPTIONS):
+def completed_beta(s):
     """(pi/4)^(-(s+1)/2) Gamma((s+1)/2) beta(s): entire, real on the critical
     line, symmetric under s -> 1-s."""
     arr, scalar = _coerce(s)
-    return _release(_completed_values("beta", arr, opts), scalar)
+    return _release(_completed_values("beta", arr), scalar)
 
 
-def _line_values(source: str, ts: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _line_values(source: str, ts: np.ndarray) -> np.ndarray:
     # completed function on the critical line, rescaled by the positive factor
     # exp(-Re log prefactor) so values stay O(1) instead of decaying like
     # exp(-pi t / 4); zeros and signs are unchanged and the derivative guard
     # threshold stays meaningful at large t
     s = 0.5 + 1j * np.asarray(ts, dtype=np.float64)
-    return (np.exp(1j * _log_prefactor(source, s).imag) * _BASE_VALUES[source](s, opts)).real
+    return (np.exp(1j * _log_prefactor(source, s).imag) * _BASE_VALUES[source](s)).real
 
 
-def find_zeros(source: str, t_min: float, t_max: float, scan_step: float = 0.01,
-               opts: EvalOptions = DEFAULT_OPTIONS) -> list[CriticalPoint]:
+def find_zeros(source: str, t_min: float, t_max: float,
+               scan_step: float = 0.01) -> list[CriticalPoint]:
     """All critical-line zeros of zeta or beta with ordinate in [t_min, t_max].
 
     Sign changes of the completed function are bracketed at resolution
@@ -156,30 +154,30 @@ def find_zeros(source: str, t_min: float, t_max: float, scan_step: float = 0.01,
     n = int(math.ceil((t_max - t_min) / scan_step))
     ts = t_min + scan_step * np.arange(n + 1)
     ts[-1] = t_max
-    vals = _line_values(source, ts, opts)
+    vals = _line_values(source, ts)
     cross = vals[:-1] * vals[1:] < 0.0
     lo = ts[:-1][cross].copy()
     hi = ts[1:][cross].copy()
     if lo.size:
         # a bracket hiding two extra crossings would refine onto the wrong root
         sub = lo[:, None] + (hi - lo)[:, None] * (np.arange(9) / 8.0)[None, :]
-        sv = _line_values(source, sub.reshape(-1), opts).reshape(sub.shape)
+        sv = _line_values(source, sub.reshape(-1)).reshape(sub.shape)
         changes = np.sum(sv[:, :-1] * sv[:, 1:] < 0.0, axis=1)
         if np.any(changes > 1):
             bad = float(lo[np.argmax(changes > 1)])
             raise StepTooCoarse(
                 f"{int(changes.max())} sign changes inside one scan step near t = {bad:.6f}")
-        flo = _line_values(source, lo, opts)
+        flo = _line_values(source, lo)
         while np.max(hi - lo) > 1e-9:
             mid = 0.5 * (lo + hi)
-            fmid = _line_values(source, mid, opts)
+            fmid = _line_values(source, mid)
             take_hi = flo * fmid <= 0.0
             hi = np.where(take_hi, mid, hi)
             lo = np.where(take_hi, lo, mid)
             flo = np.where(take_hi, flo, fmid)
     roots = 0.5 * (lo + hi)
     if roots.size:
-        deriv = _central_difference(lambda x: _line_values(source, x, opts), roots)
+        deriv = _central_difference(lambda x: _line_values(source, x), roots)
         if np.any(np.abs(deriv) <= 1e-8):
             t_bad = float(roots[np.argmax(np.abs(deriv) <= 1e-8)])
             raise UnexpectedCoincidence(
@@ -190,8 +188,8 @@ def find_zeros(source: str, t_min: float, t_max: float, scan_step: float = 0.01,
             for r, a, b in zip(roots, lo, hi)]
 
 
-def singular_points_delta5(t_min: float, t_max: float, scan_step: float = 0.01,
-                           opts: EvalOptions = DEFAULT_OPTIONS) -> list[CriticalPoint]:
+def singular_points_delta5(t_min: float, t_max: float,
+                           scan_step: float = 0.01) -> list[CriticalPoint]:
     """Merged catalog of the quotient's critical-line zeros (zeta and beta
     ordinates) and poles (half the zeta ordinates), sorted by t.
 
@@ -202,9 +200,9 @@ def singular_points_delta5(t_min: float, t_max: float, scan_step: float = 0.01,
     if not (0.0 <= t_min < t_max <= 100.0):
         raise DomainError("need 0 <= t_min < t_max <= 100 (pole scan runs to 2 t_max)")
     points = []
-    points += find_zeros("zeta", t_min, t_max, scan_step, opts)
-    points += find_zeros("beta", t_min, t_max, scan_step, opts)
-    for p in find_zeros("zeta", 2.0 * t_min, 2.0 * t_max, scan_step, opts):
+    points += find_zeros("zeta", t_min, t_max, scan_step)
+    points += find_zeros("beta", t_min, t_max, scan_step)
+    for p in find_zeros("zeta", 2.0 * t_min, 2.0 * t_max, scan_step):
         points.append(CriticalPoint(t=0.5 * p.t, kind="pole", source="half_zeta_zero",
                                     multiplicity=1, refined_to=0.5 * p.refined_to))
     points.sort(key=lambda p: p.t)
@@ -215,7 +213,7 @@ def singular_points_delta5(t_min: float, t_max: float, scan_step: float = 0.01,
     return points
 
 
-def residue_at_pole(sigma: float, opts: EvalOptions = DEFAULT_OPTIONS) -> RealAxisFeature:
+def residue_at_pole(sigma: float) -> RealAxisFeature:
     """Residue of the quotient at one of its real poles.
 
     At sigma = 1 the numerator zeta carries the pole (residue 1), so the
@@ -228,14 +226,14 @@ def residue_at_pole(sigma: float, opts: EvalOptions = DEFAULT_OPTIONS) -> RealAx
         raise NotAPole(f"sigma = {sigma} is not a real-axis pole of the quotient")
     a = matches[0]
     if a == 1.0:
-        value = beta_L(1.0, opts).real / zeta(1.5, opts).real
+        value = beta_L(1.0).real / zeta(1.5).real
     else:
-        value = (zeta(a, opts).real * beta_L(a, opts).real
-                 / (2.0 * _central_difference(zeta, 2.0 * a - 0.5, opts).real))
+        value = (zeta(a).real * beta_L(a).real
+                 / (2.0 * _central_difference(zeta, 2.0 * a - 0.5).real))
     return RealAxisFeature(sigma=a, kind="pole", coefficient=value)
 
 
-def slope_at_zero(sigma: float, opts: EvalOptions = DEFAULT_OPTIONS) -> RealAxisFeature:
+def slope_at_zero(sigma: float) -> RealAxisFeature:
     """Linear coefficient of the quotient at one of its real first-order zeros.
 
     At sigma = 3/4 the denominator pole (residue 1/2) inverts to the factor
@@ -248,11 +246,11 @@ def slope_at_zero(sigma: float, opts: EvalOptions = DEFAULT_OPTIONS) -> RealAxis
         raise NotAZero(f"sigma = {sigma} is not a real-axis zero of the quotient")
     a = matches[0]
     if a == 0.75:
-        value = 2.0 * zeta(0.75, opts).real * beta_L(0.75, opts).real
+        value = 2.0 * zeta(0.75).real * beta_L(0.75).real
     else:
-        den = zeta(2.0 * a - 0.5, opts).real
+        den = zeta(2.0 * a - 0.5).real
         if int(round(a)) % 2 == 0:
-            value = _central_difference(zeta, a, opts).real * beta_L(a, opts).real / den
+            value = _central_difference(zeta, a).real * beta_L(a).real / den
         else:
-            value = zeta(a, opts).real * _central_difference(beta_L, a, opts).real / den
+            value = zeta(a).real * _central_difference(beta_L, a).real / den
     return RealAxisFeature(sigma=a, kind="zero", coefficient=value)

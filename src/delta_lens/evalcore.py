@@ -3,8 +3,11 @@ Hurwitz zeta, the Dirichlet beta function, and real-character L functions
 for discriminants -3, -4, -7, -8.
 
 Every public operation accepts a Python complex (or float) or a numpy array
-of them and returns the matching shape.  Accuracy target is near machine
-precision for |Im s| <= 200:
+of them and returns the matching shape.  There is one numerical
+configuration: series cutoffs are sized for _TARGET_DIGITS = 14 significant
+digits and Euler-Maclaurin carries _EM_ORDER = 12 Bernoulli corrections,
+which gives about 1e-13 relative accuracy for |Im s| <= 200 (near
+|Im s| = 200 phase rounding in the reflection factors caps it around 2e-13):
 
 * zeta, beta_L: accelerated alternating series (binomial weights, error
   ~ (3+sqrt 8)^-n) for Re s > 0, functional-equation reflection below.
@@ -21,7 +24,7 @@ All functions are pure; the module keeps only immutable weight caches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -53,36 +56,11 @@ CHARACTER_TABLES = {
 
 _POLE_TOL = 1e-12
 _DIFF_STEP = 1e-6  # step of the central-difference derivative
+_TARGET_DIGITS = 14  # significant digits the CVZ and Euler-Maclaurin cutoffs are sized for
+_EM_ORDER = 12  # Bernoulli correction terms of Euler-Maclaurin, B_2 .. B_24
 # below this many points the np.unique grid test in _power_sum costs more
 # than it can save (3-point Newton batches, 1-point winding midpoints)
 _GRID_MIN_POINTS = 16
-
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """Evaluation tuning knobs shared by every special-function call.
-
-    series_terms is a floor on the direct-sum cutoff N, em_order the number
-    of Bernoulli correction terms, target_digits the requested significant
-    digits (the double-precision build cannot promise more than 15; near
-    |Im s| = 200 phase rounding in the reflection factors caps achievable
-    relative accuracy around 2e-13 regardless of target_digits).
-    """
-
-    series_terms: int = 16
-    em_order: int = 12
-    target_digits: int = 14
-
-    def __post_init__(self):
-        if self.series_terms < 8:
-            raise DomainError("series_terms must be >= 8")
-        if not 0 <= self.em_order <= 12:
-            raise DomainError("em_order must lie in [0, 12]")
-        if not 1 <= self.target_digits <= 15:
-            raise DomainError("target_digits must lie in [1, 15]")
-
-
-DEFAULT_OPTIONS = EvalOptions()
 
 
 def _coerce(s):
@@ -129,14 +107,14 @@ def _arith_logs(step: float, n: int) -> np.ndarray:
     return _log_cache[key]
 
 
-def _cvz_terms(s: np.ndarray, digits: int) -> int:
+def _cvz_terms(s: np.ndarray) -> int:
     # weight ratio c_k/d stops decreasing past k ~ n, so large heights need
     # n ~ pi |t| / (2 ln(3+sqrt8)); small sigma inflates the constant a bit
     t_abs, sigma_min = np.abs(s.imag).max(initial=0.0), s.real.min()
     penalty = 0.0
     if sigma_min < 0.5:
         penalty = min(12.0, max(0.0, -math.log(max(sigma_min, 1e-8))))
-    n = int((0.5 * math.pi * t_abs + digits * 2.302585 + penalty) / 1.7627471740390859) + 12
+    n = int((0.5 * math.pi * t_abs + _TARGET_DIGITS * 2.302585 + penalty) / 1.7627471740390859) + 12
     return min(n, 347)  # weight recurrence overflows past n ~ 415
 
 
@@ -167,10 +145,10 @@ def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(s.shape)
 
 
-def _alt_weighted_sum(s: np.ndarray, step: float, digits: int) -> np.ndarray:
+def _alt_weighted_sum(s: np.ndarray, step: float) -> np.ndarray:
     """sum_k w_k (1 + step k)^(-s) with the CVZ weights w_k, the term count
     sized for the whole batch."""
-    n = _cvz_terms(s, digits)
+    n = _cvz_terms(s)
     return _power_sum(s, _arith_logs(step, n), _cvz_weights(n).astype(np.complex128))
 
 
@@ -213,10 +191,10 @@ def _log_sin(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _em_terms(s: np.ndarray, opts: EvalOptions) -> int:
+def _em_terms(s: np.ndarray) -> int:
     # Bernoulli tail converges once the cutoff exceeds |s| / 2pi
     t_abs = np.abs(s.imag).max(initial=0.0)
-    return max(opts.series_terms, int(0.75 * t_abs) + 4 * max(opts.target_digits - 10, 0) + 20)
+    return int(0.75 * t_abs) + 4 * (_TARGET_DIGITS - 10) + 20
 
 
 def _phi_expm1_over_x(x: np.ndarray) -> np.ndarray:
@@ -227,14 +205,14 @@ def _phi_expm1_over_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + x / 2.0 + x * x / 6.0, np.expm1(safe) / safe)
 
 
-def _em_hurwitz(s: np.ndarray, a: float, opts: EvalOptions, minus_pole: bool = False) -> np.ndarray:
+def _em_hurwitz(s: np.ndarray, a: float, minus_pole: bool = False) -> np.ndarray:
     """Euler-Maclaurin sum for zeta(s, a); optionally with 1/(s-1) removed.
 
     The minus_pole variant stays finite (and exact) at s = 1, which is what
     the character sums in dirichlet_L need.
     """
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    N, m = _em_terms(s, opts), opts.em_order
+    N, m = _em_terms(s), _EM_ORDER
     direct = _power_sum(s, np.log(a + np.arange(N)), np.ones(N, dtype=np.complex128))
     P = N + a
     logP = math.log(P)
@@ -256,7 +234,7 @@ def _em_hurwitz(s: np.ndarray, a: float, opts: EvalOptions, minus_pole: bool = F
     return out
 
 
-def _zeta_right(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _zeta_right(s: np.ndarray) -> np.ndarray:
     """zeta for Re s > 0 (pole neighborhood of s = 1 gives a huge finite value)."""
     # eta route; 1 - 2^(1-s) via expm1 keeps accuracy near s = 1
     q = -np.expm1((1.0 - s) * LN2)
@@ -264,44 +242,44 @@ def _zeta_right(s: np.ndarray, opts: EvalOptions) -> np.ndarray:
     good = ~bad
     vals = np.empty(s.shape, dtype=np.complex128)
     if np.any(good):
-        vals[good] = _alt_weighted_sum(s[good], 1.0, opts.target_digits) / q[good]
+        vals[good] = _alt_weighted_sum(s[good], 1.0) / q[good]
     if np.any(bad):
-        vals[bad] = _em_hurwitz(s[bad], 1.0, opts)
+        vals[bad] = _em_hurwitz(s[bad], 1.0)
     return vals
 
 
-def _zeta_values(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def _zeta_values(s: np.ndarray) -> np.ndarray:
     """Vector zeta without pole checks (s = 1 itself gives inf)."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     out = np.empty(s.shape, dtype=np.complex128)
     pos = s.real > 0.0
     if np.any(pos):
-        out[pos] = _zeta_right(s[pos], opts)
+        out[pos] = _zeta_right(s[pos])
     small = ~pos & (np.abs(s) < 1e-8)
     if np.any(small):
         # reflection would hit the u = 1 pole; Euler-Maclaurin is exact here
-        out[small] = _em_hurwitz(s[small], 1.0, opts)
+        out[small] = _em_hurwitz(s[small], 1.0)
     neg = ~pos & ~small
     if np.any(neg):
         sn = s[neg]
         u = 1.0 - sn
-        zu = _zeta_right(u, opts)
+        zu = _zeta_right(u)
         log_chi = sn * LN2 + (sn - 1.0) * LN_PI + _log_sin(0.5 * math.pi * sn) + _stirling_lgamma(u)
         out[neg] = np.exp(log_chi) * zu
     return out
 
 
-def _beta_values(s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def _beta_values(s: np.ndarray) -> np.ndarray:
     """Vector Dirichlet beta (no poles; trivial zeros returned exactly)."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     out = np.empty(s.shape, dtype=np.complex128)
     pos = s.real > 0.0
     if np.any(pos):
-        out[pos] = _alt_weighted_sum(s[pos], 2.0, opts.target_digits)
+        out[pos] = _alt_weighted_sum(s[pos], 2.0)
     neg = ~pos
     if np.any(neg):
         sn = s[neg]
-        out[neg] = _odd_reflection(4, sn, _alt_weighted_sum(1.0 - sn, 2.0, opts.target_digits))
+        out[neg] = _odd_reflection(4, sn, _alt_weighted_sum(1.0 - sn, 2.0))
     return out
 
 
@@ -321,7 +299,7 @@ def _odd_reflection(q: int, s: np.ndarray, l_reflected: np.ndarray) -> np.ndarra
     return np.where(triv, 0.0, factor * l_reflected)
 
 
-def _hurwitz_rational_left(s: np.ndarray, p: int, q: int, opts: EvalOptions) -> np.ndarray:
+def _hurwitz_rational_left(s: np.ndarray, p: int, q: int) -> np.ndarray:
     """zeta(s, p/q) for Re s < 0 via the discrete reflection formula.
 
     zeta(1-u, p/q) = 2 Gamma(u) / (2 pi q)^u * sum_r cos(pi u/2 - 2 pi r p/q) zeta(u, r/q)
@@ -332,12 +310,12 @@ def _hurwitz_rational_left(s: np.ndarray, p: int, q: int, opts: EvalOptions) -> 
     acc = np.zeros(s.shape, dtype=np.complex128)
     for r in range(1, q + 1):
         phase = TWO_PI * r * p / q
-        acc = acc + np.cos(0.5 * math.pi * u - phase) * _em_hurwitz(u, r / q, opts)
+        acc = acc + np.cos(0.5 * math.pi * u - phase) * _em_hurwitz(u, r / q)
     scale = np.exp(_stirling_lgamma(u) + LN2 - u * math.log(TWO_PI * q))
     return scale * acc
 
 
-def _hurwitz_values(s: np.ndarray, a: float, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def _hurwitz_values(s: np.ndarray, a: float) -> np.ndarray:
     """Vector Hurwitz zeta for a in (0, 1], reflection used where it pays off."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     frac = Fraction(a).limit_denominator(64)
@@ -345,35 +323,43 @@ def _hurwitz_values(s: np.ndarray, a: float, opts: EvalOptions = DEFAULT_OPTIONS
     left = (s.real < 0.0) & rational
     out = np.empty(s.shape, dtype=np.complex128)
     if np.any(left):
-        out[left] = _hurwitz_rational_left(s[left], frac.numerator, frac.denominator, opts)
+        out[left] = _hurwitz_rational_left(s[left], frac.numerator, frac.denominator)
     # irrational offsets: direct Euler-Maclaurin everywhere (accuracy degrades
     # below Re s ~ -2 from cancellation; nothing in this package needs it)
     right = ~left
     if np.any(right):
-        out[right] = _em_hurwitz(s[right], a, opts)
+        out[right] = _em_hurwitz(s[right], a)
     return out
 
 
-def _dirichlet_direct(q: int, s: np.ndarray, opts: EvalOptions) -> np.ndarray:
+def _dirichlet_direct(q: int, s: np.ndarray) -> np.ndarray:
     """q^-s sum_a chi(a) [zeta(s, a/q) - 1/(s-1)]; entire since sum chi = 0."""
     acc = np.zeros(s.shape, dtype=np.complex128)
     for a, chi in CHARACTER_TABLES[q].items():
-        acc = acc + chi * _em_hurwitz(s, a / q, opts, minus_pole=True)
+        acc = acc + chi * _em_hurwitz(s, a / q, minus_pole=True)
     return np.exp(-s * math.log(q)) * acc
 
 
-def _dirichlet_values(q: int, s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def _dirichlet_values(q: int, s: np.ndarray) -> np.ndarray:
     """Vector L_{-q}; functional-equation reflection below Re s = 1/2."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     out = np.empty(s.shape, dtype=np.complex128)
     right = s.real >= 0.5
     if np.any(right):
-        out[right] = _dirichlet_direct(q, s[right], opts)
+        out[right] = _dirichlet_direct(q, s[right])
     left = ~right
     if np.any(left):
         sl = s[left]
-        out[left] = _odd_reflection(q, sl, _dirichlet_direct(q, 1.0 - sl, opts))
+        out[left] = _odd_reflection(q, sl, _dirichlet_direct(q, 1.0 - sl))
     return out
+
+
+def _character_label(q) -> int:
+    """q as a key of CHARACTER_TABLES; any other label, 8.0 included, raises."""
+    if not isinstance(q, numbers.Integral) or q not in CHARACTER_TABLES:
+        raise UnsupportedDiscriminant(
+            f"no character table for discriminant label {q!r}; supported: 3, 4, 7, 8")
+    return int(q)
 
 
 def _near_nonpositive_integer(z: np.ndarray, tol: float = _POLE_TOL):
@@ -381,10 +367,10 @@ def _near_nonpositive_integer(z: np.ndarray, tol: float = _POLE_TOL):
     return (np.abs(z.real - zr) <= tol) & (np.abs(z.imag) <= tol) & (zr <= 0.0)
 
 
-def _central_difference(f, x, *args):
-    """Derivative of f(., *args) at x (a number or an array) by the symmetric
-    quotient (f(x + h) - f(x - h)) / 2h, h = _DIFF_STEP."""
-    return (f(x + _DIFF_STEP, *args) - f(x - _DIFF_STEP, *args)) / (2.0 * _DIFF_STEP)
+def _central_difference(f, x):
+    """Derivative of f at x (a number or an array) by the symmetric quotient
+    (f(x + h) - f(x - h)) / 2h, h = _DIFF_STEP."""
+    return (f(x + _DIFF_STEP) - f(x - _DIFF_STEP)) / (2.0 * _DIFF_STEP)
 
 
 def log_gamma(s):
@@ -400,33 +386,33 @@ def log_gamma(s):
     return _release(_stirling_lgamma(arr), scalar)
 
 
-def zeta(s, opts: EvalOptions = DEFAULT_OPTIONS):
+def zeta(s):
     """Riemann zeta; accelerated eta series for Re s > 0, reflection below."""
     arr, scalar = _coerce(s)
     if np.any(np.abs(arr - 1.0) <= _POLE_TOL):
         raise PoleOfZeta("zeta pole at s = 1", 1.0 + 0.0j)
-    return _release(_zeta_values(arr, opts), scalar)
+    return _release(_zeta_values(arr), scalar)
 
 
-def hurwitz_zeta(s, a: float, opts: EvalOptions = DEFAULT_OPTIONS):
+def hurwitz_zeta(s, a: float):
     """Hurwitz zeta(s, a) for offsets a in (0, 1]."""
-    if not isinstance(a, (int, float)) or not math.isfinite(a) or not 0.0 < a <= 1.0:
+    if (not isinstance(a, numbers.Real) or isinstance(a, bool)
+            or not math.isfinite(a) or not 0.0 < a <= 1.0):
         raise DomainError("hurwitz_zeta offset a must be a real in (0, 1]")
     arr, scalar = _coerce(s)
     if np.any(np.abs(arr - 1.0) <= _POLE_TOL):
         raise PoleOfZeta("hurwitz_zeta pole at s = 1", 1.0 + 0.0j)
-    return _release(_hurwitz_values(arr, float(a), opts), scalar)
+    return _release(_hurwitz_values(arr, float(a)), scalar)
 
 
-def beta_L(s, opts: EvalOptions = DEFAULT_OPTIONS):
+def beta_L(s):
     """Dirichlet beta sum_{n>=0} (-1)^n (2n+1)^-s, entire in s."""
     arr, scalar = _coerce(s)
-    return _release(_beta_values(arr, opts), scalar)
+    return _release(_beta_values(arr), scalar)
 
 
-def dirichlet_L(q: int, s, opts: EvalOptions = DEFAULT_OPTIONS):
+def dirichlet_L(q: int, s):
     """L_{-q}(s) for the real odd characters with q in {3, 4, 7, 8}."""
-    if q not in CHARACTER_TABLES:
-        raise UnsupportedDiscriminant(f"no character table for q = {q}; supported: 3, 4, 7, 8")
+    q = _character_label(q)
     arr, scalar = _coerce(s)
-    return _release(_dirichlet_values(q, arr, opts), scalar)
+    return _release(_dirichlet_values(q, arr), scalar)

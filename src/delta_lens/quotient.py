@@ -22,7 +22,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +32,12 @@ from .errors import (
     PoleOfDelta5,
     PoleOfDeltaQ,
     PoleOfZeta,
-    UnsupportedDiscriminant,
 )
 from .evalcore import (
-    CHARACTER_TABLES,
-    DEFAULT_OPTIONS,
-    EvalOptions,
     LN2,
     _beta_values,
     _central_difference,
+    _character_label,
     _coerce,
     _dirichlet_values,
     _near_nonpositive_integer,
@@ -66,10 +62,7 @@ class QuotientKind:
     discriminant_label: int = 4
 
     def __post_init__(self):
-        label = self.discriminant_label
-        if not isinstance(label, numbers.Integral) or label not in CHARACTER_TABLES:
-            raise UnsupportedDiscriminant(
-                f"discriminant_label must be 3, 4, 7 or 8, got {self.discriminant_label}")
+        _character_label(self.discriminant_label)
 
 
 def _label(kind) -> int:
@@ -117,7 +110,7 @@ def bracket_factor(q: int, s):
     return _release(vals, scalar)
 
 
-def _delta_q_values(q: int, s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) -> np.ndarray:
+def _delta_q_values(q: int, s: np.ndarray) -> np.ndarray:
     """Vector quotient values; pole neighborhoods yield inf/nan, never raise.
 
     This is the grid backend for rendering and tracing; delta5 / delta_q add
@@ -125,9 +118,9 @@ def _delta_q_values(q: int, s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) 
     """
     s = np.ascontiguousarray(s, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        num = _zeta_values(s, opts)
-        num = num * (_beta_values(s, opts) if q == 4 else _dirichlet_values(q, s, opts))
-        den = _zeta_values(2.0 * s - 0.5, opts)
+        num = _zeta_values(s)
+        num = num * (_beta_values(s) if q == 4 else _dirichlet_values(q, s))
+        den = _zeta_values(2.0 * s - 0.5)
         if q == 3:
             num = num * _bracket_values(q, s)
         elif q > 4:
@@ -135,7 +128,7 @@ def _delta_q_values(q: int, s: np.ndarray, opts: EvalOptions = DEFAULT_OPTIONS) 
         return num / den
 
 
-def _check_poles(q: int, s: np.ndarray, opts: EvalOptions):
+def _check_poles(q: int, s: np.ndarray):
     """Raise for the first element of the flat array s inside a pole disc."""
     k = np.maximum(np.round(0.25 - s.real), 1.0)
     closed = [1.0, 0.25 - k]  # s = 1 and the real poles s = 1/4 - k
@@ -152,10 +145,10 @@ def _check_poles(q: int, s: np.ndarray, opts: EvalOptions):
     line = np.flatnonzero(np.abs(s.real - 0.5) <= _LINE_SCREEN)
     if line.size:
         w = 2.0 * s[line] - 0.5
-        z = np.abs(_zeta_values(w, opts))
+        z = np.abs(_zeta_values(w))
         small = z <= _DEN_SCREEN
         if np.any(small):
-            dz = np.abs(_central_difference(_zeta_values, w[small], opts))
+            dz = np.abs(_central_difference(_zeta_values, w[small]))
             hit[line[small]] |= z[small] <= 2.0 * _QUOTIENT_POLE_TOL * dz
     if np.any(hit):
         i = int(np.argmax(hit))
@@ -163,13 +156,13 @@ def _check_poles(q: int, s: np.ndarray, opts: EvalOptions):
         raise err(f"{name}: s = {complex(s[i])} is within 1e-10 of a pole", complex(loc[i]))
 
 
-def delta5(s, opts: EvalOptions = DEFAULT_OPTIONS):
+def delta5(s):
     """The quotient zeta(s) L_-4(s) / zeta(2s - 1/2), i.e. delta_q(4, s):
     exactly 0 at s = 3/4, PoleOfDelta5 within 1e-10 of a pole."""
-    return delta_q(4, s, opts)
+    return delta_q(4, s)
 
 
-def delta_q(kind, s, opts: EvalOptions = DEFAULT_OPTIONS):
+def delta_q(kind, s):
     """The quotient family member for discriminant label q in {3, 4, 7, 8},
     given as a QuotientKind or a plain int; q = 4 is delta5.
 
@@ -180,8 +173,8 @@ def delta_q(kind, s, opts: EvalOptions = DEFAULT_OPTIONS):
     q = _label(kind)
     arr, scalar = _coerce(s)
     flat = arr.reshape(-1)
-    _check_poles(q, flat, opts)
-    out = _delta_q_values(q, flat, opts)
+    _check_poles(q, flat)
+    out = _delta_q_values(q, flat)
     out[np.abs(flat - 0.75) <= _EXACT_ZERO_TOL] = 0.0
     return _release(out.reshape(arr.shape), scalar)
 
@@ -194,7 +187,7 @@ _F5_SHIFTS = (  # gamma arguments of f5 as (scale, offset): arg = scale*s + offs
 )
 
 
-def f5(s, opts: EvalOptions = DEFAULT_OPTIONS):
+def f5(s):
     """Reflection factor Gamma(1-s) Gamma(s-1/4) / (Gamma(s) Gamma(3/4-s)).
 
     Computed through log-gamma differences, so it neither overflows nor
@@ -228,11 +221,11 @@ def f5_asymptotic(s):
     return _release(lead * series, scalar)
 
 
-def functional_equation_residual(s, opts: EvalOptions = DEFAULT_OPTIONS) -> float:
+def functional_equation_residual(s) -> float:
     """Self-test probe |delta5(s) - f5(s) delta5(1-s)| / (1 + |delta5(s)|)."""
     z = complex(np.asarray(s, dtype=np.complex128))
-    lhs = delta5(z, opts)
-    rhs = f5(z, opts) * delta5(1.0 - z, opts)
+    lhs = delta5(z)
+    rhs = f5(z) * delta5(1.0 - z)
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
@@ -293,10 +286,10 @@ def bracket_phase_zeros(q: int, sigma: float, t_max: float, scan_step: float = 0
     return [float(r) for r in roots if 0.0 < r <= t_max]
 
 
-def lattice_sum_C(s, opts: EvalOptions = DEFAULT_OPTIONS):
+def lattice_sum_C(s):
     """The square-lattice sum over (m, n) != (0, 0) of (m^2 + n^2)^-s,
     computed through its factorization 4 zeta(s) beta(s)."""
     arr, scalar = _coerce(s)
     if np.any(np.abs(arr - 1.0) <= 1e-12):
         raise PoleOfZeta("lattice sum has a pole at s = 1", 1.0 + 0.0j)
-    return _release(4.0 * _zeta_values(arr, opts) * _beta_values(arr, opts), scalar)
+    return _release(4.0 * _zeta_values(arr) * _beta_values(arr), scalar)

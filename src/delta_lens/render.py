@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IoFailure, SpecInvalid
-from .evalcore import DEFAULT_OPTIONS, EvalOptions
 from .quotient import QuotientKind, _delta_q_values
 
 _MODES = ("phase_quadrant", "amplitude")
@@ -114,38 +113,36 @@ def _amplitude_colors(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _render_rows(spec: PortraitSpec, opts: EvalOptions, j0: int, j1: int) -> bytes:
+def _render_rows(spec: PortraitSpec, j0: int, j1: int) -> bytes:
     """RGB bytes of the pixel rows j0 <= j < j1 (row 0 carries t_max)."""
     dsig, dt = spec.pixel_size()
     sig = spec.sigma_min + (np.arange(spec.width) + 0.5) * dsig
     ts = spec.t_max - (np.arange(j0, j1) + 0.5) * dt
     s = (sig[None, :] + 1j * ts[:, None]).ravel()
     color = _phase_colors if spec.mode == "phase_quadrant" else _amplitude_colors
-    return color(_delta_q_values(spec.function.discriminant_label, s, opts)).tobytes()
+    return color(_delta_q_values(spec.function.discriminant_label, s)).tobytes()
 
 
-def _render(spec: PortraitSpec, opts: EvalOptions) -> PixelGrid:
+def _render(spec: PortraitSpec) -> PixelGrid:
     h = spec.height
-    pixels = b"".join(_render_rows(spec, opts, j0, min(j0 + _ROW_BLOCK, h))
+    pixels = b"".join(_render_rows(spec, j0, min(j0 + _ROW_BLOCK, h))
                       for j0 in range(0, h, _ROW_BLOCK))
     return PixelGrid(width=spec.width, height=h, pixels=pixels)
 
 
-def render_phase_quadrants(spec: PortraitSpec,
-                           opts: EvalOptions = DEFAULT_OPTIONS) -> PixelGrid:
+def render_phase_quadrants(spec: PortraitSpec) -> PixelGrid:
     """Quadrant-colored phase portrait; spec.mode must be phase_quadrant."""
     if spec.mode != "phase_quadrant":
         raise SpecInvalid("render_phase_quadrants needs mode=phase_quadrant")
-    return _render(spec, opts)
+    return _render(spec)
 
 
-def render_amplitude(spec: PortraitSpec,
-                     opts: EvalOptions = DEFAULT_OPTIONS) -> PixelGrid:
+def render_amplitude(spec: PortraitSpec) -> PixelGrid:
     """Blue-above-1 / green-below-1 amplitude portrait with a white band at
     modulus 1; spec.mode must be amplitude."""
     if spec.mode != "amplitude":
         raise SpecInvalid("render_amplitude needs mode=amplitude")
-    return _render(spec, opts)
+    return _render(spec)
 
 
 def _quadrant_labels(grid: PixelGrid) -> np.ndarray:

@@ -71,6 +71,15 @@ def test_eval_lq_requires_q(capsys):
     assert "DomainError" in err
 
 
+@pytest.mark.parametrize("fn", ["zeta", "beta", "delta5", "f5", "C"])
+def test_eval_rejects_q_for_other_functions(capsys, fn):
+    # --q would otherwise be ignored: delta5 at 2.5 is not delta_8 at 2.5
+    code, out, err = run_cli(capsys, "eval", "--function", fn, "--q", "8", "--s", "2.5")
+    assert code == 2
+    assert out == ""
+    assert "DomainError" in err
+
+
 def test_eval_rejects_malformed_point(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--function", "zeta", "--s", "nope"])

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import delta_lens.evalcore as evalcore
-from delta_lens.errors import PoleOfGamma, PoleOfZeta, UnsupportedDiscriminant
-from delta_lens.evalcore import (DEFAULT_OPTIONS, EvalOptions, _beta_values,
-                                 _dirichlet_values, _zeta_values, beta_L,
-                                 dirichlet_L, hurwitz_zeta, log_gamma, zeta)
+from delta_lens.errors import DomainError, PoleOfGamma, PoleOfZeta, UnsupportedDiscriminant
+from delta_lens.evalcore import (_beta_values, _dirichlet_values, _zeta_values,
+                                 beta_L, dirichlet_L, hurwitz_zeta, log_gamma, zeta)
 from delta_lens.quotient import _delta_q_values
 
 # reference values computed independently at 30+ digit working precision
@@ -116,6 +115,10 @@ def test_hurwitz_pole_and_domain():
         hurwitz_zeta(1.0, 0.5)
     with pytest.raises(Exception):
         hurwitz_zeta(2.0, 0.0)
+    # a bool is not an offset; numpy reals are, under the same (0, 1] rule
+    with pytest.raises(DomainError):
+        hurwitz_zeta(2.0, True)
+    assert hurwitz_zeta(2.0, np.float32(0.5)) == hurwitz_zeta(2.0, 0.5)
 
 
 def test_beta_known_values():
@@ -155,8 +158,10 @@ def test_dirichlet_L_trivial_zeros():
 
 
 def test_dirichlet_L_rejects_unknown_discriminant():
-    with pytest.raises(UnsupportedDiscriminant):
-        dirichlet_L(5, 2.0)
+    # the same label rule as QuotientKind: 8.0 is not the integer label 8
+    for q in (5, 8.0, 3.5, True):
+        with pytest.raises(UnsupportedDiscriminant):
+            dirichlet_L(q, 2.0)
 
 
 def test_log_gamma_known_values():
@@ -179,9 +184,3 @@ def test_log_gamma_poles():
         log_gamma(0.0)
     with pytest.raises(PoleOfGamma):
         log_gamma(-3.0)
-
-
-def test_options_round_trip():
-    fast = EvalOptions(target_digits=8)
-    assert abs(zeta(2.0, fast).real - math.pi ** 2 / 6.0) < 1e-7
-    assert DEFAULT_OPTIONS.target_digits >= 14

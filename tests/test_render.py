@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from delta_lens.errors import IoFailure, SpecInvalid
-from delta_lens.evalcore import DEFAULT_OPTIONS
 from delta_lens.quotient import QuotientKind, delta5
 from delta_lens.render import (PixelGrid, PortraitSpec, Q1_RGB, Q2_RGB, Q3_RGB,
                                Q4_RGB, _render_rows,
@@ -183,7 +182,7 @@ def test_row_partition_does_not_change_pixels():
                         width=64, height=100, mode="phase_quadrant")
     whole = render_phase_quadrants(spec).pixels
     for rows in (1, 37, 100):
-        parts = b"".join(_render_rows(spec, DEFAULT_OPTIONS, j0, min(j0 + rows, 100))
+        parts = b"".join(_render_rows(spec, j0, min(j0 + rows, 100))
                          for j0 in range(0, 100, rows))
         assert parts == whole
 
