@@ -30,9 +30,8 @@ from .quotient import (QuotientKind, bracket_phase_zeros, critical_phase_approx,
                        delta5, fold_phase, functional_equation_residual)
 from .critical import (POLE_SIGMAS, ZERO_SIGMAS, completed_beta,
                        completed_zeta, residue_at_pole, slope_at_zero)
-from .contours import (amplitude_circle, argument_principle_box,
-                       sample_circle_moduli, trace_amplitude_one_line,
-                       trace_phase_zero_line)
+from .contours import (_box_polygon, _trace_lines, amplitude_circle,
+                       sample_circle_moduli, winding_count)
 from .census import (build_catalog, census_identity_check, count_entries,
                      n_beta_main, n_zeta_main, pairs_between_phase_lines)
 from .render import (PortraitSpec, _render_rows, locate_quadrant_meeting_points,
@@ -95,15 +94,19 @@ class VerificationContext:
     def beta_catalog(self):
         return build_catalog("beta", 101.0)
 
+    def _traces(self, kind):
+        ns = range(1, _TRACE_COUNT + 1)
+        return dict(zip(ns, _trace_lines(kind, ns, catalog=self.merged_catalog.entries)))
+
     @cached_property
     def phase_traces(self):
-        pts = self.merged_catalog.entries
-        return {n: trace_phase_zero_line(n, catalog=pts) for n in range(1, _TRACE_COUNT + 1)}
+        """Phase-zero lines 1..12, traced in one lockstep."""
+        return self._traces("phase_zero")
 
     @cached_property
     def amplitude_traces(self):
-        pts = self.merged_catalog.entries
-        return {n: trace_amplitude_one_line(n, catalog=pts) for n in range(1, _TRACE_COUNT + 1)}
+        """Amplitude-one lines 1..12, traced in one lockstep."""
+        return self._traces("amplitude_one")
 
 
 def _check_residues(ctx: VerificationContext) -> tuple[bool, str]:
@@ -276,7 +279,8 @@ def _check_termini(ctx: VerificationContext) -> tuple[bool, str]:
 def _check_box_balance(ctx: VerificationContext) -> tuple[bool, str]:
     failures = []
     for n in range(1, 11):
-        report = argument_principle_box(n, n + 1)
+        # the box of argument_principle_box(n, n + 1), on the shared traces
+        report = winding_count(_box_polygon(ctx.phase_traces[n], ctx.phase_traces[n + 1]))
         if report.zeros_minus_poles != 0:
             failures.append(f"box ({n},{n + 1}) winding "
                             f"{report.zeros_minus_poles} != 0")

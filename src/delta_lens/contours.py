@@ -5,12 +5,16 @@ Phase-zero lines (folded phase of the quotient = 0) and amplitude-one lines
 tangent predictor and a 1-D Newton corrector in t at fixed sigma.  Both
 families are anchored at large sigma by the loud 2^-s term of the Dirichlet
 series: phase lines near t = n pi / ln 2, amplitude lines halfway between.
+One marcher traces any number of lines in lockstep on the shared sigma
+schedule, one quotient batch per Newton iteration; each line keeps its own
+step halving, and a single trace is the case of one line.
 
 Closed contours get a winding count by accumulating phase increments edge by
 edge, bisecting edges until every increment is below pi/2, so the branch of
-the argument is tracked without ambiguity.  The box contour built from two
-phase lines keeps its left edge at sigma = 1/2 + 0.02: the quotient's zeros
-and poles sit exactly on the critical line and the integral needs clearance.
+the argument is tracked without ambiguity; all edges that still jump are
+split together, one batch per level.  The box contour built from two phase
+lines keeps its left edge at sigma = 1/2 + 0.02: the quotient's zeros and
+poles sit exactly on the critical line and the integral needs clearance.
 
 Constant-amplitude loci of the reflected-regime factor 1 - 1/(16 conj(s))
 are Apollonius circles; amplitude_circle returns center and radius derived
@@ -20,6 +24,7 @@ from |s - 1/16| = A |s|.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -115,47 +120,60 @@ class AmplitudeCircle:
                               "closed form for this A")
 
 
-def _corrector(kind: str, sigma: float, t: float):
-    """Newton in t at fixed sigma, driving Im(delta) (phase lines) or
-    log|delta| (amplitude lines) to zero.  Returns (t, delta, delta') on
+def _corrector(kind: str, sigma: list[float], t: list[float]) -> list:
+    """Newton in t at fixed sigma for K lines at once, driving Im(delta)
+    (phase lines) or log|delta| (amplitude lines) to zero.  Each iteration
+    evaluates one batch of 3 points per line still iterating; a line drops
+    out once it converges.  Returns per line (t, delta, delta') on
     convergence, None if 8 iterations do not converge."""
+    out = [None] * len(t)
+    t = list(t)
+    live = list(range(len(t)))
     for _ in range(8):
-        s = sigma + 1j * t
-        batch = _delta_q_values(4, np.array([s, s + _DERIV_H, s - _DERIV_H]))
-        if not np.all(np.isfinite(batch)):
-            return None
-        v = complex(batch[0])
-        mod = abs(v)
-        if not _GUARD_LO <= mod <= _GUARD_HI:
-            raise SingularityTooClose(
-                f"|delta5| = {mod:.3g} outside [1e-8, 1e8] at sigma={sigma:.6f}, t={t:.6f}")
-        d = (batch[1] - batch[2]) / (2.0 * _DERIV_H)
-        if kind == "phase_zero":
-            err = abs(v.imag) / mod
-            slope = d.real      # d/dt Im delta(sigma + it)
-            move = v.imag
-        else:
-            err = abs(math.log(mod))
-            slope = -(d / v).imag   # d/dt log|delta(sigma + it)|
-            move = math.log(mod)
-        if err <= _NEWTON_TOL:
-            return t, v, d
-        if slope == 0.0 or not math.isfinite(slope):
-            return None
-        t = t - move / slope
-    return None
+        s = [complex(sigma[k], t[k]) for k in live]
+        s += [p + _DERIV_H for p in s] + [p - _DERIV_H for p in s]
+        batch = _delta_q_values(4, np.array(s)).reshape(3, -1)
+        finite = np.isfinite(batch).all(axis=0).tolist()
+        dl = (batch[1] - batch[2]) / (2.0 * _DERIV_H)
+        vals, ders = batch[0].tolist(), dl.tolist()
+        if kind == "amplitude_one":
+            ratios = (dl / batch[0]).tolist()   # numpy's complex division, like the predictor's
+        # the per-line Newton logic runs on Python scalars, which for a few
+        # lines costs less than a dozen numpy calls on tiny arrays
+        still = []
+        for j, k in enumerate(live):
+            if not finite[j]:
+                continue
+            v = vals[j]
+            mod = abs(v)
+            if not _GUARD_LO <= mod <= _GUARD_HI:
+                raise SingularityTooClose(
+                    f"|delta5| = {mod:.3g} outside [1e-8, 1e8] at sigma={sigma[k]:.6f}, t={t[k]:.6f}")
+            if kind == "phase_zero":
+                err = abs(v.imag) / mod
+                slope = ders[j].real      # d/dt Im delta(sigma + it)
+                move = v.imag
+            else:
+                err = abs(math.log(mod))
+                slope = -ratios[j].imag   # d/dt log|delta(sigma + it)|
+                move = math.log(mod)
+            if err <= _NEWTON_TOL:
+                out[k] = (t[k], v, ders[j])
+            elif slope != 0.0 and math.isfinite(slope):
+                t[k] = t[k] - move / slope
+                still.append(k)
+        live = still
+        if not live:
+            break
+    return out
 
 
-def _predictor_slope(kind: str, v: complex, d: complex) -> float:
+def _predictor_slope(kind: str, v: list[complex], d: list[complex]) -> list[float]:
     # dt/dsigma along the level set, from the Cauchy-Riemann split of delta'
     if kind == "phase_zero":
-        if d.real == 0.0:
-            return 0.0
-        return -d.imag / d.real
-    w = d / v
-    if w.imag == 0.0:
-        return 0.0
-    return w.real / w.imag
+        return [0.0 if dk.real == 0.0 else -dk.imag / dk.real for dk in d]
+    w = (np.array(d) / np.array(v)).tolist()
+    return [0.0 if wk.imag == 0.0 else wk.real / wk.imag for wk in w]
 
 
 def _sigma_schedule(sigma_start: float, step: float) -> list[float]:
@@ -171,49 +189,49 @@ def _sigma_schedule(sigma_start: float, step: float) -> list[float]:
     return targets
 
 
-def _window_catalog(t_star: float) -> list[CriticalPoint]:
-    lo = max(t_star - 4.0, 0.0)
-    hi = min(t_star + 4.0, 100.0)
-    return singular_points_delta5(lo, hi, 0.01)
+def _window_catalog(t_lo: float, t_hi: float) -> list[CriticalPoint]:
+    """Critical-line points within 4 of the termini t_lo <= t_hi."""
+    return singular_points_delta5(max(t_lo - 4.0, 0.0), min(t_hi + 4.0, 100.0), 0.01)
 
 
-def _trace(kind: str, n: int, sigma_start: float, step: float,
-           catalog: Optional[Sequence[CriticalPoint]]) -> PhasePath:
-    if int(n) != n or n < 1:
-        raise DomainError("n must be a positive integer")
-    if sigma_start < 8.0:
-        raise DomainError("sigma_start must be at least 8")
-    if not 0.0 < step <= 0.5:
-        raise DomainError("step must lie in (0, 0.5]")
-    n = int(n)
-    t0 = (n + (0.5 if kind == "amplitude_one" else 0.0)) * math.pi / LN2
-    got = _corrector(kind, sigma_start, t0)
-    if got is None:
-        raise TraceStalled(f"{kind} corrector failed at the seed (n={n})")
-    t_cur, v_cur, d_cur = got
-    sigma_cur = sigma_start
-    points = [(sigma_cur, t_cur)]
-    pending = list(reversed(_sigma_schedule(sigma_start, step)))
-    while pending:
-        target = pending[-1]
-        slope = _predictor_slope(kind, v_cur, d_cur)
-        got = _corrector(kind, target, t_cur + slope * (target - sigma_cur))
-        if got is None:
-            half = 0.5 * (sigma_cur + target)
-            if sigma_cur - half < _MIN_STEP:
-                raise TraceStalled(
-                    f"{kind} line n={n} stalled at sigma={sigma_cur:.6f} (step below 1e-4)")
-            pending.append(half)
-            continue
-        pending.pop()
-        t_cur, v_cur, d_cur = got
-        sigma_cur = target
-        points.append((sigma_cur, t_cur))
+def _march(kind: str, ns: list[int], sigma_start: float, step: float) -> list[list]:
+    """Predictor-corrector for the lines ns in lockstep on the shared sigma
+    schedule: each step corrects every unfinished line in one batch, and a
+    line whose corrector fails halves its own step while the others go on.
+    Returns each line's (sigma, t) points."""
+    t0 = [(n + (0.5 if kind == "amplitude_one" else 0.0)) * math.pi / LN2 for n in ns]
+    got = _corrector(kind, [sigma_start] * len(ns), t0)
+    if None in got:
+        raise TraceStalled(f"{kind} corrector failed at the seed (n={ns[got.index(None)]})")
+    t, v, d = (list(col) for col in zip(*got))
+    sigma = [sigma_start] * len(ns)
+    points = [[(sigma_start, tk)] for tk in t]
+    schedule = list(reversed(_sigma_schedule(sigma_start, step)))
+    pending = [list(schedule) for _ in ns]
+    live = list(range(len(ns)))
+    while live:
+        target = [pending[k][-1] for k in live]
+        slope = _predictor_slope(kind, [v[k] for k in live], [d[k] for k in live])
+        got = _corrector(kind, target, [t[k] + sl * (tg - sigma[k])
+                                        for k, sl, tg in zip(live, slope, target)])
+        for k, tg, g in zip(live, target, got):
+            if g is None:
+                half = 0.5 * (sigma[k] + tg)
+                if sigma[k] - half < _MIN_STEP:
+                    raise TraceStalled(
+                        f"{kind} line n={ns[k]} stalled at sigma={sigma[k]:.6f} (step below 1e-4)")
+                pending[k].append(half)
+                continue
+            pending[k].pop()
+            sigma[k] = tg
+            t[k], v[k], d[k] = g
+            points[k].append((tg, t[k]))
+        live = [k for k in live if pending[k]]
+    return points
 
-    (sa, ta), (sb, tb) = points[-2], points[-1]
-    t_star = ta + (tb - ta) * (sa - 0.5) / (sa - sb)
-    if catalog is None:
-        catalog = _window_catalog(t_star)
+
+def _terminus(kind: str, n: int, points, t_star: float,
+              catalog: Sequence[CriticalPoint]) -> PhasePath:
     terminus_point = None
     if kind == "phase_zero":
         if not catalog:
@@ -231,9 +249,35 @@ def _trace(kind: str, n: int, sigma_start: float, step: float,
             raise TerminusNotBetweenSingularities(
                 f"amplitude-one terminus t = {t_star:.6f} does not fall strictly "
                 "between two catalogued points")
-    return PhasePath(anchor_index=n, line_kind=kind,
-                     points=tuple(points), terminus_t=float(t_star),
-                     terminus_point=terminus_point)
+    return PhasePath(anchor_index=n, line_kind=kind, points=tuple(points),
+                     terminus_t=float(t_star), terminus_point=terminus_point)
+
+
+def _trace_lines(kind: str, ns: Sequence[int], sigma_start: float = 12.0, step: float = 0.02,
+                 catalog: Optional[Sequence[CriticalPoint]] = None) -> list[PhasePath]:
+    """Trace the lines ns of one kind together (see _march); a single line
+    is the case K = 1.  Without a catalog, one window scan covers every
+    terminus.  Lines traced together size their series for the whole batch,
+    so they can differ from single traces in the last bits, or within the
+    corrector's 1e-10 resolution where that moves a Newton stop."""
+    for n in ns:
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise DomainError(f"n must be a positive integer, not {n!r}")
+    ns = [int(n) for n in ns]
+    if not 8.0 <= sigma_start < math.inf:
+        raise DomainError("sigma_start must be a finite number of at least 8")
+    if not 0.0 < step <= 0.5:
+        raise DomainError("step must lie in (0, 0.5]")
+    with np.errstate(all="ignore"):  # non-finite Newton iterates are failures, not warnings
+        lines = _march(kind, ns, float(sigma_start), step)
+    stars = []
+    for points in lines:
+        (sa, ta), (sb, tb) = points[-2], points[-1]
+        stars.append(ta + (tb - ta) * (sa - 0.5) / (sa - sb))
+    if catalog is None:
+        catalog = _window_catalog(min(stars), max(stars))
+    return [_terminus(kind, n, points, t_star, catalog)
+            for n, points, t_star in zip(ns, lines, stars)]
 
 
 def trace_phase_zero_line(n: int, sigma_start: float = 12.0, step: float = 0.02,
@@ -242,7 +286,7 @@ def trace_phase_zero_line(n: int, sigma_start: float = 12.0, step: float = 0.02,
     across the critical line; the terminus must match a catalogued zero or
     pole within 0.05 in t (NoCatalogMatch otherwise).  Pass a precomputed
     catalog to skip the local critical-line scan."""
-    return _trace("phase_zero", n, sigma_start, step, catalog)
+    return _trace_lines("phase_zero", [n], sigma_start, step, catalog)[0]
 
 
 def trace_amplitude_one_line(n: int, sigma_start: float = 12.0, step: float = 0.02,
@@ -250,7 +294,7 @@ def trace_amplitude_one_line(n: int, sigma_start: float = 12.0, step: float = 0.
     """Trace the n-th amplitude-one line from (sigma_start, (n+1/2) pi/ln 2);
     its terminus must fall strictly between two consecutive catalogued
     critical-line points (TerminusNotBetweenSingularities otherwise)."""
-    return _trace("amplitude_one", n, sigma_start, step, catalog)
+    return _trace_lines("amplitude_one", [n], sigma_start, step, catalog)[0]
 
 
 def _polyline_complex(polyline) -> np.ndarray:
@@ -276,39 +320,41 @@ def winding_count(polyline, refine_limit: int = 40) -> WindingReport:
 
     Edge increments are principal arguments of ratios of consecutive values;
     any edge whose increment exceeds pi/2 is bisected, up to refine_limit
-    nested splits, so no edge can silently swallow a full branch turn.
-    zeros_minus_poles is the winding number (counterclockwise positive).
+    nested splits, so no edge can silently swallow a full branch turn.  The
+    refinement runs level by level: one evaluation per level covers the
+    midpoints of every edge that still jumps.  zeros_minus_poles is the
+    winding number (counterclockwise positive).
     """
-    if refine_limit < 1:
-        raise DomainError("refine_limit must be a positive integer")
+    if (not isinstance(refine_limit, numbers.Integral) or isinstance(refine_limit, bool)
+            or refine_limit < 1):
+        raise DomainError(f"refine_limit must be a positive integer, not {refine_limit!r}")
     pts = _polyline_complex(polyline)
     vals = _delta_q_values(4, pts)
     _check_contour_values(vals, pts)
 
-    total = 0.0
-    max_jump = 0.0
-
-    def edge(sa, va, sb, vb, depth):
-        nonlocal total, max_jump
+    # edges in polyline order; a split edge is replaced by its two halves in place
+    sa, sb, va, vb = pts[:-1], pts[1:], vals[:-1], vals[1:]
+    accepted = []
+    for depth in range(refine_limit + 1):
         inc = np.angle(vb / va)
-        if abs(inc) <= 0.5 * math.pi:
-            total += inc
-            if abs(inc) > max_jump:
-                max_jump = abs(inc)
-            return
-        if depth >= refine_limit:
+        jump = np.abs(inc) > 0.5 * math.pi
+        accepted.append(inc[~jump])
+        if not jump.any():
+            break
+        if depth == refine_limit:
+            k = np.argmax(jump)
             raise RefinementExhausted(
-                f"edge near sigma={sa.real:.6f}, t={sa.imag:.6f} still jumps "
-                f"{abs(inc):.3f} rad after {refine_limit} splits")
+                f"edge near sigma={sa[k].real:.6f}, t={sa[k].imag:.6f} still jumps "
+                f"{abs(inc[k]):.3f} rad after {refine_limit} splits")
+        sa, sb, va, vb = sa[jump], sb[jump], va[jump], vb[jump]
         sm = 0.5 * (sa + sb)
-        vm = _delta_q_values(4, np.array([sm]))
-        _check_contour_values(vm, np.array([sm]))
-        edge(sa, va, sm, complex(vm[0]), depth + 1)
-        edge(sm, complex(vm[0]), sb, vb, depth + 1)
+        vm = _delta_q_values(4, sm)
+        _check_contour_values(vm, sm)
+        sa, sb = np.stack([sa, sm], axis=1).ravel(), np.stack([sm, sb], axis=1).ravel()
+        va, vb = np.stack([va, vm], axis=1).ravel(), np.stack([vm, vb], axis=1).ravel()
 
-    for k in range(pts.size - 1):
-        edge(pts[k], complex(vals[k]), pts[k + 1], complex(vals[k + 1]), 0)
-
+    incs = np.concatenate(accepted)
+    total = math.fsum(incs)
     winding = total / (2.0 * math.pi)
     nearest = round(winding)
     if abs(winding - nearest) > 1e-3:
@@ -317,19 +363,15 @@ def winding_count(polyline, refine_limit: int = 40) -> WindingReport:
             f"(off by {abs(winding - nearest):.2e} turns)")
     return WindingReport(total_arg_change=float(total),
                          zeros_minus_poles=int(nearest),
-                         max_step_jump=float(max_jump))
+                         max_step_jump=float(np.abs(incs).max(initial=0.0)))
 
 
-def argument_principle_box(n_low: int, n_high: int, sigma_right: float = 12.0,
-                           refine_limit: int = 40) -> WindingReport:
-    """Winding count around the box bounded below and above by phase-zero
-    lines n_low < n_high, on the right by sigma = sigma_right, and on the
-    left by sigma = 1/2 + 0.02 (clearance from the critical-line poles and
-    zeros).  Zero-pole balance in the strip makes the expected count 0."""
-    if n_low >= n_high:
-        raise DomainError("need n_low < n_high: equal indices bound no region")
-    low = trace_phase_zero_line(n_low, sigma_right)
-    high = trace_phase_zero_line(n_high, sigma_right)
+def _box_polygon(low: PhasePath, high: PhasePath) -> list[tuple[float, float]]:
+    """Closed polyline around the box between phase lines low and high:
+    low traced backwards, the right edge at their common start sigma in
+    steps of 0.5, high forwards, then the left edge at sigma = 1/2 + 0.02 in
+    steps of 0.02 (clearance from the critical-line poles and zeros)."""
+    sigma_right = low.points[0][0]
 
     def trimmed(path):
         return [p for p in path.points if p[0] >= 0.5 + _EPS_BOX - 1e-9]
@@ -346,7 +388,21 @@ def argument_principle_box(n_low: int, n_high: int, sigma_right: float = 12.0,
     for t in np.arange(t_top - _EPS_BOX, t_bot + 1e-9, -_EPS_BOX):
         poly.append((0.5 + _EPS_BOX, float(t)))
     poly.append(poly[0])
-    return winding_count(poly, refine_limit)
+    return poly
+
+
+def argument_principle_box(n_low: int, n_high: int, sigma_right: float = 12.0,
+                           refine_limit: int = 40) -> WindingReport:
+    """Winding count around the box bounded below and above by phase-zero
+    lines n_low < n_high, on the right by sigma = sigma_right, and on the
+    left by sigma = 1/2 + 0.02 (clearance from the critical-line poles and
+    zeros).  Zero-pole balance in the strip makes the expected count 0.
+    The two lines are traced together, with one window scan for both
+    termini."""
+    if n_low >= n_high:
+        raise DomainError("need n_low < n_high: equal indices bound no region")
+    low, high = _trace_lines("phase_zero", [n_low, n_high], sigma_right)
+    return winding_count(_box_polygon(low, high), refine_limit)
 
 
 def amplitude_circle(A: float) -> AmplitudeCircle:

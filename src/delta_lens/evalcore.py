@@ -18,6 +18,12 @@ which gives about 1e-13 relative accuracy for |Im s| <= 200 (near
   poles subtracted term by term, so the result is entire (finite at s=1);
   reflected below Re s = 1/2.
 
+Piecewise definitions (the reflection half-plane, the eta-route fallback
+near s = 1 + 2 pi i k / ln 2, the rational Hurwitz reflection) go through
+one branch helper, _branches: a batch that lies in one branch, such as the
+3-point batches of a Newton step, is handed to that branch whole, without a
+copy or a scatter.
+
 All functions are pure; the module keeps only immutable weight caches.
 """
 
@@ -59,7 +65,7 @@ _DIFF_STEP = 1e-6  # step of the central-difference derivative
 _TARGET_DIGITS = 14  # significant digits the CVZ and Euler-Maclaurin cutoffs are sized for
 _EM_ORDER = 12  # Bernoulli correction terms of Euler-Maclaurin, B_2 .. B_24
 # below this many points the np.unique grid test in _power_sum costs more
-# than it can save (3-point Newton batches, 1-point winding midpoints)
+# than it can save (Newton batches of one or two lines, short refinement levels)
 _GRID_MIN_POINTS = 16
 
 
@@ -77,11 +83,28 @@ def _release(arr, scalar):
     return complex(arr[0]) if scalar else arr
 
 
+def _branches(shape, *cases) -> np.ndarray:
+    """Piecewise evaluation: out[mask] = f(mask) for each (mask, f) case,
+    the masks partitioning a batch of this shape.  f indexes its inputs with
+    the selector it is given; a case whose mask covers the whole batch gets
+    Ellipsis, which selects views, so its result is returned as it is with
+    no copy and no scatter."""
+    for mask, f in cases:
+        if mask.size and mask.all():
+            return f(...)
+    out = np.empty(shape, dtype=np.complex128)
+    for mask, f in cases:
+        if mask.any():
+            out[mask] = f(mask)
+    return out
+
+
 _cvz_weight_cache: dict[int, np.ndarray] = {}
 
 
 def _cvz_weights(n: int) -> np.ndarray:
-    """Binomial acceleration weights w_k = c_k / d for alternating sums."""
+    """Binomial acceleration weights w_k = c_k / d for alternating sums,
+    cached as complex128 so the power sum takes them without a cast."""
     w = _cvz_weight_cache.get(n)
     if w is None:
         r = 3.0 + math.sqrt(8.0)
@@ -93,7 +116,7 @@ def _cvz_weights(n: int) -> np.ndarray:
             c = b - c
             w[k] = c / d
             b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-        _cvz_weight_cache[n] = w
+        w = _cvz_weight_cache[n] = w.astype(np.complex128)
     return w
 
 
@@ -127,16 +150,18 @@ def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
     term splits as exp(-sigma logs_k) w_k * exp(-i t logs_k) and the sum is
     one (R x n) @ (n x I) product.  Any other input (short Newton batches,
     scans along one vertical line, scattered probes) takes the outer product
-    exp(-s logs) @ w, blocked so it stays small.
+    exp(-s logs) @ w: one product below _GRID_MIN_POINTS, blocked above so
+    it stays small.
     """
     flat = np.ascontiguousarray(s, dtype=np.complex128).reshape(-1)
-    if flat.size >= _GRID_MIN_POINTS:
-        ur, ir = np.unique(flat.real, return_inverse=True)
-        ui, ii = np.unique(flat.imag, return_inverse=True)
-        if ur.size >= 2 and ui.size >= 2 and ur.size * ui.size <= 2 * flat.size:
-            a = np.exp(-np.multiply.outer(ur, logs)) * w
-            b = np.exp(-1j * np.multiply.outer(ui, logs))
-            return (a @ b.T)[ir, ii].reshape(s.shape)
+    if flat.size < _GRID_MIN_POINTS:
+        return (np.exp(np.multiply.outer(-flat, logs)) @ w).reshape(s.shape)
+    ur, ir = np.unique(flat.real, return_inverse=True)
+    ui, ii = np.unique(flat.imag, return_inverse=True)
+    if ur.size >= 2 and ui.size >= 2 and ur.size * ui.size <= 2 * flat.size:
+        a = np.exp(-np.multiply.outer(ur, logs)) * w
+        b = np.exp(-1j * np.multiply.outer(ui, logs))
+        return (a @ b.T)[ir, ii].reshape(s.shape)
     out = np.empty(flat.shape, dtype=np.complex128)
     blk = 4096
     for i in range(0, flat.size, blk):
@@ -149,7 +174,7 @@ def _alt_weighted_sum(s: np.ndarray, step: float) -> np.ndarray:
     """sum_k w_k (1 + step k)^(-s) with the CVZ weights w_k, the term count
     sized for the whole batch."""
     n = _cvz_terms(s)
-    return _power_sum(s, _arith_logs(step, n), _cvz_weights(n).astype(np.complex128))
+    return _power_sum(s, _arith_logs(step, n), _cvz_weights(n))
 
 
 def _stirling_lgamma(z: np.ndarray) -> np.ndarray:
@@ -176,19 +201,10 @@ def _log_sin(z: np.ndarray) -> np.ndarray:
     """
     z = np.ascontiguousarray(z, dtype=np.complex128)
     im = z.imag
-    out = np.empty(z.shape, dtype=np.complex128)
-    mid = np.abs(im) <= 20.0
-    if np.any(mid):
-        out[mid] = np.log(np.sin(z[mid]))
-    up = im > 20.0
-    if np.any(up):
-        zu = z[up]
-        out[up] = -1j * zu + np.log1p(-np.exp(2j * zu).real) - LN2 + 0.5j * math.pi
-    dn = im < -20.0
-    if np.any(dn):
-        zd = z[dn]
-        out[dn] = 1j * zd + np.log1p(-np.exp(-2j * zd).real) - LN2 - 0.5j * math.pi
-    return out
+    return _branches(
+        z.shape, (np.abs(im) <= 20.0, lambda m: np.log(np.sin(z[m]))),
+        (im > 20.0, lambda m: -1j * z[m] + np.log1p(-np.exp(2j * z[m]).real) - LN2 + 0.5j * math.pi),
+        (im < -20.0, lambda m: 1j * z[m] + np.log1p(-np.exp(-2j * z[m]).real) - LN2 - 0.5j * math.pi))
 
 
 def _em_terms(s: np.ndarray) -> int:
@@ -239,48 +255,34 @@ def _zeta_right(s: np.ndarray) -> np.ndarray:
     # eta route; 1 - 2^(1-s) via expm1 keeps accuracy near s = 1
     q = -np.expm1((1.0 - s) * LN2)
     bad = np.abs(q) < 0.05  # near s = 1 + 2 pi i k / ln 2 the eta route loses digits
-    good = ~bad
-    vals = np.empty(s.shape, dtype=np.complex128)
-    if np.any(good):
-        vals[good] = _alt_weighted_sum(s[good], 1.0) / q[good]
-    if np.any(bad):
-        vals[bad] = _em_hurwitz(s[bad], 1.0)
-    return vals
+    return _branches(s.shape, (~bad, lambda m: _alt_weighted_sum(s[m], 1.0) / q[m]),
+                     (bad, lambda m: _em_hurwitz(s[m], 1.0)))
 
 
 def _zeta_values(s: np.ndarray) -> np.ndarray:
     """Vector zeta without pole checks (s = 1 itself gives inf)."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    out = np.empty(s.shape, dtype=np.complex128)
     pos = s.real > 0.0
-    if np.any(pos):
-        out[pos] = _zeta_right(s[pos])
+    # near s = 0 reflection would hit the u = 1 pole; Euler-Maclaurin is exact there
     small = ~pos & (np.abs(s) < 1e-8)
-    if np.any(small):
-        # reflection would hit the u = 1 pole; Euler-Maclaurin is exact here
-        out[small] = _em_hurwitz(s[small], 1.0)
-    neg = ~pos & ~small
-    if np.any(neg):
-        sn = s[neg]
+
+    def reflected(m):
+        sn = s[m]
         u = 1.0 - sn
         zu = _zeta_right(u)
         log_chi = sn * LN2 + (sn - 1.0) * LN_PI + _log_sin(0.5 * math.pi * sn) + _stirling_lgamma(u)
-        out[neg] = np.exp(log_chi) * zu
-    return out
+        return np.exp(log_chi) * zu
+
+    return _branches(s.shape, (pos, lambda m: _zeta_right(s[m])),
+                     (small, lambda m: _em_hurwitz(s[m], 1.0)), (~pos & ~small, reflected))
 
 
 def _beta_values(s: np.ndarray) -> np.ndarray:
     """Vector Dirichlet beta (no poles; trivial zeros returned exactly)."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    out = np.empty(s.shape, dtype=np.complex128)
     pos = s.real > 0.0
-    if np.any(pos):
-        out[pos] = _alt_weighted_sum(s[pos], 2.0)
-    neg = ~pos
-    if np.any(neg):
-        sn = s[neg]
-        out[neg] = _odd_reflection(4, sn, _alt_weighted_sum(1.0 - sn, 2.0))
-    return out
+    return _branches(s.shape, (pos, lambda m: _alt_weighted_sum(s[m], 2.0)),
+                     (~pos, lambda m: _odd_reflection(4, s[m], _alt_weighted_sum(1.0 - s[m], 2.0))))
 
 
 def _odd_reflection(q: int, s: np.ndarray, l_reflected: np.ndarray) -> np.ndarray:
@@ -321,15 +323,11 @@ def _hurwitz_values(s: np.ndarray, a: float) -> np.ndarray:
     frac = Fraction(a).limit_denominator(64)
     rational = abs(a - float(frac)) <= 1e-12 and frac.numerator >= 1
     left = (s.real < 0.0) & rational
-    out = np.empty(s.shape, dtype=np.complex128)
-    if np.any(left):
-        out[left] = _hurwitz_rational_left(s[left], frac.numerator, frac.denominator)
     # irrational offsets: direct Euler-Maclaurin everywhere (accuracy degrades
     # below Re s ~ -2 from cancellation; nothing in this package needs it)
-    right = ~left
-    if np.any(right):
-        out[right] = _em_hurwitz(s[right], a)
-    return out
+    return _branches(s.shape,
+                     (left, lambda m: _hurwitz_rational_left(s[m], frac.numerator, frac.denominator)),
+                     (~left, lambda m: _em_hurwitz(s[m], a)))
 
 
 def _dirichlet_direct(q: int, s: np.ndarray) -> np.ndarray:
@@ -343,15 +341,9 @@ def _dirichlet_direct(q: int, s: np.ndarray) -> np.ndarray:
 def _dirichlet_values(q: int, s: np.ndarray) -> np.ndarray:
     """Vector L_{-q}; functional-equation reflection below Re s = 1/2."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    out = np.empty(s.shape, dtype=np.complex128)
     right = s.real >= 0.5
-    if np.any(right):
-        out[right] = _dirichlet_direct(q, s[right])
-    left = ~right
-    if np.any(left):
-        sl = s[left]
-        out[left] = _odd_reflection(q, sl, _dirichlet_direct(q, 1.0 - sl))
-    return out
+    return _branches(s.shape, (right, lambda m: _dirichlet_direct(q, s[m])),
+                     (~right, lambda m: _odd_reflection(q, s[m], _dirichlet_direct(q, 1.0 - s[m]))))
 
 
 def _character_label(q) -> int:

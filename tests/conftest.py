@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from delta_lens.census import build_catalog
-from delta_lens.contours import trace_amplitude_one_line, trace_phase_zero_line
+from delta_lens.contours import _trace_lines
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference.json"
@@ -33,13 +33,16 @@ def beta_catalog():
     return build_catalog("beta", 101.0)
 
 
+def _lockstep(kind, catalog):
+    ns = range(1, 13)
+    return dict(zip(ns, _trace_lines(kind, ns, catalog=catalog.entries)))
+
+
 @pytest.fixture(scope="session")
 def phase_traces(merged_catalog):
-    pts = merged_catalog.entries
-    return {n: trace_phase_zero_line(n, catalog=pts) for n in range(1, 13)}
+    return _lockstep("phase_zero", merged_catalog)
 
 
 @pytest.fixture(scope="session")
 def amplitude_traces(merged_catalog):
-    pts = merged_catalog.entries
-    return {n: trace_amplitude_one_line(n, catalog=pts) for n in range(1, 13)}
+    return _lockstep("amplitude_one", merged_catalog)

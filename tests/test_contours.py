@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from delta_lens import contours
 from delta_lens.contours import (AmplitudeCircle, PhasePath, WindingReport,
-                                 amplitude_circle, argument_principle_box,
-                                 export_trace_csv, sample_circle_moduli,
-                                 trace_amplitude_one_line,
+                                 _box_polygon, _trace_lines, amplitude_circle,
+                                 argument_principle_box, export_trace_csv,
+                                 sample_circle_moduli, trace_amplitude_one_line,
                                  trace_phase_zero_line, winding_count)
 from delta_lens.errors import (DegenerateCircle, DomainError, IoFailure,
                                RefinementExhausted, SingularOnContour)
@@ -56,6 +57,58 @@ def test_trace_validation():
         trace_amplitude_one_line(1, sigma_start=4.0)
     with pytest.raises(DomainError):
         trace_phase_zero_line(1, step=0.0)
+    with pytest.raises(DomainError):
+        trace_phase_zero_line(2.5)
+
+
+@pytest.mark.parametrize("n", [float("nan"), float("inf"), float("-inf"), 3.0, np.float64(2.0), True],
+                         ids=["nan", "inf", "-inf", "3.0", "float64", "True"])
+def test_trace_rejects_non_integer_index(n):
+    for trace in (trace_phase_zero_line, trace_amplitude_one_line):
+        with pytest.raises(DomainError):
+            trace(n)
+    with pytest.raises(DomainError):
+        argument_principle_box(n, 5)
+
+
+@pytest.mark.parametrize("sigma_start", [float("nan"), float("inf")])
+def test_trace_rejects_non_finite_sigma_start(sigma_start):
+    with pytest.raises(DomainError):
+        trace_phase_zero_line(1, sigma_start=sigma_start)
+
+
+def test_trace_accepts_numpy_integer_index(merged_catalog, phase_traces):
+    path = trace_phase_zero_line(np.int64(1), catalog=merged_catalog.entries)
+    assert path.anchor_index == 1 and type(path.anchor_index) is int
+    assert path.terminus_point == phase_traces[1].terminus_point
+
+
+@pytest.mark.parametrize("ns, step", [([3, 4], 0.02), ([5, 12], 0.5)], ids=["3-4", "5-12-step0.5"])
+def test_lockstep_matches_single_traces(ns, step, merged_catalog):
+    entries = merged_catalog.entries
+    together = _trace_lines("phase_zero", ns, step=step, catalog=entries)
+    alone = [trace_phase_zero_line(n, step=step, catalog=entries) for n in ns]
+    # lines traced together size their series for the whole batch, so a
+    # Newton iterate can stop one step earlier or later; at the default step
+    # that moves no t by 1e-12, at step 0.5 by up to ~6e-12, inside the
+    # corrector's own resolution (|Im delta| / |delta| <= 1e-10)
+    tol = 1e-12 if step == 0.02 else 1e-10
+    for a, b in zip(together, alone):
+        assert a.anchor_index == b.anchor_index
+        assert len(a.points) == len(b.points)
+        assert [p[0] for p in a.points] == [p[0] for p in b.points]
+        assert max(abs(p[1] - q[1]) for p, q in zip(a.points, b.points)) <= tol
+        assert a.terminus_point == b.terminus_point
+    if step == 0.5:  # line 12 halves its step once and line 5 never
+        assert len(together[1].points) == len(together[0].points) + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_box_polygon_on_shared_traces_matches_box(n, phase_traces):
+    shared = winding_count(_box_polygon(phase_traces[n], phase_traces[n + 1]))
+    box = argument_principle_box(n, n + 1)
+    assert shared.zeros_minus_poles == box.zeros_minus_poles == 0
+    assert abs(shared.total_arg_change - box.total_arg_change) <= 1e-9
 
 
 def test_phase_path_validation(phase_traces):
@@ -92,13 +145,38 @@ def test_winding_empty_box():
 
 def test_winding_error_channels():
     square = [(0.6, -0.15), (0.9, -0.15), (0.9, 0.15), (0.6, 0.15), (0.6, -0.15)]
-    with pytest.raises(RefinementExhausted):
+    with pytest.raises(RefinementExhausted, match=r"edge near sigma=0\.900000, t=-0\.150000 "
+                                                  r"still jumps 1\.741 rad after 1 splits"):
         winding_count(square, refine_limit=1)
     with pytest.raises(DomainError):  # not closed
         winding_count([(0.6, -0.1), (0.75, 0.0), (0.9, 0.1)])
     through = [(0.6, -0.25), (0.75, 0.0), (0.9, 0.25), (0.9, -0.35), (0.6, -0.25)]
     with pytest.raises(SingularOnContour):
         winding_count(through)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), float("inf"), 2.5, 3.0, True, "3"],
+                         ids=["nan", "inf", "2.5", "3.0", "True", "str"])
+def test_winding_rejects_non_integer_refine_limit(limit):
+    square = [(0.6, -0.15), (0.9, -0.15), (0.9, 0.15), (0.6, 0.15), (0.6, -0.15)]
+    with pytest.raises(DomainError):
+        winding_count(square, refine_limit=limit)
+
+
+def test_winding_refines_level_by_level(monkeypatch):
+    # the square's edge (0.9, -0.15)-(0.9, 0.15) needs two levels of splits:
+    # one midpoint, then both halves again, which take one call together
+    sizes = []
+    values = contours._delta_q_values
+
+    def counting(q, s):
+        sizes.append(np.size(s))
+        return values(q, s)
+
+    monkeypatch.setattr(contours, "_delta_q_values", counting)
+    square = [(0.6, -0.15), (0.9, -0.15), (0.9, 0.15), (0.6, 0.15), (0.6, -0.15)]
+    assert winding_count(square, refine_limit=np.int64(40)).zeros_minus_poles == 1
+    assert sizes == [5, 1, 2]
 
 
 def test_winding_report_validation():
