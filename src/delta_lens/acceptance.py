@@ -211,8 +211,10 @@ def _bisect(fn: Callable[[float], float], a: float, b: float, fa: float) -> floa
 
 def _oracle_singular_points(t_hi=15.5, step=1e-3):
     """Independent scan oracle: plain sign scan at the stated step over the
-    real-valued completed functions, bisected to refinement.  Deliberately
-    simpler than (and separate from) the production scanner."""
+    real-valued completed functions, bisected to refinement.  Its bracketing
+    and bisection are deliberately simpler than (and separate from) the
+    production scanner's; its bulk scan, an equally spaced critical line,
+    shares the line product of evalcore._power_sum with find_zeros."""
     grid = np.arange(0.5, t_hi, step)
     found = []
 

@@ -52,6 +52,7 @@ _DERIV_H = 1e-5
 _NEWTON_TOL = 1e-10
 _MIN_STEP = 1e-4
 _MATCH_RADIUS = 0.05
+_MAX_SCHEDULE = 100_000  # sigma targets per trace; _sigma_schedule builds them all up front
 
 
 @dataclass(frozen=True)
@@ -268,6 +269,9 @@ def _trace_lines(kind: str, ns: Sequence[int], sigma_start: float = 12.0, step: 
         raise DomainError("sigma_start must be a finite number of at least 8")
     if not 0.0 < step <= 0.5:
         raise DomainError("step must lie in (0, 0.5]")
+    if (sigma_start - 0.52) / step > _MAX_SCHEDULE:
+        raise DomainError(f"sigma_start={sigma_start:g} at step={step:g} needs more than "
+                          f"{_MAX_SCHEDULE} predictor steps")
     with np.errstate(all="ignore"):  # non-finite Newton iterates are failures, not warnings
         lines = _march(kind, ns, float(sigma_start), step)
     stars = []

@@ -18,6 +18,13 @@ which gives about 1e-13 relative accuracy for |Im s| <= 200 (near
   poles subtracted term by term, so the result is entire (finite at s=1);
   reflected below Re s = 1/2.
 
+Every Dirichlet series goes through one power sum, _power_sum.  A batch
+that is a sigma x t grid (a render block) or an equally spaced scan along one
+vertical line (a critical-line scan) factors as k^-s = k^-a e^(-ib log k),
+with a = sigma and b = t on a grid and a = sigma + coarse t, b = fine t steps
+on a line, so its sum is one matrix product (_separable_sum); other batches
+take one complex exp per point and term.
+
 Piecewise definitions (the reflection half-plane, the eta-route fallback
 near s = 1 + 2 pi i k / ln 2, the rational Hurwitz reflection) go through
 one branch helper, _branches: a batch that lies in one branch, such as the
@@ -64,8 +71,8 @@ _POLE_TOL = 1e-12
 _DIFF_STEP = 1e-6  # step of the central-difference derivative
 _TARGET_DIGITS = 14  # significant digits the CVZ and Euler-Maclaurin cutoffs are sized for
 _EM_ORDER = 12  # Bernoulli correction terms of Euler-Maclaurin, B_2 .. B_24
-# below this many points the np.unique grid test in _power_sum costs more
-# than it can save (Newton batches of one or two lines, short refinement levels)
+# below this many points the line and grid tests in _power_sum cost more
+# than they can save (Newton batches of one or two lines, short refinement levels)
 _GRID_MIN_POINTS = 16
 
 
@@ -141,32 +148,72 @@ def _cvz_terms(s: np.ndarray) -> int:
     return min(n, 347)  # weight recurrence overflows past n ~ 415
 
 
+def _separable_sum(rows: np.ndarray, cols: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k w_k exp(-(r + i c) logs_k) for every row exponent r (complex or
+    real) and column ordinate c (real), as one (R x n) @ (n x C) product of
+    exp(-r logs_k) w_k and exp(-i c logs_k)."""
+    a = np.exp(-np.multiply.outer(rows, logs)) * w
+    b = np.exp(-1j * np.multiply.outer(cols, logs))
+    return a @ b.T
+
+
+def _line_layout(sigma: float, t: np.ndarray):
+    """Line rule of _power_sum for the points sigma + i t_j: (rows, cols, on)
+    such that _separable_sum(rows, cols), flattened, holds the sum at point
+    j in entry j for every j in the mask on, the points whose t_j lies on
+    the progression t0 + h j to a few ulps.  With N = P Q points and
+    P ~ sqrt N, t0 + h (Q p + q) takes rows sigma + i (t0 + h Q p) and cols
+    h q.  The progression is fitted through the first and the second-to-last
+    ordinate, so a scan whose last point is clipped to its end (find_zeros'
+    t_max) keeps the rest."""
+    n = t.size
+    h = (t[-2] - t[0]) / (n - 2)
+    on = np.abs(t - (t[0] + h * np.arange(n))) <= 4.0 * np.spacing(np.abs(t).max())
+    p = math.isqrt(n - 1) + 1
+    q = -(-n // p)
+    return sigma + 1j * (t[0] + h * q * np.arange(p)), h * np.arange(q), on
+
+
 def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_k w_k exp(-s logs_k).
 
-    Grid rule: when s holds at least _GRID_MIN_POINTS points with R >= 2
-    distinct real parts and I >= 2 distinct imaginary parts, and the points
-    fill at least half of the R x I grid those parts span (R*I <= 2N), the
-    term splits as exp(-sigma logs_k) w_k * exp(-i t logs_k) and the sum is
-    one (R x n) @ (n x I) product.  Any other input (short Newton batches,
-    scans along one vertical line, scattered probes) takes the outer product
+    At _GRID_MIN_POINTS points or more, two rules factor the term as
+    exp(-a logs_k) w_k * exp(-i b logs_k) and sum a whole batch as one
+    (A x n) @ (n x B) product, _separable_sum:
+
+    * line rule: all points on one vertical line with equally spaced
+      ordinates t0 + h (Q p + q), as in a critical-line scan; a is sigma plus
+      the coarse ordinate t0 + h Q p, b the fine step h q (_line_layout).
+    * grid rule: R >= 2 distinct real parts and I >= 2 distinct imaginary
+      parts that fill at least half of the R x I grid they span
+      (R*I <= 2N); a is sigma, b is t.
+
+    Points no rule covers (short Newton batches, bisection midpoints, a
+    scan's clipped last ordinate, scattered probes) take the outer product
     exp(-s logs) @ w: one product below _GRID_MIN_POINTS, blocked above so
     it stays small.
     """
     flat = np.ascontiguousarray(s, dtype=np.complex128).reshape(-1)
     if flat.size < _GRID_MIN_POINTS:
         return (np.exp(np.multiply.outer(-flat, logs)) @ w).reshape(s.shape)
-    ur, ir = np.unique(flat.real, return_inverse=True)
-    ui, ii = np.unique(flat.imag, return_inverse=True)
-    if ur.size >= 2 and ui.size >= 2 and ur.size * ui.size <= 2 * flat.size:
-        a = np.exp(-np.multiply.outer(ur, logs)) * w
-        b = np.exp(-1j * np.multiply.outer(ui, logs))
-        return (a @ b.T)[ir, ii].reshape(s.shape)
     out = np.empty(flat.shape, dtype=np.complex128)
+    rest = np.ones(flat.shape, dtype=bool)
+    re = flat.real
+    if np.all(re == re[0]):
+        rows, cols, on = _line_layout(re[0], flat.imag)
+        if np.count_nonzero(on) >= _GRID_MIN_POINTS:
+            out[on] = _separable_sum(rows, cols, logs, w).reshape(-1)[:flat.size][on]
+            rest = ~on
+    else:
+        ur, ir = np.unique(re, return_inverse=True)
+        ui, ii = np.unique(flat.imag, return_inverse=True)
+        if ui.size >= 2 and ur.size * ui.size <= 2 * flat.size:
+            return _separable_sum(ur, ui, logs, w)[ir, ii].reshape(s.shape)
+    idx = np.flatnonzero(rest)
     blk = 4096
-    for i in range(0, flat.size, blk):
-        chunk = flat[i:i + blk]
-        out[i:i + blk] = np.exp(np.multiply.outer(-chunk, logs)) @ w
+    for i in range(0, idx.size, blk):
+        chunk = idx[i:i + blk]
+        out[chunk] = np.exp(np.multiply.outer(-flat[chunk], logs)) @ w
     return out.reshape(s.shape)
 
 

@@ -3,6 +3,7 @@ constant-amplitude circles of the reflection factor."""
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,27 @@ def test_trace_rejects_non_integer_index(n):
 def test_trace_rejects_non_finite_sigma_start(sigma_start):
     with pytest.raises(DomainError):
         trace_phase_zero_line(1, sigma_start=sigma_start)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: trace_phase_zero_line(1, sigma_start=1e12),
+    lambda: argument_principle_box(1, 2, sigma_right=1e12),
+    lambda: trace_amplitude_one_line(1, step=1e-9)], ids=["trace-1e12", "box-1e12", "step-1e-9"])
+def test_trace_rejects_oversized_schedule(call, monkeypatch):
+    # sigma_start = 1e12 at step 0.02 would be 5e13 sigma targets: the trace
+    # must raise before it builds the schedule or evaluates anything
+    def no_evaluation(*args):
+        raise AssertionError("the corrector ran")
+
+    monkeypatch.setattr(contours, "_corrector", no_evaluation)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="predictor steps"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_trace_accepts_numpy_integer_index(merged_catalog, phase_traces):

@@ -84,6 +84,24 @@ def test_grid_path_matches_point_path(values, monkeypatch):
     assert np.max(np.abs(grid - point) / np.abs(point)) <= 1e-12
 
 
+@pytest.mark.parametrize("values", [_zeta_values, _beta_values], ids=["zeta", "beta"])
+def test_line_path_matches_blocked_path(values, monkeypatch):
+    # the scan of find_zeros(source, 0, 199.995): 0.5 + i h k at h = 0.01,
+    # the last ordinate clipped off the progression to t_max; one batch takes
+    # the line product of _power_sum, against the blocked outer-product path
+    # on the same batch
+    ts = 0.01 * np.arange(20001)
+    ts[-1] = 199.995
+    s = 0.5 + 1j * ts
+    line = values(s)
+    monkeypatch.setattr(evalcore, "_GRID_MIN_POINTS", s.size + 1)
+    blocked = values(s)
+    assert np.any(line != blocked)  # the line path really ran
+    # the values reach about 6 in modulus; the gap is rounding of the phases
+    # t log k (7.4e-13 for zeta, 4.4e-13 for beta)
+    assert np.max(np.abs(line - blocked)) <= 1e-12
+
+
 def test_zeta_near_denominator_bad_point():
     # eta-to-zeta conversion degenerates at s = 1 + 2 pi i k / ln 2; the
     # fallback route must stay smooth there

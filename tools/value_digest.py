@@ -9,6 +9,9 @@ values are identical bit for bit.  It covers
   q = 3, 4, 7, 8 on the probe pool of benchmark/reference.json, evaluated
   as one vector, in 3-point batches and in 1-point batches;
 * the same functions on a 30 x 40 grid (the grid matrix-product path);
+* the raw critical-line scan values critical._line_values of zeta on the
+  0..200 and of beta on the 0..100 scan grid of find_zeros (the line
+  matrix-product path);
 * find_zeros for zeta and beta and the zeta, beta and delta5_merged
   catalogs;
 * phase-zero and amplitude-one traces for n = 1..21, each with its own
@@ -83,6 +86,9 @@ def main() -> None:
             print(f"{name}/{label} {_digest_call(_values, fn, pool, batch)}")
         print(f"{name}/grid30x40 {_digest_call(lambda: np.asarray(fn(grid)).tobytes())}")
     for source, hi in (("zeta", 200.0), ("beta", 100.0)):
+        ts = np.append(0.01 * np.arange(int(round(hi / 0.01))), hi)  # as find_zeros builds it
+        digest = _digest_call(lambda: critical._line_values(source, ts).tobytes())
+        print(f"line_values/{source}/0-{hi:g} {digest}")
         digest = _digest_call(lambda: _points_bytes(critical.find_zeros(source, 0.0, hi)))
         print(f"find_zeros/{source}/0-{hi:g} {digest}")
     for source, hi in (("zeta", 120.0), ("beta", 101.0), ("delta5_merged", 60.0)):
