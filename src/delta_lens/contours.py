@@ -1,13 +1,16 @@
 """Level-line tracing and argument-principle machinery for the quotient.
 
 Phase-zero lines (folded phase of the quotient = 0) and amplitude-one lines
-(|quotient| = 1) are marched from large sigma toward the critical line with a
-tangent predictor and a 1-D Newton corrector in t at fixed sigma.  Both
-families are anchored at large sigma by the loud 2^-s term of the Dirichlet
-series: phase lines near t = n pi / ln 2, amplitude lines halfway between.
-One marcher traces any number of lines in lockstep on the shared sigma
-schedule, one quotient batch per Newton iteration; each line keeps its own
-step halving, and a single trace is the case of one line.
+(|quotient| = 1) are the zero sets of Im(rot l), l = log(delta^2) / 2, with
+rot = 1 (Im l is the folded phase) and rot = 1j (Re l = log|delta|).  Both are
+marched from large sigma toward the critical line by the tangent predictor
+dt/dsigma = -Im w / Re w and the Newton corrector t -= Im(rot l) / Re w at
+fixed sigma, w = rot delta'/delta.  Both families are anchored at large sigma
+by the loud 2^-s term of the Dirichlet series: phase lines near t = n pi / ln 2,
+amplitude lines halfway between.  One marcher traces any number of lines in
+lockstep on the shared sigma schedule, one quotient batch per Newton
+iteration; each line keeps its own step halving, and a single trace is the
+case of one line.
 
 Closed contours get a winding count by accumulating phase increments edge by
 edge, bisecting edges until every increment is below pi/2, so the branch of
@@ -23,6 +26,7 @@ from |s - 1/16| = A |s|.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -42,13 +46,11 @@ from .errors import (
     TerminusNotBetweenSingularities,
     TraceStalled,
 )
-from .evalcore import LN2
+from .evalcore import LN2, _central_difference
 from .quotient import _delta_q_values
 
-_LINE_KINDS = ("phase_zero", "amplitude_one")
 _EPS_BOX = 0.02          # clearance of the box's left edge from sigma = 1/2
 _GUARD_LO, _GUARD_HI = 1e-8, 1e8
-_DERIV_H = 1e-5
 _NEWTON_TOL = 1e-10
 _MIN_STEP = 1e-4
 _MATCH_RADIUS = 0.05
@@ -69,7 +71,7 @@ class PhasePath:
 
     def __post_init__(self):
         if self.line_kind not in _LINE_KINDS:
-            raise DomainError(f"line_kind must be one of {_LINE_KINDS}")
+            raise DomainError(f"line_kind must be one of {tuple(_LINE_KINDS)}")
         if self.anchor_index < 1:
             raise DomainError("anchor_index must be a positive integer")
         if len(self.points) < 2:
@@ -110,8 +112,8 @@ class AmplitudeCircle:
     radius: float
 
     def __post_init__(self):
-        if not self.A > 0.0:
-            raise DomainError("A must be positive")
+        if not 0.0 < self.A < math.inf:
+            raise DomainError("A must be positive and finite")
         if abs(self.A - 1.0) <= 1e-12:
             raise DegenerateCircle("A = 1 gives a vertical line, not a circle")
         denom = 16.0 * (1.0 - self.A * self.A)
@@ -121,60 +123,39 @@ class AmplitudeCircle:
                               "closed form for this A")
 
 
-def _corrector(kind: str, sigma: list[float], t: list[float]) -> list:
-    """Newton in t at fixed sigma for K lines at once, driving Im(delta)
-    (phase lines) or log|delta| (amplitude lines) to zero.  Each iteration
-    evaluates one batch of 3 points per line still iterating; a line drops
-    out once it converges.  Returns per line (t, delta, delta') on
-    convergence, None if 8 iterations do not converge."""
+def _corrector(rot: complex, sigma: list[float], t: list[float]) -> list:
+    """Newton in t at fixed sigma for K lines at once, driving the level
+    Im(rot log(delta^2) / 2) to zero: the folded phase for rot = 1, log|delta|
+    for rot = 1j.  Its t-derivative is Re w, w = rot delta'/delta.  Each
+    iteration takes delta and delta' from one central difference over the
+    lines still iterating; a line drops out once it converges.  Returns per
+    line (t, w) on convergence, None if 8 iterations do not converge."""
     out = [None] * len(t)
     t = list(t)
     live = list(range(len(t)))
     for _ in range(8):
-        s = [complex(sigma[k], t[k]) for k in live]
-        s += [p + _DERIV_H for p in s] + [p - _DERIV_H for p in s]
-        batch = _delta_q_values(4, np.array(s)).reshape(3, -1)
-        finite = np.isfinite(batch).all(axis=0).tolist()
-        dl = (batch[1] - batch[2]) / (2.0 * _DERIV_H)
-        vals, ders = batch[0].tolist(), dl.tolist()
-        if kind == "amplitude_one":
-            ratios = (dl / batch[0]).tolist()   # numpy's complex division, like the predictor's
+        vals, ders = (a.tolist() for a in _central_difference(
+            lambda s: _delta_q_values(4, s), np.array([complex(sigma[k], t[k]) for k in live])))
         # the per-line Newton logic runs on Python scalars, which for a few
         # lines costs less than a dozen numpy calls on tiny arrays
         still = []
-        for j, k in enumerate(live):
-            if not finite[j]:
+        for k, v, d in zip(live, vals, ders):
+            if not (cmath.isfinite(v) and cmath.isfinite(d)):
                 continue
-            v = vals[j]
-            mod = abs(v)
-            if not _GUARD_LO <= mod <= _GUARD_HI:
+            if not _GUARD_LO <= abs(v) <= _GUARD_HI:
                 raise SingularityTooClose(
-                    f"|delta5| = {mod:.3g} outside [1e-8, 1e8] at sigma={sigma[k]:.6f}, t={t[k]:.6f}")
-            if kind == "phase_zero":
-                err = abs(v.imag) / mod
-                slope = ders[j].real      # d/dt Im delta(sigma + it)
-                move = v.imag
-            else:
-                err = abs(math.log(mod))
-                slope = -ratios[j].imag   # d/dt log|delta(sigma + it)|
-                move = math.log(mod)
-            if err <= _NEWTON_TOL:
-                out[k] = (t[k], v, ders[j])
-            elif slope != 0.0 and math.isfinite(slope):
-                t[k] = t[k] - move / slope
+                    f"|delta5| = {abs(v):.3g} outside [1e-8, 1e8] at sigma={sigma[k]:.6f}, t={t[k]:.6f}")
+            w = rot * (d / v)
+            level = (0.5 * rot * cmath.log(v * v)).imag
+            if abs(level) <= _NEWTON_TOL:
+                out[k] = (t[k], w)
+            elif w.real != 0.0 and math.isfinite(w.real):
+                t[k] = t[k] - level / w.real
                 still.append(k)
         live = still
         if not live:
             break
     return out
-
-
-def _predictor_slope(kind: str, v: list[complex], d: list[complex]) -> list[float]:
-    # dt/dsigma along the level set, from the Cauchy-Riemann split of delta'
-    if kind == "phase_zero":
-        return [0.0 if dk.real == 0.0 else -dk.imag / dk.real for dk in d]
-    w = (np.array(d) / np.array(v)).tolist()
-    return [0.0 if wk.imag == 0.0 else wk.real / wk.imag for wk in w]
 
 
 def _sigma_schedule(sigma_start: float, step: float) -> list[float]:
@@ -200,11 +181,11 @@ def _march(kind: str, ns: list[int], sigma_start: float, step: float) -> list[li
     schedule: each step corrects every unfinished line in one batch, and a
     line whose corrector fails halves its own step while the others go on.
     Returns each line's (sigma, t) points."""
-    t0 = [(n + (0.5 if kind == "amplitude_one" else 0.0)) * math.pi / LN2 for n in ns]
-    got = _corrector(kind, [sigma_start] * len(ns), t0)
+    rot, offset, _ = _LINE_KINDS[kind]
+    got = _corrector(rot, [sigma_start] * len(ns), [(n + offset) * math.pi / LN2 for n in ns])
     if None in got:
         raise TraceStalled(f"{kind} corrector failed at the seed (n={ns[got.index(None)]})")
-    t, v, d = (list(col) for col in zip(*got))
+    t, w = (list(col) for col in zip(*got))
     sigma = [sigma_start] * len(ns)
     points = [[(sigma_start, tk)] for tk in t]
     schedule = list(reversed(_sigma_schedule(sigma_start, step)))
@@ -212,9 +193,10 @@ def _march(kind: str, ns: list[int], sigma_start: float, step: float) -> list[li
     live = list(range(len(ns)))
     while live:
         target = [pending[k][-1] for k in live]
-        slope = _predictor_slope(kind, [v[k] for k in live], [d[k] for k in live])
-        got = _corrector(kind, target, [t[k] + sl * (tg - sigma[k])
-                                        for k, sl, tg in zip(live, slope, target)])
+        # predict along the level set's tangent, dt/dsigma = -Im w / Re w
+        guess = [t[k] - (w[k].imag / w[k].real if w[k].real else 0.0) * (tg - sigma[k])
+                 for k, tg in zip(live, target)]
+        got = _corrector(rot, target, guess)
         for k, tg, g in zip(live, target, got):
             if g is None:
                 half = 0.5 * (sigma[k] + tg)
@@ -225,33 +207,38 @@ def _march(kind: str, ns: list[int], sigma_start: float, step: float) -> list[li
                 continue
             pending[k].pop()
             sigma[k] = tg
-            t[k], v[k], d[k] = g
+            t[k], w[k] = g
             points[k].append((tg, t[k]))
         live = [k for k in live if pending[k]]
     return points
 
 
-def _terminus(kind: str, n: int, points, t_star: float,
-              catalog: Sequence[CriticalPoint]) -> PhasePath:
-    terminus_point = None
-    if kind == "phase_zero":
-        if not catalog:
-            raise NoCatalogMatch(f"no catalogued point near terminus t = {t_star:.6f}")
-        nearest = min(catalog, key=lambda p: abs(p.t - t_star))
-        if abs(nearest.t - t_star) > _MATCH_RADIUS:
-            raise NoCatalogMatch(
-                f"terminus t = {t_star:.6f} is {abs(nearest.t - t_star):.4f} from the "
-                f"nearest catalogued point (limit {_MATCH_RADIUS})")
-        terminus_point = nearest
-    else:
-        below = [p.t for p in catalog if p.t < t_star - 1e-9]
-        above = [p.t for p in catalog if p.t > t_star + 1e-9]
-        if not below or not above or min(abs(p.t - t_star) for p in catalog) <= 1e-9:
-            raise TerminusNotBetweenSingularities(
-                f"amplitude-one terminus t = {t_star:.6f} does not fall strictly "
-                "between two catalogued points")
-    return PhasePath(anchor_index=n, line_kind=kind, points=tuple(points),
-                     terminus_t=float(t_star), terminus_point=terminus_point)
+def _matched_point(t_star: float, catalog: Sequence[CriticalPoint]) -> CriticalPoint:
+    """Phase-line terminus rule: the catalogued point within 0.05 of t_star."""
+    if not catalog:
+        raise NoCatalogMatch(f"no catalogued point near terminus t = {t_star:.6f}")
+    nearest = min(catalog, key=lambda p: abs(p.t - t_star))
+    if abs(nearest.t - t_star) > _MATCH_RADIUS:
+        raise NoCatalogMatch(
+            f"terminus t = {t_star:.6f} is {abs(nearest.t - t_star):.4f} from the "
+            f"nearest catalogued point (limit {_MATCH_RADIUS})")
+    return nearest
+
+
+def _between_points(t_star: float, catalog: Sequence[CriticalPoint]) -> None:
+    """Amplitude-line terminus rule: t_star lies strictly between two catalogued points."""
+    below = [p.t for p in catalog if p.t < t_star - 1e-9]
+    above = [p.t for p in catalog if p.t > t_star + 1e-9]
+    if not below or not above or min(abs(p.t - t_star) for p in catalog) <= 1e-9:
+        raise TerminusNotBetweenSingularities(
+            f"amplitude-one terminus t = {t_star:.6f} does not fall strictly "
+            "between two catalogued points")
+
+
+# line kind -> (rot, seed offset, terminus rule): the line is the zero set of
+# Im(rot log(delta^2) / 2), seeded at sigma_start, t = (n + offset) pi / ln 2
+_LINE_KINDS = {"phase_zero": (1.0, 0.0, _matched_point),
+               "amplitude_one": (1j, 0.5, _between_points)}
 
 
 def _trace_lines(kind: str, ns: Sequence[int], sigma_start: float = 12.0, step: float = 0.02,
@@ -280,8 +267,9 @@ def _trace_lines(kind: str, ns: Sequence[int], sigma_start: float = 12.0, step: 
         stars.append(ta + (tb - ta) * (sa - 0.5) / (sa - sb))
     if catalog is None:
         catalog = _window_catalog(min(stars), max(stars))
-    return [_terminus(kind, n, points, t_star, catalog)
-            for n, points, t_star in zip(ns, lines, stars)]
+    rule = _LINE_KINDS[kind][2]
+    return [PhasePath(anchor_index=n, line_kind=kind, points=tuple(points), terminus_t=float(t_star),
+                      terminus_point=rule(t_star, catalog)) for n, points, t_star in zip(ns, lines, stars)]
 
 
 def trace_phase_zero_line(n: int, sigma_start: float = 12.0, step: float = 0.02,
@@ -413,8 +401,8 @@ def amplitude_circle(A: float) -> AmplitudeCircle:
     """Locus of |1 - 1/(16 conj(s))| = A: by the Apollonius construction of
     |s - 1/16| = A |s| this is the circle centered at 1/(16(1-A^2)) with
     radius A/(16 |1-A^2|)."""
-    if not A > 0.0:
-        raise DomainError("A must be positive")
+    if not 0.0 < A < math.inf:
+        raise DomainError("A must be positive and finite")
     if abs(A - 1.0) <= 1e-12:
         raise DegenerateCircle("A = 1 gives a vertical line, not a circle")
     return AmplitudeCircle(A=float(A),

@@ -158,16 +158,18 @@ def find_zeros(source: str, t_min: float, t_max: float,
     cross = vals[:-1] * vals[1:] < 0.0
     lo = ts[:-1][cross].copy()
     hi = ts[1:][cross].copy()
+    flo = vals[:-1][cross]
     if lo.size:
-        # a bracket hiding two extra crossings would refine onto the wrong root
-        sub = lo[:, None] + (hi - lo)[:, None] * (np.arange(9) / 8.0)[None, :]
+        # a bracket hiding two extra crossings would refine onto the wrong root;
+        # its 7 interior points are evaluated, its ends are the scan's values
+        sub = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, 8) / 8.0)[None, :]
         sv = _line_values(source, sub.reshape(-1)).reshape(sub.shape)
+        sv = np.column_stack([flo, sv, vals[1:][cross]])
         changes = np.sum(sv[:, :-1] * sv[:, 1:] < 0.0, axis=1)
         if np.any(changes > 1):
             bad = float(lo[np.argmax(changes > 1)])
             raise StepTooCoarse(
                 f"{int(changes.max())} sign changes inside one scan step near t = {bad:.6f}")
-        flo = _line_values(source, lo)
         while np.max(hi - lo) > 1e-9:
             mid = 0.5 * (lo + hi)
             fmid = _line_values(source, mid)
@@ -177,7 +179,7 @@ def find_zeros(source: str, t_min: float, t_max: float,
             flo = np.where(take_hi, flo, fmid)
     roots = 0.5 * (lo + hi)
     if roots.size:
-        deriv = _central_difference(lambda x: _line_values(source, x), roots)
+        deriv = _central_difference(lambda x: _line_values(source, x), roots)[1]
         if np.any(np.abs(deriv) <= 1e-8):
             t_bad = float(roots[np.argmax(np.abs(deriv) <= 1e-8)])
             raise UnexpectedCoincidence(
@@ -229,8 +231,8 @@ def residue_at_pole(sigma: float) -> RealAxisFeature:
         value = beta_L(1.0).real / zeta(1.5).real
     else:
         value = (zeta(a).real * beta_L(a).real
-                 / (2.0 * _central_difference(zeta, 2.0 * a - 0.5).real))
-    return RealAxisFeature(sigma=a, kind="pole", coefficient=value)
+                 / (2.0 * _central_difference(zeta, 2.0 * a - 0.5)[1].real))
+    return RealAxisFeature(sigma=a, kind="pole", coefficient=float(value))
 
 
 def slope_at_zero(sigma: float) -> RealAxisFeature:
@@ -250,7 +252,7 @@ def slope_at_zero(sigma: float) -> RealAxisFeature:
     else:
         den = zeta(2.0 * a - 0.5).real
         if int(round(a)) % 2 == 0:
-            value = _central_difference(zeta, a).real * beta_L(a).real / den
+            value = _central_difference(zeta, a)[1].real * beta_L(a).real / den
         else:
-            value = zeta(a).real * _central_difference(beta_L, a).real / den
-    return RealAxisFeature(sigma=a, kind="zero", coefficient=value)
+            value = zeta(a).real * _central_difference(beta_L, a)[1].real / den
+    return RealAxisFeature(sigma=a, kind="zero", coefficient=float(value))

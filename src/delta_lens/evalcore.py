@@ -407,9 +407,12 @@ def _near_nonpositive_integer(z: np.ndarray, tol: float = _POLE_TOL):
 
 
 def _central_difference(f, x):
-    """Derivative of f at x (a number or an array) by the symmetric quotient
-    (f(x + h) - f(x - h)) / 2h, h = _DIFF_STEP."""
-    return (f(x + _DIFF_STEP) - f(x - _DIFF_STEP)) / (2.0 * _DIFF_STEP)
+    """The pair (f(x), f'(x)) for x a number or an array, from one call of f
+    on the flat batch of x, x + h and x - h: the value and the symmetric
+    quotient (f(x + h) - f(x - h)) / 2h, h = _DIFF_STEP."""
+    x = np.asarray(x)
+    y = np.asarray(f(np.concatenate([x, x + _DIFF_STEP, x - _DIFF_STEP], axis=None))).reshape((3,) + x.shape)
+    return y[0], (y[1] - y[2]) / (2.0 * _DIFF_STEP)
 
 
 def log_gamma(s):

@@ -148,7 +148,7 @@ def _check_poles(q: int, s: np.ndarray):
         z = np.abs(_zeta_values(w))
         small = z <= _DEN_SCREEN
         if np.any(small):
-            dz = np.abs(_central_difference(_zeta_values, w[small]))
+            dz = np.abs(_central_difference(_zeta_values, w[small])[1])
             hit[line[small]] |= z[small] <= 2.0 * _QUOTIENT_POLE_TOL * dz
     if np.any(hit):
         i = int(np.argmax(hit))
@@ -267,9 +267,16 @@ def bracket_phase_zeros(q: int, sigma: float, t_max: float, scan_step: float = 0
     along the vertical line Re s = sigma.
 
     Located by sign changes of Im bracket_factor refined by bisection; for
-    q != 4 these sit at multiples of pi / ln(1/r).
+    q != 4 these sit at multiples of pi / ln(1/r).  sigma must be finite,
+    0 < t_max <= 200 and scan_step in (0, 0.05] (DomainError otherwise).
     """
     q = _label(q)
+    if not -math.inf < sigma < math.inf:
+        raise DomainError("sigma must be finite")
+    if not 0.0 < t_max <= 200.0:
+        raise DomainError("need 0 < t_max <= 200")
+    if not 0.0 < scan_step <= 0.05:
+        raise DomainError("scan_step must lie in (0, 0.05]")
     if q == 4:
         return []
     ts = np.arange(0.0, t_max + scan_step, scan_step)

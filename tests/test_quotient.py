@@ -174,6 +174,16 @@ def test_bracket_phase_zero_anchors():
     assert bracket_phase_zeros(QuotientKind(8), 14.0, 24.0) == zeros8
 
 
+@pytest.mark.parametrize("sigma, t_max, scan_step", [
+    (14.0, 24.0, 0.0), (14.0, 24.0, -0.01), (14.0, 24.0, 0.06), (math.nan, 24.0, 0.01),
+    (math.inf, 24.0, 0.01), (14.0, 0.0, 0.01), (14.0, math.nan, 0.01), (14.0, 1e9, 0.01)],
+    ids=["step0", "step-neg", "step-0.06", "sigma-nan", "sigma-inf", "tmax0", "tmax-nan", "tmax-1e9"])
+def test_bracket_phase_zeros_validation(sigma, t_max, scan_step):
+    for q in (4, 3, 8):  # q = 4 has no bracket zeros but validates its inputs too
+        with pytest.raises(DomainError):
+            bracket_phase_zeros(q, sigma, t_max, scan_step)
+
+
 def test_lattice_sum_known_values():
     assert abs(lattice_sum_C(3.0) - C_AT_3) < 1e-12
     assert abs(lattice_sum_C(3.0) - 4.0 * zeta(3.0) * beta_L(3.0)) < 1e-13

@@ -14,6 +14,9 @@ values are identical bit for bit.  It covers
   matrix-product path);
 * find_zeros for zeta and beta and the zeta, beta and delta5_merged
   catalogs;
+* the residues at the six real-axis poles and the slopes at the five
+  real-axis zeros of the quotient, and bracket_phase_zeros for q = 3 and
+  q = 8 as verify-all checks them;
 * phase-zero and amplitude-one traces for n = 1..21, each with its own
   window catalog.
 
@@ -35,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from delta_lens import census, contours, critical, evalcore  # noqa: E402
-from delta_lens.quotient import _delta_q_values  # noqa: E402
+from delta_lens.quotient import _delta_q_values, bracket_phase_zeros  # noqa: E402
 
 QS = (3, 4, 7, 8)
 LINES = range(1, 22)
@@ -94,6 +97,14 @@ def main() -> None:
     for source, hi in (("zeta", 120.0), ("beta", 101.0), ("delta5_merged", 60.0)):
         digest = _digest_call(lambda: _points_bytes(census.build_catalog(source, hi).entries))
         print(f"catalog/{source}/{hi:g} {digest}")
+    for name, feature, sigmas in (("residue", critical.residue_at_pole, critical.POLE_SIGMAS),
+                                  ("slope", critical.slope_at_zero, critical.ZERO_SIGMAS)):
+        for sigma in sigmas:
+            digest = _digest_call(lambda: struct.pack("<d", feature(sigma).coefficient))
+            print(f"{name}/{sigma:g} {digest}")
+    for q, hi in ((3, 56.0), (8, 24.0)):
+        digest = _digest_call(lambda: np.asarray(bracket_phase_zeros(q, 14.0, hi)).tobytes())
+        print(f"bracket_phase_zeros/{q}/14/0-{hi:g} {digest}")
     for kind, trace in (("phase", contours.trace_phase_zero_line),
                         ("amplitude", contours.trace_amplitude_one_line)):
         for n in LINES:
