@@ -5,12 +5,15 @@ Phase-zero lines (folded phase of the quotient = 0) and amplitude-one lines
 rot = 1 (Im l is the folded phase) and rot = 1j (Re l = log|delta|).  Both are
 marched from large sigma toward the critical line by the tangent predictor
 dt/dsigma = -Im w / Re w and the Newton corrector t -= Im(rot l) / Re w at
-fixed sigma, w = rot delta'/delta.  Both families are anchored at large sigma
-by the loud 2^-s term of the Dirichlet series: phase lines near t = n pi / ln 2,
-amplitude lines halfway between.  One marcher traces any number of lines in
-lockstep on the shared sigma schedule, one quotient batch per Newton
-iteration; each line keeps its own step halving, and a single trace is the
-case of one line.
+fixed sigma, w = rot l'.  delta, l' and l'' come from one fused kernel,
+quotient._delta5_log_derivatives, in closed form from the CVZ sums; a Newton
+step is accepted without evaluating its result once l'' predicts a residual
+within the tolerance, so most traced points cost one kernel call.  Both
+families are anchored at large sigma by the loud 2^-s term of the Dirichlet
+series: phase lines near t = n pi / ln 2, amplitude lines halfway between.
+One marcher traces any number of lines in lockstep on the shared sigma
+schedule, one kernel call per Newton iteration; each line keeps its own step
+halving, and a single trace is the case of one line.
 
 Closed contours get a winding count by accumulating phase increments edge by
 edge, bisecting edges until every increment is below pi/2, so the branch of
@@ -46,8 +49,8 @@ from .errors import (
     TerminusNotBetweenSingularities,
     TraceStalled,
 )
-from .evalcore import LN2, _central_difference
-from .quotient import _delta_q_values
+from .evalcore import LN2
+from .quotient import _delta5_log_derivatives, _delta_q_values
 
 _EPS_BOX = 0.02          # clearance of the box's left edge from sigma = 1/2
 _GUARD_LO, _GUARD_HI = 1e-8, 1e8
@@ -125,33 +128,42 @@ class AmplitudeCircle:
 
 def _corrector(rot: complex, sigma: list[float], t: list[float]) -> list:
     """Newton in t at fixed sigma for K lines at once, driving the level
-    Im(rot log(delta^2) / 2) to zero: the folded phase for rot = 1, log|delta|
-    for rot = 1j.  Its t-derivative is Re w, w = rot delta'/delta.  Each
-    iteration takes delta and delta' from one central difference over the
-    lines still iterating; a line drops out once it converges.  Returns per
-    line (t, w) on convergence, None if 8 iterations do not converge."""
+    L(t) = Im(rot l), l = log(delta^2) / 2, to zero: the folded phase for
+    rot = 1, log|delta| for rot = 1j.  L'(t) = Re w with w = rot l', and
+    L''(t) = -Im(rot l'').  Each iteration takes delta, l' and l'' for the
+    lines still iterating from one call of the fused kernel
+    quotient._delta5_log_derivatives.  A line converges when its level is
+    within _NEWTON_TOL, or when the Newton step dt = L / Re w it takes
+    predicts a residual 4 |L''| dt^2 / 2 within _NEWTON_TOL (4 is a safety
+    factor): then the new t is accepted without another evaluation, with
+    the w of the iterate before it.  Returns per line (t, w) on
+    convergence, None if 8 iterations do not converge."""
     out = [None] * len(t)
     t = list(t)
     live = list(range(len(t)))
     for _ in range(8):
-        vals, ders = (a.tolist() for a in _central_difference(
-            lambda s: _delta_q_values(4, s), np.array([complex(sigma[k], t[k]) for k in live])))
+        vals, l1s, l2s = (a.tolist() for a in _delta5_log_derivatives(
+            np.array([complex(sigma[k], t[k]) for k in live])))
         # the per-line Newton logic runs on Python scalars, which for a few
         # lines costs less than a dozen numpy calls on tiny arrays
         still = []
-        for k, v, d in zip(live, vals, ders):
-            if not (cmath.isfinite(v) and cmath.isfinite(d)):
+        for k, v, l1, l2 in zip(live, vals, l1s, l2s):
+            if not (cmath.isfinite(v) and cmath.isfinite(l1)):
                 continue
             if not _GUARD_LO <= abs(v) <= _GUARD_HI:
                 raise SingularityTooClose(
                     f"|delta5| = {abs(v):.3g} outside [1e-8, 1e8] at sigma={sigma[k]:.6f}, t={t[k]:.6f}")
-            w = rot * (d / v)
+            w = rot * l1
             level = (0.5 * rot * cmath.log(v * v)).imag
             if abs(level) <= _NEWTON_TOL:
                 out[k] = (t[k], w)
             elif w.real != 0.0 and math.isfinite(w.real):
-                t[k] = t[k] - level / w.real
-                still.append(k)
+                dt = level / w.real
+                t[k] = t[k] - dt
+                if 2.0 * abs((rot * l2).imag) * dt * dt <= _NEWTON_TOL:
+                    out[k] = (t[k], w)
+                else:
+                    still.append(k)
         live = still
         if not live:
             break
@@ -172,8 +184,10 @@ def _sigma_schedule(sigma_start: float, step: float) -> list[float]:
 
 
 def _window_catalog(t_lo: float, t_hi: float) -> list[CriticalPoint]:
-    """Critical-line points within 4 of the termini t_lo <= t_hi."""
-    return singular_points_delta5(max(t_lo - 4.0, 0.0), min(t_hi + 4.0, 100.0), 0.01)
+    """Critical-line points within 4 of the termini t_lo <= t_hi.  The window
+    is widened to whole units, so find_zeros' scan grid, and with it every
+    bisected ordinate, stays put when a terminus moves by rounding."""
+    return singular_points_delta5(max(math.floor(t_lo - 4.0), 0.0), min(math.ceil(t_hi + 4.0), 100.0), 0.01)
 
 
 def _march(kind: str, ns: list[int], sigma_start: float, step: float) -> list[list]:

@@ -71,6 +71,7 @@ _POLE_TOL = 1e-12
 _DIFF_STEP = 1e-6  # step of the central-difference derivative
 _TARGET_DIGITS = 14  # significant digits the CVZ and Euler-Maclaurin cutoffs are sized for
 _EM_ORDER = 12  # Bernoulli correction terms of Euler-Maclaurin, B_2 .. B_24
+_ETA_MIN = 0.05  # smallest |1 - 2^(1-s)| the eta route of zeta divides by
 # below this many points the line and grid tests in _power_sum cost more
 # than they can save (Newton batches of one or two lines, short refinement levels)
 _GRID_MIN_POINTS = 16
@@ -297,11 +298,17 @@ def _em_hurwitz(s: np.ndarray, a: float, minus_pole: bool = False) -> np.ndarray
     return out
 
 
+def _eta_factor(s: np.ndarray) -> np.ndarray:
+    """q = 1 - 2^(1-s), with zeta = eta / q; expm1 keeps accuracy near s = 1.
+    Where |q| < _ETA_MIN (near s = 1 + 2 pi i k / ln 2) the eta route loses
+    digits and zeta takes Euler-Maclaurin instead."""
+    return -np.expm1((1.0 - s) * LN2)
+
+
 def _zeta_right(s: np.ndarray) -> np.ndarray:
     """zeta for Re s > 0 (pole neighborhood of s = 1 gives a huge finite value)."""
-    # eta route; 1 - 2^(1-s) via expm1 keeps accuracy near s = 1
-    q = -np.expm1((1.0 - s) * LN2)
-    bad = np.abs(q) < 0.05  # near s = 1 + 2 pi i k / ln 2 the eta route loses digits
+    q = _eta_factor(s)
+    bad = np.abs(q) < _ETA_MIN
     return _branches(s.shape, (~bad, lambda m: _alt_weighted_sum(s[m], 1.0) / q[m]),
                      (bad, lambda m: _em_hurwitz(s[m], 1.0)))
 

@@ -34,12 +34,17 @@ from .errors import (
     PoleOfZeta,
 )
 from .evalcore import (
+    _ETA_MIN,
     LN2,
+    _arith_logs,
     _beta_values,
     _central_difference,
     _character_label,
     _coerce,
+    _cvz_terms,
+    _cvz_weights,
     _dirichlet_values,
+    _eta_factor,
     _near_nonpositive_integer,
     _release,
     _stirling_lgamma,
@@ -126,6 +131,71 @@ def _delta_q_values(q: int, s: np.ndarray) -> np.ndarray:
         elif q > 4:
             den = den * _bracket_values(q, s)
         return num / den
+
+
+_moment_cache: dict[tuple, np.ndarray] = {}
+
+
+def _cvz_moments(step: float, n: int, chain: float) -> np.ndarray:
+    """The n x 2 weights -c L w and c^2 L^2 w, L = log(1 + step k), c = chain:
+    against exp(-x L) they give the first two s-derivatives of the CVZ sum
+    A(x) = sum_k w_k (1 + step k)^(-x) when x = c s + const.  Cached per
+    term count, like _cvz_weights, as real numbers: half the memory of
+    complex ones, and the block matrix they are copied into is complex."""
+    key = (step, n, chain)
+    got = _moment_cache.get(key)
+    if got is None:
+        cl = chain * _arith_logs(step, n)
+        w = _cvz_weights(n).real
+        got = _moment_cache[key] = np.stack([-cl * w, cl * cl * w], axis=1)
+    return got
+
+
+# log delta5 = log A(s) + log B(s) - log A(x) - log q(s) + log q(x), x = 2s - 1/2,
+# with A and B the CVZ sums of zeta and beta and q the eta factor
+_SUM_SIGNS = np.array([1.0, 1.0, -1.0])
+
+
+def _delta5_log_derivatives(s: np.ndarray):
+    """(delta, l1, l2) for a 1-D batch s, with l = log delta5, l1 = l' and
+    l2 = l''.  Where zeta(s), beta(s) and zeta(x), x = 2s - 1/2, all take
+    the eta route of _zeta_values (tracing stays at sigma >= 0.495, where
+    they do), the exponents -s log(1 + k), -s log(1 + 2k) and -x log(1 + k),
+    the terms of _zeta_values and _beta_values, go through one exp.  Each
+    sum's value is its own product with the CVZ weights, as on _power_sum's
+    outer-product path, so delta has the bits of _delta_q_values on any
+    batch that is neither a grid nor a line scan; the derivatives are one
+    product with a block matrix of _cvz_moments columns, and the eta
+    factors q enter in closed form.  A batch with a point off that route
+    (|q(s)| or |q(x)| < _ETA_MIN, near s or x = 1 + 2 pi i k / ln 2, or
+    Re x <= 0) takes delta and delta' from evalcore._central_difference
+    instead, with l2 = nan."""
+    s = np.ascontiguousarray(s, dtype=np.complex128)
+    x = 2.0 * s - 0.5
+    q = _eta_factor(np.array([s, x]))
+    if np.abs(q).min() < _ETA_MIN or x.real.min() <= 0.0:
+        v, d = _central_difference(lambda z: _delta_q_values(4, z), s)
+        return v, d / v, np.full(s.shape, complex(math.nan, math.nan))
+    n, nx = _cvz_terms(s), _cvz_terms(x)
+    e = np.concatenate([np.multiply.outer(-s, np.concatenate([_arith_logs(1.0, n), _arith_logs(2.0, n)])),
+                        np.multiply.outer(-x, _arith_logs(1.0, nx))], axis=1)
+    e = np.exp(e, out=e)
+    moments = np.zeros((e.shape[1], 6), dtype=np.complex128)
+    moments[:n, 0:2] = _cvz_moments(1.0, n, 1.0)
+    moments[n:2 * n, 2:4] = _cvz_moments(2.0, n, 1.0)
+    moments[2 * n:, 4:6] = _cvz_moments(1.0, nx, 2.0)
+    w = _cvz_weights(n)
+    a = np.empty((s.size, 3), dtype=np.complex128)
+    a[:, 0], a[:, 1], a[:, 2] = e[:, :n] @ w, e[:, n:2 * n] @ w, e[:, 2 * n:] @ _cvz_weights(nx)
+    m = (e @ moments).reshape(-1, 3, 2)
+    g1 = m[:, :, 0] / a  # (log A)' and (log A)'' of each sum A
+    g2 = m[:, :, 1] / a - g1 * g1
+    # (log q)' = ln2 (1 - q)/q, (log q)'' = -ln2^2 (1 - q)/q - ((log q)')^2
+    q1 = LN2 * ((1.0 - q) / q)
+    q2 = -LN2 * q1 - q1 * q1
+    l1 = g1 @ _SUM_SIGNS + 2.0 * q1[1] - q1[0]  # dx/ds = 2
+    l2 = g2 @ _SUM_SIGNS + 4.0 * q2[1] - q2[0]
+    return a[:, 0] / q[0] * a[:, 1] / (a[:, 2] / q[1]), l1, l2
 
 
 def _check_poles(q: int, s: np.ndarray):

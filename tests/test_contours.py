@@ -14,6 +14,7 @@ from delta_lens.contours import (AmplitudeCircle, PhasePath, WindingReport,
                                  argument_principle_box, export_trace_csv,
                                  sample_circle_moduli, trace_amplitude_one_line,
                                  trace_phase_zero_line, winding_count)
+from delta_lens.critical import singular_points_delta5
 from delta_lens.errors import (DegenerateCircle, DomainError, IoFailure,
                                RefinementExhausted, SingularOnContour)
 from delta_lens.quotient import delta5, fold_phase
@@ -111,20 +112,44 @@ def test_lockstep_matches_single_traces(ns, step, merged_catalog):
     entries = merged_catalog.entries
     together = _trace_lines("phase_zero", ns, step=step, catalog=entries)
     alone = [trace_phase_zero_line(n, step=step, catalog=entries) for n in ns]
-    # lines traced together size their series for the whole batch, so a
-    # Newton iterate can land a little elsewhere; at the default step that
-    # moves no t by 1e-12 (9.3e-13 seen), at step 0.5 by up to ~3e-11,
-    # inside the corrector's own resolution (|folded phase| <= 1e-10)
-    tol = 1e-12 if step == 0.02 else 1e-10
+    # lines traced together size their series for the whole batch, so they
+    # differ from single traces in the last bits; with the analytic slope
+    # that moves no t by 1e-13 (3.6e-15 seen at step 0.02, 2.1e-14 at 0.5)
     for a, b in zip(together, alone):
         assert a.anchor_index == b.anchor_index
         assert len(a.points) == len(b.points)
         assert [p[0] for p in a.points] == [p[0] for p in b.points]
-        assert max(abs(p[1] - q[1]) for p, q in zip(a.points, b.points)) <= tol
+        assert max(abs(p[1] - q[1]) for p, q in zip(a.points, b.points)) <= 1e-13
         assert a.terminus_point == b.terminus_point
     if step == 0.5:  # line 5 follows the plain schedule and line 12 halves its step
         plain = len(contours._sigma_schedule(12.0, step)) + 1
         assert len(together[0].points) == plain < len(together[1].points)
+
+
+def test_own_window_terminus_matches_shared_catalog():
+    # a single trace scans its own window around its terminus; anchored on
+    # whole units, the window's scan grid does not move with the terminus,
+    # so it matches the same ordinate as one shared catalog
+    shared = _trace_lines("phase_zero", range(1, 22), catalog=singular_points_delta5(0.0, 100.0))
+    for path in shared:
+        window = contours._window_catalog(path.terminus_t, path.terminus_t)
+        own = contours._matched_point(path.terminus_t, window)
+        assert abs(own.t - path.terminus_point.t) <= 1e-12  # 3.6e-15 seen, 20 of 21 identical
+
+
+def test_corrector_takes_one_kernel_call_per_point(monkeypatch, merged_catalog):
+    # a Newton step whose predicted residual is within the tolerance is
+    # accepted without a confirming evaluation
+    calls = []
+    kernel = contours._delta5_log_derivatives
+
+    def counting(s):
+        calls.append(np.size(s))
+        return kernel(s)
+
+    monkeypatch.setattr(contours, "_delta5_log_derivatives", counting)
+    path = trace_phase_zero_line(5, catalog=merged_catalog.entries)
+    assert len(calls) <= 1.2 * len(path.points)  # 661 calls for 577 points seen
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from delta_lens import quotient
 from delta_lens.errors import (DomainError, GammaPoleOnPath, PoleOfDelta5,
                                PoleOfDeltaQ, UnsupportedDiscriminant)
 from delta_lens.evalcore import beta_L, zeta
-from delta_lens.quotient import (AsymptoticPhase, QuotientKind, bracket_factor,
+from delta_lens.quotient import (AsymptoticPhase, QuotientKind, _delta_q_values, bracket_factor,
                                  bracket_phase_zeros, critical_phase_approx,
                                  delta5, delta_q, f5, f5_asymptotic, fold_phase,
                                  functional_equation_residual, lattice_sum_C,
@@ -199,3 +200,76 @@ def test_lattice_sum_against_brute_force():
     q = np.where(q == 0, 1, q).astype(np.float64)
     brute = float((q ** -3.0).sum()) - 1.0  # subtract the patched origin
     assert abs(lattice_sum_C(3.0).real - brute) < 1e-9
+
+
+# l' and l'' of l = log delta5, computed once with mpmath at 40 digits from
+# zeta(s, a, k) derivatives: zeta'/zeta(s) + beta'/beta(s) - 2 zeta'/zeta(2s - 1/2)
+# and its derivative; the kernel is held to it, mpmath is not a dependency
+LOG_DERIVATIVE_ORACLE = [  # (sigma, t, l', l'')
+    (0.495, 2, (0.008192052762762175+0.12538010308217623j), (0.024797354033896952+0.00873242952185783j)),
+    (0.495, 14.3, (-0.17819949133726812-7.2344538441311315j), (35.603666363678855-2.2265433371712757j)),
+    (0.495, 37.7, (-0.1706590315252718-15.212077328871178j), (33.93204725560407-9.574734440836725j)),
+    (0.495, 61, (-0.11966552872651223-6.427212010989011j), (23.878069725211002-1.9198762647949572j)),
+    (0.495, 99, (59.56796866941006-99.20740667097168j), (-4758.936695342093-10956.35538127971j)),
+    (0.52, 2, (0.00880728070572272+0.12560808148699795j), (0.02440372008115395+0.009502215567718738j)),
+    (0.52, 14.3, (0.703674345538543-7.152079193048219j), (34.13557482073432+8.668526091367484j)),
+    (0.52, 37.7, (0.6531516829755067-14.861818591393373j), (29.60615839134413+36.44706828393931j)),
+    (0.52, 61, (0.4703158636700163-6.356206989909762j), (22.633164270742686+7.469645803485946j)),
+    (0.52, 99, (-42.649949097092936-24.23061893233351j), (1670.2260808784963+1466.4358645747793j)),
+    (0.8, 2, (0.014393013200477292+0.12920586497578748j), (0.013770926078049103+0.014962860670996897j)),
+    (0.8, 14.3, (2.3145766497178415-2.4710864362882017j), (-5.192832838618274+7.974335720973957j)),
+    (0.8, 37.7, (0.2923444232944008-2.3569770553820346j), (-2.0330008288211947+13.476258724770979j)),
+    (0.8, 61, (0.7478003155732781-2.4723429268666903j), (-4.562796337898477+6.594715484333819j)),
+    (0.8, 99, (0.4681160572938872-1.234072554043808j), (3.984938953391731+11.882088896656738j)),
+    (1.3, 2, (0.013911073281441257+0.13432972890375613j), (-0.014701467272444896+0.00022352774631219954j)),
+    (1.3, 14.3, (0.8027389177070625-0.8616177585992004j), (-1.4350129343361409+1.4192174406366207j)),
+    (1.3, 37.7, (0.016558201091388464-0.3346380917387427j), (-0.16187394057399962+0.9885105469051988j)),
+    (1.3, 61, (0.06575769173928703-0.886451502708456j), (-0.18105252967758537+1.5530476272305676j)),
+    (1.3, 99, (0.2261377818535659+0.2552415131597365j), (-0.7275192729251136-0.024846166725943312j)),
+    (3, 2, (-0.010253535455888791+0.0748637656571324j), (-0.00036395392705267885-0.04295044394255862j)),
+    (3, 14.3, (0.1032184994758548-0.08262574122726128j), (-0.09506540616987606+0.09508714730043782j)),
+    (3, 37.7, (-0.038441373283493875+0.03326487229184802j), (0.016170544099852312+0.008737863464767247j)),
+    (3, 61, (0.008253947035266548-0.11148996922988665j), (-0.006345288559729952+0.1019491092724403j)),
+    (3, 99, (-0.04859384803262699-0.0035292231533281307j), (0.009611367506864685-0.02908732156227393j)),
+    (7, 2, (-0.00102449683741365+0.005292183302800287j), (0.0007224867431574043-0.00364595305121883j)),
+    (7, 14.3, (0.004850281966244949-0.002634874449054722j), (-0.003412205241822024+0.0019035590491958561j)),
+    (7, 37.7, (-0.002939598200104042+0.004448589942504542j), (0.002038190545776588-0.0030029672945280916j)),
+    (7, 61, (0.0006534310348824215-0.005418860991874822j), (-0.0004272621195145817+0.0037966241242054057j)),
+    (7, 99, (-0.004700679116869864-0.002468676153208231j), (0.003205119321630108+0.0016371957669540497j)),
+    (12, 2, (-3.110288494555336e-05+0.000166324980744286j), (2.1595664229890765e-05-0.00011526786866222805j)),
+    (12, 14.3, (0.00014958270257270058-7.9301228323234e-05j), (-0.00010371852889170036+5.5021078656594334e-05j)),
+    (12, 37.7, (-9.161237514781e-05+0.00014221852303085886j), (6.351585423353909e-05-9.852063312053234e-05j)),
+    (12, 61, (2.1793600577315252e-05-0.00016783657115422055j), (-1.5064083331524662e-05+0.00011635740405977339j)),
+    (12, 99, (-0.0001489860953640282-8.008587121877513e-05j), (0.00010323280188784946+5.545825285685116e-05j)),
+]
+# eta-factor fallback points (s or 2s - 1/2 near 1 + 2 pi i / ln 2) with their mpmath l'
+LOG_DERIVATIVE_FALLBACK = [
+    (1.01 + 2j * math.pi / math.log(2.0), 0.022913091324724928 + 0.28263728752593836j),
+    (0.99 + 2j * math.pi / math.log(2.0), 0.02342935990750702 + 0.28760294119448715j),
+    (0.75 + 1j * math.pi / math.log(2.0), 0.07178909752205508 + 0.3185141784916375j),
+]
+
+
+@pytest.mark.parametrize("sigma", sorted({row[0] for row in LOG_DERIVATIVE_ORACLE}))
+def test_log_derivative_kernel_matches_oracle(sigma):
+    rows = [row for row in LOG_DERIVATIVE_ORACLE if row[0] == sigma]
+    s = np.array([complex(sig, t) for sig, t, _, _ in rows])
+    delta, l1, l2 = quotient._delta5_log_derivatives(s)
+    want1, want2 = np.array([row[2] for row in rows]), np.array([row[3] for row in rows])
+    assert np.max(np.abs(l1 - want1) / np.abs(want1)) <= 1e-11  # worst seen 9.7e-13
+    assert np.max(np.abs(l2 - want2) / np.abs(want2)) <= 1e-10  # worst seen 2.2e-12
+    # the values are the sums of _delta_q_values on the same batch (bit for bit here)
+    assert np.max(np.abs(delta - _delta_q_values(4, s)) / np.abs(delta)) <= 4e-15
+
+
+def test_log_derivative_kernel_fallback():
+    for s, want1 in LOG_DERIVATIVE_FALLBACK:
+        delta, l1, l2 = quotient._delta5_log_derivatives(np.array([s]))
+        np.testing.assert_allclose(delta, _delta_q_values(4, np.array([s])), rtol=4e-15, atol=0.0)
+        assert np.all(np.isfinite(l1)) and abs(l1[0] - want1) <= 1e-8 * abs(want1)  # 3.3e-9 seen
+        assert np.isnan(l2[0].real) and np.isnan(l2[0].imag)
+    # one fallback point sends its whole batch through the central difference
+    s = np.array([3.0 + 14.3j, LOG_DERIVATIVE_FALLBACK[0][0]])
+    delta, l1, l2 = quotient._delta5_log_derivatives(s)
+    np.testing.assert_allclose(delta, _delta_q_values(4, s), rtol=4e-15, atol=0.0)
+    assert np.all(np.isfinite(l1)) and np.all(np.isnan(l2.imag))

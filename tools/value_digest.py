@@ -9,6 +9,9 @@ values are identical bit for bit.  It covers
   q = 3, 4, 7, 8 on the probe pool of benchmark/reference.json, evaluated
   as one vector, in 3-point batches and in 1-point batches;
 * the same functions on a 30 x 40 grid (the grid matrix-product path);
+* the tracing kernel quotient._delta5_log_derivatives (delta5 and the first
+  two derivatives of its log) on the probe-pool points with sigma >= 0.495,
+  as one vector and in 3-point batches;
 * the raw critical-line scan values critical._line_values of zeta on the
   0..200 and of beta on the 0..100 scan grid of find_zeros (the line
   matrix-product path);
@@ -38,7 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from delta_lens import census, contours, critical, evalcore  # noqa: E402
-from delta_lens.quotient import _delta_q_values, bracket_phase_zeros  # noqa: E402
+from delta_lens.quotient import _delta5_log_derivatives, _delta_q_values, bracket_phase_zeros  # noqa: E402
 
 QS = (3, 4, 7, 8)
 LINES = range(1, 22)
@@ -88,6 +91,10 @@ def main() -> None:
         for label, batch in (("vector", pool.size), ("batch3", 3), ("batch1", 1)):
             print(f"{name}/{label} {_digest_call(_values, fn, pool, batch)}")
         print(f"{name}/grid30x40 {_digest_call(lambda: np.asarray(fn(grid)).tobytes())}")
+    right = pool[pool.real >= 0.495]
+    for label, batch in (("vector", right.size), ("batch3", 3)):
+        digest = _digest_call(_values, lambda s: np.concatenate(_delta5_log_derivatives(s)), right, batch)
+        print(f"logderiv/{label} {digest}")
     for source, hi in (("zeta", 200.0), ("beta", 100.0)):
         ts = np.append(0.01 * np.arange(int(round(hi / 0.01))), hi)  # as find_zeros builds it
         digest = _digest_call(lambda: critical._line_values(source, ts).tobytes())
