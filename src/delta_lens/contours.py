@@ -6,14 +6,17 @@ rot = 1 (Im l is the folded phase) and rot = 1j (Re l = log|delta|).  Both are
 marched from large sigma toward the critical line by the tangent predictor
 dt/dsigma = -Im w / Re w and the Newton corrector t -= Im(rot l) / Re w at
 fixed sigma, w = rot l'.  delta, l' and l'' come from one fused kernel,
-quotient._delta5_log_derivatives, in closed form from the CVZ sums; a Newton
-step is accepted without evaluating its result once l'' predicts a residual
-within the tolerance, so most traced points cost one kernel call.  Both
-families are anchored at large sigma by the loud 2^-s term of the Dirichlet
-series: phase lines near t = n pi / ln 2, amplitude lines halfway between.
-One marcher traces any number of lines in lockstep on the shared sigma
-schedule, one kernel call per Newton iteration; each line keeps its own step
-halving, and a single trace is the case of one line.
+quotient._delta5_log_derivatives, in closed form from the CVZ sums.  Every
+Newton step is taken; a line stops iterating once its level was within the
+tolerance or l'' predicts a residual within it after the step, so most
+traced points cost one kernel call and every traced t lies within 1e-9 of
+its level line.  Both families are anchored at large sigma by the loud 2^-s
+term of the Dirichlet series: phase lines near t = n pi / ln 2, amplitude
+lines halfway between.  One loop traces any number of lines in lockstep:
+each pass takes one Newton step for every unfinished line in one kernel
+call, a converged line moves on to its next sigma in the next pass, and
+each line keeps its own step halving.  A single trace is the case of one
+line, and the seed at sigma_start is the first target of every line.
 
 Closed contours get a winding count by accumulating phase increments edge by
 edge, bisecting edges until every increment is below pi/2, so the branch of
@@ -126,50 +129,6 @@ class AmplitudeCircle:
                               "closed form for this A")
 
 
-def _corrector(rot: complex, sigma: list[float], t: list[float]) -> list:
-    """Newton in t at fixed sigma for K lines at once, driving the level
-    L(t) = Im(rot l), l = log(delta^2) / 2, to zero: the folded phase for
-    rot = 1, log|delta| for rot = 1j.  L'(t) = Re w with w = rot l', and
-    L''(t) = -Im(rot l'').  Each iteration takes delta, l' and l'' for the
-    lines still iterating from one call of the fused kernel
-    quotient._delta5_log_derivatives.  A line converges when its level is
-    within _NEWTON_TOL, or when the Newton step dt = L / Re w it takes
-    predicts a residual 4 |L''| dt^2 / 2 within _NEWTON_TOL (4 is a safety
-    factor): then the new t is accepted without another evaluation, with
-    the w of the iterate before it.  Returns per line (t, w) on
-    convergence, None if 8 iterations do not converge."""
-    out = [None] * len(t)
-    t = list(t)
-    live = list(range(len(t)))
-    for _ in range(8):
-        vals, l1s, l2s = (a.tolist() for a in _delta5_log_derivatives(
-            np.array([complex(sigma[k], t[k]) for k in live])))
-        # the per-line Newton logic runs on Python scalars, which for a few
-        # lines costs less than a dozen numpy calls on tiny arrays
-        still = []
-        for k, v, l1, l2 in zip(live, vals, l1s, l2s):
-            if not (cmath.isfinite(v) and cmath.isfinite(l1)):
-                continue
-            if not _GUARD_LO <= abs(v) <= _GUARD_HI:
-                raise SingularityTooClose(
-                    f"|delta5| = {abs(v):.3g} outside [1e-8, 1e8] at sigma={sigma[k]:.6f}, t={t[k]:.6f}")
-            w = rot * l1
-            level = (0.5 * rot * cmath.log(v * v)).imag
-            if abs(level) <= _NEWTON_TOL:
-                out[k] = (t[k], w)
-            elif w.real != 0.0 and math.isfinite(w.real):
-                dt = level / w.real
-                t[k] = t[k] - dt
-                if 2.0 * abs((rot * l2).imag) * dt * dt <= _NEWTON_TOL:
-                    out[k] = (t[k], w)
-                else:
-                    still.append(k)
-        live = still
-        if not live:
-            break
-    return out
-
-
 def _sigma_schedule(sigma_start: float, step: float) -> list[float]:
     targets = []
     k = 1
@@ -191,38 +150,62 @@ def _window_catalog(t_lo: float, t_hi: float) -> list[CriticalPoint]:
 
 
 def _march(kind: str, ns: list[int], sigma_start: float, step: float) -> list[list]:
-    """Predictor-corrector for the lines ns in lockstep on the shared sigma
-    schedule: each step corrects every unfinished line in one batch, and a
-    line whose corrector fails halves its own step while the others go on.
-    Returns each line's (sigma, t) points."""
+    """Predictor-corrector for the lines ns in lockstep.  Each line walks the
+    sigma schedule, sigma_start first, and at each target sigma drives the
+    level L(t) = Im(rot l), l = log(delta^2) / 2, to zero by Newton in t: the
+    folded phase for rot = 1, log|delta| for rot = 1j.  L'(t) = Re w with
+    w = rot l', and L''(t) = -Im(rot l'').
+
+    Each pass makes one call of the fused kernel
+    quotient._delta5_log_derivatives with the current iterate of every
+    unfinished line and takes one Newton step dt = L / Re w per line.  A line
+    converges when, after that step, |L| was within _NEWTON_TOL or the step
+    predicts a residual 4 |L''| dt^2 / 2 within it (4 is a safety factor):
+    it records the stepped t and predicts its next target along the tangent,
+    dt/dsigma = -Im w / Re w, for the next pass.  A line that meets a
+    non-finite value or does not converge in 8 steps halves its own step
+    while the others go on.  The slope starts at w = 1, so the prediction
+    for the seed is the seed itself.  Returns each line's (sigma, t) points."""
     rot, offset, _ = _LINE_KINDS[kind]
-    got = _corrector(rot, [sigma_start] * len(ns), [(n + offset) * math.pi / LN2 for n in ns])
-    if None in got:
-        raise TraceStalled(f"{kind} corrector failed at the seed (n={ns[got.index(None)]})")
-    t, w = (list(col) for col in zip(*got))
-    sigma = [sigma_start] * len(ns)
-    points = [[(sigma_start, tk)] for tk in t]
-    schedule = list(reversed(_sigma_schedule(sigma_start, step)))
-    pending = [list(schedule) for _ in ns]
+    schedule = list(reversed(_sigma_schedule(sigma_start, step))) + [sigma_start]
+    pending = [list(schedule) for _ in ns]  # each line's targets, next one last
+    sigma = [sigma_start] * len(ns)  # last recorded sigma, t and slope w
+    t = [(n + offset) * math.pi / LN2 for n in ns]
+    w = [1.0] * len(ns)
+    guess, tries = list(t), [0] * len(ns)
+    points = [[] for _ in ns]
     live = list(range(len(ns)))
     while live:
-        target = [pending[k][-1] for k in live]
-        # predict along the level set's tangent, dt/dsigma = -Im w / Re w
-        guess = [t[k] - (w[k].imag / w[k].real if w[k].real else 0.0) * (tg - sigma[k])
-                 for k, tg in zip(live, target)]
-        got = _corrector(rot, target, guess)
-        for k, tg, g in zip(live, target, got):
-            if g is None:
-                half = 0.5 * (sigma[k] + tg)
+        vals, l1s, l2s = (a.tolist() for a in _delta5_log_derivatives(
+            np.array([complex(pending[k][-1], guess[k]) for k in live])))
+        # the per-line Newton logic runs on Python scalars, which for a few
+        # lines costs less than a dozen numpy calls on tiny arrays
+        for k, v, l1, l2 in zip(live, vals, l1s, l2s):
+            level = dt = math.nan
+            if cmath.isfinite(v) and cmath.isfinite(l1):
+                if not _GUARD_LO <= abs(v) <= _GUARD_HI:
+                    raise SingularityTooClose(f"|delta5| = {abs(v):.3g} outside [1e-8, 1e8] at "
+                                              f"sigma={pending[k][-1]:.6f}, t={guess[k]:.6f}")
+                wk = rot * l1
+                if wk.real != 0.0:
+                    level = (0.5 * rot * cmath.log(v * v)).imag
+                    dt = level / wk.real
+                    guess[k] -= dt
+            tries[k] += 1
+            if abs(level) <= _NEWTON_TOL or 2.0 * abs((rot * l2).imag) * dt * dt <= _NEWTON_TOL:
+                sigma[k], t[k], w[k] = pending[k].pop(), guess[k], wk
+                points[k].append((sigma[k], t[k]))
+            elif math.isfinite(dt) and tries[k] < 8:
+                continue
+            else:
+                half = 0.5 * (sigma[k] + pending[k][-1])
                 if sigma[k] - half < _MIN_STEP:
                     raise TraceStalled(
                         f"{kind} line n={ns[k]} stalled at sigma={sigma[k]:.6f} (step below 1e-4)")
                 pending[k].append(half)
-                continue
-            pending[k].pop()
-            sigma[k] = tg
-            t[k], w[k] = g
-            points[k].append((tg, t[k]))
+            tries[k] = 0
+            if pending[k]:
+                guess[k] = t[k] - w[k].imag / w[k].real * (pending[k][-1] - sigma[k])
         live = [k for k in live if pending[k]]
     return points
 
@@ -260,8 +243,8 @@ def _trace_lines(kind: str, ns: Sequence[int], sigma_start: float = 12.0, step: 
     """Trace the lines ns of one kind together (see _march); a single line
     is the case K = 1.  Without a catalog, one window scan covers every
     terminus.  Lines traced together size their series for the whole batch,
-    so they can differ from single traces in the last bits, or within the
-    corrector's 1e-10 resolution where that moves a Newton stop."""
+    so they can differ from single traces in the last bits; where that moves
+    a Newton stop, both stay within 1e-9 of the level line."""
     for n in ns:
         if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
             raise DomainError(f"n must be a positive integer, not {n!r}")

@@ -27,9 +27,9 @@ take one complex exp per point and term.
 
 Piecewise definitions (the reflection half-plane, the eta-route fallback
 near s = 1 + 2 pi i k / ln 2, the rational Hurwitz reflection) go through
-one branch helper, _branches: a batch that lies in one branch, such as the
-3-point batches of a Newton step, is handed to that branch whole, without a
-copy or a scatter.
+one branch helper, _branches: a batch that lies in one branch, such as a
+scalar probe or a round of bisection midpoints, is handed to that branch
+whole, without a copy or a scatter.
 
 All functions are pure; the module keeps only immutable weight caches.
 """
@@ -73,7 +73,7 @@ _TARGET_DIGITS = 14  # significant digits the CVZ and Euler-Maclaurin cutoffs ar
 _EM_ORDER = 12  # Bernoulli correction terms of Euler-Maclaurin, B_2 .. B_24
 _ETA_MIN = 0.05  # smallest |1 - 2^(1-s)| the eta route of zeta divides by
 # below this many points the line and grid tests in _power_sum cost more
-# than they can save (Newton batches of one or two lines, short refinement levels)
+# than they can save (scalar probes, short refinement levels, bisection midpoints)
 _GRID_MIN_POINTS = 16
 
 
@@ -189,10 +189,10 @@ def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
       parts that fill at least half of the R x I grid they span
       (R*I <= 2N); a is sigma, b is t.
 
-    Points no rule covers (short Newton batches, bisection midpoints, a
-    scan's clipped last ordinate, scattered probes) take the outer product
-    exp(-s logs) @ w: one product below _GRID_MIN_POINTS, blocked above so
-    it stays small.
+    Points no rule covers (scalar and scattered probes, short refinement
+    levels, bisection midpoints, a scan's clipped last ordinate) take the
+    outer product exp(-s logs) @ w: one product below _GRID_MIN_POINTS,
+    blocked above so it stays small.
     """
     flat = np.ascontiguousarray(s, dtype=np.complex128).reshape(-1)
     if flat.size < _GRID_MIN_POINTS:

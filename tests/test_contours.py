@@ -16,8 +16,10 @@ from delta_lens.contours import (AmplitudeCircle, PhasePath, WindingReport,
                                  trace_phase_zero_line, winding_count)
 from delta_lens.critical import singular_points_delta5
 from delta_lens.errors import (DegenerateCircle, DomainError, IoFailure,
-                               RefinementExhausted, SingularOnContour)
-from delta_lens.quotient import delta5, fold_phase
+                               NoCatalogMatch, RefinementExhausted,
+                               SingularityTooClose, SingularOnContour,
+                               TerminusNotBetweenSingularities, TraceStalled)
+from delta_lens.quotient import _delta5_log_derivatives, delta5, fold_phase
 
 FIRST_BETA_ZERO = 6.020948904697586
 
@@ -37,8 +39,9 @@ def _trace_values(traces) -> np.ndarray:
 
 
 def test_phase_trace_interior_really_has_zero_phase(phase_traces):
-    # the corrector stops at |folded phase| <= 1e-10; re-evaluation in another
-    # batch moves that by rounding only (worst seen 1.0e-10)
+    # the tracer stops at |folded phase| <= 1e-10 before its last Newton
+    # step; re-evaluation in another batch moves that by rounding only
+    # (worst seen 2.5e-11)
     worst = max(abs(fold_phase(float(a))) for a in np.angle(_trace_values(phase_traces)))
     assert worst <= 1.5e-10
 
@@ -50,7 +53,23 @@ def test_amplitude_trace_between_singular_points(amplitude_traces, merged_catalo
     assert 0 < k < len(ts)
     assert ts[k - 1] < path.terminus_t < ts[k]
     worst = float(np.max(np.abs(np.log(np.abs(_trace_values(amplitude_traces))))))
-    assert worst <= 1.5e-10
+    assert worst <= 1.5e-10  # 2.5e-11 seen
+
+
+@pytest.mark.parametrize("kind, rot", [("phase", 1.0), ("amplitude", 1j)])
+def test_traced_points_lie_on_their_level_line(kind, rot, request):
+    # three Newton steps at fixed sigma from every traced point, all points
+    # in one kernel batch, converge to the level line Im(rot l) = 0 there;
+    # every accepted Newton step is taken, so no traced t is more than 1e-9 from it
+    # (6.4e-10 seen for lines 1..21; an iterate accepted without its step
+    # was 5.6e-7 off near sigma = 12)
+    traces = request.getfixturevalue(f"{kind}_traces")
+    s = np.array([complex(sigma, t) for path in traces.values() for sigma, t in path.points])
+    t = s.imag
+    for _ in range(3):
+        v, l1, _ = _delta5_log_derivatives(s.real + 1j * t)
+        t = t - (0.5 * rot * np.log(v * v)).imag / (rot * l1).real
+    assert float(np.max(np.abs(t - s.imag))) <= 1e-9
 
 
 def test_trace_validation():
@@ -88,9 +107,9 @@ def test_trace_rejects_oversized_schedule(call, monkeypatch):
     # sigma_start = 1e12 at step 0.02 would be 5e13 sigma targets: the trace
     # must raise before it builds the schedule or evaluates anything
     def no_evaluation(*args):
-        raise AssertionError("the corrector ran")
+        raise AssertionError("the kernel ran")
 
-    monkeypatch.setattr(contours, "_corrector", no_evaluation)
+    monkeypatch.setattr(contours, "_delta5_log_derivatives", no_evaluation)
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="predictor steps"):
@@ -99,6 +118,51 @@ def test_trace_rejects_oversized_schedule(call, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _patched_kernel(monkeypatch, change):
+    kernel = contours._delta5_log_derivatives
+    monkeypatch.setattr(contours, "_delta5_log_derivatives", lambda s: change(s, *kernel(s)))
+
+
+def test_trace_stalls_at_the_seed(monkeypatch):
+    # the seed is the first target of the schedule: a failed seed has no
+    # step left to halve
+    nan = complex(math.nan, math.nan)
+    _patched_kernel(monkeypatch, lambda s, v, l1, l2: (np.full_like(v, nan),) * 3)
+    with pytest.raises(TraceStalled, match=r"line n=5 stalled at sigma=12\.000000 \(step below 1e-4\)"):
+        trace_phase_zero_line(5, catalog=[])
+
+
+def test_trace_stalls_at_the_minimum_step(monkeypatch):
+    def nan_left_of_6(s, v, l1, l2):
+        v[s.real < 6.0] = math.nan
+        return v, l1, l2
+
+    _patched_kernel(monkeypatch, nan_left_of_6)
+    with pytest.raises(TraceStalled, match=r"line n=2 stalled at sigma=6\.000000 \(step below 1e-4\)"):
+        trace_amplitude_one_line(2, catalog=[])
+
+
+def test_trace_refuses_a_singular_value(monkeypatch):
+    _patched_kernel(monkeypatch, lambda s, v, l1, l2: (1e9 * v, l1, l2))
+    with pytest.raises(SingularityTooClose, match=r"outside \[1e-8, 1e8\] at sigma=12\.000000, t="):
+        trace_phase_zero_line(5, catalog=[])
+
+
+def test_phase_trace_without_catalog_match():
+    with pytest.raises(NoCatalogMatch, match=r"no catalogued point near terminus t = "):
+        trace_phase_zero_line(5, catalog=[])
+    # line 22 ends at t = 100.63, past the end of its own window scan at t = 100
+    with pytest.raises(NoCatalogMatch, match=r"terminus t = 100\.6\d+ is "):
+        trace_phase_zero_line(22)
+
+
+def test_amplitude_trace_needs_points_on_both_sides(amplitude_traces, merged_catalog):
+    t_star = amplitude_traces[3].terminus_t
+    below = [e for e in merged_catalog.entries if e.t < t_star]
+    with pytest.raises(TerminusNotBetweenSingularities, match=r"terminus t = \d+\.\d{6} does not"):
+        trace_amplitude_one_line(3, catalog=below)
 
 
 def test_trace_accepts_numpy_integer_index(merged_catalog, phase_traces):

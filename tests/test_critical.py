@@ -4,12 +4,14 @@ singular-point catalog and the real-axis residue/slope features."""
 import numpy as np
 import pytest
 
+from delta_lens import critical
 from delta_lens.critical import (CriticalPoint, POLE_SIGMAS, RealAxisFeature,
                                  ZERO_SIGMAS, completed_beta, completed_zeta,
                                  find_zeros, residue_at_pole,
                                  singular_points_delta5, slope_at_zero)
 from delta_lens.errors import (DomainError, NotAPole, NotAZero,
-                               PoleOfCompletedZeta)
+                               PoleOfCompletedZeta, StepTooCoarse,
+                               UnexpectedCoincidence)
 from delta_lens.quotient import delta5
 
 # first ordinates of the two zero families, independently computed
@@ -73,6 +75,32 @@ def test_find_zeros_validation():
         find_zeros("zeta", 0.0, 10.0, scan_step=0.2)
     with pytest.raises(DomainError):
         find_zeros("gamma", 0.0, 10.0)
+
+
+def test_find_zeros_refuses_a_coarse_step(monkeypatch):
+    # sin(2000 t) turns 20 rad per 0.01 scan step: its first bracket, at
+    # t = 0.02, hides seven sign changes
+    monkeypatch.setattr(critical, "_line_values", lambda source, ts: np.sin(2000.0 * np.asarray(ts)))
+    with pytest.raises(StepTooCoarse, match=r"^7 sign changes inside one scan step near t = 0\.020000$"):
+        find_zeros("zeta", 0.0, 1.0)
+
+
+def test_find_zeros_refuses_a_multiple_zero(monkeypatch):
+    monkeypatch.setattr(critical, "_line_values", lambda source, ts: (np.asarray(ts) - 5.0031) ** 3)
+    with pytest.raises(UnexpectedCoincidence, match=r"vanishing derivative at detected zero t = 5\.003100000"):
+        find_zeros("zeta", 0.0, 10.0)
+
+
+def test_singular_points_refuse_a_zero_on_a_pole(monkeypatch):
+    # a zeta zero at t = 2 and the pole at t = 2 from the zeta zero at 4
+    def fake(source, t_min, t_max, scan_step):
+        ts = (2.0, 4.0) if source == "zeta" else ()
+        return [CriticalPoint(t=t, kind="zero", source=f"{source}_zero") for t in ts if t_min <= t <= t_max]
+
+    monkeypatch.setattr(critical, "find_zeros", fake)
+    with pytest.raises(UnexpectedCoincidence,
+                       match=r"zeta_zero and half_zeta_zero ordinates coincide at t = 2\.000000000"):
+        singular_points_delta5(1.0, 3.0)
 
 
 def test_singular_sequence_first_six(merged_catalog):
