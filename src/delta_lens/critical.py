@@ -30,6 +30,7 @@ from .errors import (
 )
 from .evalcore import (
     LN_PI,
+    _MAX_SCAN_POINTS,
     _beta_values,
     _central_difference,
     _coerce,
@@ -144,6 +145,8 @@ def find_zeros(source: str, t_min: float, t_max: float,
     Sign changes of the completed function are bracketed at resolution
     scan_step, checked for hidden double crossings, and refined by lockstep
     bisection to 1e-9 in t.  Returns ascending CriticalPoints of kind zero.
+    Needs 0 <= t_min < t_max <= 200 and scan_step in (0, 0.05] with a scan
+    of at most 1,000,001 points (DomainError otherwise).
     """
     if source not in ("zeta", "beta"):
         raise DomainError("source must be 'zeta' or 'beta'")
@@ -151,6 +154,9 @@ def find_zeros(source: str, t_min: float, t_max: float,
         raise DomainError("need 0 <= t_min < t_max <= 200")
     if not 0.0 < scan_step <= 0.05:
         raise DomainError("scan_step must lie in (0, 0.05]")
+    if (t_max - t_min) / scan_step > _MAX_SCAN_POINTS - 1:
+        raise DomainError(f"scan_step={scan_step:g} over [{t_min:g}, {t_max:g}] needs more than "
+                          f"{_MAX_SCAN_POINTS} scan points")
     n = int(math.ceil((t_max - t_min) / scan_step))
     ts = t_min + scan_step * np.arange(n + 1)
     ts[-1] = t_max

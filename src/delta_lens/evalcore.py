@@ -31,14 +31,25 @@ one branch helper, _branches: a batch that lies in one branch, such as a
 scalar probe or a round of bisection midpoints, is handed to that branch
 whole, without a copy or a scatter.
 
-All functions are pure; the module keeps only immutable weight caches.
+Products of _GRID_MIN_POINTS points or more run on one BLAS thread
+(_one_blas_thread): threaded, numpy's bundled OpenBLAS spins its workers
+between calls, which doubles CPU time, and moves the last bits of a value
+with the thread count.  _BLAS_THREADS, that library's thread count, is
+loaded once at import through ctypes; without it the pin does nothing.
+
+All functions are pure; the module keeps only immutable weight caches and
+the BLAS handle, and leaves the process's BLAS thread count as it found it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 import numbers
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -75,6 +86,62 @@ _ETA_MIN = 0.05  # smallest |1 - 2^(1-s)| the eta route of zeta divides by
 # below this many points the line and grid tests in _power_sum cost more
 # than they can save (scalar probes, short refinement levels, bisection midpoints)
 _GRID_MIN_POINTS = 16
+# points of one sign-change scan (find_zeros, bracket_phase_zeros); a finer
+# step is refused before its ordinates are allocated
+_MAX_SCAN_POINTS = 1_000_001
+
+
+class _BlasPin:
+    """The thread count of numpy's bundled scipy-openblas: get() and set(n),
+    and, as a context, one thread while any Python thread is inside it.
+    The first to enter saves the count it finds and the last to leave
+    restores it, also when the block raises, so pins nest and overlap."""
+
+    def __init__(self, lib):
+        self.get = lib.scipy_openblas_get_num_threads64_
+        self.get.argtypes, self.get.restype = [], ctypes.c_int
+        self.set = lib.scipy_openblas_set_num_threads64_
+        self.set.argtypes, self.set.restype = [ctypes.c_int], None
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = self.get()
+                self.set(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                self.set(self._saved)
+
+
+def _load_blas_threads():
+    """The _BlasPin of numpy.libs/libscipy_openblas*.so, or None when numpy
+    bundles no such library or it lacks the thread-count symbols."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*.so")):
+        try:
+            return _BlasPin(ctypes.CDLL(str(path)))
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+_BLAS_THREADS = _load_blas_threads()
+_NO_PIN = contextlib.nullcontext()
+
+
+def _one_blas_thread(points: int):
+    """Context for the products of a batch of this many points: one BLAS
+    thread from _GRID_MIN_POINTS points on, the caller's count restored on
+    exit; a no-op for smaller batches or without the library."""
+    if points < _GRID_MIN_POINTS or _BLAS_THREADS is None:
+        return _NO_PIN
+    return _BLAS_THREADS
 
 
 def _coerce(s):
@@ -193,28 +260,33 @@ def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
     levels, bisection midpoints, a scan's clipped last ordinate) take the
     outer product exp(-s logs) @ w: one product below _GRID_MIN_POINTS,
     blocked above so it stays small.
+
+    Every product from _GRID_MIN_POINTS points on runs on one BLAS thread
+    (_one_blas_thread), so a value has the same bits whatever thread count
+    the process's BLAS is set to; smaller products never go threaded.
     """
     flat = np.ascontiguousarray(s, dtype=np.complex128).reshape(-1)
     if flat.size < _GRID_MIN_POINTS:
         return (np.exp(np.multiply.outer(-flat, logs)) @ w).reshape(s.shape)
-    out = np.empty(flat.shape, dtype=np.complex128)
-    rest = np.ones(flat.shape, dtype=bool)
-    re = flat.real
-    if np.all(re == re[0]):
-        rows, cols, on = _line_layout(re[0], flat.imag)
-        if np.count_nonzero(on) >= _GRID_MIN_POINTS:
-            out[on] = _separable_sum(rows, cols, logs, w).reshape(-1)[:flat.size][on]
-            rest = ~on
-    else:
-        ur, ir = np.unique(re, return_inverse=True)
-        ui, ii = np.unique(flat.imag, return_inverse=True)
-        if ui.size >= 2 and ur.size * ui.size <= 2 * flat.size:
-            return _separable_sum(ur, ui, logs, w)[ir, ii].reshape(s.shape)
-    idx = np.flatnonzero(rest)
-    blk = 4096
-    for i in range(0, idx.size, blk):
-        chunk = idx[i:i + blk]
-        out[chunk] = np.exp(np.multiply.outer(-flat[chunk], logs)) @ w
+    with _one_blas_thread(flat.size):
+        out = np.empty(flat.shape, dtype=np.complex128)
+        rest = np.ones(flat.shape, dtype=bool)
+        re = flat.real
+        if np.all(re == re[0]):
+            rows, cols, on = _line_layout(re[0], flat.imag)
+            if np.count_nonzero(on) >= _GRID_MIN_POINTS:
+                out[on] = _separable_sum(rows, cols, logs, w).reshape(-1)[:flat.size][on]
+                rest = ~on
+        else:
+            ur, ir = np.unique(re, return_inverse=True)
+            ui, ii = np.unique(flat.imag, return_inverse=True)
+            if ui.size >= 2 and ur.size * ui.size <= 2 * flat.size:
+                return _separable_sum(ur, ui, logs, w)[ir, ii].reshape(s.shape)
+        idx = np.flatnonzero(rest)
+        blk = 4096
+        for i in range(0, idx.size, blk):
+            chunk = idx[i:i + blk]
+            out[chunk] = np.exp(np.multiply.outer(-flat[chunk], logs)) @ w
     return out.reshape(s.shape)
 
 

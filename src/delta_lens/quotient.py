@@ -36,6 +36,7 @@ from .errors import (
 from .evalcore import (
     _ETA_MIN,
     LN2,
+    _MAX_SCAN_POINTS,
     _arith_logs,
     _beta_values,
     _central_difference,
@@ -46,6 +47,7 @@ from .evalcore import (
     _dirichlet_values,
     _eta_factor,
     _near_nonpositive_integer,
+    _one_blas_thread,
     _release,
     _stirling_lgamma,
     _zeta_values,
@@ -166,10 +168,11 @@ def _delta5_log_derivatives(s: np.ndarray):
     outer-product path, so delta has the bits of _delta_q_values on any
     batch that is neither a grid nor a line scan; the derivatives are one
     product with a block matrix of _cvz_moments columns, and the eta
-    factors q enter in closed form.  A batch with a point off that route
-    (|q(s)| or |q(x)| < _ETA_MIN, near s or x = 1 + 2 pi i k / ln 2, or
-    Re x <= 0) takes delta and delta' from evalcore._central_difference
-    instead, with l2 = nan."""
+    factors q enter in closed form.  From _GRID_MIN_POINTS points on, the
+    products run on one BLAS thread (evalcore._one_blas_thread).  A batch
+    with a point off that route (|q(s)| or |q(x)| < _ETA_MIN, near s or
+    x = 1 + 2 pi i k / ln 2, or Re x <= 0) takes delta and delta' from
+    evalcore._central_difference instead, with l2 = nan."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     x = 2.0 * s - 0.5
     q = _eta_factor(np.array([s, x]))
@@ -186,8 +189,9 @@ def _delta5_log_derivatives(s: np.ndarray):
     moments[2 * n:, 4:6] = _cvz_moments(1.0, nx, 2.0)
     w = _cvz_weights(n)
     a = np.empty((s.size, 3), dtype=np.complex128)
-    a[:, 0], a[:, 1], a[:, 2] = e[:, :n] @ w, e[:, n:2 * n] @ w, e[:, 2 * n:] @ _cvz_weights(nx)
-    m = (e @ moments).reshape(-1, 3, 2)
+    with _one_blas_thread(s.size):
+        a[:, 0], a[:, 1], a[:, 2] = e[:, :n] @ w, e[:, n:2 * n] @ w, e[:, 2 * n:] @ _cvz_weights(nx)
+        m = (e @ moments).reshape(-1, 3, 2)
     g1 = m[:, :, 0] / a  # (log A)' and (log A)'' of each sum A
     g2 = m[:, :, 1] / a - g1 * g1
     # (log q)' = ln2 (1 - q)/q, (log q)'' = -ln2^2 (1 - q)/q - ((log q)')^2
@@ -338,7 +342,8 @@ def bracket_phase_zeros(q: int, sigma: float, t_max: float, scan_step: float = 0
 
     Located by sign changes of Im bracket_factor refined by bisection; for
     q != 4 these sit at multiples of pi / ln(1/r).  sigma must be finite,
-    0 < t_max <= 200 and scan_step in (0, 0.05] (DomainError otherwise).
+    0 < t_max <= 200 and scan_step in (0, 0.05] with a scan of at most
+    1,000,001 points (DomainError otherwise).
     """
     q = _label(q)
     if not -math.inf < sigma < math.inf:
@@ -347,6 +352,9 @@ def bracket_phase_zeros(q: int, sigma: float, t_max: float, scan_step: float = 0
         raise DomainError("need 0 < t_max <= 200")
     if not 0.0 < scan_step <= 0.05:
         raise DomainError("scan_step must lie in (0, 0.05]")
+    if t_max / scan_step > _MAX_SCAN_POINTS - 1:
+        raise DomainError(f"scan_step={scan_step:g} up to t_max={t_max:g} needs more than "
+                          f"{_MAX_SCAN_POINTS} scan points")
     if q == 4:
         return []
     ts = np.arange(0.0, t_max + scan_step, scan_step)

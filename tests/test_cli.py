@@ -6,6 +6,7 @@ import math
 import pytest
 
 import delta_lens.acceptance as acceptance
+from delta_lens import critical
 from delta_lens.census import load_catalog
 from delta_lens.cli import main, parse_complex, parse_range, parse_size
 
@@ -93,6 +94,18 @@ def test_zeros_beta_text(capsys):
     assert lines["count"] == "1"
     assert abs(float(lines["first"]) - 6.020948904697586) < 1e-8
     assert lines["first"] == lines["last"]
+
+
+def test_zeros_refuses_an_oversized_scan(capsys, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("an oversized scan was evaluated")
+
+    monkeypatch.setattr(critical, "_line_values", no_scan)
+    code, out, err = run_cli(capsys, "zeros", "--source", "zeta", "--t-max", "200",
+                             "--scan-step", "1.9e-4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("DomainError: ")
 
 
 def test_zeros_delta5_kinds(capsys):

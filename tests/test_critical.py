@@ -77,6 +77,29 @@ def test_find_zeros_validation():
         find_zeros("gamma", 0.0, 10.0)
 
 
+def _no_scan(*args):
+    raise AssertionError("an oversized scan was evaluated")
+
+
+def test_find_zeros_refuses_an_oversized_scan(monkeypatch):
+    # 200 / 1.9e-4: a scan of 1,052,633 points, refused before it is built
+    monkeypatch.setattr(critical, "_line_values", _no_scan)
+    with pytest.raises(DomainError, match="needs more than 1000001 scan points"):
+        find_zeros("zeta", 0.0, 200.0, scan_step=1.9e-4)
+
+
+def test_find_zeros_takes_the_largest_scan(monkeypatch):
+    sizes = []
+
+    def flat(source, ts):
+        sizes.append(np.size(ts))
+        return np.ones(np.shape(ts))
+
+    monkeypatch.setattr(critical, "_line_values", flat)
+    assert find_zeros("zeta", 0.0, 100.0, scan_step=1e-4) == []
+    assert sizes == [1_000_001]
+
+
 def test_find_zeros_refuses_a_coarse_step(monkeypatch):
     # sin(2000 t) turns 20 rad per 0.01 scan step: its first bracket, at
     # t = 0.02, hides seven sign changes

@@ -2,6 +2,8 @@
 quadratic Dirichlet L functions, against independently computed references."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import delta_lens.evalcore as evalcore
 from delta_lens.errors import DomainError, PoleOfGamma, PoleOfZeta, UnsupportedDiscriminant
 from delta_lens.evalcore import (_beta_values, _dirichlet_values, _zeta_values,
                                  beta_L, dirichlet_L, hurwitz_zeta, log_gamma, zeta)
-from delta_lens.quotient import _delta_q_values
+from delta_lens.quotient import _delta5_log_derivatives, _delta_q_values
 
 # reference values computed independently at 30+ digit working precision
 ZETA_32 = 2.6123753486854883
@@ -100,6 +102,107 @@ def test_line_path_matches_blocked_path(values, monkeypatch):
     # the values reach about 6 in modulus; the gap is rounding of the phases
     # t log k (7.4e-13 for zeta, 4.4e-13 for beta)
     assert np.max(np.abs(line - blocked)) <= 1e-12
+
+
+# the 30 x 40 grid of tools/value_digest.py, and a 64-point tracing batch;
+# on two unpinned BLAS threads about a third of the grid values and 56 of
+# the 192 kernel values take other last bits than on one
+_SIG, _T = np.meshgrid(np.linspace(-1.5, 2.5, 30), np.linspace(0.5, 80.0, 40))
+DIGEST_GRID = _SIG + 1j * _T
+TRACE_BATCH = 0.6 + 0.01 * np.arange(64) + 1j * np.linspace(1.0, 100.0, 64)
+
+
+def _batched_values():
+    grids = [_delta_q_values(q, DIGEST_GRID) for q in (3, 4, 7, 8)]
+    return grids + list(_delta5_log_derivatives(TRACE_BATCH))
+
+
+@pytest.fixture
+def blas_threads():
+    """The BLAS thread handle with the process set to 2 threads; the
+    caller's count is restored afterwards."""
+    handle = evalcore._BLAS_THREADS
+    if handle is None:
+        pytest.skip("numpy does not bundle scipy-openblas")
+    saved = handle.get()
+    handle.set(2)
+    try:
+        if handle.get() != 2:
+            pytest.skip("OpenBLAS does not run 2 threads here")
+        yield handle
+    finally:
+        handle.set(saved)
+
+
+def test_values_do_not_depend_on_blas_threads(blas_threads):
+    two = _batched_values()
+    blas_threads.set(1)
+    one = _batched_values()
+    for a, b in zip(two, one):
+        assert np.array_equal(a, b)
+
+
+def test_pin_restores_the_caller_thread_count(blas_threads, monkeypatch):
+    inside = []
+    separable_sum = evalcore._separable_sum
+
+    def spy(*args):
+        inside.append(blas_threads.get())
+        return separable_sum(*args)
+
+    monkeypatch.setattr(evalcore, "_separable_sum", spy)
+    _delta_q_values(4, DIGEST_GRID)
+    assert inside and set(inside) == {1}
+    assert blas_threads.get() == 2
+    _delta5_log_derivatives(TRACE_BATCH)
+    assert blas_threads.get() == 2
+
+
+def test_pin_restores_the_caller_thread_count_on_error(blas_threads, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("product failed")
+
+    monkeypatch.setattr(evalcore, "_separable_sum", fail)
+    with pytest.raises(RuntimeError, match="product failed"):
+        _zeta_values(DIGEST_GRID)
+    assert blas_threads.get() == 2
+
+
+def test_overlapping_pins_restore_the_caller_thread_count(blas_threads):
+    # 4 Python threads on 2 cores pin and unpin concurrently; each pin that
+    # saved the count another thread had set to 1 would restore 1
+    want = _zeta_values(DIGEST_GRID)
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(25):
+                results.append(np.array_equal(_zeta_values(DIGEST_GRID), want))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == [] and results == [True] * 100
+    assert blas_threads.get() == 2
+
+
+def test_values_without_the_handle_equal_the_pinned_values(blas_threads, monkeypatch):
+    pinned = _batched_values()
+    blas_threads.set(1)  # what the pin would have set
+    monkeypatch.setattr(evalcore, "_BLAS_THREADS", None)
+    bare = _batched_values()
+    for a, b in zip(pinned, bare):
+        assert np.array_equal(a, b)
 
 
 def test_zeta_near_denominator_bad_point():

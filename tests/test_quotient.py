@@ -185,6 +185,17 @@ def test_bracket_phase_zeros_validation(sigma, t_max, scan_step):
             bracket_phase_zeros(q, sigma, t_max, scan_step)
 
 
+def test_bracket_phase_zeros_refuses_an_oversized_scan(monkeypatch):
+    # 200 / 1.9e-4: a scan of about 1.05M points, refused before it is built
+    def no_scan(*args):
+        raise AssertionError("an oversized scan was evaluated")
+
+    monkeypatch.setattr(quotient, "_bracket_values", no_scan)
+    for q in (4, 3, 8):
+        with pytest.raises(DomainError, match="needs more than 1000001 scan points"):
+            bracket_phase_zeros(q, 14.0, 200.0, 1.9e-4)
+
+
 def test_lattice_sum_known_values():
     assert abs(lattice_sum_C(3.0) - C_AT_3) < 1e-12
     assert abs(lattice_sum_C(3.0) - 4.0 * zeta(3.0) * beta_L(3.0)) < 1e-13
