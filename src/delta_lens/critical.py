@@ -29,13 +29,11 @@ from .errors import (
     UnexpectedCoincidence,
 )
 from .evalcore import (
-    LN_PI,
-    _MAX_SCAN_POINTS,
     _beta_values,
     _central_difference,
     _coerce,
+    _log_gamma_factor,
     _release,
-    _stirling_lgamma,
     _zeta_values,
     beta_L,
     zeta,
@@ -93,23 +91,15 @@ class RealAxisFeature:
             raise DomainError(f"sigma {self.sigma} is not a catalogued real-axis {self.kind}")
 
 
-def _log_prefactor(source: str, s: np.ndarray) -> np.ndarray:
-    """Log of the gamma prefactor that completes zeta or beta:
-    pi^(-s/2) Gamma(s/2) for zeta, (pi/4)^(-(s+1)/2) Gamma((s+1)/2) for beta."""
-    if source == "zeta":
-        half = 0.5 * s
-        return _stirling_lgamma(half) - half * LN_PI
-    w = 0.5 * (s + 1.0)
-    return _stirling_lgamma(w) - w * math.log(math.pi / 4.0)
-
-
-_BASE_VALUES = {"zeta": _zeta_values, "beta": _beta_values}
+# each source's conductor, which keys its gamma factor, and its values
+_SOURCE_FUNCTIONS = {"zeta": (1, _zeta_values), "beta": (4, _beta_values)}
 
 
 def _completed_values(source: str, s: np.ndarray) -> np.ndarray:
+    q, values = _SOURCE_FUNCTIONS[source]
     s = np.ascontiguousarray(s, dtype=np.complex128)
     s = np.where(s.real < 0.5, 1.0 - s, s)  # use the symmetric half-plane
-    return np.exp(_log_prefactor(source, s)) * _BASE_VALUES[source](s)
+    return np.exp(_log_gamma_factor(q, s)) * values(s)
 
 
 def completed_zeta(s):
@@ -131,69 +121,81 @@ def completed_beta(s):
 
 def _line_values(source: str, ts: np.ndarray) -> np.ndarray:
     # completed function on the critical line, rescaled by the positive factor
-    # exp(-Re log prefactor) so values stay O(1) instead of decaying like
-    # exp(-pi t / 4); zeros and signs are unchanged and the derivative guard
-    # threshold stays meaningful at large t
+    # exp(-Re G), G the log gamma factor, so values stay O(1) instead of
+    # decaying like exp(-pi t / 4); zeros and signs are unchanged and the
+    # derivative guard threshold stays meaningful at large t
+    q, values = _SOURCE_FUNCTIONS[source]
     s = 0.5 + 1j * np.asarray(ts, dtype=np.float64)
-    return (np.exp(1j * _log_prefactor(source, s).imag) * _BASE_VALUES[source](s)).real
+    return (np.exp(1j * _log_gamma_factor(q, s).imag) * values(s)).real
 
 
-def find_zeros(source: str, t_min: float, t_max: float,
-               scan_step: float = 0.01) -> list[CriticalPoint]:
-    """All critical-line zeros of zeta or beta with ordinate in [t_min, t_max].
+# points of one sign-change scan, refused before its ordinates are allocated
+_MAX_SCAN_POINTS = 1_000_001
 
-    Sign changes of the completed function are bracketed at resolution
-    scan_step, checked for hidden double crossings, and refined by lockstep
-    bisection to 1e-9 in t.  Returns ascending CriticalPoints of kind zero.
-    Needs 0 <= t_min < t_max <= 200 and scan_step in (0, 0.05] with a scan
-    of at most 1,000,001 points (DomainError otherwise).
-    """
-    if source not in ("zeta", "beta"):
-        raise DomainError("source must be 'zeta' or 'beta'")
-    if not (0.0 <= t_min < t_max <= 200.0):
-        raise DomainError("need 0 <= t_min < t_max <= 200")
+
+def _sign_change_roots(f, t_lo: float, t_hi: float, scan_step: float):
+    """Simple zeros of the real function f (array in, array out) on
+    [t_lo, t_hi], as ascending arrays of the roots and of the half widths of
+    their final brackets.  Opposite signs of neighbours on a scan of step
+    scan_step, clipped at t_hi, bracket them (a product of neighbours could
+    underflow); a bracket hiding two more crossings raises StepTooCoarse;
+    lockstep bisection refines every bracket to 1e-9; |f'| <= 1e-8 at a root
+    raises UnexpectedCoincidence, so f must be O(1) near its zeros.  Needs
+    scan_step in (0, 0.05] and at most _MAX_SCAN_POINTS scan points."""
     if not 0.0 < scan_step <= 0.05:
         raise DomainError("scan_step must lie in (0, 0.05]")
-    if (t_max - t_min) / scan_step > _MAX_SCAN_POINTS - 1:
-        raise DomainError(f"scan_step={scan_step:g} over [{t_min:g}, {t_max:g}] needs more than "
+    if (t_hi - t_lo) / scan_step > _MAX_SCAN_POINTS - 1:
+        raise DomainError(f"scan_step={scan_step:g} over [{t_lo:g}, {t_hi:g}] needs more than "
                           f"{_MAX_SCAN_POINTS} scan points")
-    n = int(math.ceil((t_max - t_min) / scan_step))
-    ts = t_min + scan_step * np.arange(n + 1)
-    ts[-1] = t_max
-    vals = _line_values(source, ts)
-    cross = vals[:-1] * vals[1:] < 0.0
-    lo = ts[:-1][cross].copy()
-    hi = ts[1:][cross].copy()
-    flo = vals[:-1][cross]
+    n = int(math.ceil((t_hi - t_lo) / scan_step))
+    ts = t_lo + scan_step * np.arange(n + 1)
+    ts[-1] = t_hi
+    signs = np.sign(f(ts))
+    cross = signs[:-1] * signs[1:] < 0.0
+    lo, hi, flo = ts[:-1][cross], ts[1:][cross], signs[:-1][cross]
     if lo.size:
         # a bracket hiding two extra crossings would refine onto the wrong root;
-        # its 7 interior points are evaluated, its ends are the scan's values
+        # its 7 interior points are evaluated, its ends reuse the scan's signs
         sub = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, 8) / 8.0)[None, :]
-        sv = _line_values(source, sub.reshape(-1)).reshape(sub.shape)
-        sv = np.column_stack([flo, sv, vals[1:][cross]])
-        changes = np.sum(sv[:, :-1] * sv[:, 1:] < 0.0, axis=1)
+        ss = np.column_stack([flo, np.sign(f(sub.reshape(-1))).reshape(sub.shape), signs[1:][cross]])
+        changes = np.sum(ss[:, :-1] * ss[:, 1:] < 0.0, axis=1)
         if np.any(changes > 1):
             bad = float(lo[np.argmax(changes > 1)])
             raise StepTooCoarse(
                 f"{int(changes.max())} sign changes inside one scan step near t = {bad:.6f}")
         while np.max(hi - lo) > 1e-9:
             mid = 0.5 * (lo + hi)
-            fmid = _line_values(source, mid)
-            take_hi = flo * fmid <= 0.0
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi, lo, mid)
-            flo = np.where(take_hi, flo, fmid)
+            smid = np.sign(f(mid))
+            take_hi = flo * smid <= 0.0
+            lo, hi = np.where(take_hi, lo, mid), np.where(take_hi, mid, hi)
+            flo = np.where(take_hi, flo, smid)
     roots = 0.5 * (lo + hi)
     if roots.size:
-        deriv = _central_difference(lambda x: _line_values(source, x), roots)[1]
+        deriv = _central_difference(f, roots)[1]
         if np.any(np.abs(deriv) <= 1e-8):
             t_bad = float(roots[np.argmax(np.abs(deriv) <= 1e-8)])
             raise UnexpectedCoincidence(
                 f"vanishing derivative at detected zero t = {t_bad:.9f}; zero may not be simple")
+    return roots, 0.5 * (hi - lo)
+
+
+def find_zeros(source: str, t_min: float, t_max: float,
+               scan_step: float = 0.01) -> list[CriticalPoint]:
+    """All critical-line zeros of zeta or beta with ordinate in [t_min, t_max],
+    ascending, found by _sign_change_roots on the completed function at
+    resolution scan_step and refined to 1e-9 in t.  Needs
+    0 <= t_min < t_max <= 200 and scan_step in (0, 0.05] with a scan of at
+    most 1,000,001 points (DomainError otherwise).
+    """
+    if source not in ("zeta", "beta"):
+        raise DomainError("source must be 'zeta' or 'beta'")
+    if not (0.0 <= t_min < t_max <= 200.0):
+        raise DomainError("need 0 <= t_min < t_max <= 200")
+    roots, widths = _sign_change_roots(lambda ts: _line_values(source, ts), t_min, t_max, scan_step)
     src = "zeta_zero" if source == "zeta" else "beta_zero"
     return [CriticalPoint(t=float(r), kind="zero", source=src, multiplicity=1,
-                          refined_to=float(max(0.5 * (b - a), 1e-12)))
-            for r, a, b in zip(roots, lo, hi)]
+                          refined_to=float(max(w, 1e-12)))
+            for r, w in zip(roots, widths)]
 
 
 def singular_points_delta5(t_min: float, t_max: float,

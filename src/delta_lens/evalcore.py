@@ -18,6 +18,10 @@ which gives about 1e-13 relative accuracy for |Im s| <= 200 (near
   poles subtracted term by term, so the result is entire (finite at s=1);
   reflected below Re s = 1/2.
 
+The CVZ series of zeta and beta refuse |Im| above _MAX_HEIGHT = 500 with
+DomainError (their 347-term cap loses digits above it); a quotient's
+denominator zeta(2s - 1/2) sets its ceiling at |Im s| = 250.  L_q has none.
+
 Every Dirichlet series goes through one power sum, _power_sum.  A batch
 that is a sigma x t grid (a render block) or an equally spaced scan along one
 vertical line (a critical-line scan) factors as k^-s = k^-a e^(-ib log k),
@@ -86,9 +90,8 @@ _ETA_MIN = 0.05  # smallest |1 - 2^(1-s)| the eta route of zeta divides by
 # below this many points the line and grid tests in _power_sum cost more
 # than they can save (scalar probes, short refinement levels, bisection midpoints)
 _GRID_MIN_POINTS = 16
-# points of one sign-change scan (find_zeros, bracket_phase_zeros); a finer
-# step is refused before its ordinates are allocated
-_MAX_SCAN_POINTS = 1_000_001
+# largest |Im| of a CVZ series: the 347-term cap is off 1e-10 at 550, 4e-6 at 600
+_MAX_HEIGHT = 500.0
 
 
 class _BlasPin:
@@ -209,6 +212,9 @@ def _cvz_terms(s: np.ndarray) -> int:
     # weight ratio c_k/d stops decreasing past k ~ n, so large heights need
     # n ~ pi |t| / (2 ln(3+sqrt8)); small sigma inflates the constant a bit
     t_abs, sigma_min = np.abs(s.imag).max(initial=0.0), s.real.min()
+    if t_abs > _MAX_HEIGHT:
+        raise DomainError(f"a series argument has |Im| = {t_abs:.10g}, above the height ceiling "
+                          f"{_MAX_HEIGHT:g} (|Im s| <= {_MAX_HEIGHT / 2:g} for a quotient)")
     penalty = 0.0
     if sigma_min < 0.5:
         penalty = min(12.0, max(0.0, -math.log(max(sigma_min, 1e-8))))
@@ -411,19 +417,20 @@ def _beta_values(s: np.ndarray) -> np.ndarray:
                      (~pos, lambda m: _odd_reflection(4, s[m], _alt_weighted_sum(1.0 - s[m], 2.0))))
 
 
+def _log_gamma_factor(q: int, s: np.ndarray) -> np.ndarray:
+    """G(s) = log Gamma((s + a)/2) - ((s + a)/2) log(pi/q), the log gamma factor
+    that completes the L function of conductor q (q = 1 and a = 0 for zeta,
+    a = 1 for odd characters): exp(G(s)) L(s) is symmetric under s -> 1 - s."""
+    w = 0.5 * (s + (0.0 if q == 1 else 1.0))
+    return _stirling_lgamma(w) - w * math.log(math.pi / q)
+
+
 def _odd_reflection(q: int, s: np.ndarray, l_reflected: np.ndarray) -> np.ndarray:
-    """L_{-q}(s) from L_{-q}(1 - s) by the odd-character functional equation
-
-        L(s) = (pi/q)^(s - 1/2) Gamma(1 - s/2) / Gamma((s + 1)/2) L(1 - s).
-
-    The gamma poles of the denominator are the trivial zeros, returned as 0.
-    """
-    w = 0.5 * (s + 1.0)
-    wr = np.round(w.real)
-    triv = (np.abs(w.real - wr) < 1e-13) & (wr <= 0.0) & (np.abs(w.imag) < 1e-13)
-    wsafe = np.where(triv, 0.5, w)
-    factor = np.exp((s - 0.5) * math.log(math.pi / q)
-                    + _stirling_lgamma(1.0 - 0.5 * s) - _stirling_lgamma(wsafe))
+    """L_{-q}(s) = exp(G(1 - s) - G(s)) L_{-q}(1 - s), G = _log_gamma_factor,
+    the odd-character functional equation; the trivial zeros, where G(s)
+    has its gamma poles, are returned as 0."""
+    triv = _near_nonpositive_integer(0.5 * (s + 1.0), 1e-13)
+    factor = np.exp(_log_gamma_factor(q, 1.0 - s) - _log_gamma_factor(q, np.where(triv, 0.0, s)))
     return np.where(triv, 0.0, factor * l_reflected)
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .critical import _sign_change_roots
 from .errors import (
     DomainError,
     GammaPoleOnPath,
@@ -36,7 +37,6 @@ from .errors import (
 from .evalcore import (
     _ETA_MIN,
     LN2,
-    _MAX_SCAN_POINTS,
     _arith_logs,
     _beta_values,
     _central_difference,
@@ -253,11 +253,11 @@ def delta_q(kind, s):
     return _release(out.reshape(arr.shape), scalar)
 
 
-_F5_SHIFTS = (  # gamma arguments of f5 as (scale, offset): arg = scale*s + offset
-    (-1.0, 1.0),   # Gamma(1 - s)
-    (1.0, -0.25),  # Gamma(s - 1/4)
-    (1.0, 0.0),    # Gamma(s)
-    (-1.0, 0.75),  # Gamma(3/4 - s)
+_F5_SHIFTS = (  # gamma factors of f5 as (scale, offset, sign): Gamma(scale*s + offset)^sign
+    (-1.0, 1.0, 1.0),    # Gamma(1 - s)
+    (1.0, -0.25, 1.0),   # Gamma(s - 1/4)
+    (1.0, 0.0, -1.0),    # 1 / Gamma(s)
+    (-1.0, 0.75, -1.0),  # 1 / Gamma(3/4 - s)
 )
 
 
@@ -268,14 +268,13 @@ def f5(s):
     underflows for |Im s| up to 200.
     """
     arr, scalar = _coerce(s)
-    for scale, offset in _F5_SHIFTS:
-        args = scale * arr + offset
+    factors = [(scale * arr + offset, sign) for scale, offset, sign in _F5_SHIFTS]
+    for args, _ in factors:
         hit = _near_nonpositive_integer(args)
         if np.any(hit):
             loc = complex(arr[hit][0])
             raise GammaPoleOnPath(f"gamma factor of f5 has a pole at s = {loc}", loc)
-    log_f = (_stirling_lgamma(1.0 - arr) + _stirling_lgamma(arr - 0.25)
-             - _stirling_lgamma(arr) - _stirling_lgamma(0.75 - arr))
+    log_f = sum(sign * _stirling_lgamma(args) for args, sign in factors)
     return _release(np.exp(log_f), scalar)
 
 
@@ -340,35 +339,24 @@ def bracket_phase_zeros(q: int, sigma: float, t_max: float, scan_step: float = 0
     """Ordinates in (0, t_max] where the bracket factor's phase crosses zero
     along the vertical line Re s = sigma.
 
-    Located by sign changes of Im bracket_factor refined by bisection; for
-    q != 4 these sit at multiples of pi / ln(1/r).  sigma must be finite,
-    0 < t_max <= 200 and scan_step in (0, 0.05] with a scan of at most
-    1,000,001 points (DomainError otherwise).
+    Located by critical._sign_change_roots on Im bracket_factor, scaled
+    by r^-(sigma - 1/2) for sigma > 1/2 to stay O(1); for q != 4 they sit
+    at multiples of pi / ln(1/r), q = 4 has none.  Needs finite sigma <= 1000
+    (r^(sigma - 1/2) underflows above it for q = 7, 8), 0 < t_max <= 200 and
+    scan_step in (0, 0.05] with at most 1,000,001 scan points (DomainError
+    otherwise).
     """
     q = _label(q)
     if not -math.inf < sigma < math.inf:
         raise DomainError("sigma must be finite")
+    if sigma > 1000.0:
+        raise DomainError("need sigma <= 1000 (r^(sigma - 1/2) underflows above it)")
     if not 0.0 < t_max <= 200.0:
         raise DomainError("need 0 < t_max <= 200")
-    if not 0.0 < scan_step <= 0.05:
-        raise DomainError("scan_step must lie in (0, 0.05]")
-    if t_max / scan_step > _MAX_SCAN_POINTS - 1:
-        raise DomainError(f"scan_step={scan_step:g} up to t_max={t_max:g} needs more than "
-                          f"{_MAX_SCAN_POINTS} scan points")
-    if q == 4:
-        return []
-    ts = np.arange(0.0, t_max + scan_step, scan_step)
-    ims = _bracket_values(q, sigma + 1j * ts).imag
-    exact = ts[:-1][(ims[:-1] == 0.0) & (ts[:-1] > 0.0)]
-    cross = ims[:-1] * ims[1:] < 0.0
-    lo, hi, flo = ts[:-1][cross], ts[1:][cross], ims[:-1][cross]
-    for _ in range(60):  # every bracket bisected in lockstep
-        mid = 0.5 * (lo + hi)
-        fm = _bracket_values(q, sigma + 1j * mid).imag
-        left = flo * fm <= 0.0
-        lo, hi, flo = np.where(left, lo, mid), np.where(left, mid, hi), np.where(left, flo, fm)
-    roots = np.sort(np.concatenate([exact, 0.5 * (lo + hi)]))
-    return [float(r) for r in roots if 0.0 < r <= t_max]
+    scale = math.exp(-max(sigma - 0.5, 0.0) * _log_bracket_ratio(q))
+    roots, _ = _sign_change_roots(lambda ts: scale * _bracket_values(q, sigma + 1j * ts).imag,
+                                  0.0, t_max, scan_step)
+    return roots.tolist()
 
 
 def lattice_sum_C(s):

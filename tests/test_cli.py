@@ -96,6 +96,13 @@ def test_zeros_beta_text(capsys):
     assert lines["first"] == lines["last"]
 
 
+def test_eval_refuses_a_height_above_the_ceiling(capsys):
+    code, out, err = run_cli(capsys, "eval", "--function", "zeta", "--s", "0.5+800i")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("DomainError: ") and "height ceiling 500" in err
+
+
 def test_zeros_refuses_an_oversized_scan(capsys, monkeypatch):
     def no_scan(*args):
         raise AssertionError("an oversized scan was evaluated")

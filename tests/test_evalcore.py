@@ -27,6 +27,7 @@ L8_AT_2 = 1.0647341710435034
 HURWITZ_COMPLEX = -8.3268514841532468 - 25.989792623299366j
 L4_COMPLEX = 1.0759545805074662 + 0.487503270608459j
 FIRST_ZETA_ZERO = 14.134725141734693
+ZETA_HALF_500 = -0.3962565072751466 - 1.4181267413453709j
 
 
 def test_zeta_known_real_values():
@@ -44,6 +45,16 @@ def test_zeta_analytic_continuation_values():
 
 def test_zeta_first_critical_zero():
     assert abs(zeta(complex(0.5, FIRST_ZETA_ZERO))) < 1e-9
+
+
+def test_zeta_height_ceiling():
+    # the capped alternating series holds its digits up to |Im s| = 500
+    assert abs(zeta(0.5 + 500j) - ZETA_HALF_500) < 1e-12 * abs(ZETA_HALF_500)
+    for s in (0.5 + 500.5j, 0.5 + 800j, -3.0 - 600j):
+        with pytest.raises(DomainError, match="above the height ceiling 500"):
+            zeta(s)
+    with pytest.raises(DomainError, match="above the height ceiling 500"):
+        beta_L(0.5 + 800j)
 
 
 def test_zeta_pole():

@@ -8,7 +8,7 @@ import pytest
 
 from delta_lens import quotient
 from delta_lens.errors import (DomainError, GammaPoleOnPath, PoleOfDelta5,
-                               PoleOfDeltaQ, UnsupportedDiscriminant)
+                               PoleOfDeltaQ, StepTooCoarse, UnsupportedDiscriminant)
 from delta_lens.evalcore import beta_L, zeta
 from delta_lens.quotient import (AsymptoticPhase, QuotientKind, _delta_q_values, bracket_factor,
                                  bracket_phase_zeros, critical_phase_approx,
@@ -25,6 +25,7 @@ DELTA8_AT_52 = 1.7693020093168172
 DELTA7_COMPLEX = 1.0116414621606974 + 0.53169332290902193j
 C_AT_3 = 4.6589136156038434
 C_COMPLEX = 4.1203889602230764 - 0.76866751563843518j
+DELTA5_AT_07_250 = 0.2356214794451935 + 1.6461216517640171j
 
 
 def test_delta5_known_values():
@@ -32,6 +33,13 @@ def test_delta5_known_values():
     assert abs(delta5(20.0) - DELTA5_AT_20) < 1e-12
     assert delta5(0.75) == 0  # first-order zero, reported exactly
     assert abs(delta5(2.0) - zeta(2.0) * beta_L(2.0) / zeta(3.5)) < 1e-13
+
+
+def test_delta5_height_ceiling():
+    # the denominator zeta(2s - 1/2) reaches the 500 ceiling at |Im s| = 250
+    assert abs(delta5(0.7 + 250j) - DELTA5_AT_07_250) < 1e-12 * abs(DELTA5_AT_07_250)
+    with pytest.raises(DomainError, match="above the height ceiling 500"):
+        delta5(0.7 + 400j)
 
 
 def test_delta5_poles():
@@ -183,6 +191,32 @@ def test_bracket_phase_zeros_validation(sigma, t_max, scan_step):
     for q in (4, 3, 8):  # q = 4 has no bracket zeros but validates its inputs too
         with pytest.raises(DomainError):
             bracket_phase_zeros(q, sigma, t_max, scan_step)
+
+
+@pytest.mark.parametrize("q", [3, 7, 8])
+def test_bracket_phase_zero_anchors_at_sigma_1000(q):
+    # Im of the bracket is about r^999.5 sin(t ln r), down to 1e-301 for q = 8
+    period = math.pi / abs(math.log(q / 4.0))
+    zeros = bracket_phase_zeros(q, 1000.0, 24.0)
+    assert len(zeros) == int(24.0 // period)
+    for m, t in enumerate(zeros, start=1):
+        assert abs(t - m * period) < 1e-9
+    assert bracket_phase_zeros(4, 1000.0, 24.0) == []
+
+
+@pytest.mark.parametrize("sigma", [1000.5, 1500.0, 3000.0])
+def test_bracket_phase_zeros_refuses_a_large_sigma(sigma):
+    for q in (3, 7, 8):
+        with pytest.raises(DomainError, match="sigma <= 1000"):
+            bracket_phase_zeros(q, sigma, 24.0)
+
+
+def test_bracket_phase_zeros_refuses_a_coarse_step(monkeypatch):
+    # sin(2000 t) turns 20 rad per 0.01 scan step: its first bracket, at
+    # t = 0.02, hides seven sign changes
+    monkeypatch.setattr(quotient, "_bracket_values", lambda q, s: 1j * np.sin(2000.0 * s.imag))
+    with pytest.raises(StepTooCoarse, match=r"^7 sign changes inside one scan step near t = 0\.020000$"):
+        bracket_phase_zeros(8, 14.0, 1.0)
 
 
 def test_bracket_phase_zeros_refuses_an_oversized_scan(monkeypatch):
