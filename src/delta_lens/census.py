@@ -126,10 +126,8 @@ def build_catalog(source: str, t_max: float, scan_step: float = 0.01,
     """Scan and refine a fresh catalog.  zeta/beta catalogs hold zeros of the
     respective function; delta5_merged interleaves the quotient's critical
     zeros and poles (pole scan runs to 2 t_max, so t_max <= 100 there)."""
-    if source == "zeta":
-        entries = find_zeros("zeta", 0.0, t_max, scan_step)
-    elif source == "beta":
-        entries = find_zeros("beta", 0.0, t_max, scan_step)
+    if source in ("zeta", "beta"):
+        entries = find_zeros(source, 0.0, t_max, scan_step)
     elif source == "delta5_merged":
         entries = singular_points_delta5(0.0, t_max, scan_step)
     else:

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import numbers
 import threading
@@ -177,35 +178,25 @@ def _branches(shape, *cases) -> np.ndarray:
     return out
 
 
-_cvz_weight_cache: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _cvz_weights(n: int) -> np.ndarray:
     """Binomial acceleration weights w_k = c_k / d for alternating sums,
     cached as complex128 so the power sum takes them without a cast."""
-    w = _cvz_weight_cache.get(n)
-    if w is None:
-        r = 3.0 + math.sqrt(8.0)
-        d = (r ** n + r ** (-n)) / 2.0
-        b = -1.0
-        c = -d
-        w = np.empty(n)
-        for k in range(n):
-            c = b - c
-            w[k] = c / d
-            b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-        w = _cvz_weight_cache[n] = w.astype(np.complex128)
-    return w
+    r = 3.0 + math.sqrt(8.0)
+    d = (r ** n + r ** (-n)) / 2.0
+    b = -1.0
+    c = -d
+    w = np.empty(n)
+    for k in range(n):
+        c = b - c
+        w[k] = c / d
+        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
+    return w.astype(np.complex128)
 
 
-_log_cache: dict[tuple, np.ndarray] = {}
-
-
+@functools.cache
 def _arith_logs(step: float, n: int) -> np.ndarray:
-    key = (step, n)
-    if key not in _log_cache:
-        _log_cache[key] = np.log(1.0 + step * np.arange(n))
-    return _log_cache[key]
+    return np.log(1.0 + step * np.arange(n))
 
 
 def _cvz_terms(s: np.ndarray) -> int:

@@ -21,6 +21,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,7 @@ _EXACT_ZERO_TOL = 1e-12
 # |zeta'| at the zeta zeros up to t = 200 stays below 6, far under 5e3
 _LINE_SCREEN = 1e-9
 _DEN_SCREEN = 1e-6
+_LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -135,22 +137,16 @@ def _delta_q_values(q: int, s: np.ndarray) -> np.ndarray:
         return num / den
 
 
-_moment_cache: dict[tuple, np.ndarray] = {}
-
-
+@functools.cache
 def _cvz_moments(step: float, n: int, chain: float) -> np.ndarray:
     """The n x 2 weights -c L w and c^2 L^2 w, L = log(1 + step k), c = chain:
     against exp(-x L) they give the first two s-derivatives of the CVZ sum
     A(x) = sum_k w_k (1 + step k)^(-x) when x = c s + const.  Cached per
     term count, like _cvz_weights, as real numbers: half the memory of
     complex ones, and the block matrix they are copied into is complex."""
-    key = (step, n, chain)
-    got = _moment_cache.get(key)
-    if got is None:
-        cl = chain * _arith_logs(step, n)
-        w = _cvz_weights(n).real
-        got = _moment_cache[key] = np.stack([-cl * w, cl * cl * w], axis=1)
-    return got
+    cl = chain * _arith_logs(step, n)
+    w = _cvz_weights(n).real
+    return np.stack([-cl * w, cl * cl * w], axis=1)
 
 
 # log delta5 = log A(s) + log B(s) - log A(x) - log q(s) + log q(x), x = 2s - 1/2,
@@ -342,18 +338,24 @@ def bracket_phase_zeros(q: int, sigma: float, t_max: float, scan_step: float = 0
     Located by critical._sign_change_roots on Im bracket_factor, scaled
     by r^-(sigma - 1/2) for sigma > 1/2 to stay O(1); for q != 4 they sit
     at multiples of pi / ln(1/r), q = 4 has none.  Needs finite sigma <= 1000
-    (r^(sigma - 1/2) underflows above it for q = 7, 8), 0 < t_max <= 200 and
-    scan_step in (0, 0.05] with at most 1,000,001 scan points (DomainError
-    otherwise).
+    (r^(sigma - 1/2) underflows above it for q = 7, 8), a sigma at which
+    r^(sigma - 1/2) does not overflow, (1/2 - sigma) |ln r| <= ln(largest
+    float) (sigma >= -1023.5 for q = 8, about -1267.84 for q = 7 and -2466.75
+    for q = 3), 0 < t_max <= 200 and scan_step in (0, 0.05] with at most
+    1,000,001 scan points (DomainError otherwise).
     """
     q = _label(q)
     if not -math.inf < sigma < math.inf:
         raise DomainError("sigma must be finite")
     if sigma > 1000.0:
         raise DomainError("need sigma <= 1000 (r^(sigma - 1/2) underflows above it)")
+    log_r = _log_bracket_ratio(q)
+    if (0.5 - sigma) * abs(log_r) > _LN_FLOAT_MAX:
+        raise DomainError(f"need sigma >= {0.5 - _LN_FLOAT_MAX / abs(log_r):.6g} for q = {q} "
+                          "(r^(sigma - 1/2) overflows below it)")
     if not 0.0 < t_max <= 200.0:
         raise DomainError("need 0 < t_max <= 200")
-    scale = math.exp(-max(sigma - 0.5, 0.0) * _log_bracket_ratio(q))
+    scale = math.exp(-max(sigma - 0.5, 0.0) * log_r)
     roots, _ = _sign_change_roots(lambda ts: scale * _bracket_values(q, sigma + 1j * ts).imag,
                                   0.0, t_max, scan_step)
     return roots.tolist()

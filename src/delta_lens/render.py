@@ -186,49 +186,37 @@ def locate_quadrant_meeting_points(grid: PixelGrid, spec: PortraitSpec
     if grid.height < rows or grid.width < cols:
         return []
     lab = _quadrant_labels(grid)
-    all4 = None
+    all4 = True
     for code in (1, 2, 3, 4):
-        w = np.lib.stride_tricks.sliding_window_view(lab == code, (rows, cols))
-        present = w.any(axis=(2, 3))
-        all4 = present if all4 is None else (all4 & present)
-    jj, ii = np.nonzero(all4)
-    if jj.size == 0:
-        return []
-    # window center, in fractional pixel coordinates
-    xs = ii + 0.5 * cols
-    ys = jj + 0.5 * rows
+        present = np.lib.stride_tricks.sliding_window_view(lab == code, cols, axis=1).any(axis=2)
+        all4 = all4 & np.lib.stride_tricks.sliding_window_view(present, rows, axis=0).any(axis=2)
     dsig, dt = spec.pixel_size()
     pitch = max(dsig, dt)
-    # single-linkage in s-space measured in coarse pitches
-    ux = xs * (dsig / pitch)
-    uy = ys * (dt / pitch)
-    parent = list(range(xs.size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    chunk = 2048
-    for lo in range(0, xs.size, chunk):
-        hi = min(lo + chunk, xs.size)
-        d2 = ((ux[lo:hi, None] - ux[None, :]) ** 2
-              + (uy[lo:hi, None] - uy[None, :]) ** 2)
-        for a, b in zip(*np.nonzero(d2 <= 1.9 * 1.9)):
-            a = int(a) + lo
-            b = int(b)
-            if a < b:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for k in range(xs.size):
-        groups.setdefault(find(k), []).append(k)
+    # single linkage in s-space measured in coarse pitches, as the lattice
+    # offsets (dj, di) between linked windows; the candidate map is padded
+    # by the reach so that every offset of a candidate stays inside it
+    rj, ri = int(1.9 * pitch / dt) + 1, int(1.9 * pitch / dsig) + 1
+    dj, di = np.mgrid[-rj:rj + 1, -ri:ri + 1].reshape(2, -1)
+    linked = (di * (dsig / pitch)) ** 2 + (dj * (dt / pitch)) ** 2 <= 1.9 * 1.9
+    unseen = np.pad(all4, ((rj, rj), (ri, ri))).reshape(-1)
+    width = all4.shape[1] + 2 * ri
+    offsets = dj[linked] * width + di[linked]
     out = []
-    for members in groups.values():
-        cx = float(np.mean(xs[members]))
-        cy = float(np.mean(ys[members]))
+    # flood fill from each component's first window in row-major order
+    for first in np.flatnonzero(unseen):
+        if not unseen[first]:
+            continue
+        unseen[first] = False
+        members = [first]
+        for m in members:  # the loop also visits the members it appends
+            near = m + offsets
+            near = near[unseen[near]]
+            unseen[near] = False
+            members.extend(near)
+        jj, ii = np.divmod(np.sort(members), width)
+        # window center, in fractional pixel coordinates
+        cx = float(np.mean(ii - ri + 0.5 * cols))
+        cy = float(np.mean(jj - rj + 0.5 * rows))
         out.append((spec.sigma_min + cx * dsig, spec.t_max - cy * dt))
     out.sort(key=lambda p: p[1])
     return out

@@ -211,6 +211,24 @@ def test_bracket_phase_zeros_refuses_a_large_sigma(sigma):
             bracket_phase_zeros(q, sigma, 24.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q, sigma, t_max", [(8, -1500.0, 24.0), (7, -1300.0, 30.0), (3, -3000.0, 56.0)])
+def test_bracket_phase_zeros_refuses_an_overflowing_sigma(q, sigma, t_max):
+    # (1/2 - sigma) |ln r| exceeds ln(largest float): r^(sigma - 1/2) is inf
+    with pytest.raises(DomainError, match="overflows"):
+        bracket_phase_zeros(q, sigma, t_max)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("q, sigma, t_max", [(8, -1000.0, 24.0), (7, -1200.0, 30.0), (3, -2000.0, 56.0)])
+def test_bracket_phase_zero_anchors_at_a_large_negative_sigma(q, sigma, t_max):
+    period = math.pi / abs(math.log(q / 4.0))
+    zeros = bracket_phase_zeros(q, sigma, t_max)
+    assert len(zeros) == 5
+    for m, t in enumerate(zeros, start=1):
+        assert abs(t - m * period) < 1e-9
+
+
 def test_bracket_phase_zeros_refuses_a_coarse_step(monkeypatch):
     # sin(2000 t) turns 20 rad per 0.01 scan step: its first bracket, at
     # t = 0.02, hides seven sign changes

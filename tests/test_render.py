@@ -9,7 +9,7 @@ import pytest
 from delta_lens.errors import IoFailure, SpecInvalid
 from delta_lens.quotient import QuotientKind, delta5
 from delta_lens.render import (PixelGrid, PortraitSpec, Q1_RGB, Q2_RGB, Q3_RGB,
-                               Q4_RGB, _render_rows,
+                               Q4_RGB, _render_rows, _window_shape,
                                locate_quadrant_meeting_points,
                                render_amplitude, render_phase_quadrants,
                                write_ppm)
@@ -209,3 +209,64 @@ def test_write_ppm(tmp_path):
 def test_pixel_grid_validation():
     with pytest.raises(SpecInvalid):
         PixelGrid(width=2, height=2, pixels=bytes(5))
+
+
+def _reference_meeting_points(grid, spec):
+    """Single linkage written out plainly: the windows that show all four
+    quadrant colors, counted from summed-area tables; every pair of them
+    with its distance in coarse pitches; components from the linked pairs,
+    labelled by their first window and grown until no label changes."""
+    rows, cols = _window_shape(spec)
+    rgb = np.frombuffer(grid.pixels, dtype=np.uint8).reshape(grid.height, grid.width, 3)
+    all4 = True
+    for col in (Q1_RGB, Q2_RGB, Q3_RGB, Q4_RGB):
+        c = np.pad(np.all(rgb == col, axis=2).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+        all4 = all4 & (c[rows:, cols:] - c[:-rows, cols:] - c[rows:, :-cols] + c[:-rows, :-cols] > 0)
+    jj, ii = np.nonzero(all4)
+    dsig, dt = spec.pixel_size()
+    pitch = max(dsig, dt)
+    dist = np.hypot((ii[:, None] - ii[None, :]) * dsig, (jj[:, None] - jj[None, :]) * dt) / pitch
+    linked = dist <= 1.9
+    label = np.arange(ii.size)
+    while True:
+        grown = np.where(linked, label[None, :], ii.size).min(axis=1)
+        if np.array_equal(grown, label):
+            break
+        label = grown
+    points = [(spec.sigma_min + float(np.mean(ii[label == k] + 0.5 * cols)) * dsig,
+               spec.t_max - float(np.mean(jj[label == k] + 0.5 * rows)) * dt)
+              for k in np.unique(label)]
+    return sorted(points, key=lambda p: p[1])
+
+
+def test_meeting_points_match_plain_single_linkage():
+    # benchmark-size portrait: 150x300 over sigma [-1, 2], t [35, 65], pixel aspect 5:1
+    spec = PortraitSpec(sigma_min=-1.0, sigma_max=2.0, t_min=35.0, t_max=65.0,
+                        width=150, height=300, mode="phase_quadrant")
+    grid = render_phase_quadrants(spec)
+    points = locate_quadrant_meeting_points(grid, spec)
+    assert len(points) > 20
+    assert points == _reference_meeting_points(grid, spec)
+
+
+def test_meeting_points_link_just_under_the_linkage_radius():
+    # pixels 1/64 by 5/64 (aspect 5:1): the window is 10 columns by 2 rows and
+    # a column is 0.2 coarse pitches.  Each planted corner is a 2x2 block of
+    # the four colors on black, seen by the 9 windows that hold it whole; the
+    # closest windows of corners 17 columns apart are 9 columns, 1.8 pitches,
+    # apart and link, those of corners 18 columns apart are 2.0 pitches
+    # apart and do not.
+    width, height = 80, 8
+    spec = PortraitSpec(sigma_min=0.0, sigma_max=width / 64, t_min=0.0, t_max=height * 5 / 64,
+                        width=width, height=height, mode="phase_quadrant")
+    assert _window_shape(spec) == (2, 10)
+    rgb = np.zeros((height, width, 3), dtype=np.uint8)
+    for i in (20, 37, 55):
+        rgb[3, i], rgb[3, i + 1], rgb[4, i], rgb[4, i + 1] = Q2_RGB, Q1_RGB, Q3_RGB, Q4_RGB
+    grid = PixelGrid(width=width, height=height, pixels=rgb.tobytes())
+    points = locate_quadrant_meeting_points(grid, spec)
+    assert points == _reference_meeting_points(grid, spec)
+    # a corner planted at column i meets at the pixel boundary x = i + 1, on
+    # the row boundary y = 4; the linked pair averages its two corners
+    t = spec.t_max - 4 * 5 / 64
+    assert points == [((21 + 38) / 2 / 64, t), (56 / 64, t)]

@@ -21,7 +21,12 @@ values are identical bit for bit.  It covers
   real-axis zeros of the quotient, and bracket_phase_zeros for q = 3 and
   q = 8 as verify-all checks them;
 * phase-zero and amplitude-one traces for n = 1..21, each with its own
-  window catalog.
+  window catalog;
+* the pixel bytes of the verify-all criterion-12 portrait (600 x 1200 over
+  sigma in [-1, 2], t in [0, 60]), of 150 x 300 delta5 phase portraits of
+  sigma in [-1, 2], t in [t0, t0 + 30] for t0 = 0, 35, 70 and of 150 x 300
+  amplitude portraits of delta_q at t0 = 35 for q = 3, 7, 8, and the
+  locate_quadrant_meeting_points output of each phase portrait.
 
 A call that raises is digested as its exception type and message.  Uses
 only the standard library and numpy; imports the package from src/.
@@ -40,8 +45,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from delta_lens import census, contours, critical, evalcore  # noqa: E402
-from delta_lens.quotient import _delta5_log_derivatives, _delta_q_values, bracket_phase_zeros  # noqa: E402
+from delta_lens import census, contours, critical, evalcore, render  # noqa: E402
+from delta_lens.quotient import (QuotientKind, _delta5_log_derivatives, _delta_q_values,  # noqa: E402
+                                 bracket_phase_zeros)
 
 QS = (3, 4, 7, 8)
 LINES = range(1, 22)
@@ -80,6 +86,15 @@ def _trace_bytes(trace, n: int) -> bytes:
     return out
 
 
+def _portraits():
+    yield "phase/600x1200/criterion12", render.PortraitSpec(-1.0, 2.0, 0.0, 60.0, 600, 1200, "phase_quadrant")
+    for t0 in (0.0, 35.0, 70.0):
+        yield f"phase/150x300/{t0:g}", render.PortraitSpec(-1.0, 2.0, t0, t0 + 30.0, 150, 300, "phase_quadrant")
+    for q in (3, 7, 8):
+        yield f"amplitude{q}/150x300/35", render.PortraitSpec(-1.0, 2.0, 35.0, 65.0, 150, 300, "amplitude",
+                                                              QuotientKind(q))
+
+
 def main() -> None:
     with open(ROOT / "benchmark" / "reference.json", encoding="ascii") as fh:
         probes = json.load(fh)["probes"]
@@ -116,6 +131,13 @@ def main() -> None:
                         ("amplitude", contours.trace_amplitude_one_line)):
         for n in LINES:
             print(f"trace/{kind}/{n} {_digest_call(_trace_bytes, trace, n)}")
+    for name, spec in _portraits():
+        phase = spec.mode == "phase_quadrant"
+        grid = (render.render_phase_quadrants if phase else render.render_amplitude)(spec)
+        print(f"portrait/{name} {_digest_call(lambda: grid.pixels)}")
+        if phase:
+            digest = _digest_call(lambda: np.asarray(render.locate_quadrant_meeting_points(grid, spec)).tobytes())
+            print(f"meeting_points/{name} {digest}")
 
 
 if __name__ == "__main__":
