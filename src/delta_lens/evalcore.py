@@ -6,8 +6,9 @@ Every public operation accepts a Python complex (or float) or a numpy array
 of them and returns the matching shape.  There is one numerical
 configuration: series cutoffs are sized for _TARGET_DIGITS = 14 significant
 digits and Euler-Maclaurin carries _EM_ORDER = 12 Bernoulli corrections,
-which gives about 1e-13 relative accuracy for |Im s| <= 200 (near
-|Im s| = 200 phase rounding in the reflection factors caps it around 2e-13):
+which gives an error of about 1e-13 absolute or relative, whichever is
+larger, for |Im s| <= 200 (near |Im s| = 200 phase rounding in the
+reflection factors caps it around 4e-13):
 
 * zeta, beta_L: accelerated alternating series (binomial weights, error
   ~ (3+sqrt 8)^-n) for Re s > 0, functional-equation reflection below.
@@ -23,17 +24,22 @@ DomainError (their 347-term cap loses digits above it); a quotient's
 denominator zeta(2s - 1/2) sets its ceiling at |Im s| = 250.  L_q has none.
 
 Every Dirichlet series goes through one power sum, _power_sum.  A batch
-that is a sigma x t grid (a render block) or an equally spaced scan along one
-vertical line (a critical-line scan) factors as k^-s = k^-a e^(-ib log k),
+that is a complete row-major sigma x t grid (a render block) or an equally
+spaced scan along one vertical line (a critical-line scan), both detected
+in O(N) without a sort, factors as k^-s = k^-a e^(-ib log k),
 with a = sigma and b = t on a grid and a = sigma + coarse t, b = fine t steps
 on a line, so its sum is one matrix product (_separable_sum); other batches
 take one complex exp per point and term.
 
-Piecewise definitions (the reflection half-plane, the eta-route fallback
-near s = 1 + 2 pi i k / ln 2, the rational Hurwitz reflection) go through
-one branch helper, _branches: a batch that lies in one branch, such as a
-scalar probe or a round of bisection midpoints, is handed to that branch
-whole, without a copy or a scatter.
+Piecewise definitions (the reflection half-plane, the rational Hurwitz
+reflection) go through one branch helper, _branches: a batch that lies in
+one branch, such as a scalar probe or a round of bisection midpoints, is
+handed to that branch whole, without a copy or a scatter.  Their masks
+split a render block by columns, so each branch is again a grid.  The eta
+route of zeta runs on the whole batch, and Euler-Maclaurin overwrites the
+few points near s = 1 + 2 pi i k / ln 2 where it fails (_zeta_right), so a
+block keeps no holes.  log Gamma shifts each argument only as far as the
+Stirling series needs (_stirling_lgamma).
 
 Products of _GRID_MIN_POINTS points or more run on one BLAS thread
 (_one_blas_thread): threaded, numpy's bundled OpenBLAS spins its workers
@@ -239,6 +245,18 @@ def _line_layout(sigma: float, t: np.ndarray):
     return sigma + 1j * (t[0] + h * q * np.arange(p)), h * np.arange(q), on
 
 
+def _grid_width(re: np.ndarray, im: np.ndarray) -> int:
+    """Grid rule of _power_sum: W when the points re + i im are a row-major
+    grid, each row of W points repeating the real parts re[:W] at one
+    imaginary part (W is the first index where Im changes, or N for a
+    single row); 0 otherwise.  O(N), no sort."""
+    n = re.size
+    w = int(np.argmax(im != im[0])) or n
+    grid = (n % w == 0 and (re.reshape(-1, w) == re[:w]).all()
+            and (im.reshape(-1, w) == im[::w, None]).all())
+    return w if grid else 0
+
+
 def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_k w_k exp(-s logs_k).
 
@@ -249,12 +267,15 @@ def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
     * line rule: all points on one vertical line with equally spaced
       ordinates t0 + h (Q p + q), as in a critical-line scan; a is sigma plus
       the coarse ordinate t0 + h Q p, b the fine step h q (_line_layout).
-    * grid rule: R >= 2 distinct real parts and I >= 2 distinct imaginary
-      parts that fill at least half of the R x I grid they span
-      (R*I <= 2N); a is sigma, b is t.
+    * grid rule: a complete row-major sigma x t grid of H rows of W points,
+      each row repeating the real parts of the first at one imaginary part,
+      as render blocks are laid out (_grid_width); a is sigma, b is t, and
+      the W x H product is transposed back.  The column masks of the
+      reflection branches keep this layout.
 
     Points no rule covers (scalar and scattered probes, short refinement
-    levels, bisection midpoints, a scan's clipped last ordinate) take the
+    levels, bisection midpoints, a scan's clipped last ordinate, grids with
+    holes or in column-major order) take the
     outer product exp(-s logs) @ w: one product below _GRID_MIN_POINTS,
     blocked above so it stays small.
 
@@ -275,10 +296,9 @@ def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
                 out[on] = _separable_sum(rows, cols, logs, w).reshape(-1)[:flat.size][on]
                 rest = ~on
         else:
-            ur, ir = np.unique(re, return_inverse=True)
-            ui, ii = np.unique(flat.imag, return_inverse=True)
-            if ui.size >= 2 and ur.size * ui.size <= 2 * flat.size:
-                return _separable_sum(ur, ui, logs, w)[ir, ii].reshape(s.shape)
+            width = _grid_width(re, flat.imag)
+            if width:
+                return _separable_sum(re[:width], flat.imag[::width], logs, w).T.reshape(s.shape)
         idx = np.flatnonzero(rest)
         blk = 4096
         for i in range(0, idx.size, blk):
@@ -295,20 +315,31 @@ def _alt_weighted_sum(s: np.ndarray, step: float) -> np.ndarray:
 
 
 def _stirling_lgamma(z: np.ndarray) -> np.ndarray:
-    """Principal-branch log Gamma; arguments shifted until Re >= 10."""
+    """Principal-branch log Gamma by the Stirling series, point by point.
+
+    A point with Re z >= 10, or with Re z >= 0 and |Im z| >= 10, takes the
+    series as it is (|z| >= 10 in the right half-plane).  Every other point
+    is shifted by its own k = ceil(10 - Re z) to Re >= 10 and pays the k logs
+    of log Gamma(z) = log Gamma(z + k) - sum_{j<k} log(z + j), so a value
+    does not depend on its batch-mates."""
     z = np.ascontiguousarray(z, dtype=np.complex128)
-    re_min = z.real.min() if z.size else 10.0
-    k_shift = max(0, int(math.ceil(10.0 - re_min)))
-    zs = z + k_shift
-    corr = np.zeros(z.shape, dtype=np.complex128)
-    for j in range(k_shift):
-        corr = corr + np.log(z + j)
+    flat, re = z.reshape(-1), z.real.reshape(-1)
+    k = np.where((re >= 10.0) | ((re >= 0.0) & (np.abs(flat.imag) >= 10.0)), 0.0, np.ceil(10.0 - re))
+    shifted = np.flatnonzero(k)
+    zk, kk = flat[shifted], k[shifted]
+    ck, k_min = np.zeros(zk.shape, dtype=np.complex128), kk.min(initial=np.inf)
+    for j in range(int(kk.max(initial=0.0))):
+        log = np.log(zk + j)
+        ck += log if j < k_min else np.where(kk > j, log, 0.0)  # below k_min every shifted point takes it
+    corr = np.zeros(flat.shape, dtype=np.complex128)
+    corr[shifted] = ck
+    zs = flat + k
     inv2 = 1.0 / (zs * zs)
-    acc = np.zeros(z.shape, dtype=np.complex128)
+    acc = np.zeros(flat.shape, dtype=np.complex128)
     for c in _STIRLING_C[::-1]:
         acc = (acc + c) * inv2
     acc = acc * zs  # sum c_k / zs^(2k-1)
-    return (zs - 0.5) * np.log(zs) - zs + 0.5 * math.log(TWO_PI) + acc - corr
+    return ((zs - 0.5) * np.log(zs) - zs + 0.5 * math.log(TWO_PI) + acc - corr).reshape(z.shape)
 
 
 def _log_sin(z: np.ndarray) -> np.ndarray:
@@ -375,11 +406,19 @@ def _eta_factor(s: np.ndarray) -> np.ndarray:
 
 
 def _zeta_right(s: np.ndarray) -> np.ndarray:
-    """zeta for Re s > 0 (pole neighborhood of s = 1 gives a huge finite value)."""
+    """zeta for Re s > 0 (pole neighborhood of s = 1 gives a huge finite value).
+    The eta route runs on the whole batch, so a render block reaches
+    _power_sum as a whole grid; Euler-Maclaurin then overwrites the points
+    where |q| < _ETA_MIN."""
     q = _eta_factor(s)
     bad = np.abs(q) < _ETA_MIN
-    return _branches(s.shape, (~bad, lambda m: _alt_weighted_sum(s[m], 1.0) / q[m]),
-                     (bad, lambda m: _em_hurwitz(s[m], 1.0)))
+    if bad.all():
+        return _em_hurwitz(s, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _alt_weighted_sum(s, 1.0) / q
+    if bad.any():
+        out[bad] = _em_hurwitz(s[bad], 1.0)
+    return out
 
 
 def _zeta_values(s: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from delta_lens.contours import _trace_lines
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference.json"
+TEST_REFERENCE = Path(__file__).resolve().parent / "mpmath_reference.json"
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +16,15 @@ def reference():
     """Frozen mpmath values (30 digits): zeta zero ordinates to t = 200 and a
     1,000-point probe pool over sigma in [-3, 4], |t| <= 200."""
     with open(REFERENCE, encoding="ascii") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="session")
+def mpmath_reference():
+    """Frozen mpmath values (40 digits, tools/make_test_reference.py): log
+    Gamma on the boundary pool of the Stirling shift and two critical-line
+    L values of small modulus."""
+    with open(TEST_REFERENCE, encoding="ascii") as fh:
         return json.load(fh)
 
 

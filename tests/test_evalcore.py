@@ -75,26 +75,72 @@ def test_zeta_vector_matches_scalar():
         assert abs(vec[k] - zeta(complex(s))) < 1e-13 * max(1.0, abs(vec[k]))
 
 
-@pytest.mark.parametrize("values", [
-    _zeta_values, _beta_values, lambda s: _dirichlet_values(8, s),
-    lambda s: _delta_q_values(4, s)], ids=["zeta", "beta", "L8", "delta5"])
-def test_grid_path_matches_point_path(values, monkeypatch):
-    # a 16x16 grid across the reflection line sigma = 0 and sigma = 1/2,
-    # one point masked out, evaluated as one batch (the matrix-product grid
-    # path of _power_sum) against the blocked outer-product path on the same
-    # batch and against one-point calls
-    sig = np.linspace(-1.5, 2.25, 16)
-    t = np.linspace(0.7, 61.3, 16)
-    s = np.delete((sig[None, :] + 1j * t[:, None]).ravel(), 37)
+_SIG16, _T16 = np.linspace(-1.5, 2.25, 16), np.linspace(0.7, 61.3, 16)
+# 16x16 grids across the reflection lines sigma = 0 and sigma = 1/2, laid
+# out as render blocks are (row-major: sigma varies along a row), transposed,
+# as one row of 48 points, with a repeated sigma column, and with one point
+# removed; a holed grid takes the grid rule only on the branches without
+# the hole, the rest of it and the transposed grid take the blocked path
+GRID_LAYOUTS = {
+    "holed": np.delete((_SIG16[None, :] + 1j * _T16[:, None]).ravel(), 37),
+    "row-major": (_SIG16[None, :] + 1j * _T16[:, None]).ravel(),
+    "column-major": (_SIG16[:, None] + 1j * _T16[None, :]).ravel(),
+    "single-row": np.linspace(-1.5, 2.25, 48) + 30.7j,
+    "repeated-sigma": (np.insert(_SIG16, 6, _SIG16[6])[None, :] + 1j * _T16[:, None]).ravel(),
+}
+GRID_VALUES = {"zeta": _zeta_values, "beta": _beta_values, "L8": lambda s: _dirichlet_values(8, s),
+               "delta5": lambda s: _delta_q_values(4, s)}
+
+
+@pytest.mark.parametrize("values, layout", [
+    pytest.param(values, layout, id=name if layout == "holed" else f"{name}-{layout}")
+    for layout in GRID_LAYOUTS for name, values in GRID_VALUES.items()])
+def test_grid_path_matches_point_path(values, layout, monkeypatch):
+    # one batch (the matrix-product grid rule of _power_sum where the layout
+    # allows it) against the blocked outer-product path on the same batch
+    # and against one-point calls
+    s = GRID_LAYOUTS[layout]
     grid = values(s)
     point = np.array([values(s[k:k + 1])[0] for k in range(s.size)])
     monkeypatch.setattr(evalcore, "_GRID_MIN_POINTS", s.size + 1)
     blocked = values(s)
-    assert np.any(grid != blocked)  # the grid path really ran
+    if layout != "column-major":
+        assert np.any(grid != blocked)  # the grid rule really ran
     assert np.max(np.abs(grid - blocked) / np.abs(blocked)) <= 1e-13
     # one-point calls size their series for that point alone, so they agree
     # only to the accuracy bound pinned against mpmath in test_contract_map
     assert np.max(np.abs(grid - point) / np.abs(point)) <= 1e-12
+
+
+def test_eta_fallback_points_keep_a_render_block_whole(monkeypatch):
+    # a 64-row block of a 150-wide portrait over sigma in [-1, 2], rows top
+    # down as render lays them out, through the zeros of 1 - 2^(1-x) at
+    # x = 1 + 2 pi i k / ln 2: the numerator's zeta(s) meets the first at
+    # t = 9.06, the denominator's zeta(2s - 1/2) the first two at t = 4.53
+    # and 9.06; each reflected branch meets them near sigma = 0 or 1/4
+    sig = -1.0 + (np.arange(150) + 0.5) * 0.02
+    ts = 4.53 + 0.0906 * (np.arange(63, -1, -1) - 10)
+    s = (sig[None, :] + 1j * ts[:, None]).ravel()
+    calls = []
+    separable_sum = evalcore._separable_sum
+
+    def spy(rows, cols, logs, w):
+        calls.append((rows.size, cols.size))
+        return separable_sum(rows, cols, logs, w)
+
+    monkeypatch.setattr(evalcore, "_separable_sum", spy)
+    _delta_q_values(4, s)
+    # zeta, beta and the denominator, each on both sides of its reflection
+    # line: six series, each summed by one product over whole columns
+    assert len(calls) == 6 and {cols for _, cols in calls} == {ts.size}
+    assert sum(rows for rows, _ in calls) == 3 * sig.size
+    for x in (s, 2.0 * s - 0.5):
+        right = np.where(x.real > 0.0, x, 1.0 - x)  # the argument of the eta route
+        fallback = np.flatnonzero(np.abs(evalcore._eta_factor(right)) < evalcore._ETA_MIN)
+        assert fallback.size >= 4
+        block = _zeta_values(x)[fallback]
+        one = np.array([_zeta_values(x[k:k + 1])[0] for k in fallback])
+        assert np.max(np.abs(block - one) / np.abs(one)) <= 1e-13
 
 
 @pytest.mark.parametrize("values", [_zeta_values, _beta_values], ids=["zeta", "beta"])
@@ -316,3 +362,25 @@ def test_log_gamma_poles():
         log_gamma(0.0)
     with pytest.raises(PoleOfGamma):
         log_gamma(-3.0)
+
+
+def test_log_gamma_across_the_shift_boundary(mpmath_reference):
+    # Re z in {-2.5, -1e-9, 0, 0.5, 9.5, 10} x Im z in {+-9.999, +-10,
+    # +-10.001, +-47, +-250}: points on both sides of the per-point Stirling
+    # shift (none where Re z >= 10, or Re z >= 0 and |Im z| >= 10)
+    rows = np.array(mpmath_reference["log_gamma"])
+    z, want = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+    got = log_gamma(z)
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    worst = int(np.argmax(err))
+    assert err[worst] <= 1e-13, f"log_gamma off by {err[worst]:.2e} at z = {z[worst]}"
+    # each point is shifted by its own amount, so batch-mates do not move its bits
+    assert all(log_gamma(complex(zk)) == gk for zk, gk in zip(z, got))
+
+
+def test_log_gamma_principal_branch_is_continuous_at_the_shift_boundary():
+    # along Re z = 1/4, |Im z| crosses 10 where the shift stops; Im log Gamma
+    # moves by about log|z| * 0.005 = 0.012 per step, a branch jump by 2 pi
+    for sign in (1.0, -1.0):
+        im = log_gamma(0.25 + 1j * sign * np.linspace(9.9, 10.1, 41)).imag
+        assert np.max(np.abs(np.diff(im))) < 0.05

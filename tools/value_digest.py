@@ -9,6 +9,9 @@ values are identical bit for bit.  It covers
   q = 3, 4, 7, 8 on the probe pool of benchmark/reference.json, evaluated
   as one vector, in 3-point batches and in 1-point batches;
 * the same functions on a 30 x 40 grid (the grid matrix-product path);
+* log_gamma on the probe pool, as one vector and in 1-point batches, and
+  on the boundary pool of its per-point Stirling shift in
+  tests/mpmath_reference.json;
 * the tracing kernel quotient._delta5_log_derivatives (delta5 and the first
   two derivatives of its log) on the probe-pool points with sigma >= 0.495,
   as one vector and in 3-point batches;
@@ -106,6 +109,11 @@ def main() -> None:
         for label, batch in (("vector", pool.size), ("batch3", 3), ("batch1", 1)):
             print(f"{name}/{label} {_digest_call(_values, fn, pool, batch)}")
         print(f"{name}/grid30x40 {_digest_call(lambda: np.asarray(fn(grid)).tobytes())}")
+    with open(ROOT / "tests" / "mpmath_reference.json", encoding="ascii") as fh:
+        boundary = np.array([complex(*row[:2]) for row in json.load(fh)["log_gamma"]])
+    for label, points, batch in (("vector", pool, pool.size), ("batch1", pool, 1),
+                                 ("boundary", boundary, boundary.size)):
+        print(f"log_gamma/{label} {_digest_call(_values, evalcore.log_gamma, points, batch)}")
     right = pool[pool.real >= 0.495]
     for label, batch in (("vector", right.size), ("batch3", 3)):
         digest = _digest_call(_values, lambda s: np.concatenate(_delta5_log_derivatives(s)), right, batch)
