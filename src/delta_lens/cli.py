@@ -12,6 +12,7 @@ error class name goes to standard error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -223,6 +224,7 @@ def _cmd_verify_all(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache  # built once: main parses into a fresh namespace on every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delta-lens",

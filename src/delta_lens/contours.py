@@ -145,7 +145,7 @@ def _sigma_schedule(sigma_start: float, step: float) -> list[float]:
 def _window_catalog(t_lo: float, t_hi: float) -> list[CriticalPoint]:
     """Critical-line points within 4 of the termini t_lo <= t_hi.  The window
     is widened to whole units, so find_zeros' scan grid, and with it every
-    bisected ordinate, stays put when a terminus moves by rounding."""
+    refined ordinate, stays put when a terminus moves by rounding."""
     return singular_points_delta5(max(math.floor(t_lo - 4.0), 0.0), min(math.ceil(t_hi + 4.0), 100.0), 0.01)
 
 

@@ -7,10 +7,11 @@ The completed functions are
     completed_zeta(s) = pi^(-s/2) Gamma(s/2) zeta(s)
     completed_beta(s) = (pi/4)^(-(s+1)/2) Gamma((s+1)/2) beta(s)
 
-both symmetric under s -> 1-s and real on Re s = 1/2, which makes bisection
-on sign changes robust where raw modulus minima are not.  Zeros found this
-way are recorded with multiplicity 1 and a derivative guard asserts the
-zero really is simple.
+both symmetric under s -> 1-s and real on Re s = 1/2, which makes sign
+changes bracket their zeros robustly where raw modulus minima would not.
+Each bracket is refined from the scan's own values by bracket-keeping secant
+pairs to a half width of 2.5e-10.  Zeros found this way are recorded with
+multiplicity 1 and a derivative guard asserts the zero really is simple.
 """
 
 from __future__ import annotations
@@ -131,6 +132,47 @@ def _line_values(source: str, ts: np.ndarray) -> np.ndarray:
 
 # points of one sign-change scan, refused before its ordinates are allocated
 _MAX_SCAN_POINTS = 1_000_001
+# half width of a secant pair, and so of every final sign-change bracket
+_PAIR_HALF = 2.5e-10
+
+
+def _secant_pairs(f, a, b, fa, fb):
+    """Roots of f, one in each bracket [a, b] whose end values fa, fb differ
+    in sign, and the half widths of their final sign-change brackets.  Each
+    round makes one call of f for every live bracket: the secant point m,
+    clipped to [a + d, b - d] (d = _PAIR_HALF), is evaluated at m - d and
+    m + d.  A pair whose signs differ, or that holds a 0, ends its bracket at
+    m with half width d; otherwise the bracket shrinks to the side of the
+    pair that keeps the sign change.  An end kept twice running has its
+    stored value halved (the Illinois rule of Dowell and Jarratt, BIT 11,
+    1971).  A round that halves neither the bracket nor |f| at the end it
+    moves makes the next round take the midpoint, so regula falsi's
+    one-sided stall cannot last.  A bracket narrowed to 2d ends at its
+    midpoint."""
+    d = _PAIR_HALF
+    roots, halves = 0.5 * (a + b), 0.5 * (b - a)
+    idx = np.flatnonzero(b - a > 2.0 * d)
+    a, b, fa, fb = a[idx], b[idx], fa[idx], fb[idx]
+    moved = np.zeros(idx.size)  # +1 where a moved last round, -1 where b did
+    midpoint = np.zeros(idx.size, dtype=bool)
+    while idx.size:
+        m = np.where(midpoint, 0.5 * (a + b), a - fa * (b - a) / (fb - fa))
+        m = np.clip(m, a + d, b - d)
+        below, above = np.split(f(np.concatenate([m - d, m + d])), 2)
+        done = np.sign(below) * np.sign(above) <= 0.0
+        roots[idx[done]], halves[idx[done]] = m[done], d
+        up = np.sign(below) == np.sign(fa)  # the sign change lies above the pair
+        width = b - a
+        gained = np.abs(np.where(up, above, below)) <= 0.5 * np.abs(np.where(up, fa, fb))
+        fa = np.where(up, above, np.where(moved < 0.0, 0.5 * fa, fa))
+        fb = np.where(up, np.where(moved > 0.0, 0.5 * fb, fb), below)
+        a, b = np.where(up, m + d, a), np.where(up, b, m - d)
+        moved, midpoint = np.where(up, 1.0, -1.0), (b - a > 0.5 * width) & ~gained
+        narrow = ~done & ~(b - a > 2.0 * d)
+        roots[idx[narrow]], halves[idx[narrow]] = 0.5 * (a + b)[narrow], 0.5 * (b - a)[narrow]
+        live = ~done & ~narrow
+        idx, a, b, fa, fb, moved, midpoint = (x[live] for x in (idx, a, b, fa, fb, moved, midpoint))
+    return roots, halves
 
 
 def _sign_change_roots(f, t_lo: float, t_hi: float, scan_step: float):
@@ -138,10 +180,13 @@ def _sign_change_roots(f, t_lo: float, t_hi: float, scan_step: float):
     [t_lo, t_hi], as ascending arrays of the roots and of the half widths of
     their final brackets.  Opposite signs of neighbours on a scan of step
     scan_step, clipped at t_hi, bracket them (a product of neighbours could
-    underflow); a bracket hiding two more crossings raises StepTooCoarse;
-    lockstep bisection refines every bracket to 1e-9; |f'| <= 1e-8 at a root
-    raises UnexpectedCoincidence, so f must be O(1) near its zeros.  Needs
-    scan_step in (0, 0.05] and at most _MAX_SCAN_POINTS scan points."""
+    underflow); a bracket hiding two more crossings raises StepTooCoarse.
+    The scan's end values and the 7 interior values of that check narrow
+    each bracket to the eighth that holds its sign change, and secant pairs
+    (_secant_pairs) refine every bracket to half width _PAIR_HALF; |f'| <=
+    1e-8 at a root raises UnexpectedCoincidence, so f must be O(1) near its
+    zeros.  Needs scan_step in (0, 0.05] and at most _MAX_SCAN_POINTS scan
+    points."""
     if not 0.0 < scan_step <= 0.05:
         raise DomainError("scan_step must lie in (0, 0.05]")
     if (t_hi - t_lo) / scan_step > _MAX_SCAN_POINTS - 1:
@@ -150,40 +195,41 @@ def _sign_change_roots(f, t_lo: float, t_hi: float, scan_step: float):
     n = int(math.ceil((t_hi - t_lo) / scan_step))
     ts = t_lo + scan_step * np.arange(n + 1)
     ts[-1] = t_hi
-    signs = np.sign(f(ts))
+    values = f(ts)
+    signs = np.sign(values)
     cross = signs[:-1] * signs[1:] < 0.0
-    lo, hi, flo = ts[:-1][cross], ts[1:][cross], signs[:-1][cross]
-    if lo.size:
-        # a bracket hiding two extra crossings would refine onto the wrong root;
-        # its 7 interior points are evaluated, its ends reuse the scan's signs
-        sub = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, 8) / 8.0)[None, :]
-        ss = np.column_stack([flo, np.sign(f(sub.reshape(-1))).reshape(sub.shape), signs[1:][cross]])
-        changes = np.sum(ss[:, :-1] * ss[:, 1:] < 0.0, axis=1)
-        if np.any(changes > 1):
-            bad = float(lo[np.argmax(changes > 1)])
-            raise StepTooCoarse(
-                f"{int(changes.max())} sign changes inside one scan step near t = {bad:.6f}")
-        while np.max(hi - lo) > 1e-9:
-            mid = 0.5 * (lo + hi)
-            smid = np.sign(f(mid))
-            take_hi = flo * smid <= 0.0
-            lo, hi = np.where(take_hi, lo, mid), np.where(take_hi, mid, hi)
-            flo = np.where(take_hi, flo, smid)
-    roots = 0.5 * (lo + hi)
-    if roots.size:
-        deriv = _central_difference(f, roots)[1]
-        if np.any(np.abs(deriv) <= 1e-8):
-            t_bad = float(roots[np.argmax(np.abs(deriv) <= 1e-8)])
-            raise UnexpectedCoincidence(
-                f"vanishing derivative at detected zero t = {t_bad:.9f}; zero may not be simple")
-    return roots, 0.5 * (hi - lo)
+    lo, hi = ts[:-1][cross], ts[1:][cross]
+    if not lo.size:
+        return lo, hi  # both empty
+    # a bracket hiding two extra crossings would refine onto the wrong root;
+    # its 7 interior points are evaluated, its ends reuse the scan's values
+    sub = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, 8) / 8.0)[None, :]
+    grid = np.column_stack([lo, sub, hi])
+    fs = np.column_stack([values[:-1][cross], f(sub.reshape(-1)).reshape(sub.shape), values[1:][cross]])
+    ss = np.sign(fs)
+    changes = np.sum(ss[:, :-1] * ss[:, 1:] < 0.0, axis=1)
+    if np.any(changes > 1):
+        bad = float(lo[np.argmax(changes > 1)])
+        raise StepTooCoarse(
+            f"{int(changes.max())} sign changes inside one scan step near t = {bad:.6f}")
+    # the first eighth whose end signs differ or hold a 0 keeps the crossing
+    j = np.argmax(ss[:, :-1] * ss[:, 1:] <= 0.0, axis=1)
+    rows = np.arange(lo.size)
+    roots, halves = _secant_pairs(f, grid[rows, j], grid[rows, j + 1], fs[rows, j], fs[rows, j + 1])
+    deriv = _central_difference(f, roots)[1]
+    if np.any(np.abs(deriv) <= 1e-8):
+        t_bad = float(roots[np.argmax(np.abs(deriv) <= 1e-8)])
+        raise UnexpectedCoincidence(
+            f"vanishing derivative at detected zero t = {t_bad:.9f}; zero may not be simple")
+    return roots, halves
 
 
 def find_zeros(source: str, t_min: float, t_max: float,
                scan_step: float = 0.01) -> list[CriticalPoint]:
     """All critical-line zeros of zeta or beta with ordinate in [t_min, t_max],
     ascending, found by _sign_change_roots on the completed function at
-    resolution scan_step and refined to 1e-9 in t.  Needs
+    resolution scan_step; each refined_to is the half width of its final
+    sign-change bracket, at most 2.5e-10.  Needs
     0 <= t_min < t_max <= 200 and scan_step in (0, 0.05] with a scan of at
     most 1,000,001 points (DomainError otherwise).
     """

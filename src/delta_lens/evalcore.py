@@ -33,7 +33,7 @@ take one complex exp per point and term.
 
 Piecewise definitions (the reflection half-plane, the rational Hurwitz
 reflection) go through one branch helper, _branches: a batch that lies in
-one branch, such as a scalar probe or a round of bisection midpoints, is
+one branch, such as a scalar probe or a round of secant pairs, is
 handed to that branch whole, without a copy or a scatter.  Their masks
 split a render block by columns, so each branch is again a grid.  The eta
 route of zeta runs on the whole batch, and Euler-Maclaurin overwrites the
@@ -95,7 +95,7 @@ _TARGET_DIGITS = 14  # significant digits the CVZ and Euler-Maclaurin cutoffs ar
 _EM_ORDER = 12  # Bernoulli correction terms of Euler-Maclaurin, B_2 .. B_24
 _ETA_MIN = 0.05  # smallest |1 - 2^(1-s)| the eta route of zeta divides by
 # below this many points the line and grid tests in _power_sum cost more
-# than they can save (scalar probes, short refinement levels, bisection midpoints)
+# than they can save (scalar probes, short refinement levels, secant pairs)
 _GRID_MIN_POINTS = 16
 # largest |Im| of a CVZ series: the 347-term cap is off 1e-10 at 550, 4e-6 at 600
 _MAX_HEIGHT = 500.0
@@ -274,7 +274,7 @@ def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
       reflection branches keep this layout.
 
     Points no rule covers (scalar and scattered probes, short refinement
-    levels, bisection midpoints, a scan's clipped last ordinate, grids with
+    levels, secant pairs, a scan's clipped last ordinate, grids with
     holes or in column-major order) take the
     outer product exp(-s logs) @ w: one product below _GRID_MIN_POINTS,
     blocked above so it stays small.

@@ -336,7 +336,8 @@ def bracket_phase_zeros(q: int, sigma: float, t_max: float, scan_step: float = 0
     along the vertical line Re s = sigma.
 
     Located by critical._sign_change_roots on Im bracket_factor, scaled
-    by r^-(sigma - 1/2) for sigma > 1/2 to stay O(1); for q != 4 they sit
+    by r^-(sigma - 1/2) for sigma > 1/2 to stay O(1), and refined by its
+    secant pairs to within 2.5e-10 in t; for q != 4 they sit
     at multiples of pi / ln(1/r), q = 4 has none.  Needs finite sigma <= 1000
     (r^(sigma - 1/2) underflows above it for q = 7, 8), a sigma at which
     r^(sigma - 1/2) does not overflow, (1/2 - sigma) |ln r| <= ln(largest

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import delta_lens.acceptance as acceptance
-from delta_lens import critical
+from delta_lens import cli, critical
 from delta_lens.census import load_catalog
 from delta_lens.cli import main, parse_complex, parse_range, parse_size
 
@@ -55,6 +55,28 @@ def test_eval_delta5_zero_note(capsys, fn, extra):
     code, out, _ = run_cli(capsys, "eval", "--function", fn, "--s", "0.75", *extra)
     assert code == 0
     assert "re 0" in out and f"note zero of {fn}" in out
+
+
+def test_successive_calls_share_no_parser_state(capsys):
+    # main reuses one parser; a --q given to one call must not reach the
+    # next, which would refuse it for zeta with exit 2
+    def fresh(argv):
+        args = cli._build_parser.__wrapped__().parse_args(list(argv))
+        assert args.handler(args) == 0
+        return json.loads(capsys.readouterr().out)
+
+    deltaq = ("eval", "--function", "deltaq", "--q", "3", "--s", "2.5", "--format", "json")
+    zeta = ("eval", "--function", "zeta", "--s", "2.5", "--format", "json")
+    for argv in (deltaq, zeta, deltaq, zeta):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out) == fresh(argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--function", "zeta"])  # --s missing
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, *zeta)
+    assert code == 0 and json.loads(out) == fresh(zeta)
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_eval_f5_critical_line(capsys):

@@ -114,6 +114,59 @@ def test_find_zeros_refuses_a_multiple_zero(monkeypatch):
         find_zeros("zeta", 0.0, 10.0)
 
 
+@pytest.mark.parametrize("source, t_max", [("zeta", 200.0), ("beta", 100.0)])
+def test_find_zeros_match_frozen_mpmath_ordinates(mpmath_reference, source, t_max):
+    # every ordinate lies within the final bracket's half width of mpmath's
+    # (2.2e-10 seen)
+    want = mpmath_reference[f"{source}_zeros"]
+    pts = find_zeros(source, 0.0, t_max)
+    assert len(pts) == len(want)
+    for p, t in zip(pts, want):
+        assert p.refined_to <= 2.5e-10
+        assert abs(p.t - t) <= 2.5e-10
+
+
+@pytest.mark.parametrize("source, t_max", [("zeta", 200.0), ("beta", 100.0)])
+def test_every_root_keeps_a_sign_change_across_its_bracket(source, t_max):
+    pts = find_zeros(source, 0.0, t_max)
+    ts = np.array([p.t for p in pts])
+    half = np.array([p.refined_to for p in pts])
+    below, above = critical._line_values(source, np.concatenate([ts - half, ts + half])).reshape(2, -1)
+    assert np.all(np.sign(below) * np.sign(above) <= 0.0)
+
+
+@pytest.mark.parametrize("r", [0.0123456789, 0.01777, 0.0101, 0.04])
+def test_refinement_does_not_stall_on_a_steep_crossing(r):
+    # expm1(2000 (t - r)) is flat below r and rises like e^12.5 across the
+    # eighth of a 0.05 scan step that holds r; plain regula falsi keeps its
+    # steep end and crawls up the flat side (10, 45, 383 and 3,001 rounds)
+    calls = []
+
+    def f(ts):
+        calls.append(np.size(ts))
+        return np.expm1(2000.0 * (np.asarray(ts) - r))
+
+    roots, halves = critical._sign_change_roots(f, 0.0, 0.05, 0.05)
+    assert roots.size == 1 and abs(roots[0] - r) <= 2.5e-10 and halves[0] <= 2.5e-10
+    # the scan, the interior check and the derivative guard take one call each
+    assert len(calls) - 3 <= 24
+
+
+def test_find_zeros_refines_in_a_few_calls(monkeypatch):
+    # the scan, the interior check, the secant rounds and the derivative
+    # guard: one call of the line function each, with 3 secant rounds
+    calls = []
+    line_values = critical._line_values
+
+    def spy(source, ts):
+        calls.append(np.size(ts))
+        return line_values(source, ts)
+
+    monkeypatch.setattr(critical, "_line_values", spy)
+    assert len(find_zeros("zeta", 0.0, 200.0)) == 79
+    assert calls[0] == 20_001 and len(calls) <= 6
+
+
 def test_singular_points_refuse_a_zero_on_a_pole(monkeypatch):
     # a zeta zero at t = 2 and the pole at t = 2 from the zeta zero at 4
     def fake(source, t_min, t_max, scan_step):
