@@ -140,7 +140,7 @@ def _check_slopes(ctx: VerificationContext) -> tuple[bool, str]:
                             f"reference {ref} (diff {diff:.1e} > tol 1e-03)")
     # independent route: measure the slope from the quotient itself and
     # compare against the closed form 2 zeta(3/4) beta(3/4)
-    measured = _central_difference(delta5, 0.75)[1].real
+    measured = _central_difference(delta5, 0.75).real
     cross = abs(measured - 2.0 * zeta(0.75).real * beta_L(0.75).real)
     if cross > 1e-8:
         failures.append(f"sigma=3/4 cross-check off by {cross:.1e} (tol 1e-08)")

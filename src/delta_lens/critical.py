@@ -216,7 +216,7 @@ def _sign_change_roots(f, t_lo: float, t_hi: float, scan_step: float):
     j = np.argmax(ss[:, :-1] * ss[:, 1:] <= 0.0, axis=1)
     rows = np.arange(lo.size)
     roots, halves = _secant_pairs(f, grid[rows, j], grid[rows, j + 1], fs[rows, j], fs[rows, j + 1])
-    deriv = _central_difference(f, roots)[1]
+    deriv = _central_difference(f, roots)
     if np.any(np.abs(deriv) <= 1e-8):
         t_bad = float(roots[np.argmax(np.abs(deriv) <= 1e-8)])
         raise UnexpectedCoincidence(
@@ -285,7 +285,7 @@ def residue_at_pole(sigma: float) -> RealAxisFeature:
         value = beta_L(1.0).real / zeta(1.5).real
     else:
         value = (zeta(a).real * beta_L(a).real
-                 / (2.0 * _central_difference(zeta, 2.0 * a - 0.5)[1].real))
+                 / (2.0 * _central_difference(zeta, 2.0 * a - 0.5).real))
     return RealAxisFeature(sigma=a, kind="pole", coefficient=float(value))
 
 
@@ -306,7 +306,7 @@ def slope_at_zero(sigma: float) -> RealAxisFeature:
     else:
         den = zeta(2.0 * a - 0.5).real
         if int(round(a)) % 2 == 0:
-            value = _central_difference(zeta, a)[1].real * beta_L(a).real / den
+            value = _central_difference(zeta, a).real * beta_L(a).real / den
         else:
-            value = zeta(a).real * _central_difference(beta_L, a)[1].real / den
+            value = zeta(a).real * _central_difference(beta_L, a).real / den
     return RealAxisFeature(sigma=a, kind="zero", coefficient=float(value))

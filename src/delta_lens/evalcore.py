@@ -11,13 +11,20 @@ larger, for |Im s| <= 200 (near |Im s| = 200 phase rounding in the
 reflection factors caps it around 4e-13):
 
 * zeta, beta_L: accelerated alternating series (binomial weights, error
-  ~ (3+sqrt 8)^-n) for Re s > 0, functional-equation reflection below.
+  ~ (3+sqrt 8)^-n) for Re s > 0, functional-equation reflection below;
+  zeta takes Euler-Maclaurin for Re s <= 0 and |s| < _ZETA_EM_RADIUS,
+  where reflection would meet the pole of zeta(1 - s).
 * hurwitz_zeta: Euler-Maclaurin with Bernoulli corrections; for Re s < 0
   with rational a = p/q the discrete reflection formula is used instead,
   because the direct sum loses digits to cancellation there.
 * dirichlet_L: character sums over Hurwitz zeta values with the 1/(s-1)
   poles subtracted term by term, so the result is entire (finite at s=1);
   reflected below Re s = 1/2.
+
+zeta, beta_L and dirichlet_L reflect through one functional equation,
+_reflection, with one log Gamma per point.  Its sine, _log_sinpi, reduces
+its argument exactly to the nearest integer, so values next to a trivial
+zero keep their relative accuracy and the trivial zeros come out exactly 0.
 
 The CVZ series of zeta and beta refuse |Im| above _MAX_HEIGHT = 500 with
 DomainError (their 347-term cap loses digits above it); a quotient's
@@ -67,7 +74,6 @@ import numpy as np
 from .errors import DomainError, PoleOfGamma, PoleOfZeta, UnsupportedDiscriminant
 
 LN2 = math.log(2.0)
-LN_PI = math.log(math.pi)
 TWO_PI = 2.0 * math.pi
 
 # B_{2k}, k = 1..13, as exact fractions
@@ -94,6 +100,7 @@ _DIFF_STEP = 1e-6  # step of the central-difference derivative
 _TARGET_DIGITS = 14  # significant digits the CVZ and Euler-Maclaurin cutoffs are sized for
 _EM_ORDER = 12  # Bernoulli correction terms of Euler-Maclaurin, B_2 .. B_24
 _ETA_MIN = 0.05  # smallest |1 - 2^(1-s)| the eta route of zeta divides by
+_ZETA_EM_RADIUS = 0.05  # reflected zeta takes Euler-Maclaurin for |s| below this
 # below this many points the line and grid tests in _power_sum cost more
 # than they can save (scalar probes, short refinement levels, secant pairs)
 _GRID_MIN_POINTS = 16
@@ -342,17 +349,42 @@ def _stirling_lgamma(z: np.ndarray) -> np.ndarray:
     return ((zs - 0.5) * np.log(zs) - zs + 0.5 * math.log(TWO_PI) + acc - corr).reshape(z.shape)
 
 
-def _log_sin(z: np.ndarray) -> np.ndarray:
-    """A branch of log sin z that is stable for large |Im z|.
+def _log_sinpi(w: np.ndarray) -> np.ndarray:
+    """A branch of log sin(pi w), accurate next to every integer.
 
+    Re w is reduced to w - n, n = round(Re w), which is exact (Sterbenz),
+    and sin(pi w) = (-1)^n sin(pi (w - n)) adds i pi n; so the sine keeps
+    its relative accuracy near each integer and is exactly 0 at one, where
+    the log is -inf (the caller silences the divide warning) and exp gives
+    0.  Above |Im pi w| = 20 the exponential forms keep the log finite.
     Only ever used under exp(), so the branch constant is irrelevant.
     """
-    z = np.ascontiguousarray(z, dtype=np.complex128)
+    w = np.ascontiguousarray(w, dtype=np.complex128)
+    n = np.round(w.real)
+    z = math.pi * (w - n)
     im = z.imag
-    return _branches(
+    return 1j * math.pi * n + _branches(
         z.shape, (np.abs(im) <= 20.0, lambda m: np.log(np.sin(z[m]))),
         (im > 20.0, lambda m: -1j * z[m] + np.log1p(-np.exp(2j * z[m]).real) - LN2 + 0.5j * math.pi),
         (im < -20.0, lambda m: 1j * z[m] + np.log1p(-np.exp(-2j * z[m]).real) - LN2 - 0.5j * math.pi))
+
+
+def _reflection(q: int, s: np.ndarray, l_reflected: np.ndarray) -> np.ndarray:
+    """L(s) from l_reflected = L(1 - s) by the functional equation of the L
+    function of conductor q (q = 1 and a = 0 for zeta, a = 1 for the odd
+    real characters; Davenport, Multiplicative Number Theory, ch. 9):
+
+        L(s) = (2 pi/q)^s (sqrt q / pi) sin(pi (s + a)/2) Gamma(1 - s) L(1 - s),
+
+    one log Gamma per point.  The sine comes from _log_sinpi, so a value
+    next to a trivial zero keeps its relative accuracy and a trivial zero
+    itself comes out exactly 0."""
+    a = 0.0 if q == 1 else 1.0
+    with np.errstate(divide="ignore"):
+        log_sin = _log_sinpi(0.5 * (s + a))
+    log_factor = (s * math.log(TWO_PI / q) + math.log(math.sqrt(q) / math.pi) + log_sin
+                  + _stirling_lgamma(1.0 - s))
+    return np.exp(log_factor) * l_reflected
 
 
 def _em_terms(s: np.ndarray) -> int:
@@ -421,30 +453,37 @@ def _zeta_right(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _zeta_left(s: np.ndarray) -> np.ndarray:
+    """zeta for Re s <= 0 by _reflection.  Near s = 0 the reflection takes
+    zeta(1 - s) next to its pole at the rounded 1 - s, which costs about
+    1e-16/|s| relative, so Euler-Maclaurin overwrites the points with
+    |s| < _ZETA_EM_RADIUS; the reflection runs on the whole batch, so a
+    render block reaches _power_sum as a whole grid."""
+    near = np.abs(s) < _ZETA_EM_RADIUS
+    if near.all():
+        return _em_hurwitz(s, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 meets the pole of zeta(1 - s)
+        out = _reflection(1, s, _zeta_right(1.0 - s))
+    if near.any():
+        out[near] = _em_hurwitz(s[near], 1.0)
+    return out
+
+
 def _zeta_values(s: np.ndarray) -> np.ndarray:
-    """Vector zeta without pole checks (s = 1 itself gives inf)."""
+    """Vector zeta without pole checks (s = 1 itself gives inf); the trivial
+    zeros s = -2, -4, ... come out exactly 0."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     pos = s.real > 0.0
-    # near s = 0 reflection would hit the u = 1 pole; Euler-Maclaurin is exact there
-    small = ~pos & (np.abs(s) < 1e-8)
-
-    def reflected(m):
-        sn = s[m]
-        u = 1.0 - sn
-        zu = _zeta_right(u)
-        log_chi = sn * LN2 + (sn - 1.0) * LN_PI + _log_sin(0.5 * math.pi * sn) + _stirling_lgamma(u)
-        return np.exp(log_chi) * zu
-
-    return _branches(s.shape, (pos, lambda m: _zeta_right(s[m])),
-                     (small, lambda m: _em_hurwitz(s[m], 1.0)), (~pos & ~small, reflected))
+    return _branches(s.shape, (pos, lambda m: _zeta_right(s[m])), (~pos, lambda m: _zeta_left(s[m])))
 
 
 def _beta_values(s: np.ndarray) -> np.ndarray:
-    """Vector Dirichlet beta (no poles; trivial zeros returned exactly)."""
+    """Vector Dirichlet beta, entire: the CVZ series for Re s > 0, _reflection
+    below; the trivial zeros s = -1, -3, ... come out exactly 0."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     pos = s.real > 0.0
     return _branches(s.shape, (pos, lambda m: _alt_weighted_sum(s[m], 2.0)),
-                     (~pos, lambda m: _odd_reflection(4, s[m], _alt_weighted_sum(1.0 - s[m], 2.0))))
+                     (~pos, lambda m: _reflection(4, s[m], _alt_weighted_sum(1.0 - s[m], 2.0))))
 
 
 def _log_gamma_factor(q: int, s: np.ndarray) -> np.ndarray:
@@ -453,15 +492,6 @@ def _log_gamma_factor(q: int, s: np.ndarray) -> np.ndarray:
     a = 1 for odd characters): exp(G(s)) L(s) is symmetric under s -> 1 - s."""
     w = 0.5 * (s + (0.0 if q == 1 else 1.0))
     return _stirling_lgamma(w) - w * math.log(math.pi / q)
-
-
-def _odd_reflection(q: int, s: np.ndarray, l_reflected: np.ndarray) -> np.ndarray:
-    """L_{-q}(s) = exp(G(1 - s) - G(s)) L_{-q}(1 - s), G = _log_gamma_factor,
-    the odd-character functional equation; the trivial zeros, where G(s)
-    has its gamma poles, are returned as 0."""
-    triv = _near_nonpositive_integer(0.5 * (s + 1.0), 1e-13)
-    factor = np.exp(_log_gamma_factor(q, 1.0 - s) - _log_gamma_factor(q, np.where(triv, 0.0, s)))
-    return np.where(triv, 0.0, factor * l_reflected)
 
 
 def _hurwitz_rational_left(s: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -502,11 +532,12 @@ def _dirichlet_direct(q: int, s: np.ndarray) -> np.ndarray:
 
 
 def _dirichlet_values(q: int, s: np.ndarray) -> np.ndarray:
-    """Vector L_{-q}; functional-equation reflection below Re s = 1/2."""
+    """Vector L_{-q}, entire: character sums of Hurwitz zeta for Re s >= 1/2,
+    _reflection below; the trivial zeros s = -1, -3, ... come out exactly 0."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     right = s.real >= 0.5
     return _branches(s.shape, (right, lambda m: _dirichlet_direct(q, s[m])),
-                     (~right, lambda m: _odd_reflection(q, s[m], _dirichlet_direct(q, 1.0 - s[m]))))
+                     (~right, lambda m: _reflection(q, s[m], _dirichlet_direct(q, 1.0 - s[m]))))
 
 
 def _character_label(q) -> int:
@@ -523,12 +554,12 @@ def _near_nonpositive_integer(z: np.ndarray, tol: float = _POLE_TOL):
 
 
 def _central_difference(f, x):
-    """The pair (f(x), f'(x)) for x a number or an array, from one call of f
-    on the flat batch of x, x + h and x - h: the value and the symmetric
-    quotient (f(x + h) - f(x - h)) / 2h, h = _DIFF_STEP."""
+    """f'(x) for x a number or an array: the symmetric quotient
+    (f(x + h) - f(x - h)) / 2h, h = _DIFF_STEP, from one call of f on the
+    flat batch of x + h and x - h."""
     x = np.asarray(x)
-    y = np.asarray(f(np.concatenate([x, x + _DIFF_STEP, x - _DIFF_STEP], axis=None))).reshape((3,) + x.shape)
-    return y[0], (y[1] - y[2]) / (2.0 * _DIFF_STEP)
+    y = np.asarray(f(np.concatenate([x + _DIFF_STEP, x - _DIFF_STEP], axis=None))).reshape((2,) + x.shape)
+    return (y[0] - y[1]) / (2.0 * _DIFF_STEP)
 
 
 def log_gamma(s):

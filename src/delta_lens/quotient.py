@@ -167,13 +167,14 @@ def _delta5_log_derivatives(s: np.ndarray):
     factors q enter in closed form.  From _GRID_MIN_POINTS points on, the
     products run on one BLAS thread (evalcore._one_blas_thread).  A batch
     with a point off that route (|q(s)| or |q(x)| < _ETA_MIN, near s or
-    x = 1 + 2 pi i k / ln 2, or Re x <= 0) takes delta and delta' from
-    evalcore._central_difference instead, with l2 = nan."""
+    x = 1 + 2 pi i k / ln 2, or Re x <= 0) takes delta from _delta_q_values
+    and delta' from evalcore._central_difference instead, with l2 = nan."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     x = 2.0 * s - 0.5
     q = _eta_factor(np.array([s, x]))
     if np.abs(q).min() < _ETA_MIN or x.real.min() <= 0.0:
-        v, d = _central_difference(lambda z: _delta_q_values(4, z), s)
+        v = _delta_q_values(4, s)
+        d = _central_difference(lambda z: _delta_q_values(4, z), s)
         return v, d / v, np.full(s.shape, complex(math.nan, math.nan))
     n, nx = _cvz_terms(s), _cvz_terms(x)
     e = np.concatenate([np.multiply.outer(-s, np.concatenate([_arith_logs(1.0, n), _arith_logs(2.0, n)])),
@@ -218,7 +219,7 @@ def _check_poles(q: int, s: np.ndarray):
         z = np.abs(_zeta_values(w))
         small = z <= _DEN_SCREEN
         if np.any(small):
-            dz = np.abs(_central_difference(_zeta_values, w[small])[1])
+            dz = np.abs(_central_difference(_zeta_values, w[small]))
             hit[line[small]] |= z[small] <= 2.0 * _QUOTIENT_POLE_TOL * dz
     if np.any(hit):
         i = int(np.argmax(hit))

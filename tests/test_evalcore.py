@@ -4,6 +4,7 @@ quadratic Dirichlet L functions, against independently computed references."""
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import delta_lens.evalcore as evalcore
 from delta_lens.errors import DomainError, PoleOfGamma, PoleOfZeta, UnsupportedDiscriminant
 from delta_lens.evalcore import (_beta_values, _dirichlet_values, _zeta_values,
                                  beta_L, dirichlet_L, hurwitz_zeta, log_gamma, zeta)
-from delta_lens.quotient import _delta5_log_derivatives, _delta_q_values
+from delta_lens.quotient import _delta5_log_derivatives, _delta_q_values, delta5
 
 # reference values computed independently at 30+ digit working precision
 ZETA_32 = 2.6123753486854883
@@ -333,6 +334,50 @@ def test_dirichlet_L_trivial_zeros():
     for q in (3, 4, 7, 8):
         for s in (-1.0, -3.0):  # all four characters here are odd
             assert abs(dirichlet_L(q, s)) < 1e-10
+
+
+# the reflected L functions by conductor: zeta (q = 1), beta (both routes), L(-q)
+REFLECTED = {1: [zeta], 4: [beta_L, lambda s: dirichlet_L(4, s)],
+             **{q: [lambda s, q=q: dirichlet_L(q, s)] for q in (3, 7, 8)}}
+
+
+def test_relative_accuracy_next_to_trivial_zeros(mpmath_reference):
+    # within 1e-9..1e-3 of a trivial zero the value is tiny, and the sine
+    # of the reflection carries all of its relative accuracy
+    rows = np.array(mpmath_reference["trivial_zeros"])
+    for q, fns in REFLECTED.items():
+        mine = rows[rows[:, 0] == q]
+        s, want = mine[:, 1] + 1j * mine[:, 2], mine[:, 3] + 1j * mine[:, 4]
+        for fn in fns:
+            err = np.abs(fn(s) - want) / np.abs(want)
+            worst = int(np.argmax(err))
+            assert err[worst] <= 1e-13, f"q = {q} off by {err[worst]:.2e} at s = {s[worst]}"
+
+
+def test_trivial_zeros_are_exact_and_silent():
+    zeros = {1: [-2.0, -4.0, -6.0], **{q: [-1.0, -3.0, -5.0] for q in (3, 4, 7, 8)}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, fns in REFLECTED.items():
+            for fn in fns:
+                # alone, and in one batch with s = 0 and a reflected point
+                assert all(fn(s) == 0.0 for s in zeros[q])
+                assert np.all(fn(np.array(zeros[q] + [0.0, -0.5 + 1j]))[:3] == 0.0)
+
+
+def test_zeta_near_zero(mpmath_reference):
+    # reflecting next to s = 0 would take zeta(1 - s) at the rounded 1 - s,
+    # about 1e-16/|s| off; rings of radius 1e-8 .. 0.0501 around s = 0
+    rows = np.array(mpmath_reference["zeta_near_zero"])
+    s, want = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+    for got in (zeta(s), np.array([zeta(complex(p)) for p in s])):
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        worst = int(np.argmax(err))
+        assert err[worst] <= 1e-13, f"zeta off by {err[worst]:.2e} at s = {s[worst]}"
+    # the quotient meets it in its denominator zeta(2s - 1/2) next to s = 1/4
+    (sigma, t, re, im), = mpmath_reference["delta5"]
+    want = complex(re, im)
+    assert abs(delta5(complex(sigma, t)) - want) <= 1e-13 * abs(want)
 
 
 def test_dirichlet_L_rejects_unknown_discriminant():

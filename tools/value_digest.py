@@ -9,6 +9,10 @@ values are identical bit for bit.  It covers
   q = 3, 4, 7, 8 on the probe pool of benchmark/reference.json, evaluated
   as one vector, in 3-point batches and in 1-point batches;
 * the same functions on a 30 x 40 grid (the grid matrix-product path);
+* zeta, beta_L and dirichlet_L next to their trivial zeros, on the points
+  of tests/mpmath_reference.json (zeta's for zeta, beta's for beta_L and
+  L4, each character's for L3, L7 and L8), and zeta on its rings around
+  s = 0 there, each as one vector;
 * log_gamma on the probe pool, as one vector and in 1-point batches, and
   on the boundary pool of its per-point Stirling shift in
   tests/mpmath_reference.json;
@@ -54,6 +58,7 @@ from delta_lens.quotient import (QuotientKind, _delta5_log_derivatives, _delta_q
 
 QS = (3, 4, 7, 8)
 LINES = range(1, 22)
+CONDUCTORS = {"zeta": 1, "beta_L": 4, **{f"L{q}": q for q in QS}}  # rows of trivial_zeros
 
 
 def _functions():
@@ -110,7 +115,16 @@ def main() -> None:
             print(f"{name}/{label} {_digest_call(_values, fn, pool, batch)}")
         print(f"{name}/grid30x40 {_digest_call(lambda: np.asarray(fn(grid)).tobytes())}")
     with open(ROOT / "tests" / "mpmath_reference.json", encoding="ascii") as fh:
-        boundary = np.array([complex(*row[:2]) for row in json.load(fh)["log_gamma"]])
+        fixture = json.load(fh)
+    trivial = np.array(fixture["trivial_zeros"])
+    for name, fn in _functions():
+        if name in CONDUCTORS:
+            rows = trivial[trivial[:, 0] == CONDUCTORS[name]]
+            points = rows[:, 1] + 1j * rows[:, 2]
+            print(f"{name}/trivial_zeros {_digest_call(_values, fn, points, points.size)}")
+    ring = np.array([complex(*row[:2]) for row in fixture["zeta_near_zero"]])
+    print(f"zeta/near_zero {_digest_call(_values, evalcore.zeta, ring, ring.size)}")
+    boundary = np.array([complex(*row[:2]) for row in fixture["log_gamma"]])
     for label, points, batch in (("vector", pool, pool.size), ("batch1", pool, 1),
                                  ("boundary", boundary, boundary.size)):
         print(f"log_gamma/{label} {_digest_call(_values, evalcore.log_gamma, points, batch)}")
