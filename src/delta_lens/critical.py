@@ -30,9 +30,9 @@ from .errors import (
     UnexpectedCoincidence,
 )
 from .evalcore import (
-    _beta_values,
     _central_difference,
     _coerce,
+    _dirichlet_values,
     _log_gamma_factor,
     _release,
     _zeta_values,
@@ -93,7 +93,7 @@ class RealAxisFeature:
 
 
 # each source's conductor, which keys its gamma factor, and its values
-_SOURCE_FUNCTIONS = {"zeta": (1, _zeta_values), "beta": (4, _beta_values)}
+_SOURCE_FUNCTIONS = {"zeta": (1, _zeta_values), "beta": (4, lambda s: _dirichlet_values(4, s))}
 
 
 def _completed_values(source: str, s: np.ndarray) -> np.ndarray:

@@ -10,25 +10,27 @@ which gives an error of about 1e-13 absolute or relative, whichever is
 larger, for |Im s| <= 200 (near |Im s| = 200 phase rounding in the
 reflection factors caps it around 4e-13):
 
-* zeta, beta_L: accelerated alternating series (binomial weights, error
-  ~ (3+sqrt 8)^-n) for Re s > 0, functional-equation reflection below;
-  zeta takes Euler-Maclaurin for Re s <= 0 and |s| < _ZETA_EM_RADIUS,
-  where reflection would meet the pole of zeta(1 - s).
+* zeta, beta_L = L_-4 and L_-8: the accelerated alternating series of
+  _ALTERNATING (binomial weights, error ~ (3+sqrt 8)^-n) for Re s > 0,
+  functional-equation reflection below; zeta takes Euler-Maclaurin for
+  Re s <= 0 and |s| < _ZETA_EM_RADIUS, where reflection would meet the
+  pole of zeta(1 - s).
 * hurwitz_zeta: Euler-Maclaurin with Bernoulli corrections; for Re s < 0
   with rational a = p/q the discrete reflection formula is used instead,
   because the direct sum loses digits to cancellation there.
-* dirichlet_L: character sums over Hurwitz zeta values with the 1/(s-1)
-  poles subtracted term by term, so the result is entire (finite at s=1);
-  reflected below Re s = 1/2.
+* dirichlet_L: that series for q = 4, 8; for q = 3, 7 character sums over
+  Hurwitz zeta values with the 1/(s-1) poles subtracted term by term, so
+  the result is entire (finite at s=1), reflected below Re s = 1/2.
 
 zeta, beta_L and dirichlet_L reflect through one functional equation,
 _reflection, with one log Gamma per point.  Its sine, _log_sinpi, reduces
 its argument exactly to the nearest integer, so values next to a trivial
 zero keep their relative accuracy and the trivial zeros come out exactly 0.
 
-The CVZ series of zeta and beta refuse |Im| above _MAX_HEIGHT = 500 with
-DomainError (their 347-term cap loses digits above it); a quotient's
-denominator zeta(2s - 1/2) sets its ceiling at |Im s| = 250.  L_q has none.
+The CVZ series of zeta, L_-4 and L_-8 refuse |Im| above _MAX_HEIGHT = 500
+with DomainError (their 347-term cap loses digits above it); a quotient's
+denominator zeta(2s - 1/2) sets its ceiling at |Im s| = 250.  L_-3 and
+L_-7 have none.
 
 Every Dirichlet series goes through one power sum, _power_sum.  A batch
 that is a complete row-major sigma x t grid (a render block) or an equally
@@ -191,10 +193,18 @@ def _branches(shape, *cases) -> np.ndarray:
     return out
 
 
+# The CVZ-summed series by conductor: row (step, offsets) is sum_k (-1)^k
+# sum_r (step k + r)^-s.  Row 1 is eta (zeta times 1 - 2^(1-s)), 4 is beta,
+# and 8 is L_-8, whose character +, +, -, - on 1, 3, 5, 7 alternates in pairs.
+_ALTERNATING = {1: (1, (1,)), 4: (2, (1,)), 8: (4, (1, 3))}
+
+
 @functools.cache
-def _cvz_weights(n: int) -> np.ndarray:
-    """Binomial acceleration weights w_k = c_k / d for alternating sums,
-    cached as complex128 so the power sum takes them without a cast."""
+def _alt_series(q: int, n: int):
+    """(logs, weights) of the first n blocks of row q of _ALTERNATING: each
+    log(step k + r), k < n, and the binomial acceleration weight w_k = c_k / d
+    repeated over the offsets r, cached as complex128 so the power sum takes
+    them without a cast."""
     r = 3.0 + math.sqrt(8.0)
     d = (r ** n + r ** (-n)) / 2.0
     b = -1.0
@@ -204,12 +214,9 @@ def _cvz_weights(n: int) -> np.ndarray:
         c = b - c
         w[k] = c / d
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    return w.astype(np.complex128)
-
-
-@functools.cache
-def _arith_logs(step: float, n: int) -> np.ndarray:
-    return np.log(1.0 + step * np.arange(n))
+    step, offsets = _ALTERNATING[q]
+    logs = np.log(np.add.outer(step * np.arange(n, dtype=np.float64), offsets).ravel())
+    return logs, np.repeat(w, len(offsets)).astype(np.complex128)
 
 
 def _cvz_terms(s: np.ndarray) -> int:
@@ -314,11 +321,10 @@ def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(s.shape)
 
 
-def _alt_weighted_sum(s: np.ndarray, step: float) -> np.ndarray:
-    """sum_k w_k (1 + step k)^(-s) with the CVZ weights w_k, the term count
-    sized for the whole batch."""
-    n = _cvz_terms(s)
-    return _power_sum(s, _arith_logs(step, n), _cvz_weights(n))
+def _alt_weighted_sum(q: int, s: np.ndarray) -> np.ndarray:
+    """Row q of _ALTERNATING, sum_k w_k sum_r (step k + r)^(-s) with the CVZ
+    weights w_k, the term count sized for the whole batch."""
+    return _power_sum(s, *_alt_series(q, _cvz_terms(s)))
 
 
 def _stirling_lgamma(z: np.ndarray) -> np.ndarray:
@@ -447,7 +453,7 @@ def _zeta_right(s: np.ndarray) -> np.ndarray:
     if bad.all():
         return _em_hurwitz(s, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _alt_weighted_sum(s, 1.0) / q
+        out = _alt_weighted_sum(1, s) / q
     if bad.any():
         out[bad] = _em_hurwitz(s[bad], 1.0)
     return out
@@ -475,15 +481,6 @@ def _zeta_values(s: np.ndarray) -> np.ndarray:
     s = np.ascontiguousarray(s, dtype=np.complex128)
     pos = s.real > 0.0
     return _branches(s.shape, (pos, lambda m: _zeta_right(s[m])), (~pos, lambda m: _zeta_left(s[m])))
-
-
-def _beta_values(s: np.ndarray) -> np.ndarray:
-    """Vector Dirichlet beta, entire: the CVZ series for Re s > 0, _reflection
-    below; the trivial zeros s = -1, -3, ... come out exactly 0."""
-    s = np.ascontiguousarray(s, dtype=np.complex128)
-    pos = s.real > 0.0
-    return _branches(s.shape, (pos, lambda m: _alt_weighted_sum(s[m], 2.0)),
-                     (~pos, lambda m: _reflection(4, s[m], _alt_weighted_sum(1.0 - s[m], 2.0))))
 
 
 def _log_gamma_factor(q: int, s: np.ndarray) -> np.ndarray:
@@ -532,12 +529,16 @@ def _dirichlet_direct(q: int, s: np.ndarray) -> np.ndarray:
 
 
 def _dirichlet_values(q: int, s: np.ndarray) -> np.ndarray:
-    """Vector L_{-q}, entire: character sums of Hurwitz zeta for Re s >= 1/2,
-    _reflection below; the trivial zeros s = -1, -3, ... come out exactly 0."""
+    """Vector L_{-q}, entire: row q of _ALTERNATING for Re s > 0 (q = 4, 8),
+    character sums of Hurwitz zeta for Re s >= 1/2 (q = 3, 7), _reflection
+    below; the trivial zeros s = -1, -3, ... come out exactly 0."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    right = s.real >= 0.5
-    return _branches(s.shape, (right, lambda m: _dirichlet_direct(q, s[m])),
-                     (~right, lambda m: _reflection(q, s[m], _dirichlet_direct(q, 1.0 - s[m]))))
+    if q in _ALTERNATING:
+        right, direct = s.real > 0.0, functools.partial(_alt_weighted_sum, q)
+    else:
+        right, direct = s.real >= 0.5, functools.partial(_dirichlet_direct, q)
+    return _branches(s.shape, (right, lambda m: direct(s[m])),
+                     (~right, lambda m: _reflection(q, s[m], direct(1.0 - s[m]))))
 
 
 def _character_label(q) -> int:
@@ -595,13 +596,14 @@ def hurwitz_zeta(s, a: float):
 
 
 def beta_L(s):
-    """Dirichlet beta sum_{n>=0} (-1)^n (2n+1)^-s, entire in s."""
+    """Dirichlet beta sum_{n>=0} (-1)^n (2n+1)^-s = dirichlet_L(4, s), entire in s."""
     arr, scalar = _coerce(s)
-    return _release(_beta_values(arr), scalar)
+    return _release(_dirichlet_values(4, arr), scalar)
 
 
 def dirichlet_L(q: int, s):
-    """L_{-q}(s) for the real odd characters with q in {3, 4, 7, 8}."""
+    """L_{-q}(s) for the real odd characters with q in {3, 4, 7, 8}; CVZ series
+    L_-4 and L_-8 refuse |Im s| > _MAX_HEIGHT (DomainError), L_-3 and L_-7 do not."""
     q = _character_label(q)
     arr, scalar = _coerce(s)
     return _release(_dirichlet_values(q, arr), scalar)

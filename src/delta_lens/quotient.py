@@ -38,13 +38,11 @@ from .errors import (
 from .evalcore import (
     _ETA_MIN,
     LN2,
-    _arith_logs,
-    _beta_values,
+    _alt_series,
     _central_difference,
     _character_label,
     _coerce,
     _cvz_terms,
-    _cvz_weights,
     _dirichlet_values,
     _eta_factor,
     _near_nonpositive_integer,
@@ -127,8 +125,7 @@ def _delta_q_values(q: int, s: np.ndarray) -> np.ndarray:
     """
     s = np.ascontiguousarray(s, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        num = _zeta_values(s)
-        num = num * (_beta_values(s) if q == 4 else _dirichlet_values(q, s))
+        num = _zeta_values(s) * _dirichlet_values(q, s)
         den = _zeta_values(2.0 * s - 0.5)
         if q == 3:
             num = num * _bracket_values(q, s)
@@ -138,32 +135,32 @@ def _delta_q_values(q: int, s: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _cvz_moments(step: float, n: int, chain: float) -> np.ndarray:
-    """The n x 2 weights -c L w and c^2 L^2 w, L = log(1 + step k), c = chain:
-    against exp(-x L) they give the first two s-derivatives of the CVZ sum
-    A(x) = sum_k w_k (1 + step k)^(-x) when x = c s + const.  Cached per
-    term count, like _cvz_weights, as real numbers: half the memory of
-    complex ones, and the block matrix they are copied into is complex."""
-    cl = chain * _arith_logs(step, n)
-    w = _cvz_weights(n).real
+def _cvz_moments(q: int, n: int, chain: float) -> np.ndarray:
+    """The weights -c L w and c^2 L^2 w, c = chain, of the logs L and weights
+    w that _alt_series(q, n) gives: against exp(-x L) they give the first two
+    s-derivatives of the CVZ sum A(x) = sum w e^(-x L) when x = c s + const.
+    Cached per term count, like _alt_series, as real numbers: half the memory
+    of complex ones, and the block matrix they are copied into is complex."""
+    logs, w = _alt_series(q, n)
+    cl, w = chain * logs, w.real
     return np.stack([-cl * w, cl * cl * w], axis=1)
 
 
 # log delta5 = log A(s) + log B(s) - log A(x) - log q(s) + log q(x), x = 2s - 1/2,
-# with A and B the CVZ sums of zeta and beta and q the eta factor
+# with A and B the CVZ sums of rows 1 and 4 (eta and beta) and q the eta factor
 _SUM_SIGNS = np.array([1.0, 1.0, -1.0])
 
 
 def _delta5_log_derivatives(s: np.ndarray):
     """(delta, l1, l2) for a 1-D batch s, with l = log delta5, l1 = l' and
-    l2 = l''.  Where zeta(s), beta(s) and zeta(x), x = 2s - 1/2, all take
-    the eta route of _zeta_values (tracing stays at sigma >= 0.495, where
-    they do), the exponents -s log(1 + k), -s log(1 + 2k) and -x log(1 + k),
-    the terms of _zeta_values and _beta_values, go through one exp.  Each
-    sum's value is its own product with the CVZ weights, as on _power_sum's
-    outer-product path, so delta has the bits of _delta_q_values on any
-    batch that is neither a grid nor a line scan; the derivatives are one
-    product with a block matrix of _cvz_moments columns, and the eta
+    l2 = l''.  Where zeta(s), beta(s) and zeta(x), x = 2s - 1/2, all take the
+    eta route of _zeta_values (tracing stays at sigma >= 0.495, where they
+    do), the exponents -s log(1 + k), -s log(1 + 2k) and -x log(1 + k), the
+    terms of rows 1, 4 and 1 of evalcore._ALTERNATING, go through one exp.
+    Each sum's value is its own product with the CVZ weights, as on
+    _power_sum's outer-product path, so delta has the bits of _delta_q_values
+    on any batch that is neither a grid nor a line scan; the derivatives are
+    one product with a block matrix of _cvz_moments columns, and the eta
     factors q enter in closed form.  From _GRID_MIN_POINTS points on, the
     products run on one BLAS thread (evalcore._one_blas_thread).  A batch
     with a point off that route (|q(s)| or |q(x)| < _ETA_MIN, near s or
@@ -177,17 +174,16 @@ def _delta5_log_derivatives(s: np.ndarray):
         d = _central_difference(lambda z: _delta_q_values(4, z), s)
         return v, d / v, np.full(s.shape, complex(math.nan, math.nan))
     n, nx = _cvz_terms(s), _cvz_terms(x)
-    e = np.concatenate([np.multiply.outer(-s, np.concatenate([_arith_logs(1.0, n), _arith_logs(2.0, n)])),
-                        np.multiply.outer(-x, _arith_logs(1.0, nx))], axis=1)
+    (lz, wz), (lb, wb), (lx, wx) = _alt_series(1, n), _alt_series(4, n), _alt_series(1, nx)
+    e = np.concatenate([np.multiply.outer(-s, np.concatenate([lz, lb])), np.multiply.outer(-x, lx)], axis=1)
     e = np.exp(e, out=e)
     moments = np.zeros((e.shape[1], 6), dtype=np.complex128)
-    moments[:n, 0:2] = _cvz_moments(1.0, n, 1.0)
-    moments[n:2 * n, 2:4] = _cvz_moments(2.0, n, 1.0)
-    moments[2 * n:, 4:6] = _cvz_moments(1.0, nx, 2.0)
-    w = _cvz_weights(n)
+    moments[:n, 0:2] = _cvz_moments(1, n, 1.0)
+    moments[n:2 * n, 2:4] = _cvz_moments(4, n, 1.0)
+    moments[2 * n:, 4:6] = _cvz_moments(1, nx, 2.0)
     a = np.empty((s.size, 3), dtype=np.complex128)
     with _one_blas_thread(s.size):
-        a[:, 0], a[:, 1], a[:, 2] = e[:, :n] @ w, e[:, n:2 * n] @ w, e[:, 2 * n:] @ _cvz_weights(nx)
+        a[:, 0], a[:, 1], a[:, 2] = e[:, :n] @ wz, e[:, n:2 * n] @ wb, e[:, 2 * n:] @ wx
         m = (e @ moments).reshape(-1, 3, 2)
     g1 = m[:, :, 0] / a  # (log A)' and (log A)'' of each sum A
     g2 = m[:, :, 1] / a - g1 * g1
@@ -369,4 +365,4 @@ def lattice_sum_C(s):
     arr, scalar = _coerce(s)
     if np.any(np.abs(arr - 1.0) <= 1e-12):
         raise PoleOfZeta("lattice sum has a pole at s = 1", 1.0 + 0.0j)
-    return _release(4.0 * _zeta_values(arr) * _beta_values(arr), scalar)
+    return _release(4.0 * _zeta_values(arr) * _dirichlet_values(4, arr), scalar)

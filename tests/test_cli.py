@@ -125,6 +125,14 @@ def test_eval_refuses_a_height_above_the_ceiling(capsys):
     assert err.startswith("DomainError: ") and "height ceiling 500" in err
 
 
+def test_eval_refuses_L8_above_the_ceiling(capsys):
+    # L_-8 is a CVZ series, so it shares zeta's ceiling
+    code, out, err = run_cli(capsys, "eval", "--function", "Lq", "--q", "8", "--s", "0.5+600i")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("DomainError: ") and "height ceiling 500" in err
+
+
 def test_zeros_refuses_an_oversized_scan(capsys, monkeypatch):
     def no_scan(*args):
         raise AssertionError("an oversized scan was evaluated")

@@ -8,9 +8,11 @@ path per function.  (A longer vector can differ in the last bits, because
 the series length follows the largest |Im s| of the batch.)
 
 The contract is an error of 1e-13 absolute or relative, whichever is
-larger; near zeros only the absolute part can hold.  Two frozen
-critical-line values of small modulus (tests/mpmath_reference.json) pin it
-at 1e-13; the pool holds the relative part to 1e-12.
+larger; near zeros only the absolute part can hold.  Frozen critical-line
+values of small modulus (tests/mpmath_reference.json: two of L(-3) and
+L(-7), and the scan-grid points next to the zeros of L(-4) and L(-8) up to
+t = 200) pin it, at 1e-13 up to t = 100 and at the 4e-13 cap above; the
+pool holds the relative part to 1e-12.
 """
 
 import random
@@ -18,8 +20,7 @@ import random
 import numpy as np
 import pytest
 
-from delta_lens.evalcore import (_beta_values, _dirichlet_values, _zeta_values, beta_L,
-                                 dirichlet_L, zeta)
+from delta_lens.evalcore import _dirichlet_values, _zeta_values, beta_L, dirichlet_L, zeta
 from delta_lens.quotient import _delta_q_values, delta5, delta_q, f5
 
 REL_TOL = 1e-12
@@ -29,7 +30,7 @@ SAMPLE_SEED = 7
 # reference key -> (public function, raw vector evaluator)
 FUNCTIONS = {
     "zeta": (zeta, _zeta_values),
-    "beta": (beta_L, _beta_values),
+    "beta": (beta_L, lambda s: _dirichlet_values(4, s)),
     **{f"L{q}": (lambda s, q=q: dirichlet_L(q, s), lambda s, q=q: _dirichlet_values(q, s))
        for q in (3, 7, 8)},
     "delta5": (delta5, lambda s: _delta_q_values(4, s)),
@@ -79,3 +80,15 @@ def test_dirichlet_L_error_is_absolute_below_modulus_one(mpmath_reference):
         want = complex(re, im)
         got = dirichlet_L(q, complex(sigma, t))
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), f"L{q} at {sigma} + {t}i"
+    # the same contract next to every critical-line zero of the CVZ series
+    # L(-4) and L(-8) up to t = 200, on the scan-grid points where |L| < 0.02:
+    # 1e-13 up to t = 100, and the 4e-13 cap of the phase rounding above it
+    rows = np.array(mpmath_reference["line_minima"])
+    for q in (4, 8):
+        mine = rows[rows[:, 0] == q]
+        s, want = mine[:, 1] + 1j * mine[:, 2], mine[:, 3] + 1j * mine[:, 4]
+        bound = np.where(s.imag <= 100.0, 1e-13, 4e-13) * np.maximum(1.0, np.abs(want))
+        for got in (dirichlet_L(q, s), np.array([dirichlet_L(q, complex(p)) for p in s])):
+            excess = np.abs(got - want) / bound
+            worst = int(np.argmax(excess))
+            assert excess[worst] <= 1.0, f"L{q} off by {abs(got[worst] - want[worst]):.2e} at s = {s[worst]}"

@@ -11,7 +11,7 @@ import pytest
 
 import delta_lens.evalcore as evalcore
 from delta_lens.errors import DomainError, PoleOfGamma, PoleOfZeta, UnsupportedDiscriminant
-from delta_lens.evalcore import (_beta_values, _dirichlet_values, _zeta_values,
+from delta_lens.evalcore import (CHARACTER_TABLES, _ALTERNATING, _dirichlet_values, _zeta_values,
                                  beta_L, dirichlet_L, hurwitz_zeta, log_gamma, zeta)
 from delta_lens.quotient import _delta5_log_derivatives, _delta_q_values, delta5
 
@@ -89,8 +89,8 @@ GRID_LAYOUTS = {
     "single-row": np.linspace(-1.5, 2.25, 48) + 30.7j,
     "repeated-sigma": (np.insert(_SIG16, 6, _SIG16[6])[None, :] + 1j * _T16[:, None]).ravel(),
 }
-GRID_VALUES = {"zeta": _zeta_values, "beta": _beta_values, "L8": lambda s: _dirichlet_values(8, s),
-               "delta5": lambda s: _delta_q_values(4, s)}
+GRID_VALUES = {"zeta": _zeta_values, "beta": lambda s: _dirichlet_values(4, s),
+               "L8": lambda s: _dirichlet_values(8, s), "delta5": lambda s: _delta_q_values(4, s)}
 
 
 @pytest.mark.parametrize("values, layout", [
@@ -144,7 +144,8 @@ def test_eta_fallback_points_keep_a_render_block_whole(monkeypatch):
         assert np.max(np.abs(block - one) / np.abs(one)) <= 1e-13
 
 
-@pytest.mark.parametrize("values", [_zeta_values, _beta_values], ids=["zeta", "beta"])
+@pytest.mark.parametrize("values", [_zeta_values, lambda s: _dirichlet_values(4, s),
+                                    lambda s: _dirichlet_values(8, s)], ids=["zeta", "beta", "L8"])
 def test_line_path_matches_blocked_path(values, monkeypatch):
     # the scan of find_zeros(source, 0, 199.995): 0.5 + i h k at h = 0.01,
     # the last ordinate clipped off the progression to t_max; one batch takes
@@ -158,7 +159,7 @@ def test_line_path_matches_blocked_path(values, monkeypatch):
     blocked = values(s)
     assert np.any(line != blocked)  # the line path really ran
     # the values reach about 6 in modulus; the gap is rounding of the phases
-    # t log k (7.4e-13 for zeta, 4.4e-13 for beta)
+    # t log k (7.4e-13 for zeta, 4.4e-13 for beta, 4.0e-13 for L8)
     assert np.max(np.abs(line - blocked)) <= 1e-12
 
 
@@ -323,11 +324,40 @@ def test_dirichlet_L_known_values():
     assert abs(got - L4_COMPLEX) < 1e-11
 
 
-def test_dirichlet_L_matches_beta_route():
-    # the q = 4 character sum must agree with the dedicated beta series
-    for s in (2.0, 0.3 + 2.0j, -1.5 + 8.0j, 0.5 + 25.0j):
+def test_dirichlet_L_4_is_beta_bit_for_bit():
+    # L_-4 has one evaluation path: row 4 of the alternating-series table,
+    # reflected below Re s = 0; on a vector across Re s in [-3, 4] (with
+    # 0 < Re s < 1/2, s = 0 and the trivial zeros), the 30 x 40 grid, a
+    # 10,001-point critical line and scalars
+    span = np.concatenate([np.linspace(-3.0, 4.0, 57) + 1j * np.linspace(-40.0, 90.0, 57),
+                           [-1.0, -3.0, 0.0, 0.1, 0.25 + 3.0j, 0.49 - 17.0j]])
+    line = 0.5 + 1j * np.linspace(0.0, 100.0, 10001)
+    for s in (span, DIGEST_GRID, line):
+        assert dirichlet_L(4, s).tobytes() == beta_L(s).tobytes()
+    for s in (2.0, 0.3 + 2.0j, -1.5 + 8.0j, 0.5 + 25.0j, 0.2 - 150.0j, -3.0):
         a, b = dirichlet_L(4, s), beta_L(s)
-        assert abs(a - b) <= 1e-11 * max(1.0, abs(b))
+        assert isinstance(a, complex) and (a.real, a.imag) == (b.real, b.imag)
+
+
+def test_alternating_rows_expand_to_the_characters():
+    # row (step, offsets): sign (-1)^k on step k + r for each offset r
+    for q in (4, 8):
+        step, offsets = _ALTERNATING[q]
+        chi = {step * k + r: (-1) ** k for k in range(8 * q) for r in offsets}
+        assert [chi.get(m, 0) for m in range(1, 8 * q + 1)] == [
+            CHARACTER_TABLES[q].get(m % q, 0) for m in range(1, 8 * q + 1)]
+
+
+def test_cvz_characters_share_the_height_ceiling():
+    # L_-4 and L_-8 are CVZ series, so they refuse above |Im| = 500 as
+    # zeta and beta_L do; L_-3 and L_-7 (Euler-Maclaurin) still answer
+    for q in (4, 8):
+        with pytest.raises(DomainError, match="above the height ceiling 500"):
+            dirichlet_L(q, 0.5 + 600j)
+        with pytest.raises(DomainError, match="above the height ceiling 500"):
+            dirichlet_L(q, np.array([2.0, -0.5 - 600j]))
+    for q in (3, 7):
+        assert np.isfinite(dirichlet_L(q, 0.5 + 600j))
 
 
 def test_dirichlet_L_trivial_zeros():
@@ -336,7 +366,7 @@ def test_dirichlet_L_trivial_zeros():
             assert abs(dirichlet_L(q, s)) < 1e-10
 
 
-# the reflected L functions by conductor: zeta (q = 1), beta (both routes), L(-q)
+# the reflected L functions by conductor: zeta (q = 1), beta (beta_L and dirichlet_L), L(-q)
 REFLECTED = {1: [zeta], 4: [beta_L, lambda s: dirichlet_L(4, s)],
              **{q: [lambda s, q=q: dirichlet_L(q, s)] for q in (3, 7, 8)}}
 

@@ -14,6 +14,11 @@ The fixture holds
 * dirichlet_L: L(-3) at 0.5 + 140i and L(-7) at 0.5 + 148i, critical-line
   points where |L| is small (0.011 and 0.003), so the contract there is
   absolute rather than relative;
+* line_minima: rows [q, Re s, Im s, Re L, Im L] for L(-4) and L(-8) at every
+  point 0.5 + 0.01k i, k = 1..20000 (t in (0, 200], the scan grid of
+  find_zeros), where |L| is below 0.02 and below both grid neighbours: the
+  grid points next to the critical-line zeros.  The scan runs in mpmath's
+  double-precision context (mpmath.fp), the frozen values at 40 digits;
 * zeta_zeros: the ordinates of the 79 zeta zeros up to t = 200
   (mpmath.zetazero);
 * beta_zeros: the ordinates of the 50 beta zeros up to t = 100, bracketed by
@@ -50,6 +55,7 @@ LOG_GAMMA_IM = (-250.0, -47.0, -10.001, -10.0, -9.999, 9.999, 10.0, 10.001, 47.0
 CHARACTERS = {  # chi(0), ..., chi(q - 1)
     3: [0, 1, -1], 4: [0, 1, 0, -1], 7: [0, 1, 1, -1, 1, -1, -1], 8: [0, 1, 0, 1, 0, -1, 0, -1]}
 L_POINTS = ((3, 0.5, 140.0), (7, 0.5, 148.0))
+MINIMA_QS, MINIMA_STEP, MINIMA_COUNT, MINIMA_BELOW = (4, 8), 0.01, 20000, 0.02
 ZETA_ZERO_COUNT = 79  # every zeta zero up to t = 200
 BETA_T_MAX, BETA_SCAN_STEP = 100, 0.02
 TRIVIAL_OFFSETS = (1e-9, -1e-9, 1e-7, 1e-5, 1e-3, 1e-6j)
@@ -75,6 +81,15 @@ def _trivial_zero_points():
         for c in zeros:
             for d in TRIVIAL_OFFSETS:
                 yield q, complex(c + d)
+
+
+def _line_minima():
+    for q in MINIMA_QS:
+        ts = [MINIMA_STEP * k for k in range(MINIMA_COUNT + 2)]  # the neighbours t = 0 and 200.01 too
+        size = [abs(mp.fp.dirichlet(complex(0.5, t), CHARACTERS[q])) for t in ts]
+        for k in range(1, MINIMA_COUNT + 1):
+            if size[k] < min(size[k - 1], size[k + 1], MINIMA_BELOW):
+                yield q, complex(0.5, ts[k])
 
 
 def _near_zero_points():
@@ -104,6 +119,7 @@ def main() -> None:
     tables = {
         "log_gamma": [[x, y, *_pair(mp.loggamma(mp.mpc(x, y)))] for x in LOG_GAMMA_RE for y in LOG_GAMMA_IM],
         "dirichlet_L": [[q, x, y, *_pair(mp.dirichlet(mp.mpc(x, y), CHARACTERS[q]))] for q, x, y in L_POINTS],
+        "line_minima": [[q, s.real, s.imag, *_pair(_L(q, s))] for q, s in _line_minima()],
         "zeta_zeros": [float(mp.im(mp.zetazero(n))) for n in range(1, ZETA_ZERO_COUNT + 1)],
         "beta_zeros": _beta_zeros(),
         "trivial_zeros": [[q, s.real, s.imag, *_pair(_L(q, s))] for q, s in _trivial_zero_points()],
