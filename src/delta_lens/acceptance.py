@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DeltaLensError, DomainError
 from .evalcore import _central_difference, beta_L, dirichlet_L, hurwitz_zeta, zeta
 from .quotient import (QuotientKind, bracket_phase_zeros, critical_phase_approx,
                        delta5, fold_phase, functional_equation_residual)
@@ -451,13 +451,18 @@ REGISTRY: tuple[tuple[int, str, Callable], ...] = (
 
 def run_criterion(number_or_slug, ctx: Optional[VerificationContext] = None
                   ) -> CriterionResult:
-    """Run a single check by number or slug."""
+    """Run a single check by number or slug.  A check that raises a
+    DeltaLensError fails, with the error's class and message as its detail;
+    other exceptions propagate."""
     if ctx is None:
         ctx = VerificationContext()
     for number, slug, fn in REGISTRY:
         if number_or_slug in (number, slug):
             start = time.perf_counter()
-            passed, detail = fn(ctx)
+            try:
+                passed, detail = fn(ctx)
+            except DeltaLensError as exc:
+                passed, detail = False, f"{type(exc).__name__}: {exc}"
             return CriterionResult(number=number, slug=slug, passed=passed,
                                    elapsed=time.perf_counter() - start,
                                    detail=detail)
@@ -472,14 +477,9 @@ def run_all(only: Optional[str] = None, stream=None,
         stream = sys.stdout
     if ctx is None:
         ctx = VerificationContext()
-    if only is not None and all(only != slug for _, slug, _ in REGISTRY):
-        known = ", ".join(slug for _, slug, _ in REGISTRY)
-        raise DomainError(f"unknown criterion {only!r}; known: {known}")
     results = []
-    for number, slug, _ in REGISTRY:
-        if only is not None and slug != only:
-            continue
-        res = run_criterion(number, ctx)
+    for key in ([number for number, _, _ in REGISTRY] if only is None else [only]):
+        res = run_criterion(key, ctx)
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
         print(f"[{res.number:2d}/13] {res.slug:<20} {status} "

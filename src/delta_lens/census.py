@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from typing import Mapping, Optional
 
 from .contours import PhasePath
-from .critical import CriticalPoint, find_zeros, singular_points_delta5
+from .critical import _CATALOGUED, _KINDS, CriticalPoint, find_zeros, singular_points_delta5
 from .errors import (
     CatalogTooShort,
     CorruptRecord,
@@ -34,8 +34,7 @@ from .errors import (
 from .evalcore import TWO_PI
 from .quotient import QuotientKind
 
-_CATALOG_SOURCES = ("zeta", "beta", "delta5_merged")
-_ENTRY_SOURCE_FOR = {"zeta": "zeta_zero", "beta": "beta_zero"}
+_CATALOG_SOURCES = (*_CATALOGUED, "delta5_merged")
 _COUNT_TOL = 1e-8
 
 
@@ -44,6 +43,12 @@ class GeneratorMetadata:
     scan_step: float
     tolerance: float
     timestamp: str
+
+    def __post_init__(self):
+        if not all(math.isfinite(x) and x > 0 for x in (self.scan_step, self.tolerance)):
+            raise DomainError("scan_step and tolerance must be positive and finite")
+        if not isinstance(self.timestamp, str):
+            raise DomainError("timestamp must be a string")
 
 
 @dataclass(frozen=True)
@@ -60,14 +65,13 @@ class ZeroCatalog:
             raise DomainError(f"source must be one of {_CATALOG_SOURCES}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise DomainError("t_max must be positive and finite")
-        want = _ENTRY_SOURCE_FOR.get(self.source)
         prev = 0.0
         for e in self.entries:
             if e.t <= prev:
                 raise DomainError("entries must be strictly ascending in t")
             if e.t > self.t_max + _COUNT_TOL:
                 raise DomainError(f"entry at t = {e.t} exceeds t_max = {self.t_max}")
-            if want is not None and e.source != want:
+            if self.source in _CATALOGUED and e.source != _CATALOGUED[self.source][2]:
                 raise DomainError(f"a {self.source} catalog cannot hold {e.source} entries")
             prev = e.t
 
@@ -117,16 +121,18 @@ def n_Lq_main(q: int, t: float) -> float:
 
 def count_entries(catalog: ZeroCatalog, t: float, kind: Optional[str] = None) -> int:
     """Entries with ordinate <= t (tolerance 1e-8), optionally one kind."""
+    if kind not in (None, *_KINDS):
+        raise DomainError(f"kind must be None or one of {_KINDS}")
     return sum(1 for e in catalog.entries
                if e.t <= t + _COUNT_TOL and (kind is None or e.kind == kind))
 
 
 def build_catalog(source: str, t_max: float, scan_step: float = 0.01,
                   timestamp: Optional[str] = None) -> ZeroCatalog:
-    """Scan and refine a fresh catalog.  zeta/beta catalogs hold zeros of the
-    respective function; delta5_merged interleaves the quotient's critical
-    zeros and poles (pole scan runs to 2 t_max, so t_max <= 100 there)."""
-    if source in ("zeta", "beta"):
+    """Scan and refine a fresh catalog.  The catalog of a catalogued function
+    holds its zeros; delta5_merged interleaves the quotient's critical zeros
+    and poles (pole scan runs to 2 t_max, so t_max <= 100 there)."""
+    if source in _CATALOGUED:
         entries = find_zeros(source, 0.0, t_max, scan_step)
     elif source == "delta5_merged":
         entries = singular_points_delta5(0.0, t_max, scan_step)
@@ -227,6 +233,22 @@ _HEADER_KEYS = {"source", "t_max", "scan_step", "tolerance", "timestamp", "forma
 _ENTRY_KEYS = {"t", "kind", "source", "multiplicity", "refined_to"}
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")  # NaN, Infinity, -Infinity
+
+
+# one decoder for every record: json.loads with an argument builds one per call
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _number(value) -> float:
+    # a JSON number; save_catalog writes 20 for 20.0, so an int is one too,
+    # but a bool or a numeric string would not save back to the same bytes
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
 def load_catalog(path) -> ZeroCatalog:
     """Parse a JSON-lines catalog; every malformed line is reported with its
     1-based line number, and a header-only file is a valid empty catalog."""
@@ -239,37 +261,39 @@ def load_catalog(path) -> ZeroCatalog:
     if not lines or not lines[0].strip():
         raise CorruptRecord("missing header record", line_number=1)
     try:
-        header = json.loads(lines[0])
+        header = _DECODER.decode(lines[0])
     except ValueError as exc:
         raise CorruptRecord(f"unparsable header: {exc}", line_number=1) from exc
     if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
         raise CorruptRecord("header must carry exactly the six header fields", line_number=1)
-    if header["format_version"] != 1:
-        raise FormatVersionMismatch(
-            f"format_version {header['format_version']!r} is not 1")
+    version = header["format_version"]
+    if isinstance(version, bool) or not isinstance(version, int):
+        raise CorruptRecord(f"format_version {version!r} is not an integer", line_number=1)
+    if version != 1:
+        raise FormatVersionMismatch(f"format_version {version!r} is not 1")
     entries = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             raise CorruptRecord("blank record", line_number=i)
         try:
-            rec = json.loads(line)
+            rec = _DECODER.decode(line)
         except ValueError as exc:
             raise CorruptRecord(f"unparsable record: {exc}", line_number=i) from exc
         if not isinstance(rec, dict) or set(rec) != _ENTRY_KEYS:
             raise CorruptRecord("record must carry exactly t, kind, source, "
                                 "multiplicity, refined_to", line_number=i)
         try:
-            entries.append(CriticalPoint(t=float(rec["t"]), kind=rec["kind"],
+            entries.append(CriticalPoint(t=_number(rec["t"]), kind=rec["kind"],
                                          source=rec["source"],
-                                         multiplicity=int(rec["multiplicity"]),
-                                         refined_to=float(rec["refined_to"])))
+                                         multiplicity=rec["multiplicity"],
+                                         refined_to=_number(rec["refined_to"])))
         except (DomainError, TypeError, ValueError) as exc:
             raise CorruptRecord(f"invalid entry: {exc}", line_number=i) from exc
     try:
-        meta = GeneratorMetadata(scan_step=float(header["scan_step"]),
-                                 tolerance=float(header["tolerance"]),
-                                 timestamp=str(header["timestamp"]))
-        return ZeroCatalog(source=header["source"], t_max=float(header["t_max"]),
+        meta = GeneratorMetadata(scan_step=_number(header["scan_step"]),
+                                 tolerance=_number(header["tolerance"]),
+                                 timestamp=header["timestamp"])
+        return ZeroCatalog(source=header["source"], t_max=_number(header["t_max"]),
                            entries=tuple(entries), generator_metadata=meta)
     except (DomainError, TypeError, ValueError) as exc:
         raise CorruptRecord(f"inconsistent catalog: {exc}", line_number=1) from exc

@@ -26,6 +26,7 @@ from .quotient import QuotientKind, delta5, delta_q, f5, fold_phase, lattice_sum
 from .contours import argument_principle_box, export_trace_csv, \
     trace_amplitude_one_line, trace_phase_zero_line
 from .census import build_catalog, census_identity_check, save_catalog
+from .critical import _CATALOGUED
 from .render import PortraitSpec, render_amplitude, render_phase_quadrants, write_ppm
 from .acceptance import run_all
 
@@ -242,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("zeros", help="scan and refine a zero catalog")
-    p.add_argument("--source", required=True, choices=("zeta", "beta", "delta5"))
+    p.add_argument("--source", required=True, choices=(*_CATALOGUED, "delta5"))
     p.add_argument("--t-max", required=True, type=float, dest="t_max")
     p.add_argument("--scan-step", type=float, default=0.01, dest="scan_step")
     p.add_argument("--out", help="write the catalog (JSON lines) here")

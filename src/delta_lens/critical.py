@@ -16,6 +16,7 @@ multiplicity 1 and a derivative guard asserts the zero really is simple.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,12 @@ from .evalcore import (
 )
 
 _KINDS = ("zero", "pole")
-_SOURCES = ("zeta_zero", "beta_zero", "half_zeta_zero")
+# one row per catalogued function, keyed by catalog name: conductor q (keys the
+# gamma factor and the zero-count main term), values, and entry source; every
+# list of catalogued functions (find_zeros, census, the CLI) reads this table
+_CATALOGUED = {"zeta": (1, _zeta_values, "zeta_zero"),
+               "beta": (4, functools.partial(_dirichlet_values, 4), "beta_zero")}
+_SOURCES = (*(entry for _, _, entry in _CATALOGUED.values()), "half_zeta_zero")
 
 # real-axis features of the quotient: simple poles and first-order zeros
 POLE_SIGMAS = (1.0, -0.75, -1.75, -2.75, -3.75, -4.75)
@@ -67,10 +73,11 @@ class CriticalPoint:
             raise DomainError("poles come from half_zeta_zero and only from it")
         if not self.t > 0:
             raise DomainError("ordinate t must be positive")
-        if self.multiplicity < 1:
+        m = self.multiplicity
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise DomainError("multiplicity must be a positive integer")
-        if self.refined_to > 1e-6:
-            raise DomainError("refined_to must be at most 1e-6")
+        if not 0.0 < self.refined_to <= 1e-6:
+            raise DomainError("refined_to must lie in (0, 1e-6]")
 
 
 @dataclass(frozen=True)
@@ -92,12 +99,8 @@ class RealAxisFeature:
             raise DomainError(f"sigma {self.sigma} is not a catalogued real-axis {self.kind}")
 
 
-# each source's conductor, which keys its gamma factor, and its values
-_SOURCE_FUNCTIONS = {"zeta": (1, _zeta_values), "beta": (4, lambda s: _dirichlet_values(4, s))}
-
-
 def _completed_values(source: str, s: np.ndarray) -> np.ndarray:
-    q, values = _SOURCE_FUNCTIONS[source]
+    q, values, _ = _CATALOGUED[source]
     s = np.ascontiguousarray(s, dtype=np.complex128)
     s = np.where(s.real < 0.5, 1.0 - s, s)  # use the symmetric half-plane
     return np.exp(_log_gamma_factor(q, s)) * values(s)
@@ -125,7 +128,7 @@ def _line_values(source: str, ts: np.ndarray) -> np.ndarray:
     # exp(-Re G), G the log gamma factor, so values stay O(1) instead of
     # decaying like exp(-pi t / 4); zeros and signs are unchanged and the
     # derivative guard threshold stays meaningful at large t
-    q, values = _SOURCE_FUNCTIONS[source]
+    q, values, _ = _CATALOGUED[source]
     s = 0.5 + 1j * np.asarray(ts, dtype=np.float64)
     return (np.exp(1j * _log_gamma_factor(q, s).imag) * values(s)).real
 
@@ -226,20 +229,19 @@ def _sign_change_roots(f, t_lo: float, t_hi: float, scan_step: float):
 
 def find_zeros(source: str, t_min: float, t_max: float,
                scan_step: float = 0.01) -> list[CriticalPoint]:
-    """All critical-line zeros of zeta or beta with ordinate in [t_min, t_max],
-    ascending, found by _sign_change_roots on the completed function at
-    resolution scan_step; each refined_to is the half width of its final
-    sign-change bracket, at most 2.5e-10.  Needs
-    0 <= t_min < t_max <= 200 and scan_step in (0, 0.05] with a scan of at
-    most 1,000,001 points (DomainError otherwise).
+    """All critical-line zeros of a catalogued function (a key of
+    _CATALOGUED) with ordinate in [t_min, t_max], ascending, found by
+    _sign_change_roots on the completed function at resolution scan_step;
+    each refined_to is the half width of its final sign-change bracket, at
+    most 2.5e-10.  Needs 0 <= t_min < t_max <= 200 and scan_step in
+    (0, 0.05] with a scan of at most 1,000,001 points (DomainError otherwise).
     """
-    if source not in ("zeta", "beta"):
-        raise DomainError("source must be 'zeta' or 'beta'")
+    if source not in _CATALOGUED:
+        raise DomainError(f"source must be one of {tuple(_CATALOGUED)}")
     if not (0.0 <= t_min < t_max <= 200.0):
         raise DomainError("need 0 <= t_min < t_max <= 200")
     roots, widths = _sign_change_roots(lambda ts: _line_values(source, ts), t_min, t_max, scan_step)
-    src = "zeta_zero" if source == "zeta" else "beta_zero"
-    return [CriticalPoint(t=float(r), kind="zero", source=src, multiplicity=1,
+    return [CriticalPoint(t=float(r), kind="zero", source=_CATALOGUED[source][2], multiplicity=1,
                           refined_to=float(max(w, 1e-12)))
             for r, w in zip(roots, widths)]
 

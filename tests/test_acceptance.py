@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+import delta_lens.acceptance as acceptance
 from delta_lens.acceptance import (VerificationContext, run_all,
                                    run_criterion)
 from delta_lens.errors import DomainError
@@ -96,6 +97,15 @@ def test_run_criterion_accepts_slug(ctx):
 def test_run_criterion_rejects_unknown():
     with pytest.raises(DomainError):
         run_criterion("no-such-check")
+
+
+def test_run_criterion_propagates_other_exceptions(monkeypatch):
+    def broken(ctx):
+        raise ZeroDivisionError("not a library error")
+
+    monkeypatch.setattr(acceptance, "REGISTRY", ((13, "special-values", broken),))
+    with pytest.raises(ZeroDivisionError):
+        run_criterion(13)
 
 
 def test_run_all_report_format(ctx):

@@ -1,6 +1,7 @@
 """Zero census: smooth main terms, counted catalogs, the doubling identity
 and the JSON-lines persistence format."""
 
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from delta_lens.census import (DistributionReport, GeneratorMetadata,
                                load_catalog, n_beta_main, n_Lq_main,
                                n_zeta_main, pairs_between_phase_lines,
                                save_catalog)
-from delta_lens.critical import CriticalPoint
+from delta_lens.critical import _CATALOGUED, CriticalPoint
 from delta_lens.errors import (CatalogTooShort, CorruptRecord, DomainError,
                                FormatVersionMismatch, IoFailure, MissingTrace,
                                UnsupportedDiscriminant)
@@ -65,6 +66,8 @@ def test_count_entries_by_kind(merged_catalog):
     zeros = count_entries(merged_catalog, 13.0, kind="zero")
     poles = count_entries(merged_catalog, 13.0, kind="pole")
     assert (zeros, poles) == (3, 3)
+    with pytest.raises(DomainError):
+        count_entries(merged_catalog, 13.0, kind="zeros")
 
 
 def test_counts_track_main_terms(zeta_catalog, beta_catalog):
@@ -117,10 +120,12 @@ def test_pairs_needs_merged_catalog(zeta_catalog, phase_traces):
         pairs_between_phase_lines(1, zeta_catalog, phase_traces)
 
 
-def test_build_catalog_sources():
-    cat = build_catalog("beta", 7.0)
-    assert cat.source == "beta"
-    assert len(cat.entries) == 1
+@pytest.mark.parametrize("source", _CATALOGUED)
+def test_build_catalog_sources(source):
+    cat = build_catalog(source, 30.0)
+    assert cat.source == source
+    assert len(cat.entries) == {"zeta": 3, "beta": 10}[source]
+    assert all(e.kind == "zero" and e.source == f"{source}_zero" for e in cat.entries)
     with pytest.raises(DomainError):
         build_catalog("gamma", 7.0)
 
@@ -135,6 +140,9 @@ def test_catalog_validation():
     with pytest.raises(DomainError):  # zeta catalog cannot hold beta zeros
         ZeroCatalog(source="zeta", t_max=10.0, entries=(a,),
                     generator_metadata=meta)
+    for step, tol in ((math.nan, 1e-9), (0.0, 1e-9), (0.01, -1e-9), (0.01, math.inf)):
+        with pytest.raises(DomainError):
+            GeneratorMetadata(scan_step=step, tolerance=tol, timestamp="now")
 
 
 def test_distribution_report_validation():
@@ -146,12 +154,14 @@ def test_distribution_report_validation():
                            envelope=2.0)
 
 
-def test_save_load_round_trip(tmp_path, merged_catalog):
+@pytest.mark.parametrize("source", [*_CATALOGUED, "delta5_merged"])
+def test_save_load_round_trip(tmp_path, source):
+    catalog = build_catalog(source, 60.0)
     p1, p2 = tmp_path / "cat.jsonl", tmp_path / "cat2.jsonl"
-    save_catalog(merged_catalog, p1)
+    save_catalog(catalog, p1)
     loaded = load_catalog(p1)
-    assert loaded.source == merged_catalog.source
-    assert len(loaded.entries) == len(merged_catalog.entries)
+    assert loaded.source == source
+    assert len(loaded.entries) == len(catalog.entries) > 0
     save_catalog(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()  # byte-identical reload
 
@@ -193,3 +203,31 @@ def test_load_error_channels(tmp_path, beta_catalog):
 
     with pytest.raises(IoFailure):
         load_catalog(tmp_path / "nope.jsonl")
+
+
+# each edit makes a record that would not save back to the same bytes, or
+# that would save a value the loader itself refuses
+@pytest.mark.parametrize("line, field, value", [
+    (0, "format_version", True),
+    (0, "format_version", 1.0),
+    (1, "t", "6.02"),
+    (1, "t", True),
+    (1, "multiplicity", 1.9),
+    (1, "multiplicity", "1"),
+    (0, "timestamp", 5),
+    (0, "scan_step", math.nan),
+    (1, "refined_to", math.nan),
+    (0, "tolerance", -1e-9),
+    (1, "refined_to", -1e-10),
+])
+def test_load_refuses_what_it_cannot_round_trip(tmp_path, beta_catalog, line, field, value):
+    p = tmp_path / "cat.jsonl"
+    save_catalog(beta_catalog, p)
+    lines = p.read_text().splitlines()
+    record = json.loads(lines[line])
+    record[field] = value
+    lines[line] = json.dumps(record)  # writes NaN for math.nan
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptRecord) as info:
+        load_catalog(p)
+    assert info.value.line_number == line + 1

@@ -2,12 +2,14 @@
 
 import json
 import math
+import re
 
 import pytest
 
 import delta_lens.acceptance as acceptance
 from delta_lens import cli, critical
 from delta_lens.census import load_catalog
+from delta_lens.errors import NoCatalogMatch
 from delta_lens.cli import main, parse_complex, parse_range, parse_size
 
 
@@ -263,6 +265,23 @@ def test_verify_unknown_slug(capsys):
     code, _, err = run_cli(capsys, "verify-all", "--only", "nope")
     assert code == 2
     assert "DomainError" in err
+
+
+def test_verify_reports_a_raising_criterion_as_fail(capsys, monkeypatch):
+    # a check that raises a library error fails, and the criteria after it run
+    def raising(ctx):
+        raise NoCatalogMatch("no catalogued point near t = 99")
+
+    rows = tuple((n, slug, raising if n == 8 else fn)
+                 for n, slug, fn in acceptance.REGISTRY if n in (8, 13))
+    monkeypatch.setattr(acceptance, "REGISTRY", rows)
+    code, out, err = run_cli(capsys, "verify-all")
+    assert code == 1
+    assert re.search(r"^\[ 8/13\] census-identity\s+FAIL .*  NoCatalogMatch: no catalogued "
+                     r"point near t = 99$", out, re.M)
+    assert "[13/13] special-values       PASS" in out
+    assert out.endswith("1/2 criteria passed\n")
+    assert err == ""
 
 
 def test_verify_catches_injected_bug(capsys, monkeypatch):

@@ -236,6 +236,12 @@ def test_critical_point_validation():
         CriticalPoint(t=-1.0, kind="zero", source="beta_zero")
     with pytest.raises(DomainError):
         CriticalPoint(t=6.02, kind="zero", source="beta_zero", refined_to=1e-3)
+    for width in (np.nan, np.inf, 0.0, -1e-10):  # a width must be finite and positive
+        with pytest.raises(DomainError):
+            CriticalPoint(t=6.02, kind="zero", source="beta_zero", refined_to=width)
+    for multiplicity in (1.9, True, "1"):  # an int, not a bool
+        with pytest.raises(DomainError):
+            CriticalPoint(t=6.02, kind="zero", source="beta_zero", multiplicity=multiplicity)
 
 
 def test_real_axis_feature_validation():
