@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Mapping, Optional
 
@@ -204,96 +204,75 @@ def pairs_between_phase_lines(n: int, catalog: ZeroCatalog,
     return zeros, poles
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _header_line(catalog: ZeroCatalog) -> str:
+    meta = catalog.generator_metadata
+    return ('{"source": %s, "t_max": %.17g, "scan_step": %.17g, "tolerance": %.17g, '
+            '"timestamp": %s, "format_version": 1}\n'
+            % (json.dumps(catalog.source), catalog.t_max, meta.scan_step, meta.tolerance,
+               json.dumps(meta.timestamp)))
+
+
+def _entry_line(entry: CriticalPoint) -> str:
+    # kind and source are names CriticalPoint has checked against fixed ASCII sets
+    return ('{"t": %.17g, "kind": "%s", "source": "%s", "multiplicity": %d, "refined_to": %.17g}\n'
+            % (entry.t, entry.kind, entry.source, entry.multiplicity, entry.refined_to))
 
 
 def save_catalog(catalog: ZeroCatalog, path) -> None:
     """Write the catalog as JSON-lines: one header record, one record per
     entry, floats at 17 significant digits so reload-and-save is
     byte-identical."""
-    meta = catalog.generator_metadata
-    lines = ['{"source": %s, "t_max": %s, "scan_step": %s, "tolerance": %s, '
-             '"timestamp": %s, "format_version": 1}'
-             % (json.dumps(catalog.source), _fmt(catalog.t_max), _fmt(meta.scan_step),
-                _fmt(meta.tolerance), json.dumps(meta.timestamp))]
-    for e in catalog.entries:
-        lines.append('{"t": %s, "kind": %s, "source": %s, "multiplicity": %d, '
-                     '"refined_to": %s}'
-                     % (_fmt(e.t), json.dumps(e.kind), json.dumps(e.source),
-                        e.multiplicity, _fmt(e.refined_to)))
+    text = _header_line(catalog) + "".join(map(_entry_line, catalog.entries))
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoFailure(f"could not write catalog: {exc}") from exc
 
 
-_HEADER_KEYS = {"source", "t_max", "scan_step", "tolerance", "timestamp", "format_version"}
-_ENTRY_KEYS = {"t", "kind", "source", "multiplicity", "refined_to"}
+def _header(source, t_max, scan_step, tolerance, timestamp, format_version) -> ZeroCatalog:
+    # the header line writes the int 1, so any other int is another version
+    if type(format_version) is int and format_version != 1:
+        raise FormatVersionMismatch(f"format_version {format_version} is not 1")
+    meta = GeneratorMetadata(float(scan_step), float(tolerance), timestamp)
+    return ZeroCatalog(source, float(t_max), (), meta)
 
 
-def _refuse_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")  # NaN, Infinity, -Infinity
+def _entry(t, kind, source, multiplicity, refined_to) -> CriticalPoint:
+    return CriticalPoint(float(t), kind, source, multiplicity, float(refined_to))
 
 
-# one decoder for every record: json.loads with an argument builds one per call
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
-
-
-def _number(value) -> float:
-    # a JSON number; save_catalog writes 20 for 20.0, so an int is one too,
-    # but a bool or a numeric string would not save back to the same bytes
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a JSON number")
-    return float(value)
+def _read_line(raw: bytes, number: int, build, line_of):
+    # build the record through its validating constructor, then require that
+    # the built object formats back to the raw bytes
+    try:
+        line = raw.decode("ascii")
+        record = build(**json.loads(line))
+    except (DomainError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+        raise CorruptRecord(f"unreadable record: {exc}", line_number=number) from exc
+    if line_of(record) != line:
+        raise CorruptRecord("record is not spelled as save_catalog writes it",
+                            line_number=number)
+    return record
 
 
 def load_catalog(path) -> ZeroCatalog:
-    """Parse a JSON-lines catalog; every malformed line is reported with its
-    1-based line number, and a header-only file is a valid empty catalog."""
+    """Read a catalog written by save_catalog.  The loader accepts exactly
+    the bytes save_catalog writes: any other line raises CorruptRecord with
+    its 1-based line number, the header before any entry, and a catalog
+    whose entries do not fit its header at line 1.  A header-only file is a
+    valid empty catalog."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
     except OSError as exc:
         raise IoFailure(f"could not read catalog: {exc}") from exc
-    lines = raw.splitlines()
-    if not lines or not lines[0].strip():
+    if not lines:
         raise CorruptRecord("missing header record", line_number=1)
+    header = _read_line(lines[0], 1, _header, _header_line)
+    entries = tuple(_read_line(raw, i, _entry, _entry_line)
+                    for i, raw in enumerate(lines[1:], start=2))
     try:
-        header = _DECODER.decode(lines[0])
-    except ValueError as exc:
-        raise CorruptRecord(f"unparsable header: {exc}", line_number=1) from exc
-    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
-        raise CorruptRecord("header must carry exactly the six header fields", line_number=1)
-    version = header["format_version"]
-    if isinstance(version, bool) or not isinstance(version, int):
-        raise CorruptRecord(f"format_version {version!r} is not an integer", line_number=1)
-    if version != 1:
-        raise FormatVersionMismatch(f"format_version {version!r} is not 1")
-    entries = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            raise CorruptRecord("blank record", line_number=i)
-        try:
-            rec = _DECODER.decode(line)
-        except ValueError as exc:
-            raise CorruptRecord(f"unparsable record: {exc}", line_number=i) from exc
-        if not isinstance(rec, dict) or set(rec) != _ENTRY_KEYS:
-            raise CorruptRecord("record must carry exactly t, kind, source, "
-                                "multiplicity, refined_to", line_number=i)
-        try:
-            entries.append(CriticalPoint(t=_number(rec["t"]), kind=rec["kind"],
-                                         source=rec["source"],
-                                         multiplicity=rec["multiplicity"],
-                                         refined_to=_number(rec["refined_to"])))
-        except (DomainError, TypeError, ValueError) as exc:
-            raise CorruptRecord(f"invalid entry: {exc}", line_number=i) from exc
-    try:
-        meta = GeneratorMetadata(scan_step=_number(header["scan_step"]),
-                                 tolerance=_number(header["tolerance"]),
-                                 timestamp=header["timestamp"])
-        return ZeroCatalog(source=header["source"], t_max=_number(header["t_max"]),
-                           entries=tuple(entries), generator_metadata=meta)
-    except (DomainError, TypeError, ValueError) as exc:
+        return replace(header, entries=entries)
+    except DomainError as exc:
         raise CorruptRecord(f"inconsistent catalog: {exc}", line_number=1) from exc

@@ -290,6 +290,8 @@ def _polyline_complex(polyline) -> np.ndarray:
     pts = np.asarray([complex(p[0], p[1]) for p in polyline], dtype=np.complex128)
     if pts.size < 3:
         raise DomainError("a closed contour needs at least three vertices")
+    if not np.isfinite(pts).all():
+        raise DomainError("contour vertices must be finite")
     if abs(pts[0] - pts[-1]) > 1e-12:
         raise DomainError("polyline is not closed (first and last differ by more than 1e-12)")
     return pts

@@ -205,8 +205,31 @@ def test_load_error_channels(tmp_path, beta_catalog):
         load_catalog(tmp_path / "nope.jsonl")
 
 
+# the last line must end in one newline, as save_catalog ends it
+@pytest.mark.parametrize("edit, past_last", [(lambda b: b[:-1], 0), (lambda b: b + b"\n", 1)],
+                         ids=["no-final-newline", "blank-last-line"])
+def test_load_refuses_other_file_endings(tmp_path, beta_catalog, edit, past_last):
+    p = tmp_path / "cat.jsonl"
+    save_catalog(beta_catalog, p)
+    p.write_bytes(edit(p.read_bytes()))
+    with pytest.raises(CorruptRecord) as info:
+        load_catalog(p)
+    assert info.value.line_number == len(beta_catalog.entries) + 1 + past_last
+
+
+def _reversed_keys(raw: str) -> str:
+    return "{%s}" % ", ".join(reversed(raw[1:-1].split(", ")))
+
+
+def _short_t(raw: str) -> str:
+    t = json.loads(raw)["t"]
+    return raw.replace('"t": %.17g' % t, '"t": %.4g' % t)
+
+
 # each edit makes a record that would not save back to the same bytes, or
-# that would save a value the loader itself refuses
+# that would save a value the loader itself refuses; a callable value edits
+# the raw line, the others set one field and re-encode the record; the file
+# is written one byte per character, so "\xc3" is the byte 0xC3
 @pytest.mark.parametrize("line, field, value", [
     (0, "format_version", True),
     (0, "format_version", 1.0),
@@ -219,15 +242,31 @@ def test_load_error_channels(tmp_path, beta_catalog):
     (1, "refined_to", math.nan),
     (0, "tolerance", -1e-9),
     (1, "refined_to", -1e-10),
+    pytest.param(1, "t", 10**400, id="1-t-10**400"),  # no float holds it
+    pytest.param(1, "t", lambda raw: raw.replace("{", '{"t": %s%s, ' % ("[" * 10**5, "]" * 10**5), 1),
+                 id="1-t-nested"),  # deeper than the JSON decoder recurses
+    pytest.param(1, "t", lambda raw: raw.replace("{", '{"t": 5.5, ', 1), id="1-t-duplicate"),
+    pytest.param(1, "t", _short_t, id="1-t-4-digits"),
+    pytest.param(1, "*", lambda raw: raw.replace(", ", ",").replace(": ", ":"), id="1-compact"),
+    pytest.param(1, "*", _reversed_keys, id="1-reversed-keys"),
+    pytest.param(0, "*", _reversed_keys, id="0-reversed-keys"),
+    pytest.param(0, "timestamp", lambda raw: raw.replace("T", "T\xc3", 1), id="0-timestamp-non-ascii"),
+    pytest.param(1, "kind", lambda raw: raw.replace("zero", "z\xc3ro", 1), id="1-kind-non-ascii"),
+    pytest.param(1, "*", lambda raw: raw + "\r", id="1-crlf"),
 ])
 def test_load_refuses_what_it_cannot_round_trip(tmp_path, beta_catalog, line, field, value):
     p = tmp_path / "cat.jsonl"
     save_catalog(beta_catalog, p)
     lines = p.read_text().splitlines()
-    record = json.loads(lines[line])
-    record[field] = value
-    lines[line] = json.dumps(record)  # writes NaN for math.nan
-    p.write_text("\n".join(lines) + "\n")
+    saved = lines[line]
+    if callable(value):
+        lines[line] = value(saved)
+    else:
+        record = json.loads(saved)
+        record[field] = value
+        lines[line] = json.dumps(record)  # writes NaN for math.nan
+    assert lines[line] != saved
+    p.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     with pytest.raises(CorruptRecord) as info:
         load_catalog(p)
     assert info.value.line_number == line + 1

@@ -268,6 +268,18 @@ def test_winding_error_channels():
         winding_count(through)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("vertex", [0, 3])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_winding_rejects_non_finite_vertices(bad, vertex, axis):
+    square = [[0.6, -0.15], [0.9, -0.15], [0.9, 0.15], [0.6, 0.15], [0.6, -0.15]]
+    square[vertex][axis] = bad
+    if vertex == 0:
+        square[-1] = square[0]  # still closed, as far as a NaN compares
+    with pytest.raises(DomainError, match="vertices must be finite"):
+        winding_count(square)
+
+
 @pytest.mark.parametrize("limit", [float("nan"), float("inf"), 2.5, 3.0, True, "3"],
                          ids=["nan", "inf", "2.5", "3.0", "True", "str"])
 def test_winding_rejects_non_integer_refine_limit(limit):

@@ -23,7 +23,9 @@ values are identical bit for bit.  It covers
   0..200 and of beta on the 0..100 scan grid of find_zeros (the line
   matrix-product path);
 * find_zeros for zeta and beta and the zeta, beta and delta5_merged
-  catalogs;
+  catalogs, and the file bytes of each of those catalogs (built with a
+  fixed timestamp), as save_catalog writes them after one load_catalog
+  round trip;
 * the residues at the six real-axis poles and the slopes at the five
   real-axis zeros of the quotient, and bracket_phase_zeros for q = 3 and
   q = 8 as verify-all checks them;
@@ -45,6 +47,7 @@ import hashlib
 import json
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +61,7 @@ from delta_lens.quotient import (QuotientKind, _delta5_log_derivatives, _delta_q
 
 QS = (3, 4, 7, 8)
 LINES = range(1, 22)
+STAMP = "2000-01-01T00:00:00+00:00"  # catalog timestamp, so file bytes repeat
 CONDUCTORS = {"zeta": 1, "beta_L": 4, **{f"L{q}": q for q in QS}}  # rows of trivial_zeros
 
 
@@ -92,6 +96,13 @@ def _trace_bytes(trace, n: int) -> bytes:
     if path.terminus_point is not None:
         out += _points_bytes([path.terminus_point])
     return out
+
+
+def _catalog_file_bytes(source: str, hi: float, directory: str) -> bytes:
+    first, again = Path(directory) / "first.jsonl", Path(directory) / "again.jsonl"
+    census.save_catalog(census.build_catalog(source, hi, timestamp=STAMP), first)
+    census.save_catalog(census.load_catalog(first), again)
+    return again.read_bytes()
 
 
 def _portraits():
@@ -141,6 +152,8 @@ def main() -> None:
     for source, hi in (("zeta", 120.0), ("beta", 101.0), ("delta5_merged", 60.0)):
         digest = _digest_call(lambda: _points_bytes(census.build_catalog(source, hi).entries))
         print(f"catalog/{source}/{hi:g} {digest}")
+        with tempfile.TemporaryDirectory() as directory:
+            print(f"catalog_file/{source}/{hi:g} {_digest_call(_catalog_file_bytes, source, hi, directory)}")
     for name, feature, sigmas in (("residue", critical.residue_at_pole, critical.POLE_SIGMAS),
                                   ("slope", critical.slope_at_zero, critical.ZERO_SIGMAS)):
         for sigma in sigmas:
