@@ -31,6 +31,7 @@ from .errors import (
     UnexpectedCoincidence,
 )
 from .evalcore import (
+    _POLE_TOL,
     _central_difference,
     _coerce,
     _dirichlet_values,
@@ -111,7 +112,7 @@ def completed_zeta(s):
     under s -> 1-s.  Raises PoleOfCompletedZeta at s = 0 and s = 1."""
     arr, scalar = _coerce(s)
     for pole in (0.0, 1.0):
-        if np.any(np.abs(arr - pole) <= 1e-12):
+        if np.any(np.abs(arr - pole) <= _POLE_TOL):
             raise PoleOfCompletedZeta(f"completed zeta pole at s = {pole}", complex(pole))
     return _release(_completed_values("zeta", arr), scalar)
 

@@ -12,9 +12,11 @@ reflection factors caps it around 4e-13):
 
 * zeta, beta_L = L_-4 and L_-8: the accelerated alternating series of
   _ALTERNATING (binomial weights, error ~ (3+sqrt 8)^-n) for Re s > 0,
-  functional-equation reflection below; zeta takes Euler-Maclaurin for
-  Re s <= 0 and |s| < _ZETA_EM_RADIUS, where reflection would meet the
-  pole of zeta(1 - s).
+  functional-equation reflection below.  zeta divides eta by
+  q = 1 - 2^(1-w), w = s or 1 - s, and takes Euler-Maclaurin at s where
+  |q| < _ETA_MIN: next to 1 + 2 pi i k / ln 2 on the right, and next to
+  2 pi i k / ln 2 on the left (s = 0 among them, where reflection would
+  meet the pole of zeta(1 - s)).
 * hurwitz_zeta: Euler-Maclaurin with Bernoulli corrections; for Re s < 0
   with rational a = p/q the discrete reflection formula is used instead,
   because the direct sum loses digits to cancellation there.
@@ -46,9 +48,9 @@ one branch, such as a scalar probe or a round of secant pairs, is
 handed to that branch whole, without a copy or a scatter.  Their masks
 split a render block by columns, so each branch is again a grid.  The eta
 route of zeta runs on the whole batch, and Euler-Maclaurin overwrites the
-few points near s = 1 + 2 pi i k / ln 2 where it fails (_zeta_right), so a
-block keeps no holes.  log Gamma shifts each argument only as far as the
-Stirling series needs (_stirling_lgamma).
+few points where it fails (_zeta_values), so a block keeps no holes.  log
+Gamma shifts each argument only as far as the Stirling series needs
+(_stirling_lgamma).
 
 Products of _GRID_MIN_POINTS points or more run on one BLAS thread
 (_one_blas_thread): threaded, numpy's bundled OpenBLAS spins its workers
@@ -102,7 +104,6 @@ _DIFF_STEP = 1e-6  # step of the central-difference derivative
 _TARGET_DIGITS = 14  # significant digits the CVZ and Euler-Maclaurin cutoffs are sized for
 _EM_ORDER = 12  # Bernoulli correction terms of Euler-Maclaurin, B_2 .. B_24
 _ETA_MIN = 0.05  # smallest |1 - 2^(1-s)| the eta route of zeta divides by
-_ZETA_EM_RADIUS = 0.05  # reflected zeta takes Euler-Maclaurin for |s| below this
 # below this many points the line and grid tests in _power_sum cost more
 # than they can save (scalar probes, short refinement levels, secant pairs)
 _GRID_MIN_POINTS = 16
@@ -443,44 +444,34 @@ def _eta_factor(s: np.ndarray) -> np.ndarray:
     return -np.expm1((1.0 - s) * LN2)
 
 
-def _zeta_right(s: np.ndarray) -> np.ndarray:
-    """zeta for Re s > 0 (pole neighborhood of s = 1 gives a huge finite value).
-    The eta route runs on the whole batch, so a render block reaches
-    _power_sum as a whole grid; Euler-Maclaurin then overwrites the points
-    where |q| < _ETA_MIN."""
-    q = _eta_factor(s)
-    bad = np.abs(q) < _ETA_MIN
-    if bad.all():
-        return _em_hurwitz(s, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _alt_weighted_sum(1, s) / q
-    if bad.any():
-        out[bad] = _em_hurwitz(s[bad], 1.0)
-    return out
-
-
-def _zeta_left(s: np.ndarray) -> np.ndarray:
-    """zeta for Re s <= 0 by _reflection.  Near s = 0 the reflection takes
-    zeta(1 - s) next to its pole at the rounded 1 - s, which costs about
-    1e-16/|s| relative, so Euler-Maclaurin overwrites the points with
-    |s| < _ZETA_EM_RADIUS; the reflection runs on the whole batch, so a
-    render block reaches _power_sum as a whole grid."""
-    near = np.abs(s) < _ZETA_EM_RADIUS
-    if near.all():
-        return _em_hurwitz(s, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # s = 0 meets the pole of zeta(1 - s)
-        out = _reflection(1, s, _zeta_right(1.0 - s))
-    if near.any():
-        out[near] = _em_hurwitz(s[near], 1.0)
-    return out
-
-
 def _zeta_values(s: np.ndarray) -> np.ndarray:
     """Vector zeta without pole checks (s = 1 itself gives inf); the trivial
-    zeros s = -2, -4, ... come out exactly 0."""
+    zeros s = -2, -4, ... come out exactly 0.
+
+    Every point takes the eta route eta(w) / q(w) at w = s for Re s > 0 and
+    at w = 1 - s below, reflected by _reflection.  Euler-Maclaurin at s
+    overwrites the points with |q(w)| < _ETA_MIN: near 1 + 2 pi i k / ln 2
+    on the right, near 2 pi i k / ln 2 on the left (|s| < 0.05 among them,
+    where reflection would meet the pole of zeta(1 - s)).  It takes one
+    call per k, a cutoff sized for that height: for Re s <= 0 its direct
+    sum loses digits as the cutoff grows (3e-13 below t = 100 with the
+    cutoff for t = 500)."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    pos = s.real > 0.0
-    return _branches(s.shape, (pos, lambda m: _zeta_right(s[m])), (~pos, lambda m: _zeta_left(s[m])))
+    right = s.real > 0.0
+    w = np.where(right, s, 1.0 - s)
+    q = _eta_factor(w)
+
+    def eta_route(m):
+        return _alt_weighted_sum(1, w[m]) / q[m]
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # q = 0 at s = 0, 1, ...
+        out = _branches(s.shape, (right, eta_route), (~right, lambda m: _reflection(1, s[m], eta_route(m))))
+        em = np.abs(q) < _ETA_MIN
+        if em.any():
+            k = np.where(em, np.round(np.abs(s.imag) * (LN2 / TWO_PI)), -1.0)  # the zero of q nearby
+            for zero in set(k[em].tolist()):  # not np.unique, whose first call adds 1.7 MB of RSS
+                out[k == zero] = _em_hurwitz(s[k == zero], 1.0)
+    return out
 
 
 def _log_gamma_factor(q: int, s: np.ndarray) -> np.ndarray:
@@ -549,9 +540,9 @@ def _character_label(q) -> int:
     return int(q)
 
 
-def _near_nonpositive_integer(z: np.ndarray, tol: float = _POLE_TOL):
+def _near_nonpositive_integer(z: np.ndarray):
     zr = np.round(z.real)
-    return (np.abs(z.real - zr) <= tol) & (np.abs(z.imag) <= tol) & (zr <= 0.0)
+    return (np.abs(z.real - zr) <= _POLE_TOL) & (np.abs(z.imag) <= _POLE_TOL) & (zr <= 0.0)
 
 
 def _central_difference(f, x):

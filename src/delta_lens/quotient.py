@@ -38,6 +38,7 @@ from .errors import (
 from .evalcore import (
     _ETA_MIN,
     LN2,
+    _POLE_TOL,
     _alt_series,
     _central_difference,
     _character_label,
@@ -308,6 +309,8 @@ def large_sigma_phase_modulus(sigma: float, t: float) -> tuple[float, float]:
     Returns (-sin(t ln 2)/2^sigma, 1 + cos(t ln 2)/2^sigma); the error of
     both is bounded by the next Dirichlet term, about 3/4^sigma.
     """
+    if not (math.isfinite(sigma) and math.isfinite(t)):
+        raise DomainError("large_sigma_phase_modulus requires finite sigma and t")
     if sigma < 6.0:
         raise DomainError("large_sigma_phase_modulus requires sigma >= 6")
     scale = 2.0 ** (-sigma)
@@ -320,6 +323,8 @@ def reflected_approx(sigma: float, t: float) -> complex:
     [1 + 2^-sigma cos(t ln 2) + i 2^-sigma sin(t ln 2)] e^(-i pi/4)
     (1 - (sigma + i t) / (16 (sigma^2 + t^2))).
     """
+    if not (math.isfinite(sigma) and math.isfinite(t)):
+        raise DomainError("reflected_approx requires finite sigma and t")
     if sigma < 3.0 or not t > 1.0:
         raise DomainError("reflected_approx requires sigma >= 3 and t > 1")
     scale = 2.0 ** (-sigma)
@@ -363,6 +368,6 @@ def lattice_sum_C(s):
     """The square-lattice sum over (m, n) != (0, 0) of (m^2 + n^2)^-s,
     computed through its factorization 4 zeta(s) beta(s)."""
     arr, scalar = _coerce(s)
-    if np.any(np.abs(arr - 1.0) <= 1e-12):
+    if np.any(np.abs(arr - 1.0) <= _POLE_TOL):
         raise PoleOfZeta("lattice sum has a pole at s = 1", 1.0 + 0.0j)
     return _release(4.0 * _zeta_values(arr) * _dirichlet_values(4, arr), scalar)

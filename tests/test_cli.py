@@ -33,10 +33,15 @@ def test_parse_complex():
         parse_size("12x")
 
 
-def test_eval_zeta_text(capsys):
-    code, out, _ = run_cli(capsys, "eval", "--function", "zeta", "--s", "2")
+@pytest.mark.parametrize("function, want", [
+    ("zeta", "1.64493406684823"),  # pi^2 / 6
+    ("beta", "0.915965594177219"),  # Catalan's constant
+    ("C", "6.02681203969194"),  # 4 zeta(2) beta(2)
+], ids=["zeta", "beta", "C"])
+def test_eval_text(capsys, function, want):
+    code, out, _ = run_cli(capsys, "eval", "--function", function, "--s", "2")
     assert code == 0
-    assert out.splitlines()[0] == "re 1.64493406684823"
+    assert out.splitlines()[0] == f"re {want}"
     assert "phase_folded 0" in out
 
 

@@ -13,7 +13,9 @@ import delta_lens.evalcore as evalcore
 from delta_lens.errors import DomainError, PoleOfGamma, PoleOfZeta, UnsupportedDiscriminant
 from delta_lens.evalcore import (CHARACTER_TABLES, _ALTERNATING, _dirichlet_values, _zeta_values,
                                  beta_L, dirichlet_L, hurwitz_zeta, log_gamma, zeta)
-from delta_lens.quotient import _delta5_log_derivatives, _delta_q_values, delta5
+from delta_lens.critical import completed_beta, completed_zeta
+from delta_lens.quotient import (_delta5_log_derivatives, _delta_q_values, bracket_factor, delta5, delta_q,
+                                 f5, f5_asymptotic, lattice_sum_C)
 
 # reference values computed independently at 30+ digit working precision
 ZETA_32 = 2.6123753486854883
@@ -408,6 +410,44 @@ def test_zeta_near_zero(mpmath_reference):
     (sigma, t, re, im), = mpmath_reference["delta5"]
     want = complex(re, im)
     assert abs(delta5(complex(sigma, t)) - want) <= 1e-13 * abs(want)
+
+
+# the accuracy contract of the CVZ series by height: (largest |Im s|, bound on
+# error / max(1, |value|)), as README "Accuracy" states it
+HEIGHT_BANDS = ((100.0, 1e-13), (200.0, 4e-13), (500.0, 1e-12))
+
+
+def test_zeta_next_to_the_eta_zeros(mpmath_reference):
+    # Euler-Maclaurin at s replaces the eta route eta(w) / (1 - 2^(1-w)),
+    # w = s or 1 - s, next to its zeros: within 0.069 of 1 + 2 pi i k / ln 2
+    # and of 2 pi i k / ln 2, k = 1..55, on both sides of Re s = 1 and 0
+    rows = np.array(mpmath_reference["eta_zeros"])
+    s, want = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+    bound = np.select([np.abs(s.imag) <= top for top, _ in HEIGHT_BANDS], [b for _, b in HEIGHT_BANDS])
+    for got in (zeta(s), np.array([zeta(complex(p)) for p in s])):
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        worst = int(np.argmax(err / bound))
+        assert err[worst] <= bound[worst], f"zeta off by {err[worst]:.2e} at s = {s[worst]}"
+
+
+# every public value function, with its fixed other arguments
+PUBLIC_VALUES = {
+    "zeta": zeta, "beta_L": beta_L, "dirichlet_L": lambda s: dirichlet_L(3, s),
+    "hurwitz_zeta": lambda s: hurwitz_zeta(s, 0.5), "log_gamma": log_gamma, "delta5": delta5,
+    "delta_q": lambda s: delta_q(8, s), "f5": f5, "f5_asymptotic": f5_asymptotic,
+    "lattice_sum_C": lattice_sum_C, "bracket_factor": lambda s: bracket_factor(7, s),
+    "completed_zeta": completed_zeta, "completed_beta": completed_beta,
+}
+NON_FINITE = {"nan+2i": complex(math.nan, 2.0), "2+nani": complex(2.0, math.nan),
+              "inf+2i": complex(math.inf, 2.0), "-inf+2i": complex(-math.inf, 2.0),
+              "2+infi": complex(2.0, math.inf), "2-infi": complex(2.0, -math.inf)}
+
+
+@pytest.mark.parametrize("point", NON_FINITE)
+@pytest.mark.parametrize("name", PUBLIC_VALUES)
+def test_non_finite_input_is_refused(name, point):
+    with pytest.raises(DomainError, match="non-finite"):
+        PUBLIC_VALUES[name](NON_FINITE[point])
 
 
 def test_dirichlet_L_rejects_unknown_discriminant():

@@ -137,6 +137,18 @@ def test_reflected_approx():
         reflected_approx(2.0, 20.0)
 
 
+@pytest.mark.parametrize("approx, sigma, t", [
+    (large_sigma_phase_modulus, math.nan, 1.0), (large_sigma_phase_modulus, 7.0, math.nan),
+    (large_sigma_phase_modulus, math.inf, 1.0), (large_sigma_phase_modulus, 7.0, -math.inf),
+    (reflected_approx, math.nan, 5.0), (reflected_approx, 4.0, math.nan),
+    (reflected_approx, math.inf, 5.0), (reflected_approx, 4.0, math.inf),
+])
+def test_asymptotic_forms_refuse_non_finite_input(approx, sigma, t):
+    # a NaN passes every order comparison, and cos(inf) raises a bare ValueError
+    with pytest.raises(DomainError, match="finite"):
+        approx(sigma, t)
+
+
 def test_quotient_kind():
     assert QuotientKind(4).discriminant_label == 4
     with pytest.raises(UnsupportedDiscriminant):

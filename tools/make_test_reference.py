@@ -34,7 +34,12 @@ The fixture holds
   0.0499, 0.0501} at 12 equally spaced angles, and at s = -2e-8, -1e-6,
   -1e-5;
 * delta5: the quotient at 1/4 - 1e-8 + 1e-8 i, where its denominator
-  zeta(2s - 1/2) is taken next to s = 0.
+  zeta(2s - 1/2) is taken next to s = 0;
+* eta_zeros: rows [Re s, Im s, Re zeta, Im zeta] next to the zeros of
+  1 - 2^(1-s) and of 1 - 2^s, where zeta takes Euler-Maclaurin instead of
+  the eta route: s = c + 2 pi i k / ln 2 + d for c in {0, 1}, k = 1..55
+  (t up to 498.6) and the nine offsets d of ETA_OFFSETS (|d| <= 0.069, on
+  both sides of Re s = c and on it).
 
 Each point s is the double the test passes, so mpmath sees the same
 number.
@@ -45,6 +50,7 @@ Values are computed at 40 digits and written as 17-digit decimals.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import mpmath as mp
@@ -63,6 +69,9 @@ RING_RADII = (1e-8, 1e-6, 1e-4, 1e-2, 0.0499, 0.0501)
 RING_ANGLES = 12
 NEAR_ZERO_REAL = (-2e-8, -1e-6, -1e-5)
 DELTA5_POINT = 0.25 - 1e-8 + 1e-8j
+ETA_CENTRES, ETA_KS = (0.0, 1.0), range(1, 56)
+ETA_OFFSETS = (0.0, 0.069, -0.069, 0.069j, -0.069j, 0.048 + 0.048j, -0.048 + 0.048j, 0.048 - 0.048j,
+               -0.048 - 0.048j)
 
 
 def _pair(z) -> list[float]:
@@ -99,6 +108,14 @@ def _near_zero_points():
     yield from map(complex, NEAR_ZERO_REAL)
 
 
+def _eta_zero_points():
+    for c in ETA_CENTRES:
+        for k in ETA_KS:
+            t = 2.0 * math.pi * k / math.log(2.0)
+            for d in ETA_OFFSETS:
+                yield complex(c + d.real, t + d.imag)
+
+
 def _beta_line(t):
     # beta on the critical line rotated by the phase of its gamma factor
     # (pi/4)^(-(s+1)/2) Gamma((s+1)/2): real, with the zeros of beta
@@ -126,6 +143,7 @@ def main() -> None:
         "zeta_near_zero": [[s.real, s.imag, *_pair(_L(1, s))] for s in _near_zero_points()],
         "delta5": [[DELTA5_POINT.real, DELTA5_POINT.imag,
                     *_pair(_L(1, DELTA5_POINT) * _L(4, DELTA5_POINT) / _L(1, 2.0 * DELTA5_POINT - 0.5))]],
+        "eta_zeros": [[s.real, s.imag, *_pair(_L(1, s))] for s in _eta_zero_points()],
     }
     generator = json.dumps(f"tools/make_test_reference.py, mpmath {mp.__version__}, 40 digits")
     body = ",\n".join(f'"{key}": [\n' + ",\n".join(map(json.dumps, rows)) + "\n]" for key, rows in tables.items())

@@ -12,7 +12,8 @@ values are identical bit for bit.  It covers
 * zeta, beta_L and dirichlet_L next to their trivial zeros, on the points
   of tests/mpmath_reference.json (zeta's for zeta, beta's for beta_L and
   L4, each character's for L3, L7 and L8), and zeta on its rings around
-  s = 0 there, each as one vector;
+  s = 0 and next to the zeros of 1 - 2^(1-s) and 1 - 2^s there, each as
+  one vector;
 * log_gamma on the probe pool, as one vector and in 1-point batches, and
   on the boundary pool of its per-point Stirling shift in
   tests/mpmath_reference.json;
@@ -135,6 +136,8 @@ def main() -> None:
             print(f"{name}/trivial_zeros {_digest_call(_values, fn, points, points.size)}")
     ring = np.array([complex(*row[:2]) for row in fixture["zeta_near_zero"]])
     print(f"zeta/near_zero {_digest_call(_values, evalcore.zeta, ring, ring.size)}")
+    eta_zeros = np.array([complex(*row[:2]) for row in fixture["eta_zeros"]])
+    print(f"zeta/eta_zeros {_digest_call(_values, evalcore.zeta, eta_zeros, eta_zeros.size)}")
     boundary = np.array([complex(*row[:2]) for row in fixture["log_gamma"]])
     for label, points, batch in (("vector", pool, pool.size), ("batch1", pool, 1),
                                  ("boundary", boundary, boundary.size)):
