@@ -88,9 +88,12 @@ class DistributionReport:
     envelope: float = math.inf
 
     def __post_init__(self):
-        if abs(self.residual - (self.counted - self.main_term)) > 1e-9:
+        # each test is written so that a NaN field fails it
+        if not math.isfinite(self.t):
+            raise DomainError(f"t {self.t} is not finite")
+        if not abs(self.residual - (self.counted - self.main_term)) <= 1e-9:
             raise DomainError("residual must equal counted - main_term")
-        if abs(self.residual) > self.envelope:
+        if not abs(self.residual) <= self.envelope:
             raise DomainError(
                 f"residual {self.residual:.3f} exceeds the declared envelope {self.envelope}")
 

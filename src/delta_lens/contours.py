@@ -100,9 +100,10 @@ class WindingReport:
     max_step_jump: float
 
     def __post_init__(self):
-        if abs(self.total_arg_change / (2.0 * math.pi) - self.zeros_minus_poles) > 1e-3:
+        # each test is written so that a NaN field fails it
+        if not abs(self.total_arg_change / (2.0 * math.pi) - self.zeros_minus_poles) <= 1e-3:
             raise DomainError("total_arg_change is not within 1e-3 of an integer winding")
-        if self.max_step_jump > 0.5 * math.pi + 1e-12:
+        if not self.max_step_jump <= 0.5 * math.pi + 1e-12:
             raise DomainError("max_step_jump violates the pi/2 refinement contract")
 
 
@@ -123,8 +124,8 @@ class AmplitudeCircle:
         if abs(self.A - 1.0) <= 1e-12:
             raise DegenerateCircle("A = 1 gives a vertical line, not a circle")
         denom = 16.0 * (1.0 - self.A * self.A)
-        if (abs(self.center_sigma - 1.0 / denom) > 1e-12
-                or abs(self.radius - self.A / abs(denom)) > 1e-12):
+        if not (abs(self.center_sigma - 1.0 / denom) <= 1e-12
+                and abs(self.radius - self.A / abs(denom)) <= 1e-12):  # NaN fails too
             raise DomainError("center_sigma/radius do not match the Apollonius "
                               "closed form for this A")
 

@@ -96,8 +96,10 @@ class RealAxisFeature:
             allowed = ZERO_SIGMAS
         else:
             raise DomainError(f"kind must be one of {_KINDS}")
-        if min(abs(self.sigma - a) for a in allowed) > 1e-9:
+        if not min(abs(self.sigma - a) for a in allowed) <= 1e-9:  # NaN fails too
             raise DomainError(f"sigma {self.sigma} is not a catalogued real-axis {self.kind}")
+        if not math.isfinite(self.coefficient):
+            raise DomainError(f"coefficient {self.coefficient} is not finite")
 
 
 def _completed_values(source: str, s: np.ndarray) -> np.ndarray:

@@ -20,9 +20,12 @@ reflection factors caps it around 4e-13):
 * hurwitz_zeta: Euler-Maclaurin with Bernoulli corrections; for Re s < 0
   with rational a = p/q the discrete reflection formula is used instead,
   because the direct sum loses digits to cancellation there.
-* dirichlet_L: that series for q = 4, 8; for q = 3, 7 character sums over
-  Hurwitz zeta values with the 1/(s-1) poles subtracted term by term, so
-  the result is entire (finite at s=1), reflected below Re s = 1/2.
+* dirichlet_L: that series for q = 4, 8; for q = 3, 7 the character sum
+  q^-s sum_a chi(a) zeta(s, a/q) as one Euler-Maclaurin call
+  (_em_hurwitz): a direct power sum per residue class a and one shared
+  tail, whose pole terms cancel because sum chi = 0, so the result is
+  entire; within 0.5 of s = 1 the pole term takes an expm1 form, exact
+  at s = 1.  Reflected below Re s = 1/2.
 
 zeta, beta_L and dirichlet_L reflect through one functional equation,
 _reflection, with one log Gamma per point.  Its sine, _log_sinpi, reduces
@@ -32,7 +35,8 @@ zero keep their relative accuracy and the trivial zeros come out exactly 0.
 The CVZ series of zeta, L_-4 and L_-8 refuse |Im| above _MAX_HEIGHT = 500
 with DomainError (their 347-term cap loses digits above it); a quotient's
 denominator zeta(2s - 1/2) sets its ceiling at |Im s| = 250.  L_-3 and
-L_-7 have none.
+L_-7 have none; from |Im s| = 200 to 1000 their error is within 2e-12
+absolute or relative, whichever is larger.
 
 Every Dirichlet series goes through one power sum, _power_sum.  A batch
 that is a complete row-major sigma x t grid (a render block) or an equally
@@ -52,11 +56,12 @@ few points where it fails (_zeta_values), so a block keeps no holes.  log
 Gamma shifts each argument only as far as the Stirling series needs
 (_stirling_lgamma).
 
-Products of _GRID_MIN_POINTS points or more run on one BLAS thread
-(_one_blas_thread): threaded, numpy's bundled OpenBLAS spins its workers
-between calls, which doubles CPU time, and moves the last bits of a value
-with the thread count.  _BLAS_THREADS, that library's thread count, is
-loaded once at import through ctypes; without it the pin does nothing.
+Products of _GRID_MIN_POINTS points or more, the power sums' and the
+Euler-Maclaurin tail's, run on one BLAS thread (_one_blas_thread):
+threaded, numpy's bundled OpenBLAS spins its workers between calls, which
+doubles CPU time, and moves the last bits of a value with the thread
+count.  _BLAS_THREADS, that library's thread count, is loaded once at
+import through ctypes; without it the pin does nothing.
 
 All functions are pure; the module keeps only immutable weight caches and
 the BLAS handle, and leaves the process's BLAS thread count as it found it.
@@ -408,32 +413,54 @@ def _phi_expm1_over_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + x / 2.0 + x * x / 6.0, np.expm1(safe) / safe)
 
 
-def _em_hurwitz(s: np.ndarray, a: float, minus_pole: bool = False) -> np.ndarray:
-    """Euler-Maclaurin sum for zeta(s, a); optionally with 1/(s-1) removed.
+def _em_hurwitz(s: np.ndarray, offsets, weights=(1.0,)) -> np.ndarray:
+    """sum_i w_i zeta(s, a_i) by Euler-Maclaurin, one cutoff N for every
+    offset a_i and one shared tail.
 
-    The minus_pole variant stays finite (and exact) at s = 1, which is what
-    the character sums in dirichlet_L need.
+    Each offset keeps its own direct power sum over a_i + k, k < N.  The
+    tail is read from E_i = P_i^-s, P_i = N + a_i, once per offset: the
+    pole term sum_i w_i P_i E_i / (s - 1), half the boundary term, and each
+    Bernoulli column sum_i w_i P_i^(1-2k) E_i as one (points x offsets)
+    product, summed by one Horner pass over the Pochhammer factors
+    (s + 2k - 1)(s + 2k) (_em_tail).  Where the weights sum to 0 (a
+    character sum, which is entire) and |s - 1| < 0.5, the pole term takes
+    the form sum_i w_i (P_i^(1-s) - 1)/(s - 1), exact at s = 1; the shared
+    form would lose about 4e-15/|s - 1| to cancellation there.
     """
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    N, m = _em_terms(s), _EM_ORDER
-    direct = _power_sum(s, np.log(a + np.arange(N)), np.ones(N, dtype=np.complex128))
-    P = N + a
-    logP = math.log(P)
-    Ppow = np.exp(-s * logP)  # P^-s
-    if minus_pole:
-        # P^(1-s)/(s-1) - 1/(s-1) = -logP * phi((1-s) logP)
-        tail1 = -logP * _phi_expm1_over_x((1.0 - s) * logP)
-    else:
-        tail1 = Ppow * P / (s - 1.0)
-    out = direct + tail1 + 0.5 * Ppow
-    poch = s.copy()
-    Pfac = Ppow / P  # P^(-s-1)
-    P2 = 1.0 / (P * P)
-    for k in range(1, m + 1):
-        out = out + _EM_C[k - 1] * poch * Pfac
-        if k < m:
-            poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-            Pfac = Pfac * P2
+    a, w = np.asarray(offsets, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+    n = _em_terms(s)
+    ones = np.ones(n, dtype=np.complex128)
+    out = np.zeros(s.shape, dtype=np.complex128)
+    for logs, wi in zip(np.log(np.add.outer(a, np.arange(n))), w):
+        out += wi * _power_sum(s, logs, ones)
+    with _one_blas_thread(s.size):
+        out += _em_tail(s.reshape(-1), n + a, w).reshape(s.shape)
+    return out
+
+
+def _em_tail(s: np.ndarray, P: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The shared tail of _em_hurwitz at the flat points s, for the cutoffs
+    P_i = N + a_i and the weights w_i."""
+    logP = np.log(P)
+    E = np.exp(np.multiply.outer(-s, logP))  # P_i^-s
+    near = (w.sum() == 0.0) & (np.abs(s - 1.0) < 0.5)
+
+    def pole_minus_one(m):
+        # sum_i w_i (P_i^(1-s) - 1)/(s - 1), each term -log P_i phi((1 - s) log P_i)
+        return _phi_expm1_over_x(np.multiply.outer(1.0 - s[m], logP)) @ (-logP * w)
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # s = 1, which pole_minus_one takes
+        out = _branches(s.shape, (near, pole_minus_one), (~near, lambda m: (E[m] @ (w * P)) / (s[m] - 1.0)))
+    out += E @ (0.5 * w)
+    # row k - 1: w_i P_i^(1-2k) B_2k / (2k)!, the weights of Bernoulli column k
+    order = np.arange(1, _EM_ORDER + 1)
+    cols = _EM_C[:_EM_ORDER, None] * w * P ** (1.0 - 2.0 * order[:, None])
+    acc = E @ cols[-1]
+    for k in range(_EM_ORDER - 1, 0, -1):
+        acc *= (s + (2 * k - 1)) * (s + 2 * k)
+        acc += E @ cols[k - 1]
+    out += s * acc
     return out
 
 
@@ -470,7 +497,7 @@ def _zeta_values(s: np.ndarray) -> np.ndarray:
         if em.any():
             k = np.where(em, np.round(np.abs(s.imag) * (LN2 / TWO_PI)), -1.0)  # the zero of q nearby
             for zero in set(k[em].tolist()):  # not np.unique, whose first call adds 1.7 MB of RSS
-                out[k == zero] = _em_hurwitz(s[k == zero], 1.0)
+                out[k == zero] = _em_hurwitz(s[k == zero], (1.0,))
     return out
 
 
@@ -493,7 +520,7 @@ def _hurwitz_rational_left(s: np.ndarray, p: int, q: int) -> np.ndarray:
     acc = np.zeros(s.shape, dtype=np.complex128)
     for r in range(1, q + 1):
         phase = TWO_PI * r * p / q
-        acc = acc + np.cos(0.5 * math.pi * u - phase) * _em_hurwitz(u, r / q)
+        acc = acc + np.cos(0.5 * math.pi * u - phase) * _em_hurwitz(u, (r / q,))
     scale = np.exp(_stirling_lgamma(u) + LN2 - u * math.log(TWO_PI * q))
     return scale * acc
 
@@ -508,15 +535,14 @@ def _hurwitz_values(s: np.ndarray, a: float) -> np.ndarray:
     # below Re s ~ -2 from cancellation; nothing in this package needs it)
     return _branches(s.shape,
                      (left, lambda m: _hurwitz_rational_left(s[m], frac.numerator, frac.denominator)),
-                     (~left, lambda m: _em_hurwitz(s[m], a)))
+                     (~left, lambda m: _em_hurwitz(s[m], (a,))))
 
 
 def _dirichlet_direct(q: int, s: np.ndarray) -> np.ndarray:
-    """q^-s sum_a chi(a) [zeta(s, a/q) - 1/(s-1)]; entire since sum chi = 0."""
-    acc = np.zeros(s.shape, dtype=np.complex128)
-    for a, chi in CHARACTER_TABLES[q].items():
-        acc = acc + chi * _em_hurwitz(s, a / q, minus_pole=True)
-    return np.exp(-s * math.log(q)) * acc
+    """q^-s sum_a chi(a) zeta(s, a/q), one _em_hurwitz call over the
+    character's offsets a/q; entire since sum chi = 0."""
+    chars = CHARACTER_TABLES[q]
+    return np.exp(-s * math.log(q)) * _em_hurwitz(s, [a / q for a in chars], list(chars.values()))
 
 
 def _dirichlet_values(q: int, s: np.ndarray) -> np.ndarray:

@@ -154,6 +154,12 @@ def test_distribution_report_validation():
                            envelope=2.0)
 
 
+@pytest.mark.parametrize("t, main_term, residual", [(math.nan, 1.0, 1.0), (10.0, math.nan, math.nan)])
+def test_distribution_report_refuses_nan(t, main_term, residual):
+    with pytest.raises(DomainError):
+        DistributionReport(t=t, main_term=main_term, counted=2, residual=residual)
+
+
 @pytest.mark.parametrize("source", [*_CATALOGUED, "delta5_merged"])
 def test_save_load_round_trip(tmp_path, source):
     catalog = build_catalog(source, 60.0)

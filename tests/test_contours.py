@@ -311,6 +311,12 @@ def test_winding_report_validation():
         WindingReport(total_arg_change=0.0, zeros_minus_poles=0, max_step_jump=2.0)
 
 
+@pytest.mark.parametrize("total, jump", [(math.nan, 0.1), (2.0 * math.pi, math.nan)])
+def test_winding_report_refuses_nan(total, jump):
+    with pytest.raises(DomainError):
+        WindingReport(total_arg_change=total, zeros_minus_poles=1, max_step_jump=jump)
+
+
 def test_argument_principle_box_balance():
     report = argument_principle_box(1, 2)
     assert report.zeros_minus_poles == 0
@@ -338,6 +344,8 @@ def test_amplitude_circle_validation():
         AmplitudeCircle(A=math.inf, center_sigma=0.0, radius=0.0)
     with pytest.raises(DomainError):
         AmplitudeCircle(A=0.9, center_sigma=0.33, radius=-0.1)
+    with pytest.raises(DomainError):
+        AmplitudeCircle(A=2.0, center_sigma=math.nan, radius=math.nan)
 
 
 def test_export_trace_csv(phase_traces, tmp_path):

@@ -1,6 +1,8 @@
 """Critical-line machinery: completed functions, zero scanning, the merged
 singular-point catalog and the real-axis residue/slope features."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,9 @@ def test_real_axis_feature_validation():
     RealAxisFeature(sigma=0.75, kind="zero", coefficient=-5.04)
     with pytest.raises(DomainError):
         RealAxisFeature(sigma=0.6, kind="zero", coefficient=1.0)
+
+
+@pytest.mark.parametrize("sigma, coefficient", [(math.nan, 1.0), (-0.75, math.nan)])
+def test_real_axis_feature_refuses_nan(sigma, coefficient):
+    with pytest.raises(DomainError):
+        RealAxisFeature(sigma=sigma, kind="pole", coefficient=coefficient)

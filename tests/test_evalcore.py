@@ -257,6 +257,26 @@ def test_overlapping_pins_restore_the_caller_thread_count(blas_threads):
     assert blas_threads.get() == 2
 
 
+def test_euler_maclaurin_tail_runs_on_one_blas_thread(blas_threads, monkeypatch):
+    # the tail's (points x offsets) products are too narrow for a thread to
+    # change a value's bits, so only the count they run under shows a lost pin
+    inside = []
+    em_tail = evalcore._em_tail
+
+    def spy(s, *args):
+        inside.append((s.size, blas_threads.get()))
+        return em_tail(s, *args)
+
+    monkeypatch.setattr(evalcore, "_em_tail", spy)
+    for q in (3, 7):
+        _dirichlet_values(q, DIGEST_GRID)
+    hurwitz_zeta(DIGEST_GRID + 2.0, 0.25)
+    zeta(1.0 + 2j * math.pi / math.log(2.0) + np.linspace(-0.04, 0.04, 32))  # zeta's overwrite
+    assert len(inside) >= 4 and all(size >= evalcore._GRID_MIN_POINTS for size, _ in inside)
+    assert {threads for _, threads in inside} == {1}
+    assert blas_threads.get() == 2
+
+
 def test_values_without_the_handle_equal_the_pinned_values(blas_threads, monkeypatch):
     pinned = _batched_values()
     blas_threads.set(1)  # what the pin would have set
@@ -428,6 +448,23 @@ def test_zeta_next_to_the_eta_zeros(mpmath_reference):
         err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
         worst = int(np.argmax(err / bound))
         assert err[worst] <= bound[worst], f"zeta off by {err[worst]:.2e} at s = {s[worst]}"
+
+
+# L_-3 and L_-7 against mpmath, as error / max(1, |L|): on rings |s - 1| =
+# 1e-9 .. 1, where the Hurwitz pole terms of the character sum cancel (with
+# the expm1 pole form inside 0.5, the shared one outside), and on the same
+# rings about s = 0, which reflect onto them; and at t = 220 .. 980 with
+# sigma in [-3, 3], above the general contract (worst 8.8e-13, README "Accuracy")
+@pytest.mark.parametrize("table, bound", [("character_rings", 1e-13), ("character_heights", 1e-12)])
+def test_character_sums_against_mpmath(mpmath_reference, table, bound):
+    rows = np.array(mpmath_reference[table])
+    for q in (3, 7):
+        r = rows[rows[:, 0] == q]
+        s, want = r[:, 1] + 1j * r[:, 2], r[:, 3] + 1j * r[:, 4]
+        for got in (dirichlet_L(q, s), np.array([dirichlet_L(q, complex(p)) for p in s])):
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            worst = int(np.argmax(err))
+            assert err[worst] <= bound, f"L_-{q} off by {err[worst]:.2e} at s = {s[worst]}"
 
 
 # every public value function, with its fixed other arguments

@@ -39,7 +39,15 @@ The fixture holds
   1 - 2^(1-s) and of 1 - 2^s, where zeta takes Euler-Maclaurin instead of
   the eta route: s = c + 2 pi i k / ln 2 + d for c in {0, 1}, k = 1..55
   (t up to 498.6) and the nine offsets d of ETA_OFFSETS (|d| <= 0.069, on
-  both sides of Re s = c and on it).
+  both sides of Re s = c and on it);
+* character_rings: rows [q, Re s, Im s, Re L, Im L] for L(-3) and L(-7)
+  on circles |s - c| = r around c = 1, where the pole terms of the
+  Hurwitz zeta values cancel, and around c = 0, which the functional
+  equation maps to 1 - s: r in RING_RADII_L at 12 equally spaced angles;
+* character_heights: rows [q, Re s, Im s, Re L, Im L] for L(-3) and L(-7)
+  at 20 heights t = 220, 260, ..., 980, Re s cycling through the ten
+  HEIGHT_SIGMAS in [-3, 3], on both sides of the reflection line
+  Re s = 1/2.
 
 Each point s is the double the test passes, so mpmath sees the same
 number.
@@ -72,6 +80,10 @@ DELTA5_POINT = 0.25 - 1e-8 + 1e-8j
 ETA_CENTRES, ETA_KS = (0.0, 1.0), range(1, 56)
 ETA_OFFSETS = (0.0, 0.069, -0.069, 0.069j, -0.069j, 0.048 + 0.048j, -0.048 + 0.048j, 0.048 - 0.048j,
                -0.048 - 0.048j)
+CHARACTER_QS, RING_CENTRES = (3, 7), (1.0, 0.0)
+RING_RADII_L = (1e-9, 1e-6, 1e-3, 0.1, 0.49, 0.51, 1.0)
+HEIGHT_COUNT, HEIGHT_LOW, HEIGHT_HIGH = 20, 200.0, 1000.0
+HEIGHT_SIGMAS = (-3.0, -2.0, -1.0, -0.5, 0.1, 0.5, 0.9, 1.5, 2.0, 3.0)
 
 
 def _pair(z) -> list[float]:
@@ -103,8 +115,7 @@ def _line_minima():
 
 def _near_zero_points():
     for r in RING_RADII:
-        for k in range(RING_ANGLES):
-            yield complex(r * mp.cos(2 * mp.pi * k / RING_ANGLES), r * mp.sin(2 * mp.pi * k / RING_ANGLES))
+        yield from _ring(0.0, r)
     yield from map(complex, NEAR_ZERO_REAL)
 
 
@@ -114,6 +125,27 @@ def _eta_zero_points():
             t = 2.0 * math.pi * k / math.log(2.0)
             for d in ETA_OFFSETS:
                 yield complex(c + d.real, t + d.imag)
+
+
+def _ring(c: float, r: float):
+    for k in range(RING_ANGLES):
+        angle = 2 * mp.pi * k / RING_ANGLES
+        yield complex(c + r * mp.cos(angle), r * mp.sin(angle))
+
+
+def _character_ring_points():
+    for q in CHARACTER_QS:
+        for c in RING_CENTRES:
+            for r in RING_RADII_L:
+                for s in _ring(c, r):
+                    yield q, s
+
+
+def _character_height_points():
+    step = (HEIGHT_HIGH - HEIGHT_LOW) / HEIGHT_COUNT
+    for q in CHARACTER_QS:
+        for k in range(HEIGHT_COUNT):
+            yield q, complex(HEIGHT_SIGMAS[k % len(HEIGHT_SIGMAS)], HEIGHT_LOW + step * (k + 0.5))
 
 
 def _beta_line(t):
@@ -144,6 +176,8 @@ def main() -> None:
         "delta5": [[DELTA5_POINT.real, DELTA5_POINT.imag,
                     *_pair(_L(1, DELTA5_POINT) * _L(4, DELTA5_POINT) / _L(1, 2.0 * DELTA5_POINT - 0.5))]],
         "eta_zeros": [[s.real, s.imag, *_pair(_L(1, s))] for s in _eta_zero_points()],
+        "character_rings": [[q, s.real, s.imag, *_pair(_L(q, s))] for q, s in _character_ring_points()],
+        "character_heights": [[q, s.real, s.imag, *_pair(_L(q, s))] for q, s in _character_height_points()],
     }
     generator = json.dumps(f"tools/make_test_reference.py, mpmath {mp.__version__}, 40 digits")
     body = ",\n".join(f'"{key}": [\n' + ",\n".join(map(json.dumps, rows)) + "\n]" for key, rows in tables.items())
