@@ -71,7 +71,7 @@ class ZeroCatalog:
                 raise DomainError("entries must be strictly ascending in t")
             if e.t > self.t_max + _COUNT_TOL:
                 raise DomainError(f"entry at t = {e.t} exceeds t_max = {self.t_max}")
-            if self.source in _CATALOGUED and e.source != _CATALOGUED[self.source][2]:
+            if self.source in _CATALOGUED and e.source != _CATALOGUED[self.source][1]:
                 raise DomainError(f"a {self.source} catalog cannot hold {e.source} entries")
             prev = e.t
 

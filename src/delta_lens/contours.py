@@ -59,6 +59,7 @@ _EPS_BOX = 0.02          # clearance of the box's left edge from sigma = 1/2
 _GUARD_LO, _GUARD_HI = 1e-8, 1e8
 _NEWTON_TOL = 1e-10
 _MIN_STEP = 1e-4
+_MAX_NEWTON_STEP = 0.25 * math.pi / LN2  # a quarter of the anchor spacing; a longer step leaves the line
 _MATCH_RADIUS = 0.05
 _MAX_SCHEDULE = 100_000  # sigma targets per trace; _sigma_schedule builds them all up front
 
@@ -164,8 +165,9 @@ def _march(kind: str, ns: list[int], sigma_start: float, step: float) -> list[li
     predicts a residual 4 |L''| dt^2 / 2 within it (4 is a safety factor):
     it records the stepped t and predicts its next target along the tangent,
     dt/dsigma = -Im w / Re w, for the next pass.  A line that meets a
-    non-finite value or does not converge in 8 steps halves its own step
-    while the others go on.  The slope starts at w = 1, so the prediction
+    non-finite value, would take a Newton step longer than _MAX_NEWTON_STEP
+    or does not converge in 8 steps halves its own step while the others go
+    on.  The slope starts at w = 1, so the prediction
     for the seed is the seed itself.  Returns each line's (sigma, t) points."""
     rot, offset, _ = _LINE_KINDS[kind]
     schedule = list(reversed(_sigma_schedule(sigma_start, step))) + [sigma_start]
@@ -191,7 +193,10 @@ def _march(kind: str, ns: list[int], sigma_start: float, step: float) -> list[li
                 if wk.real != 0.0:
                     level = (0.5 * rot * cmath.log(v * v)).imag
                     dt = level / wk.real
-                    guess[k] -= dt
+                    if abs(dt) > _MAX_NEWTON_STEP:  # a failed step, like a non-finite one
+                        level = dt = math.nan
+                    else:
+                        guess[k] -= dt
             tries[k] += 1
             if abs(level) <= _NEWTON_TOL or 2.0 * abs((rot * l2).imag) * dt * dt <= _NEWTON_TOL:
                 sigma[k], t[k], w[k] = pending[k].pop(), guess[k], wk

@@ -16,7 +16,6 @@ multiplicity 1 and a derivative guard asserts the zero really is simple.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,21 +33,19 @@ from .evalcore import (
     _POLE_TOL,
     _central_difference,
     _coerce,
-    _dirichlet_values,
+    _l_values,
     _log_gamma_factor,
     _release,
-    _zeta_values,
     beta_L,
     zeta,
 )
 
 _KINDS = ("zero", "pole")
-# one row per catalogued function, keyed by catalog name: conductor q (keys the
-# gamma factor and the zero-count main term), values, and entry source; every
-# list of catalogued functions (find_zeros, census, the CLI) reads this table
-_CATALOGUED = {"zeta": (1, _zeta_values, "zeta_zero"),
-               "beta": (4, functools.partial(_dirichlet_values, 4), "beta_zero")}
-_SOURCES = (*(entry for _, _, entry in _CATALOGUED.values()), "half_zeta_zero")
+# one row per catalogued function, keyed by catalog name: conductor q (keys
+# _l_values, the gamma factor and the zero-count main term) and entry source;
+# every list of catalogued functions (find_zeros, census, the CLI) reads it
+_CATALOGUED = {"zeta": (1, "zeta_zero"), "beta": (4, "beta_zero")}
+_SOURCES = (*(entry for _, entry in _CATALOGUED.values()), "half_zeta_zero")
 
 # real-axis features of the quotient: simple poles and first-order zeros
 POLE_SIGMAS = (1.0, -0.75, -1.75, -2.75, -3.75, -4.75)
@@ -103,10 +100,10 @@ class RealAxisFeature:
 
 
 def _completed_values(source: str, s: np.ndarray) -> np.ndarray:
-    q, values, _ = _CATALOGUED[source]
+    q, _ = _CATALOGUED[source]
     s = np.ascontiguousarray(s, dtype=np.complex128)
     s = np.where(s.real < 0.5, 1.0 - s, s)  # use the symmetric half-plane
-    return np.exp(_log_gamma_factor(q, s)) * values(s)
+    return np.exp(_log_gamma_factor(q, s)) * _l_values(q, s)
 
 
 def completed_zeta(s):
@@ -131,9 +128,9 @@ def _line_values(source: str, ts: np.ndarray) -> np.ndarray:
     # exp(-Re G), G the log gamma factor, so values stay O(1) instead of
     # decaying like exp(-pi t / 4); zeros and signs are unchanged and the
     # derivative guard threshold stays meaningful at large t
-    q, values, _ = _CATALOGUED[source]
+    q, _ = _CATALOGUED[source]
     s = 0.5 + 1j * np.asarray(ts, dtype=np.float64)
-    return (np.exp(1j * _log_gamma_factor(q, s).imag) * values(s)).real
+    return (np.exp(1j * _log_gamma_factor(q, s).imag) * _l_values(q, s)).real
 
 
 # points of one sign-change scan, refused before its ordinates are allocated
@@ -244,7 +241,7 @@ def find_zeros(source: str, t_min: float, t_max: float,
     if not (0.0 <= t_min < t_max <= 200.0):
         raise DomainError("need 0 <= t_min < t_max <= 200")
     roots, widths = _sign_change_roots(lambda ts: _line_values(source, ts), t_min, t_max, scan_step)
-    return [CriticalPoint(t=float(r), kind="zero", source=_CATALOGUED[source][2], multiplicity=1,
+    return [CriticalPoint(t=float(r), kind="zero", source=_CATALOGUED[source][1], multiplicity=1,
                           refined_to=float(max(w, 1e-12)))
             for r, w in zip(roots, widths)]
 

@@ -10,33 +10,28 @@ which gives an error of about 1e-13 absolute or relative, whichever is
 larger, for |Im s| <= 200 (near |Im s| = 200 phase rounding in the
 reflection factors caps it around 4e-13):
 
-* zeta, beta_L = L_-4 and L_-8: the accelerated alternating series of
-  _ALTERNATING (binomial weights, error ~ (3+sqrt 8)^-n) for Re s > 0,
-  functional-equation reflection below.  zeta divides eta by
-  q = 1 - 2^(1-w), w = s or 1 - s, and takes Euler-Maclaurin at s where
-  |q| < _ETA_MIN: next to 1 + 2 pi i k / ln 2 on the right, and next to
-  2 pi i k / ln 2 on the left (s = 0 among them, where reflection would
-  meet the pole of zeta(1 - s)).
+* zeta, beta_L and dirichlet_L: one evaluator, _l_values.  Row q of
+  _ALTERNATING is the accelerated alternating series (binomial weights,
+  error ~ (3+sqrt 8)^-n) of (1 - chi(2) 2^(1-w)) L(w), w = s for Re s > 0
+  and 1 - s below, reflected.  Euler-Maclaurin takes the points next to
+  the zeros of that twist factor, and those of L_-3 and L_-7 above the
+  series' height ceiling, L_-q as one _em_hurwitz character sum
+  q^-s sum_a chi(a) zeta(s, a/q), entire since sum chi = 0.
 * hurwitz_zeta: Euler-Maclaurin with Bernoulli corrections; for Re s < 0
   with rational a = p/q the discrete reflection formula is used instead,
   because the direct sum loses digits to cancellation there.
-* dirichlet_L: that series for q = 4, 8; for q = 3, 7 the character sum
-  q^-s sum_a chi(a) zeta(s, a/q) as one Euler-Maclaurin call
-  (_em_hurwitz): a direct power sum per residue class a and one shared
-  tail, whose pole terms cancel because sum chi = 0, so the result is
-  entire; within 0.5 of s = 1 the pole term takes an expm1 form, exact
-  at s = 1.  Reflected below Re s = 1/2.
 
 zeta, beta_L and dirichlet_L reflect through one functional equation,
 _reflection, with one log Gamma per point.  Its sine, _log_sinpi, reduces
 its argument exactly to the nearest integer, so values next to a trivial
 zero keep their relative accuracy and the trivial zeros come out exactly 0.
 
-The CVZ series of zeta, L_-4 and L_-8 refuse |Im| above _MAX_HEIGHT = 500
-with DomainError (their 347-term cap loses digits above it); a quotient's
-denominator zeta(2s - 1/2) sets its ceiling at |Im s| = 250.  L_-3 and
-L_-7 have none; from |Im s| = 200 to 1000 their error is within 2e-12
-absolute or relative, whichever is larger.
+The CVZ series refuse |Im| above _MAX_HEIGHT = 500 with DomainError
+(their 347-term cap loses digits above it), so zeta, L_-4 and L_-8 do; a
+quotient's denominator zeta(2s - 1/2) sets its ceiling at |Im s| = 250.
+L_-3 and L_-7 have none: above it they take Euler-Maclaurin, and from
+|Im s| = 200 to 1000 their error is within 2e-12 absolute or relative,
+whichever is larger.
 
 Every Dirichlet series goes through one power sum, _power_sum.  A batch
 that is a complete row-major sigma x t grid (a render block) or an equally
@@ -50,9 +45,9 @@ Piecewise definitions (the reflection half-plane, the rational Hurwitz
 reflection) go through one branch helper, _branches: a batch that lies in
 one branch, such as a scalar probe or a round of secant pairs, is
 handed to that branch whole, without a copy or a scatter.  Their masks
-split a render block by columns, so each branch is again a grid.  The eta
-route of zeta runs on the whole batch, and Euler-Maclaurin overwrites the
-few points where it fails (_zeta_values), so a block keeps no holes.  log
+split a render block by columns, so each branch is again a grid.  A twisted
+row runs on the whole batch, and Euler-Maclaurin overwrites the few points
+where its factor is too small (_l_values), so a block keeps no holes.  log
 Gamma shifts each argument only as far as the Stirling series needs
 (_stirling_lgamma).
 
@@ -108,7 +103,8 @@ _POLE_TOL = 1e-12
 _DIFF_STEP = 1e-6  # step of the central-difference derivative
 _TARGET_DIGITS = 14  # significant digits the CVZ and Euler-Maclaurin cutoffs are sized for
 _EM_ORDER = 12  # Bernoulli correction terms of Euler-Maclaurin, B_2 .. B_24
-_ETA_MIN = 0.05  # smallest |1 - 2^(1-s)| the eta route of zeta divides by
+_ETA_MIN = 0.05  # smallest |1 - 2^(1-s)| the eta row of zeta is divided by
+_TWIST_MIN = 0.1  # the same for L_-3, L_-7: 3e-14 of row rounding near t = 200 over 0.1 is 3e-13
 # below this many points the line and grid tests in _power_sum cost more
 # than they can save (scalar probes, short refinement levels, secant pairs)
 _GRID_MIN_POINTS = 16
@@ -199,18 +195,22 @@ def _branches(shape, *cases) -> np.ndarray:
     return out
 
 
-# The CVZ-summed series by conductor: row (step, offsets) is sum_k (-1)^k
-# sum_r (step k + r)^-s.  Row 1 is eta (zeta times 1 - 2^(1-s)), 4 is beta,
-# and 8 is L_-8, whose character +, +, -, - on 1, 3, 5, 7 alternates in pairs.
-_ALTERNATING = {1: (1, (1,)), 4: (2, (1,)), 8: (4, (1, 3))}
+# The CVZ-summed series by conductor: row (step, offsets, signs, chi(2)) is
+# sum_k (-1)^k sum_r eps_r (step k + r)^-s = (1 - chi(2) 2^(1-s)) L(s), L
+# zeta for q = 1 and L_-q otherwise.  For odd q, n = q k + r turns the
+# alternating sum_n (-1)^(n+1) chi(n) n^-s into it, eps_r = (-1)^(r+1) chi(r);
+# 4 is beta, and 8 is L_-8, whose character +, +, -, - on 1, 3, 5, 7
+# alternates in pairs; neither has a factor (chi(2) = 0).
+_ALTERNATING = {1: (1, (1,), (1,), 1), 3: (3, (1, 2), (1, 1), -1), 4: (2, (1,), (1,), 0),
+                7: (7, (1, 2, 3, 4, 5, 6), (1, -1, -1, -1, -1, 1), 1), 8: (4, (1, 3), (1, 1), 0)}
 
 
 @functools.cache
 def _alt_series(q: int, n: int):
     """(logs, weights) of the first n blocks of row q of _ALTERNATING: each
     log(step k + r), k < n, and the binomial acceleration weight w_k = c_k / d
-    repeated over the offsets r, cached as complex128 so the power sum takes
-    them without a cast."""
+    times the sign eps_r of each offset r, cached as complex128 so the power
+    sum takes them without a cast."""
     r = 3.0 + math.sqrt(8.0)
     d = (r ** n + r ** (-n)) / 2.0
     b = -1.0
@@ -220,9 +220,9 @@ def _alt_series(q: int, n: int):
         c = b - c
         w[k] = c / d
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    step, offsets = _ALTERNATING[q]
+    step, offsets, signs, _ = _ALTERNATING[q]
     logs = np.log(np.add.outer(step * np.arange(n, dtype=np.float64), offsets).ravel())
-    return logs, np.repeat(w, len(offsets)).astype(np.complex128)
+    return logs, np.multiply.outer(w, signs).ravel().astype(np.complex128)
 
 
 def _cvz_terms(s: np.ndarray) -> int:
@@ -325,12 +325,6 @@ def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
             chunk = idx[i:i + blk]
             out[chunk] = np.exp(np.multiply.outer(-flat[chunk], logs)) @ w
     return out.reshape(s.shape)
-
-
-def _alt_weighted_sum(q: int, s: np.ndarray) -> np.ndarray:
-    """Row q of _ALTERNATING, sum_k w_k sum_r (step k + r)^(-s) with the CVZ
-    weights w_k, the term count sized for the whole batch."""
-    return _power_sum(s, *_alt_series(q, _cvz_terms(s)))
 
 
 def _stirling_lgamma(z: np.ndarray) -> np.ndarray:
@@ -464,43 +458,6 @@ def _em_tail(s: np.ndarray, P: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eta_factor(s: np.ndarray) -> np.ndarray:
-    """q = 1 - 2^(1-s), with zeta = eta / q; expm1 keeps accuracy near s = 1.
-    Where |q| < _ETA_MIN (near s = 1 + 2 pi i k / ln 2) the eta route loses
-    digits and zeta takes Euler-Maclaurin instead."""
-    return -np.expm1((1.0 - s) * LN2)
-
-
-def _zeta_values(s: np.ndarray) -> np.ndarray:
-    """Vector zeta without pole checks (s = 1 itself gives inf); the trivial
-    zeros s = -2, -4, ... come out exactly 0.
-
-    Every point takes the eta route eta(w) / q(w) at w = s for Re s > 0 and
-    at w = 1 - s below, reflected by _reflection.  Euler-Maclaurin at s
-    overwrites the points with |q(w)| < _ETA_MIN: near 1 + 2 pi i k / ln 2
-    on the right, near 2 pi i k / ln 2 on the left (|s| < 0.05 among them,
-    where reflection would meet the pole of zeta(1 - s)).  It takes one
-    call per k, a cutoff sized for that height: for Re s <= 0 its direct
-    sum loses digits as the cutoff grows (3e-13 below t = 100 with the
-    cutoff for t = 500)."""
-    s = np.ascontiguousarray(s, dtype=np.complex128)
-    right = s.real > 0.0
-    w = np.where(right, s, 1.0 - s)
-    q = _eta_factor(w)
-
-    def eta_route(m):
-        return _alt_weighted_sum(1, w[m]) / q[m]
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # q = 0 at s = 0, 1, ...
-        out = _branches(s.shape, (right, eta_route), (~right, lambda m: _reflection(1, s[m], eta_route(m))))
-        em = np.abs(q) < _ETA_MIN
-        if em.any():
-            k = np.where(em, np.round(np.abs(s.imag) * (LN2 / TWO_PI)), -1.0)  # the zero of q nearby
-            for zero in set(k[em].tolist()):  # not np.unique, whose first call adds 1.7 MB of RSS
-                out[k == zero] = _em_hurwitz(s[k == zero], (1.0,))
-    return out
-
-
 def _log_gamma_factor(q: int, s: np.ndarray) -> np.ndarray:
     """G(s) = log Gamma((s + a)/2) - ((s + a)/2) log(pi/q), the log gamma factor
     that completes the L function of conductor q (q = 1 and a = 0 for zeta,
@@ -512,15 +469,18 @@ def _log_gamma_factor(q: int, s: np.ndarray) -> np.ndarray:
 def _hurwitz_rational_left(s: np.ndarray, p: int, q: int) -> np.ndarray:
     """zeta(s, p/q) for Re s < 0 via the discrete reflection formula.
 
-    zeta(1-u, p/q) = 2 Gamma(u) / (2 pi q)^u * sum_r cos(pi u/2 - 2 pi r p/q) zeta(u, r/q)
-    with u = 1 - s, so every Hurwitz evaluation on the right is well conditioned.
+    zeta(1-u, p/q) = 2 Gamma(u) / (2 pi q)^u * sum_r cos(pi u/2 - phi_r) zeta(u, r/q),
+    phi_r = 2 pi r p/q, u = 1 - s, so every Hurwitz evaluation on the right is well
+    conditioned; cos(pi u/2) cos phi_r + sin(pi u/2) sin phi_r makes the sum two
+    weighted _em_hurwitz calls, one for q <= 2, where every sin phi_r is 0.
     """
     s = np.ascontiguousarray(s, dtype=np.complex128)
     u = 1.0 - s
-    acc = np.zeros(s.shape, dtype=np.complex128)
-    for r in range(1, q + 1):
-        phase = TWO_PI * r * p / q
-        acc = acc + np.cos(0.5 * math.pi * u - phase) * _em_hurwitz(u, (r / q,))
+    offsets = [r / q for r in range(1, q + 1)]
+    phases = [TWO_PI * r * p / q for r in range(1, q + 1)]
+    acc = np.cos(0.5 * math.pi * u) * _em_hurwitz(u, offsets, [math.cos(phi) for phi in phases])
+    if q > 2:
+        acc += np.sin(0.5 * math.pi * u) * _em_hurwitz(u, offsets, [math.sin(phi) for phi in phases])
     scale = np.exp(_stirling_lgamma(u) + LN2 - u * math.log(TWO_PI * q))
     return scale * acc
 
@@ -538,24 +498,61 @@ def _hurwitz_values(s: np.ndarray, a: float) -> np.ndarray:
                      (~left, lambda m: _em_hurwitz(s[m], (a,))))
 
 
-def _dirichlet_direct(q: int, s: np.ndarray) -> np.ndarray:
-    """q^-s sum_a chi(a) zeta(s, a/q), one _em_hurwitz call over the
-    character's offsets a/q; entire since sum chi = 0."""
+def _twist_factor(q: int, w: np.ndarray) -> np.ndarray:
+    """1 - chi(2) 2^(1-w) of row q of _ALTERNATING, chi(2) = +-1, by expm1.
+    Its zeros lie on Re w = 1: at 1 + 2 pi i k / ln 2 for chi(2) = 1 (q = 1,
+    7), at 1 + (2k + 1) pi i / ln 2 for chi(2) = -1 (q = 3)."""
+    x = np.expm1((1.0 - w) * LN2)  # 2^(1-w) - 1
+    return -x if _ALTERNATING[q][3] == 1 else 2.0 + x
+
+
+def _em_values(q: int, s: np.ndarray) -> np.ndarray:
+    """zeta (q = 1) or L_-q by Euler-Maclaurin: zeta at s, whose reflection
+    would meet the pole of zeta(1 - s) at s = 0; L_-q as the character sum
+    q^-w sum_a chi(a) zeta(w, a/q), entire since sum chi = 0, at w = s or,
+    for Re s <= 0, where its direct sum loses digits, at 1 - s, reflected."""
+    if q == 1:
+        return _em_hurwitz(s, (1.0,))
     chars = CHARACTER_TABLES[q]
-    return np.exp(-s * math.log(q)) * _em_hurwitz(s, [a / q for a in chars], list(chars.values()))
+    right = s.real > 0.0
+    w = np.where(right, s, 1.0 - s)
+    v = np.exp(-w * math.log(q)) * _em_hurwitz(w, [a / q for a in chars], list(chars.values()))
+    return _branches(s.shape, (right, lambda m: v[m]), (~right, lambda m: _reflection(q, s[m], v[m])))
 
 
-def _dirichlet_values(q: int, s: np.ndarray) -> np.ndarray:
-    """Vector L_{-q}, entire: row q of _ALTERNATING for Re s > 0 (q = 4, 8),
-    character sums of Hurwitz zeta for Re s >= 1/2 (q = 3, 7), _reflection
-    below; the trivial zeros s = -1, -3, ... come out exactly 0."""
+def _l_values(q: int, s: np.ndarray) -> np.ndarray:
+    """Vector zeta (q = 1) or L_-q without pole checks (zeta at s = 1 gives
+    inf); the trivial zeros come out exactly 0.
+
+    Row q of _ALTERNATING at w = s for Re s > 0 and at w = 1 - s below,
+    reflected, divided by its _twist_factor f(w) if it has one.  _em_values
+    overwrites |f(w)| < _ETA_MIN (zeta) or _TWIST_MIN, one call per zero of
+    f with a cutoff sized for its height (zeta's direct sum on Re s <= 0
+    loses digits as the cutoff grows: 3e-13 below t = 100 with the cutoff
+    for t = 500), and takes L_-3 and L_-7 above _MAX_HEIGHT, where rows refuse."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    if q in _ALTERNATING:
-        right, direct = s.real > 0.0, functools.partial(_alt_weighted_sum, q)
-    else:
-        right, direct = s.real >= 0.5, functools.partial(_dirichlet_direct, q)
-    return _branches(s.shape, (right, lambda m: direct(s[m])),
-                     (~right, lambda m: _reflection(q, s[m], direct(1.0 - s[m]))))
+    if q in (3, 7):
+        above = np.abs(s.imag) > _MAX_HEIGHT
+        if above.any():
+            return _branches(s.shape, (above, lambda m: _em_values(q, s[m])), (~above, lambda m: _l_values(q, s[m])))
+    chi2 = _ALTERNATING[q][3]
+    right = s.real > 0.0
+    w = np.where(right, s, 1.0 - s)
+    f = _twist_factor(q, w) if chi2 else None
+
+    def row(m):
+        a = _power_sum(w[m], *_alt_series(q, _cvz_terms(w[m])))
+        return a / f[m] if chi2 else a
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # f = 0 at s = 0, 1, ...
+        out = _branches(s.shape, (right, row), (~right, lambda m: _reflection(q, s[m], row(m))))
+        if chi2:
+            em = np.abs(f) < (_ETA_MIN if q == 1 else _TWIST_MIN)
+            if em.any():
+                k = np.where(em, np.round(np.abs(s.imag) * (LN2 / math.pi)), -1.0)  # the zero of f nearby
+                for zero in set(k[em].tolist()):  # not np.unique, whose first call adds 1.7 MB of RSS
+                    out[k == zero] = _em_values(q, s[k == zero])
+    return out
 
 
 def _character_label(q) -> int:
@@ -598,7 +595,7 @@ def zeta(s):
     arr, scalar = _coerce(s)
     if np.any(np.abs(arr - 1.0) <= _POLE_TOL):
         raise PoleOfZeta("zeta pole at s = 1", 1.0 + 0.0j)
-    return _release(_zeta_values(arr), scalar)
+    return _release(_l_values(1, arr), scalar)
 
 
 def hurwitz_zeta(s, a: float):
@@ -615,7 +612,7 @@ def hurwitz_zeta(s, a: float):
 def beta_L(s):
     """Dirichlet beta sum_{n>=0} (-1)^n (2n+1)^-s = dirichlet_L(4, s), entire in s."""
     arr, scalar = _coerce(s)
-    return _release(_dirichlet_values(4, arr), scalar)
+    return _release(_l_values(4, arr), scalar)
 
 
 def dirichlet_L(q: int, s):
@@ -623,4 +620,4 @@ def dirichlet_L(q: int, s):
     L_-4 and L_-8 refuse |Im s| > _MAX_HEIGHT (DomainError), L_-3 and L_-7 do not."""
     q = _character_label(q)
     arr, scalar = _coerce(s)
-    return _release(_dirichlet_values(q, arr), scalar)
+    return _release(_l_values(q, arr), scalar)

@@ -44,13 +44,12 @@ from .evalcore import (
     _character_label,
     _coerce,
     _cvz_terms,
-    _dirichlet_values,
-    _eta_factor,
+    _l_values,
     _near_nonpositive_integer,
     _one_blas_thread,
     _release,
     _stirling_lgamma,
-    _zeta_values,
+    _twist_factor,
 )
 
 _QUOTIENT_POLE_TOL = 1e-10 * (1.0 + 1e-3)
@@ -126,8 +125,8 @@ def _delta_q_values(q: int, s: np.ndarray) -> np.ndarray:
     """
     s = np.ascontiguousarray(s, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        num = _zeta_values(s) * _dirichlet_values(q, s)
-        den = _zeta_values(2.0 * s - 0.5)
+        num = _l_values(1, s) * _l_values(q, s)
+        den = _l_values(1, 2.0 * s - 0.5)
         if q == 3:
             num = num * _bracket_values(q, s)
         elif q > 4:
@@ -154,9 +153,9 @@ _SUM_SIGNS = np.array([1.0, 1.0, -1.0])
 
 def _delta5_log_derivatives(s: np.ndarray):
     """(delta, l1, l2) for a 1-D batch s, with l = log delta5, l1 = l' and
-    l2 = l''.  Where zeta(s), beta(s) and zeta(x), x = 2s - 1/2, all take the
-    eta route of _zeta_values (tracing stays at sigma >= 0.495, where they
-    do), the exponents -s log(1 + k), -s log(1 + 2k) and -x log(1 + k), the
+    l2 = l''.  Where zeta(s), beta(s) and zeta(x), x = 2s - 1/2, all take
+    their rows in evalcore._l_values (tracing stays at sigma >= 0.495, where
+    they do), the exponents -s log(1 + k), -s log(1 + 2k) and -x log(1 + k), the
     terms of rows 1, 4 and 1 of evalcore._ALTERNATING, go through one exp.
     Each sum's value is its own product with the CVZ weights, as on
     _power_sum's outer-product path, so delta has the bits of _delta_q_values
@@ -169,7 +168,7 @@ def _delta5_log_derivatives(s: np.ndarray):
     and delta' from evalcore._central_difference instead, with l2 = nan."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     x = 2.0 * s - 0.5
-    q = _eta_factor(np.array([s, x]))
+    q = _twist_factor(1, np.array([s, x]))
     if np.abs(q).min() < _ETA_MIN or x.real.min() <= 0.0:
         v = _delta_q_values(4, s)
         d = _central_difference(lambda z: _delta_q_values(4, z), s)
@@ -213,10 +212,10 @@ def _check_poles(q: int, s: np.ndarray):
     line = np.flatnonzero(np.abs(s.real - 0.5) <= _LINE_SCREEN)
     if line.size:
         w = 2.0 * s[line] - 0.5
-        z = np.abs(_zeta_values(w))
+        z = np.abs(_l_values(1, w))
         small = z <= _DEN_SCREEN
         if np.any(small):
-            dz = np.abs(_central_difference(_zeta_values, w[small]))
+            dz = np.abs(_central_difference(functools.partial(_l_values, 1), w[small]))
             hit[line[small]] |= z[small] <= 2.0 * _QUOTIENT_POLE_TOL * dz
     if np.any(hit):
         i = int(np.argmax(hit))
@@ -370,4 +369,4 @@ def lattice_sum_C(s):
     arr, scalar = _coerce(s)
     if np.any(np.abs(arr - 1.0) <= _POLE_TOL):
         raise PoleOfZeta("lattice sum has a pole at s = 1", 1.0 + 0.0j)
-    return _release(4.0 * _zeta_values(arr) * _dirichlet_values(4, arr), scalar)
+    return _release(4.0 * _l_values(1, arr) * _l_values(4, arr), scalar)

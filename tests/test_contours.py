@@ -144,6 +144,13 @@ def test_trace_stalls_at_the_minimum_step(monkeypatch):
         trace_amplitude_one_line(2, catalog=[])
 
 
+def test_trace_stalls_instead_of_leaving_the_line():
+    # line 51 ends next to a singular point near t = 232, where Re w ~ 0: an
+    # unbounded Newton step there sent t to 666,285, above the height ceiling
+    with pytest.raises(TraceStalled, match=r"line n=51 stalled at sigma=0\.50\d+ \(step below 1e-4\)"):
+        trace_phase_zero_line(51, catalog=())
+
+
 def test_trace_refuses_a_singular_value(monkeypatch):
     _patched_kernel(monkeypatch, lambda s, v, l1, l2: (1e9 * v, l1, l2))
     with pytest.raises(SingularityTooClose, match=r"outside \[1e-8, 1e8\] at sigma=12\.000000, t="):

@@ -20,7 +20,7 @@ import random
 import numpy as np
 import pytest
 
-from delta_lens.evalcore import _dirichlet_values, _zeta_values, beta_L, dirichlet_L, zeta
+from delta_lens.evalcore import _l_values, beta_L, dirichlet_L, zeta
 from delta_lens.quotient import _delta_q_values, delta5, delta_q, f5
 
 REL_TOL = 1e-12
@@ -29,9 +29,9 @@ SAMPLE_SEED = 7
 
 # reference key -> (public function, raw vector evaluator)
 FUNCTIONS = {
-    "zeta": (zeta, _zeta_values),
-    "beta": (beta_L, lambda s: _dirichlet_values(4, s)),
-    **{f"L{q}": (lambda s, q=q: dirichlet_L(q, s), lambda s, q=q: _dirichlet_values(q, s))
+    "zeta": (zeta, lambda s: _l_values(1, s)),
+    "beta": (beta_L, lambda s: _l_values(4, s)),
+    **{f"L{q}": (lambda s, q=q: dirichlet_L(q, s), lambda s, q=q: _l_values(q, s))
        for q in (3, 7, 8)},
     "delta5": (delta5, lambda s: _delta_q_values(4, s)),
     **{f"deltaq{q}": (lambda s, q=q: delta_q(q, s), lambda s, q=q: _delta_q_values(q, s))

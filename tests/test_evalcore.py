@@ -11,8 +11,8 @@ import pytest
 
 import delta_lens.evalcore as evalcore
 from delta_lens.errors import DomainError, PoleOfGamma, PoleOfZeta, UnsupportedDiscriminant
-from delta_lens.evalcore import (CHARACTER_TABLES, _ALTERNATING, _dirichlet_values, _zeta_values,
-                                 beta_L, dirichlet_L, hurwitz_zeta, log_gamma, zeta)
+from delta_lens.evalcore import (CHARACTER_TABLES, _ALTERNATING, _l_values, beta_L, dirichlet_L, hurwitz_zeta,
+                                 log_gamma, zeta)
 from delta_lens.critical import completed_beta, completed_zeta
 from delta_lens.quotient import (_delta5_log_derivatives, _delta_q_values, bracket_factor, delta5, delta_q,
                                  f5, f5_asymptotic, lattice_sum_C)
@@ -91,8 +91,8 @@ GRID_LAYOUTS = {
     "single-row": np.linspace(-1.5, 2.25, 48) + 30.7j,
     "repeated-sigma": (np.insert(_SIG16, 6, _SIG16[6])[None, :] + 1j * _T16[:, None]).ravel(),
 }
-GRID_VALUES = {"zeta": _zeta_values, "beta": lambda s: _dirichlet_values(4, s),
-               "L8": lambda s: _dirichlet_values(8, s), "delta5": lambda s: _delta_q_values(4, s)}
+GRID_VALUES = {"zeta": lambda s: _l_values(1, s), "beta": lambda s: _l_values(4, s),
+               "L8": lambda s: _l_values(8, s), "delta5": lambda s: _delta_q_values(4, s)}
 
 
 @pytest.mark.parametrize("values, layout", [
@@ -139,15 +139,15 @@ def test_eta_fallback_points_keep_a_render_block_whole(monkeypatch):
     assert sum(rows for rows, _ in calls) == 3 * sig.size
     for x in (s, 2.0 * s - 0.5):
         right = np.where(x.real > 0.0, x, 1.0 - x)  # the argument of the eta route
-        fallback = np.flatnonzero(np.abs(evalcore._eta_factor(right)) < evalcore._ETA_MIN)
+        fallback = np.flatnonzero(np.abs(evalcore._twist_factor(1, right)) < evalcore._ETA_MIN)
         assert fallback.size >= 4
-        block = _zeta_values(x)[fallback]
-        one = np.array([_zeta_values(x[k:k + 1])[0] for k in fallback])
+        block = _l_values(1, x)[fallback]
+        one = np.array([_l_values(1, x[k:k + 1])[0] for k in fallback])
         assert np.max(np.abs(block - one) / np.abs(one)) <= 1e-13
 
 
-@pytest.mark.parametrize("values", [_zeta_values, lambda s: _dirichlet_values(4, s),
-                                    lambda s: _dirichlet_values(8, s)], ids=["zeta", "beta", "L8"])
+@pytest.mark.parametrize("values", [lambda s: _l_values(1, s), lambda s: _l_values(4, s),
+                                    lambda s: _l_values(8, s)], ids=["zeta", "beta", "L8"])
 def test_line_path_matches_blocked_path(values, monkeypatch):
     # the scan of find_zeros(source, 0, 199.995): 0.5 + i h k at h = 0.01,
     # the last ordinate clipped off the progression to t_max; one batch takes
@@ -225,20 +225,20 @@ def test_pin_restores_the_caller_thread_count_on_error(blas_threads, monkeypatch
 
     monkeypatch.setattr(evalcore, "_separable_sum", fail)
     with pytest.raises(RuntimeError, match="product failed"):
-        _zeta_values(DIGEST_GRID)
+        _l_values(1, DIGEST_GRID)
     assert blas_threads.get() == 2
 
 
 def test_overlapping_pins_restore_the_caller_thread_count(blas_threads):
     # 4 Python threads on 2 cores pin and unpin concurrently; each pin that
     # saved the count another thread had set to 1 would restore 1
-    want = _zeta_values(DIGEST_GRID)
+    want = _l_values(1, DIGEST_GRID)
     results, errors = [], []
 
     def work():
         try:
             for _ in range(25):
-                results.append(np.array_equal(_zeta_values(DIGEST_GRID), want))
+                results.append(np.array_equal(_l_values(1, DIGEST_GRID), want))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -268,8 +268,11 @@ def test_euler_maclaurin_tail_runs_on_one_blas_thread(blas_threads, monkeypatch)
         return em_tail(s, *args)
 
     monkeypatch.setattr(evalcore, "_em_tail", spy)
+    # L_-3 and L_-7 take the character sum for a whole batch only above the
+    # CVZ ceiling: 16 points on each side of Re s = 0, t in [520, 980]
+    above = np.linspace(-3.0, 3.0, 32) + 1j * np.linspace(520.0, 980.0, 32)
     for q in (3, 7):
-        _dirichlet_values(q, DIGEST_GRID)
+        _l_values(q, above)
     hurwitz_zeta(DIGEST_GRID + 2.0, 0.25)
     zeta(1.0 + 2j * math.pi / math.log(2.0) + np.linspace(-0.04, 0.04, 32))  # zeta's overwrite
     assert len(inside) >= 4 and all(size >= evalcore._GRID_MIN_POINTS for size, _ in inside)
@@ -310,6 +313,19 @@ def test_hurwitz_known_values():
     assert abs(hurwitz_zeta(2.0, 0.5).real - math.pi ** 2 / 2.0) < 1e-12
     got = hurwitz_zeta(3.0 + 4.0j, 1.0 / 3.0)
     assert abs(got - HURWITZ_COMPLEX) < 1e-10 * abs(HURWITZ_COMPLEX)
+
+
+def test_hurwitz_left_of_the_line_against_mpmath(mpmath_reference):
+    # Re s in [-3, -0.05], |t| <= 50, a in {1, 1/2, 1/7, 3/64}: the discrete
+    # reflection formula, as error / max(1, |zeta|)
+    rows = np.array(mpmath_reference["hurwitz_left"])
+    for a in np.unique(rows[:, 0]):
+        r = rows[rows[:, 0] == a]
+        s, want = r[:, 1] + 1j * r[:, 2], r[:, 3] + 1j * r[:, 4]
+        for got in (hurwitz_zeta(s, float(a)), np.array([hurwitz_zeta(complex(p), float(a)) for p in s])):
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            worst = int(np.argmax(err))
+            assert err[worst] <= 1e-13, f"a = {a:g} off by {err[worst]:.2e} at s = {s[worst]}"
 
 
 def test_hurwitz_pole_and_domain():
@@ -362,12 +378,19 @@ def test_dirichlet_L_4_is_beta_bit_for_bit():
 
 
 def test_alternating_rows_expand_to_the_characters():
-    # row (step, offsets): sign (-1)^k on step k + r for each offset r
-    for q in (4, 8):
-        step, offsets = _ALTERNATING[q]
-        chi = {step * k + r: (-1) ** k for k in range(8 * q) for r in offsets}
-        assert [chi.get(m, 0) for m in range(1, 8 * q + 1)] == [
-            CHARACTER_TABLES[q].get(m % q, 0) for m in range(1, 8 * q + 1)]
+    # row (step, offsets, signs, chi(2)): sign (-1)^k eps_r on step k + r for
+    # each offset r, the Dirichlet coefficients of (1 - chi(2) 2^(1-s)) L(s):
+    # chi(m), less 2 chi(2) chi(m/2) for even m (chi = 1 for zeta, q = 1)
+    for q, (step, offsets, signs, chi2) in _ALTERNATING.items():
+        chars = CHARACTER_TABLES.get(q, {0: 1})
+
+        def chi(m):
+            return chars.get(m % q, 0)
+
+        assert chi2 == chi(2)
+        row = {step * k + r: (-1) ** k * eps for k in range(8 * q) for r, eps in zip(offsets, signs)}
+        assert [row.get(m, 0) for m in range(1, 8 * q + 1)] == [
+            chi(m) - (2 * chi2 * chi(m // 2) if m % 2 == 0 else 0) for m in range(1, 8 * q + 1)]
 
 
 def test_cvz_characters_share_the_height_ceiling():
@@ -465,6 +488,22 @@ def test_character_sums_against_mpmath(mpmath_reference, table, bound):
             err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
             worst = int(np.argmax(err))
             assert err[worst] <= bound, f"L_-{q} off by {err[worst]:.2e} at s = {s[worst]}"
+
+
+def test_characters_next_to_the_twist_zeros(mpmath_reference):
+    # L_-3 and L_-7 are rows of the alternating series divided by 1 + 2^(1-w)
+    # and 1 - 2^(1-w); within 0.2 of the zeros of those factors, on Re s = 1
+    # and reflected on Re s = 0, up to t = 200, on both sides of the
+    # Euler-Maclaurin overwrite (|factor| < 0.1, about 0.144 from a zero)
+    rows = np.array(mpmath_reference["twist_zeros"])
+    for q in (3, 7):
+        r = rows[rows[:, 0] == q]
+        s, want = r[:, 1] + 1j * r[:, 2], r[:, 3] + 1j * r[:, 4]
+        bound = np.where(np.abs(s.imag) <= 100.0, 2e-13, 4e-13)
+        for got in (dirichlet_L(q, s), np.array([dirichlet_L(q, complex(p)) for p in s])):
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            worst = int(np.argmax(err / bound))
+            assert err[worst] <= bound[worst], f"L_-{q} off by {err[worst]:.2e} at s = {s[worst]}"
 
 
 # every public value function, with its fixed other arguments

@@ -47,7 +47,17 @@ The fixture holds
 * character_heights: rows [q, Re s, Im s, Re L, Im L] for L(-3) and L(-7)
   at 20 heights t = 220, 260, ..., 980, Re s cycling through the ten
   HEIGHT_SIGMAS in [-3, 3], on both sides of the reflection line
-  Re s = 1/2.
+  Re s = 1/2;
+* twist_zeros: rows [q, Re s, Im s, Re L, Im L] for L(-3) and L(-7) next
+  to the zeros of their twist factors 1 + 2^(1-s) (at 1 + (2k + 1) pi i /
+  ln 2) and 1 - 2^(1-s) (at 1 + 2 pi i k / ln 2), and of the reflected
+  factors (on Re s = 0 at the same heights), t <= 200: each zero itself
+  and the points TWIST_RADII away along both axes, on both sides of the
+  radius 0.144 at which the factor's modulus crosses 0.1 (_TWIST_MIN);
+* hurwitz_left: rows [a, Re s, Im s, Re zeta, Im zeta] for the Hurwitz
+  zeta function left of Re s = 0, a in HURWITZ_OFFSETS (1, 1/2, 1/7,
+  3/64, exact in mpmath), Re s in HURWITZ_SIGMAS (-3 .. -0.05) and Im s in
+  HURWITZ_TS (|t| <= 50).
 
 Each point s is the double the test passes, so mpmath sees the same
 number.
@@ -84,6 +94,12 @@ CHARACTER_QS, RING_CENTRES = (3, 7), (1.0, 0.0)
 RING_RADII_L = (1e-9, 1e-6, 1e-3, 0.1, 0.49, 0.51, 1.0)
 HEIGHT_COUNT, HEIGHT_LOW, HEIGHT_HIGH = 20, 200.0, 1000.0
 HEIGHT_SIGMAS = (-3.0, -2.0, -1.0, -0.5, 0.1, 0.5, 0.9, 1.5, 2.0, 3.0)
+TWIST_PERIODS = {3: (1, 2), 7: (0, 2)}  # zeros at (first + period k) pi / ln 2, k >= 0
+TWIST_CENTRES, TWIST_T_MAX = (1.0, 0.0), 200.0
+TWIST_RADII = (0.01, 0.07, 0.14, 0.15, 0.2)  # |factor| is about r ln 2, 0.1 at r = 0.144
+HURWITZ_OFFSETS = ((1, 1), (1, 2), (1, 7), (3, 64))
+HURWITZ_SIGMAS = (-3.0, -2.2, -1.5, -0.7, -0.05)
+HURWITZ_TS = (-50.0, -17.3, -3.0, 0.0, 3.0, 11.1, 29.5, 50.0)
 
 
 def _pair(z) -> list[float]:
@@ -148,6 +164,24 @@ def _character_height_points():
             yield q, complex(HEIGHT_SIGMAS[k % len(HEIGHT_SIGMAS)], HEIGHT_LOW + step * (k + 0.5))
 
 
+def _twist_zero_points():
+    for q, (first, period) in TWIST_PERIODS.items():
+        k = 0
+        while (t := (first + period * k) * math.pi / math.log(2.0)) <= TWIST_T_MAX:
+            for c in TWIST_CENTRES:
+                yield q, complex(c, t)
+                for r in TWIST_RADII:
+                    yield from ((q, complex(c + dc, t + dt)) for dc, dt in ((r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)))
+            k += 1
+
+
+def _hurwitz_left_rows():
+    for p, q in HURWITZ_OFFSETS:
+        for x in HURWITZ_SIGMAS:
+            for y in HURWITZ_TS:
+                yield [p / q, x, y, *_pair(mp.zeta(mp.mpc(x, y), mp.mpf(p) / q))]
+
+
 def _beta_line(t):
     # beta on the critical line rotated by the phase of its gamma factor
     # (pi/4)^(-(s+1)/2) Gamma((s+1)/2): real, with the zeros of beta
@@ -178,6 +212,8 @@ def main() -> None:
         "eta_zeros": [[s.real, s.imag, *_pair(_L(1, s))] for s in _eta_zero_points()],
         "character_rings": [[q, s.real, s.imag, *_pair(_L(q, s))] for q, s in _character_ring_points()],
         "character_heights": [[q, s.real, s.imag, *_pair(_L(q, s))] for q, s in _character_height_points()],
+        "twist_zeros": [[q, s.real, s.imag, *_pair(_L(q, s))] for q, s in _twist_zero_points()],
+        "hurwitz_left": list(_hurwitz_left_rows()),
     }
     generator = json.dumps(f"tools/make_test_reference.py, mpmath {mp.__version__}, 40 digits")
     body = ",\n".join(f'"{key}": [\n' + ",\n".join(map(json.dumps, rows)) + "\n]" for key, rows in tables.items())

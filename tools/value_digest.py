@@ -12,7 +12,8 @@ values are identical bit for bit.  It covers
 * zeta, beta_L and dirichlet_L next to their trivial zeros, on the points
   of tests/mpmath_reference.json (zeta's for zeta, beta's for beta_L and
   L4, each character's for L3, L7 and L8), and zeta on its rings around
-  s = 0 and next to the zeros of 1 - 2^(1-s) and 1 - 2^s there, each as
+  s = 0 and next to the zeros of 1 - 2^(1-s) and 1 - 2^s there, and L3
+  and L7 next to the zeros of their twist factors (twist_zeros), each as
   one vector;
 * log_gamma on the probe pool, as one vector and in 1-point batches, and
   on the boundary pool of its per-point Stirling shift in
@@ -134,6 +135,12 @@ def main() -> None:
             rows = trivial[trivial[:, 0] == CONDUCTORS[name]]
             points = rows[:, 1] + 1j * rows[:, 2]
             print(f"{name}/trivial_zeros {_digest_call(_values, fn, points, points.size)}")
+    twist = np.array(fixture["twist_zeros"])
+    for q in (3, 7):
+        rows = twist[twist[:, 0] == q]
+        points = rows[:, 1] + 1j * rows[:, 2]
+        digest = _digest_call(_values, lambda s: evalcore.dirichlet_L(q, s), points, points.size)
+        print(f"L{q}/twist_zeros {digest}")
     ring = np.array([complex(*row[:2]) for row in fixture["zeta_near_zero"]])
     print(f"zeta/near_zero {_digest_call(_values, evalcore.zeta, ring, ring.size)}")
     eta_zeros = np.array([complex(*row[:2]) for row in fixture["eta_zeros"]])
