@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from typing import Mapping, Optional
@@ -78,14 +79,12 @@ class ZeroCatalog:
 
 @dataclass(frozen=True)
 class DistributionReport:
-    """Counted zeros versus the main term at one cut, with the envelope the
-    residual is claimed to respect."""
+    """Counted zeros versus the main term at one cut."""
 
     t: float
     main_term: float
     counted: int
     residual: float
-    envelope: float = math.inf
 
     def __post_init__(self):
         # each test is written so that a NaN field fails it
@@ -93,9 +92,6 @@ class DistributionReport:
             raise DomainError(f"t {self.t} is not finite")
         if not abs(self.residual - (self.counted - self.main_term)) <= 1e-9:
             raise DomainError("residual must equal counted - main_term")
-        if not abs(self.residual) <= self.envelope:
-            raise DomainError(
-                f"residual {self.residual:.3f} exceeds the declared envelope {self.envelope}")
 
 
 def _main_term(t: float, modulus: float) -> float:
@@ -123,7 +119,9 @@ def n_Lq_main(q: int, t: float) -> float:
 
 
 def count_entries(catalog: ZeroCatalog, t: float, kind: Optional[str] = None) -> int:
-    """Entries with ordinate <= t (tolerance 1e-8), optionally one kind."""
+    """Entries with ordinate <= t (finite, tolerance 1e-8), optionally one kind."""
+    if not math.isfinite(t):
+        raise DomainError(f"t {t} is not finite")
     if kind not in (None, *_KINDS):
         raise DomainError(f"kind must be None or one of {_KINDS}")
     return sum(1 for e in catalog.entries
@@ -185,8 +183,8 @@ def pairs_between_phase_lines(n: int, catalog: ZeroCatalog,
                               traces: Mapping[int, PhasePath]) -> tuple[int, int]:
     """(zeros, poles) of the quotient strictly between the termini of phase
     lines n and n+1, both endpoints excluded; the counts must be equal."""
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"n must be a positive integer, not {n!r}")
     if catalog.source != "delta5_merged":
         raise DomainError("pairing needs the merged quotient catalog")
     for k in (n, n + 1):

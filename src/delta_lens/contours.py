@@ -62,6 +62,7 @@ _MIN_STEP = 1e-4
 _MAX_NEWTON_STEP = 0.25 * math.pi / LN2  # a quarter of the anchor spacing; a longer step leaves the line
 _MATCH_RADIUS = 0.05
 _MAX_SCHEDULE = 100_000  # sigma targets per trace; _sigma_schedule builds them all up front
+_REFINE_LIMIT = 40       # nested edge splits winding_count may make
 
 
 @dataclass(frozen=True)
@@ -303,63 +304,55 @@ def _polyline_complex(polyline) -> np.ndarray:
     return pts
 
 
-def _check_contour_values(vals: np.ndarray, where: np.ndarray) -> None:
+def _contour_values(s: np.ndarray) -> np.ndarray:
+    """delta5 at the contour points s, refusing a point where it is
+    non-finite or |delta5| lies outside [1e-8, 1e8] (SingularOnContour)."""
+    vals = _delta_q_values(4, s)
     bad = ~np.isfinite(vals) | (np.abs(vals) < _GUARD_LO) | (np.abs(vals) > _GUARD_HI)
     if np.any(bad):
-        s = where[np.argmax(bad)]
+        p = s[np.argmax(bad)]
         raise SingularOnContour(
-            f"contour point sigma={s.real:.6f}, t={s.imag:.6f} is singular or "
+            f"contour point sigma={p.real:.6f}, t={p.imag:.6f} is singular or "
             "has |delta5| outside [1e-8, 1e8]")
+    return vals
 
 
-def winding_count(polyline, refine_limit: int = 40) -> WindingReport:
+def winding_count(polyline) -> WindingReport:
     """Total argument change of the quotient around a closed polyline.
 
     Edge increments are principal arguments of ratios of consecutive values;
-    any edge whose increment exceeds pi/2 is bisected, up to refine_limit
-    nested splits, so no edge can silently swallow a full branch turn.  The
-    refinement runs level by level: one evaluation per level covers the
-    midpoints of every edge that still jumps.  zeros_minus_poles is the
-    winding number (counterclockwise positive).
+    any edge whose increment exceeds pi/2 is bisected, up to 40 nested
+    splits (_REFINE_LIMIT), so no edge can silently swallow a full branch
+    turn.  The refinement runs level by level: one evaluation per level
+    covers the midpoints of every edge that still jumps.  zeros_minus_poles
+    is the winding number (counterclockwise positive); WindingReport
+    refuses a total more than 1e-3 turns from it.
     """
-    if (not isinstance(refine_limit, numbers.Integral) or isinstance(refine_limit, bool)
-            or refine_limit < 1):
-        raise DomainError(f"refine_limit must be a positive integer, not {refine_limit!r}")
     pts = _polyline_complex(polyline)
-    vals = _delta_q_values(4, pts)
-    _check_contour_values(vals, pts)
-
+    vals = _contour_values(pts)
     # edges in polyline order; a split edge is replaced by its two halves in place
     sa, sb, va, vb = pts[:-1], pts[1:], vals[:-1], vals[1:]
     accepted = []
-    for depth in range(refine_limit + 1):
+    for depth in range(_REFINE_LIMIT + 1):
         inc = np.angle(vb / va)
         jump = np.abs(inc) > 0.5 * math.pi
         accepted.append(inc[~jump])
         if not jump.any():
             break
-        if depth == refine_limit:
+        if depth == _REFINE_LIMIT:
             k = np.argmax(jump)
             raise RefinementExhausted(
                 f"edge near sigma={sa[k].real:.6f}, t={sa[k].imag:.6f} still jumps "
-                f"{abs(inc[k]):.3f} rad after {refine_limit} splits")
+                f"{abs(inc[k]):.3f} rad after {_REFINE_LIMIT} splits")
         sa, sb, va, vb = sa[jump], sb[jump], va[jump], vb[jump]
         sm = 0.5 * (sa + sb)
-        vm = _delta_q_values(4, sm)
-        _check_contour_values(vm, sm)
+        vm = _contour_values(sm)
         sa, sb = np.stack([sa, sm], axis=1).ravel(), np.stack([sm, sb], axis=1).ravel()
         va, vb = np.stack([va, vm], axis=1).ravel(), np.stack([vm, vb], axis=1).ravel()
-
     incs = np.concatenate(accepted)
     total = math.fsum(incs)
-    winding = total / (2.0 * math.pi)
-    nearest = round(winding)
-    if abs(winding - nearest) > 1e-3:
-        raise RefinementExhausted(
-            f"total argument change {total:.6f} rad is not an integer winding "
-            f"(off by {abs(winding - nearest):.2e} turns)")
     return WindingReport(total_arg_change=float(total),
-                         zeros_minus_poles=int(nearest),
+                         zeros_minus_poles=round(total / (2.0 * math.pi)),
                          max_step_jump=float(np.abs(incs).max(initial=0.0)))
 
 
@@ -388,8 +381,7 @@ def _box_polygon(low: PhasePath, high: PhasePath) -> list[tuple[float, float]]:
     return poly
 
 
-def argument_principle_box(n_low: int, n_high: int, sigma_right: float = 12.0,
-                           refine_limit: int = 40) -> WindingReport:
+def argument_principle_box(n_low: int, n_high: int, sigma_right: float = 12.0) -> WindingReport:
     """Winding count around the box bounded below and above by phase-zero
     lines n_low < n_high, on the right by sigma = sigma_right, and on the
     left by sigma = 1/2 + 0.02 (clearance from the critical-line poles and
@@ -399,7 +391,7 @@ def argument_principle_box(n_low: int, n_high: int, sigma_right: float = 12.0,
     if n_low >= n_high:
         raise DomainError("need n_low < n_high: equal indices bound no region")
     low, high = _trace_lines("phase_zero", [n_low, n_high], sigma_right)
-    return winding_count(_box_polygon(low, high), refine_limit)
+    return winding_count(_box_polygon(low, high))
 
 
 def amplitude_circle(A: float) -> AmplitudeCircle:
@@ -417,7 +409,10 @@ def amplitude_circle(A: float) -> AmplitudeCircle:
 
 def sample_circle_moduli(circle: AmplitudeCircle, count: int = 32) -> np.ndarray:
     """Moduli of 1 - 1/(16 conj(s)) at count equally spaced points of the
-    circle; all should equal circle.A to rounding."""
+    circle; all should equal circle.A to rounding.  count must be a
+    positive integer."""
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
+        raise DomainError(f"count must be a positive integer, not {count!r}")
     theta = 2.0 * math.pi * np.arange(count) / count
     s = circle.center_sigma + circle.radius * np.exp(1j * theta)
     return np.abs(1.0 - 1.0 / (16.0 * np.conj(s)))

@@ -33,7 +33,10 @@ L_-3 and L_-7 have none: above it they take Euler-Maclaurin, and from
 |Im s| = 200 to 1000 their error is within 2e-12 absolute or relative,
 whichever is larger.
 
-Every Dirichlet series goes through one power sum, _power_sum.  A batch
+Every Dirichlet series goes through one power sum, _power_sum, with one
+exception: the tracing kernel quotient._delta5_log_derivatives sums rows 1,
+4 and 1 of _ALTERNATING itself, through one concatenated exp, to get delta5
+and the first two derivatives of its log in one pass.  A batch
 that is a complete row-major sigma x t grid (a render block) or an equally
 spaced scan along one vertical line (a critical-line scan), both detected
 in O(N) without a sort, factors as k^-s = k^-a e^(-ib log k),

@@ -332,19 +332,19 @@ def reflected_approx(sigma: float, t: float) -> complex:
     return head * complex(math.cos(math.pi / 4.0), -math.sin(math.pi / 4.0)) * correction
 
 
-def bracket_phase_zeros(q: int, sigma: float, t_max: float, scan_step: float = 0.01) -> list[float]:
+def bracket_phase_zeros(q: int, sigma: float, t_max: float) -> list[float]:
     """Ordinates in (0, t_max] where the bracket factor's phase crosses zero
     along the vertical line Re s = sigma.
 
-    Located by critical._sign_change_roots on Im bracket_factor, scaled
-    by r^-(sigma - 1/2) for sigma > 1/2 to stay O(1), and refined by its
-    secant pairs to within 2.5e-10 in t; for q != 4 they sit
-    at multiples of pi / ln(1/r), q = 4 has none.  Needs finite sigma <= 1000
-    (r^(sigma - 1/2) underflows above it for q = 7, 8), a sigma at which
-    r^(sigma - 1/2) does not overflow, (1/2 - sigma) |ln r| <= ln(largest
-    float) (sigma >= -1023.5 for q = 8, about -1267.84 for q = 7 and -2466.75
-    for q = 3), 0 < t_max <= 200 and scan_step in (0, 0.05] with at most
-    1,000,001 scan points (DomainError otherwise).
+    Located by critical._sign_change_roots on Im bracket_factor at scan
+    step 0.01, scaled by r^-(sigma - 1/2) for sigma > 1/2 to stay O(1), and
+    refined by its secant pairs to within 2.5e-10 in t; for q != 4 they sit
+    at multiples of pi / ln(1/r), at least pi / ln 2 apart, q = 4 has
+    none.  Needs finite sigma <= 1000 (r^(sigma - 1/2) underflows above it
+    for q = 7, 8), a sigma at which r^(sigma - 1/2) does not overflow,
+    (1/2 - sigma) |ln r| <= ln(largest float) (sigma >= -1023.5 for q = 8,
+    about -1267.84 for q = 7 and -2466.75 for q = 3) and 0 < t_max <= 200
+    (DomainError otherwise).
     """
     q = _label(q)
     if not -math.inf < sigma < math.inf:
@@ -359,7 +359,7 @@ def bracket_phase_zeros(q: int, sigma: float, t_max: float, scan_step: float = 0
         raise DomainError("need 0 < t_max <= 200")
     scale = math.exp(-max(sigma - 0.5, 0.0) * log_r)
     roots, _ = _sign_change_roots(lambda ts: scale * _bracket_values(q, sigma + 1j * ts).imag,
-                                  0.0, t_max, scan_step)
+                                  0.0, t_max, 0.01)
     return roots.tolist()
 
 

@@ -1,6 +1,7 @@
 """Zero census: smooth main terms, counted catalogs, the doubling identity
 and the JSON-lines persistence format."""
 
+import dataclasses
 import json
 import math
 
@@ -28,6 +29,13 @@ def test_main_term_values():
     assert n_zeta_main(t) == pytest.approx(want, abs=1e-13)
     want_b = t / (2.0 * math.pi) * (math.log(t) - 1.0 - math.log(math.pi / 2.0))
     assert n_beta_main(t) == pytest.approx(want_b, abs=1e-13)
+
+
+@pytest.mark.parametrize("main", [n_zeta_main, n_beta_main])
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+def test_main_terms_refuse_a_non_positive_height(main, t):
+    with pytest.raises(DomainError, match="t must be positive"):
+        main(t)
 
 
 def test_main_term_doubling_identity():
@@ -70,6 +78,13 @@ def test_count_entries_by_kind(merged_catalog):
         count_entries(merged_catalog, 13.0, kind="zeros")
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_count_entries_refuses_a_non_finite_cut(zeta_catalog, t):
+    # a NaN or -inf cut used to count nothing, and +inf everything
+    with pytest.raises(DomainError, match="not finite"):
+        count_entries(zeta_catalog, t)
+
+
 def test_counts_track_main_terms(zeta_catalog, beta_catalog):
     for t in (20.0, 40.0, 60.0, 80.0, 100.0):
         assert abs(count_entries(zeta_catalog, t) - n_zeta_main(t)) <= 2.0
@@ -103,6 +118,8 @@ def test_census_identity_errors(zeta_catalog, beta_catalog):
         census_identity_check(-3.0, cats)
     with pytest.raises(DomainError):
         census_identity_check(10.0, {"zeta": zeta_catalog})
+    with pytest.raises(CatalogTooShort, match="beta catalog reaches 20.0, need T = 30"):
+        census_identity_check(30.0, {"zeta": zeta_catalog, "beta": build_catalog("beta", 20.0)})
 
 
 def test_pairs_between_phase_lines(merged_catalog, phase_traces):
@@ -113,6 +130,26 @@ def test_pairs_between_phase_lines(merged_catalog, phase_traces):
         pairs_between_phase_lines(12, merged_catalog, phase_traces)
     with pytest.raises(DomainError):
         pairs_between_phase_lines(0, merged_catalog, phase_traces)
+
+
+@pytest.mark.parametrize("n", [True, 1.0, 2.5, "1"], ids=["True", "1.0", "2.5", "str"])
+def test_pairs_refuses_a_non_integer_index(merged_catalog, phase_traces, n):
+    # True used to count lines 1-2, as if it were 1
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        pairs_between_phase_lines(n, merged_catalog, phase_traces)
+    assert (pairs_between_phase_lines(np.int64(1), merged_catalog, phase_traces)
+            == pairs_between_phase_lines(1, merged_catalog, phase_traces))
+
+
+def test_pairs_error_channels(merged_catalog, phase_traces, amplitude_traces):
+    with pytest.raises(DomainError, match="trace 2 is not a phase-zero line"):
+        pairs_between_phase_lines(1, merged_catalog, {1: phase_traces[1], 2: amplitude_traces[2]})
+    with pytest.raises(DomainError, match="termini out of order"):
+        pairs_between_phase_lines(1, merged_catalog, {1: phase_traces[2], 2: phase_traces[1]})
+    short = dataclasses.replace(merged_catalog, t_max=5.0,
+                                entries=tuple(e for e in merged_catalog.entries if e.t <= 5.0))
+    with pytest.raises(CatalogTooShort, match="merged catalog reaches 5.0"):
+        pairs_between_phase_lines(1, short, phase_traces)
 
 
 def test_pairs_needs_merged_catalog(zeta_catalog, phase_traces):
@@ -143,15 +180,19 @@ def test_catalog_validation():
     for step, tol in ((math.nan, 1e-9), (0.0, 1e-9), (0.01, -1e-9), (0.01, math.inf)):
         with pytest.raises(DomainError):
             GeneratorMetadata(scan_step=step, tolerance=tol, timestamp="now")
+    with pytest.raises(DomainError, match="source must be one of"):
+        ZeroCatalog(source="gamma", t_max=10.0, entries=(), generator_metadata=meta)
+    for t_max in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(DomainError, match="t_max must be positive and finite"):
+            ZeroCatalog(source="beta", t_max=t_max, entries=(), generator_metadata=meta)
+    with pytest.raises(DomainError, match="exceeds t_max"):
+        ZeroCatalog(source="beta", t_max=6.0, entries=(a,), generator_metadata=meta)
 
 
 def test_distribution_report_validation():
     DistributionReport(t=30.0, main_term=10.2, counted=10, residual=-0.2)
     with pytest.raises(DomainError):  # residual must equal counted - main
         DistributionReport(t=30.0, main_term=10.2, counted=10, residual=0.5)
-    with pytest.raises(DomainError):  # envelope violated
-        DistributionReport(t=30.0, main_term=10.2, counted=14, residual=3.8,
-                           envelope=2.0)
 
 
 @pytest.mark.parametrize("t, main_term, residual", [(math.nan, 1.0, 1.0), (10.0, math.nan, math.nan)])
@@ -209,6 +250,24 @@ def test_load_error_channels(tmp_path, beta_catalog):
 
     with pytest.raises(IoFailure):
         load_catalog(tmp_path / "nope.jsonl")
+
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    with pytest.raises(CorruptRecord, match="missing header record") as info:
+        load_catalog(empty)
+    assert info.value.line_number == 1
+
+    low = tmp_path / "low.jsonl"  # a header t_max below the entries it heads
+    assert '"t_max": 101,' in lines[0]
+    low.write_text("\n".join([lines[0].replace('"t_max": 101,', '"t_max": 10,')] + lines[1:]) + "\n")
+    with pytest.raises(CorruptRecord, match="inconsistent catalog") as info:
+        load_catalog(low)
+    assert info.value.line_number == 1
+
+
+def test_save_into_a_missing_directory(tmp_path, beta_catalog):
+    with pytest.raises(IoFailure, match="could not write catalog"):
+        save_catalog(beta_catalog, tmp_path / "missing" / "cat.jsonl")
 
 
 # the last line must end in one newline, as save_catalog ends it

@@ -250,6 +250,29 @@ def test_portrait(tmp_path, capsys):
     assert len(data) == 13 + 16 * 16 * 3
 
 
+def test_portrait_amplitude(tmp_path, capsys):
+    out_path = tmp_path / "tiny.ppm"
+    code, out, _ = run_cli(capsys, "portrait", "--mode", "amplitude", "--q", "8",
+                           "--sigma", "0:1", "--t", "5:8",
+                           "--size", "16x8", "--out", str(out_path))
+    assert code == 0
+    assert f"wrote {out_path} (16x8, mode amplitude)" in out
+    data = out_path.read_bytes()
+    assert data.startswith(b"P6\n16 8\n255\n")
+    assert len(data) == 12 + 16 * 8 * 3
+
+
+@pytest.mark.parametrize("bound, message", [("5", "is not a range of the form lo:hi"),
+                                            ("5:x", "has a non-numeric bound")],
+                         ids=["no-colon", "non-numeric"])
+def test_portrait_rejects_a_malformed_range(capsys, bound, message):
+    with pytest.raises(SystemExit) as info:
+        main(["portrait", "--mode", "phase", "--sigma", "0:1", "--t", bound,
+              "--size", "16x16", "--out", "unused.ppm"])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_portrait_rejects_zero_width(capsys):
     code, _, err = run_cli(capsys, "portrait", "--mode", "phase",
                            "--sigma", "0:1", "--t", "5:8", "--size", "0x16",

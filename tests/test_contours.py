@@ -242,6 +242,16 @@ def test_phase_path_validation(phase_traces):
     with pytest.raises(DomainError):  # sigma must strictly decrease
         PhasePath(anchor_index=1, line_kind="phase_zero",
                   points=((1.0, 5.0), (1.0, 5.1), (0.5, 5.2)), terminus_t=5.2)
+    with pytest.raises(DomainError, match="at least two points"):
+        PhasePath(anchor_index=1, line_kind="phase_zero",
+                  points=good.points[:1], terminus_t=good.terminus_t)
+    with pytest.raises(DomainError, match="must reach sigma"):
+        PhasePath(anchor_index=1, line_kind="phase_zero",
+                  points=((1.0, 5.0), (0.6, 5.1)), terminus_t=5.2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="terminus_t must be finite"):
+            PhasePath(anchor_index=1, line_kind="phase_zero",
+                      points=good.points, terminus_t=bad)
 
 
 def test_winding_zero_box():
@@ -263,13 +273,17 @@ def test_winding_empty_box():
     assert winding_count(box).zeros_minus_poles == 0
 
 
-def test_winding_error_channels():
+def test_winding_error_channels(monkeypatch):
     square = [(0.6, -0.15), (0.9, -0.15), (0.9, 0.15), (0.6, 0.15), (0.6, -0.15)]
-    with pytest.raises(RefinementExhausted, match=r"edge near sigma=0\.900000, t=-0\.150000 "
-                                                  r"still jumps 1\.741 rad after 1 splits"):
-        winding_count(square, refine_limit=1)
+    with monkeypatch.context() as m:
+        m.setattr(contours, "_REFINE_LIMIT", 1)
+        with pytest.raises(RefinementExhausted, match=r"edge near sigma=0\.900000, t=-0\.150000 "
+                                                      r"still jumps 1\.741 rad after 1 splits"):
+            winding_count(square)
     with pytest.raises(DomainError):  # not closed
         winding_count([(0.6, -0.1), (0.75, 0.0), (0.9, 0.1)])
+    with pytest.raises(DomainError, match="at least three vertices"):
+        winding_count([(0.6, -0.1), (0.6, -0.1)])
     through = [(0.6, -0.25), (0.75, 0.0), (0.9, 0.25), (0.9, -0.35), (0.6, -0.25)]
     with pytest.raises(SingularOnContour):
         winding_count(through)
@@ -287,14 +301,6 @@ def test_winding_rejects_non_finite_vertices(bad, vertex, axis):
         winding_count(square)
 
 
-@pytest.mark.parametrize("limit", [float("nan"), float("inf"), 2.5, 3.0, True, "3"],
-                         ids=["nan", "inf", "2.5", "3.0", "True", "str"])
-def test_winding_rejects_non_integer_refine_limit(limit):
-    square = [(0.6, -0.15), (0.9, -0.15), (0.9, 0.15), (0.6, 0.15), (0.6, -0.15)]
-    with pytest.raises(DomainError):
-        winding_count(square, refine_limit=limit)
-
-
 def test_winding_refines_level_by_level(monkeypatch):
     # the square's edge (0.9, -0.15)-(0.9, 0.15) needs two levels of splits:
     # one midpoint, then both halves again, which take one call together
@@ -307,7 +313,7 @@ def test_winding_refines_level_by_level(monkeypatch):
 
     monkeypatch.setattr(contours, "_delta_q_values", counting)
     square = [(0.6, -0.15), (0.9, -0.15), (0.9, 0.15), (0.6, 0.15), (0.6, -0.15)]
-    assert winding_count(square, refine_limit=np.int64(40)).zeros_minus_poles == 1
+    assert winding_count(square).zeros_minus_poles == 1
     assert sizes == [5, 1, 2]
 
 
@@ -340,9 +346,19 @@ def test_amplitude_circle_geometry():
         assert float(np.max(np.abs(moduli - A))) < 1e-12
 
 
+@pytest.mark.parametrize("count", [0, -3, 2.5, True, "3"], ids=["0", "-3", "2.5", "True", "str"])
+def test_sample_circle_moduli_refuses_a_non_positive_integer_count(count):
+    # 0 and -3 used to return no points, 2.5 three and True one
+    with pytest.raises(DomainError, match="count must be a positive integer"):
+        sample_circle_moduli(amplitude_circle(0.9), count)
+    assert sample_circle_moduli(amplitude_circle(0.9), np.int64(3)).shape == (3,)
+
+
 def test_amplitude_circle_validation():
     with pytest.raises(DegenerateCircle):
         amplitude_circle(1.0)
+    with pytest.raises(DegenerateCircle):
+        AmplitudeCircle(A=1.0, center_sigma=0.0, radius=0.0)
     with pytest.raises(DomainError):
         amplitude_circle(-0.5)
     with pytest.raises(DomainError):

@@ -232,6 +232,8 @@ def test_critical_point_validation():
     assert good.multiplicity == 1
     with pytest.raises(DomainError):
         CriticalPoint(t=6.02, kind="saddle", source="beta_zero")
+    with pytest.raises(DomainError, match="source must be one of"):
+        CriticalPoint(t=6.02, kind="zero", source="gamma_zero")
     with pytest.raises(DomainError):
         CriticalPoint(t=6.02, kind="pole", source="beta_zero")  # mismatch
     with pytest.raises(DomainError):
@@ -250,6 +252,8 @@ def test_real_axis_feature_validation():
     RealAxisFeature(sigma=0.75, kind="zero", coefficient=-5.04)
     with pytest.raises(DomainError):
         RealAxisFeature(sigma=0.6, kind="zero", coefficient=1.0)
+    with pytest.raises(DomainError, match="kind must be one of"):
+        RealAxisFeature(sigma=0.75, kind="saddle", coefficient=1.0)
 
 
 @pytest.mark.parametrize("sigma, coefficient", [(math.nan, 1.0), (-0.75, math.nan)])

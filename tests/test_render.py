@@ -32,6 +32,10 @@ def test_spec_validation():
     with pytest.raises(SpecInvalid):
         PortraitSpec(sigma_min=1.0, sigma_max=0.0, t_min=0.0, t_max=1.0,
                      width=4, height=4, mode="phase_quadrant")
+    for t_min, t_max in ((1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(SpecInvalid, match="need t_min < t_max"):
+            PortraitSpec(sigma_min=0.0, sigma_max=1.0, t_min=t_min, t_max=t_max,
+                         width=4, height=4, mode="phase_quadrant")
     for width, height in ((0, 4), (2.5, 4), (2.0, 4), (4, 3.0), (True, 4), ("4", 4)):
         with pytest.raises(SpecInvalid):
             PortraitSpec(sigma_min=0.0, sigma_max=1.0, t_min=0.0, t_max=1.0,
@@ -129,6 +133,14 @@ def test_meeting_point_at_real_zero():
     assert abs(points[0][1] - 0.0) < 0.01
     with pytest.raises(SpecInvalid):
         locate_quadrant_meeting_points(grid, _one_pixel_spec(2.0, 0.0))
+
+
+def test_meeting_points_need_a_grid_as_large_as_the_window():
+    # one row over the same zero: the window is two rows high, so nothing is found
+    spec = PortraitSpec(sigma_min=0.5, sigma_max=1.0, t_min=-0.005, t_max=0.005,
+                        width=64, height=1, mode="phase_quadrant")
+    assert _window_shape(spec)[0] == 2
+    assert locate_quadrant_meeting_points(render_phase_quadrants(spec), spec) == []
 
 
 def test_meeting_points_on_critical_strip(merged_catalog):

@@ -33,6 +33,10 @@ values are identical bit for bit.  It covers
   q = 8 as verify-all checks them;
 * phase-zero and amplitude-one traces for n = 1..21, each with its own
   window catalog;
+* the winding reports (total argument change, winding number, largest
+  edge increment) of argument_principle_box(n, n + 1) for n = 1..10 and of
+  winding_count on the square (0.6..0.9) x (-0.15..0.15) around the zero
+  of the quotient at s = 3/4;
 * the pixel bytes of the verify-all criterion-12 portrait (600 x 1200 over
   sigma in [-1, 2], t in [0, 60]), of 150 x 300 delta5 phase portraits of
   sigma in [-1, 2], t in [t0, t0 + 30] for t0 = 0, 35, 70 and of 150 x 300
@@ -63,6 +67,8 @@ from delta_lens.quotient import (QuotientKind, _delta5_log_derivatives, _delta_q
 
 QS = (3, 4, 7, 8)
 LINES = range(1, 22)
+BOXES = range(1, 11)
+SQUARE = [(0.6, -0.15), (0.9, -0.15), (0.9, 0.15), (0.6, 0.15), (0.6, -0.15)]
 STAMP = "2000-01-01T00:00:00+00:00"  # catalog timestamp, so file bytes repeat
 CONDUCTORS = {"zeta": 1, "beta_L": 4, **{f"L{q}": q for q in QS}}  # rows of trivial_zeros
 
@@ -98,6 +104,10 @@ def _trace_bytes(trace, n: int) -> bytes:
     if path.terminus_point is not None:
         out += _points_bytes([path.terminus_point])
     return out
+
+
+def _winding_bytes(report) -> bytes:
+    return struct.pack("<dqd", report.total_arg_change, report.zeros_minus_poles, report.max_step_jump)
 
 
 def _catalog_file_bytes(source: str, hi: float, directory: str) -> bytes:
@@ -176,6 +186,9 @@ def main() -> None:
                         ("amplitude", contours.trace_amplitude_one_line)):
         for n in LINES:
             print(f"trace/{kind}/{n} {_digest_call(_trace_bytes, trace, n)}")
+    for n in BOXES:
+        print(f"box/{n} {_digest_call(lambda: _winding_bytes(contours.argument_principle_box(n, n + 1)))}")
+    print(f"winding/square {_digest_call(lambda: _winding_bytes(contours.winding_count(SQUARE)))}")
     for name, spec in _portraits():
         phase = spec.mode == "phase_quadrant"
         grid = (render.render_phase_quadrants if phase else render.render_amplitude)(spec)
