@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DeltaLensError, DomainError
 from .evalcore import _central_difference, beta_L, dirichlet_L, hurwitz_zeta, zeta
-from .quotient import (QuotientKind, bracket_phase_zeros, critical_phase_approx,
+from .quotient import (QuotientKind, bracket_factor, bracket_phase_zeros, critical_phase_approx,
                        delta5, fold_phase, functional_equation_residual)
 from .critical import (POLE_SIGMAS, ZERO_SIGMAS, completed_beta,
                        completed_zeta, residue_at_pole, slope_at_zero)
@@ -354,23 +354,29 @@ def _check_amplitude_circles(ctx: VerificationContext) -> tuple[bool, str]:
 
 
 def _check_bracket_anchors(ctx: VerificationContext) -> tuple[bool, str]:
-    worst = 0.0
+    # oracle: Im bracket_factor itself, which must change sign within 1e-3 of
+    # each anchor and nowhere else on a plain sign scan of (0, t_hi]
     failures = []
-    for q, period_log, t_hi in ((3, math.log(4.0 / 3.0), 56.0),
-                                (8, math.log(2.0), 24.0)):
-        zeros = bracket_phase_zeros(q, 14.0, t_hi)
-        if len(zeros) < 5:
-            failures.append(f"q={q}: only {len(zeros)} anchor ordinates found")
+    for q, t_hi in ((3, 56.0), (8, 24.0)):
+        anchors = np.asarray(bracket_phase_zeros(q, 14.0, t_hi))
+        if anchors.size != 5:
+            failures.append(f"q={q}: {anchors.size} anchor ordinates, not 5")
             continue
-        for m in range(1, 6):
-            diff = abs(zeros[m - 1] - m * math.pi / period_log)
-            worst = max(worst, diff)
-            if diff > 1e-3:
-                failures.append(f"q={q}, m={m}: off anchor by {diff:.1e}")
+        around = np.sign(bracket_factor(q, 14.0 + 1j * (anchors[:, None] + [-1e-3, 1e-3])).imag)
+        for m in np.flatnonzero(around[:, 0] * around[:, 1] >= 0.0):
+            failures.append(f"q={q}, m={m + 1}: no sign change within 1e-03 of t={anchors[m]:.6f}")
+        ts = 0.01 * np.arange(1, round(t_hi / 0.01) + 1)
+        signs = np.sign(bracket_factor(q, 14.0 + 1j * ts).imag)
+        cross = np.flatnonzero(signs[:-1] != signs[1:])
+        lo, hi = ts[cross], ts[cross + 1]
+        stray = ~np.any((anchors >= lo[:, None]) & (anchors <= hi[:, None]), axis=1)
+        if np.any(stray):
+            failures.append(f"q={q}: {int(stray.sum())} crossings away from the anchors, "
+                            f"first in [{lo[stray][0]:.2f}, {hi[stray][0]:.2f}]")
     if failures:
         return False, "; ".join(failures)
-    return True, f"ten anchor ordinates at sigma=14 within 1e-03 " \
-                 f"(worst {worst:.1e})"
+    return True, "ten anchor ordinates at sigma=14 change the sign of Im bracket_factor " \
+                 "within 1e-03; no other crossing on a 0.01 scan"
 
 
 def _render_invariant_portrait():

@@ -63,6 +63,7 @@ _MAX_NEWTON_STEP = 0.25 * math.pi / LN2  # a quarter of the anchor spacing; a lo
 _MATCH_RADIUS = 0.05
 _MAX_SCHEDULE = 100_000  # sigma targets per trace; _sigma_schedule builds them all up front
 _REFINE_LIMIT = 40       # nested edge splits winding_count may make
+_SIGMA_STEP = 0.02       # spacing of a trace's sigma targets above sigma = 0.52
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,11 @@ class AmplitudeCircle:
                               "closed form for this A")
 
 
-def _sigma_schedule(sigma_start: float, step: float) -> list[float]:
+def _sigma_schedule(sigma_start: float) -> list[float]:
     targets = []
     k = 1
     while True:
-        sig = sigma_start - k * step
+        sig = sigma_start - k * _SIGMA_STEP
         if sig <= 0.52 + 1e-9:
             break
         targets.append(sig)
@@ -152,7 +153,7 @@ def _window_catalog(t_lo: float, t_hi: float) -> list[CriticalPoint]:
     return singular_points_delta5(max(math.floor(t_lo - 4.0), 0.0), min(math.ceil(t_hi + 4.0), 100.0), 0.01)
 
 
-def _march(kind: str, ns: list[int], sigma_start: float, step: float) -> list[list]:
+def _march(kind: str, ns: list[int], sigma_start: float) -> list[list]:
     """Predictor-corrector for the lines ns in lockstep.  Each line walks the
     sigma schedule, sigma_start first, and at each target sigma drives the
     level L(t) = Im(rot l), l = log(delta^2) / 2, to zero by Newton in t: the
@@ -171,7 +172,7 @@ def _march(kind: str, ns: list[int], sigma_start: float, step: float) -> list[li
     on.  The slope starts at w = 1, so the prediction
     for the seed is the seed itself.  Returns each line's (sigma, t) points."""
     rot, offset, _ = _LINE_KINDS[kind]
-    schedule = list(reversed(_sigma_schedule(sigma_start, step))) + [sigma_start]
+    schedule = list(reversed(_sigma_schedule(sigma_start))) + [sigma_start]
     pending = [list(schedule) for _ in ns]  # each line's targets, next one last
     sigma = [sigma_start] * len(ns)  # last recorded sigma, t and slope w
     t = [(n + offset) * math.pi / LN2 for n in ns]
@@ -245,7 +246,7 @@ _LINE_KINDS = {"phase_zero": (1.0, 0.0, _matched_point),
                "amplitude_one": (1j, 0.5, _between_points)}
 
 
-def _trace_lines(kind: str, ns: Sequence[int], sigma_start: float = 12.0, step: float = 0.02,
+def _trace_lines(kind: str, ns: Sequence[int], sigma_start: float = 12.0,
                  catalog: Optional[Sequence[CriticalPoint]] = None) -> list[PhasePath]:
     """Trace the lines ns of one kind together (see _march); a single line
     is the case K = 1.  Without a catalog, one window scan covers every
@@ -258,13 +259,11 @@ def _trace_lines(kind: str, ns: Sequence[int], sigma_start: float = 12.0, step: 
     ns = [int(n) for n in ns]
     if not 8.0 <= sigma_start < math.inf:
         raise DomainError("sigma_start must be a finite number of at least 8")
-    if not 0.0 < step <= 0.5:
-        raise DomainError("step must lie in (0, 0.5]")
-    if (sigma_start - 0.52) / step > _MAX_SCHEDULE:
-        raise DomainError(f"sigma_start={sigma_start:g} at step={step:g} needs more than "
+    if (sigma_start - 0.52) / _SIGMA_STEP > _MAX_SCHEDULE:
+        raise DomainError(f"sigma_start={sigma_start:g} at step={_SIGMA_STEP:g} needs more than "
                           f"{_MAX_SCHEDULE} predictor steps")
     with np.errstate(all="ignore"):  # non-finite Newton iterates are failures, not warnings
-        lines = _march(kind, ns, float(sigma_start), step)
+        lines = _march(kind, ns, float(sigma_start))
     stars = []
     for points in lines:
         (sa, ta), (sb, tb) = points[-2], points[-1]
@@ -276,21 +275,21 @@ def _trace_lines(kind: str, ns: Sequence[int], sigma_start: float = 12.0, step: 
                       terminus_point=rule(t_star, catalog)) for n, points, t_star in zip(ns, lines, stars)]
 
 
-def trace_phase_zero_line(n: int, sigma_start: float = 12.0, step: float = 0.02,
+def trace_phase_zero_line(n: int, sigma_start: float = 12.0,
                           catalog: Optional[Sequence[CriticalPoint]] = None) -> PhasePath:
     """Trace the n-th phase-zero line from (sigma_start, n pi/ln 2) down
     across the critical line; the terminus must match a catalogued zero or
     pole within 0.05 in t (NoCatalogMatch otherwise).  Pass a precomputed
     catalog to skip the local critical-line scan."""
-    return _trace_lines("phase_zero", [n], sigma_start, step, catalog)[0]
+    return _trace_lines("phase_zero", [n], sigma_start, catalog)[0]
 
 
-def trace_amplitude_one_line(n: int, sigma_start: float = 12.0, step: float = 0.02,
+def trace_amplitude_one_line(n: int, sigma_start: float = 12.0,
                              catalog: Optional[Sequence[CriticalPoint]] = None) -> PhasePath:
     """Trace the n-th amplitude-one line from (sigma_start, (n+1/2) pi/ln 2);
     its terminus must fall strictly between two consecutive catalogued
     critical-line points (TerminusNotBetweenSingularities otherwise)."""
-    return _trace_lines("amplitude_one", [n], sigma_start, step, catalog)[0]
+    return _trace_lines("amplitude_one", [n], sigma_start, catalog)[0]
 
 
 def _polyline_complex(polyline) -> np.ndarray:

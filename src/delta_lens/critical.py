@@ -183,7 +183,8 @@ def _sign_change_roots(f, t_lo: float, t_hi: float, scan_step: float):
     [t_lo, t_hi], as ascending arrays of the roots and of the half widths of
     their final brackets.  Opposite signs of neighbours on a scan of step
     scan_step, clipped at t_hi, bracket them (a product of neighbours could
-    underflow); a bracket hiding two more crossings raises StepTooCoarse.
+    underflow), and a scan point where f is exactly 0 is a root of half
+    width 0; a bracket hiding two more crossings raises StepTooCoarse.
     The scan's end values and the 7 interior values of that check narrow
     each bracket to the eighth that holds its sign change, and secant pairs
     (_secant_pairs) refine every bracket to half width _PAIR_HALF; |f'| <=
@@ -200,15 +201,18 @@ def _sign_change_roots(f, t_lo: float, t_hi: float, scan_step: float):
     ts[-1] = t_hi
     values = f(ts)
     signs = np.sign(values)
-    cross = signs[:-1] * signs[1:] < 0.0
-    lo, hi = ts[:-1][cross], ts[1:][cross]
+    # a crossing brackets [t_i, t_i+1], a 0 on the scan the one point [t_i, t_i]
+    cross = np.append(signs[:-1] * signs[1:] < 0.0, False)
+    start = np.flatnonzero(cross | (values == 0.0))
+    end = start + cross[start]
+    lo, hi = ts[start], ts[end]
     if not lo.size:
         return lo, hi  # both empty
     # a bracket hiding two extra crossings would refine onto the wrong root;
     # its 7 interior points are evaluated, its ends reuse the scan's values
     sub = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, 8) / 8.0)[None, :]
     grid = np.column_stack([lo, sub, hi])
-    fs = np.column_stack([values[:-1][cross], f(sub.reshape(-1)).reshape(sub.shape), values[1:][cross]])
+    fs = np.column_stack([values[start], f(sub.reshape(-1)).reshape(sub.shape), values[end]])
     ss = np.sign(fs)
     changes = np.sum(ss[:, :-1] * ss[:, 1:] < 0.0, axis=1)
     if np.any(changes > 1):

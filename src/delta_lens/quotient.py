@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import _sign_change_roots
 from .errors import (
     DomainError,
     GammaPoleOnPath,
@@ -59,7 +58,6 @@ _EXACT_ZERO_TOL = 1e-12
 # |zeta'| at the zeta zeros up to t = 200 stays below 6, far under 5e3
 _LINE_SCREEN = 1e-9
 _DEN_SCREEN = 1e-6
-_LN_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -336,31 +334,20 @@ def bracket_phase_zeros(q: int, sigma: float, t_max: float) -> list[float]:
     """Ordinates in (0, t_max] where the bracket factor's phase crosses zero
     along the vertical line Re s = sigma.
 
-    Located by critical._sign_change_roots on Im bracket_factor at scan
-    step 0.01, scaled by r^-(sigma - 1/2) for sigma > 1/2 to stay O(1), and
-    refined by its secant pairs to within 2.5e-10 in t; for q != 4 they sit
-    at multiples of pi / ln(1/r), at least pi / ln 2 apart, q = 4 has
-    none.  Needs finite sigma <= 1000 (r^(sigma - 1/2) underflows above it
-    for q = 7, 8), a sigma at which r^(sigma - 1/2) does not overflow,
-    (1/2 - sigma) |ln r| <= ln(largest float) (sigma >= -1023.5 for q = 8,
-    about -1267.84 for q = 7 and -2466.75 for q = 3) and 0 < t_max <= 200
+    Im(1 - r^(s - 1/2)) = -r^(sigma - 1/2) sin(t ln r), so they are the
+    multiples m pi / |ln r|, m >= 1, at least pi / ln 2 apart, whatever
+    sigma is; q = 4 has none.  Needs finite sigma and 0 < t_max <= 200
     (DomainError otherwise).
     """
     q = _label(q)
     if not -math.inf < sigma < math.inf:
         raise DomainError("sigma must be finite")
-    if sigma > 1000.0:
-        raise DomainError("need sigma <= 1000 (r^(sigma - 1/2) underflows above it)")
-    log_r = _log_bracket_ratio(q)
-    if (0.5 - sigma) * abs(log_r) > _LN_FLOAT_MAX:
-        raise DomainError(f"need sigma >= {0.5 - _LN_FLOAT_MAX / abs(log_r):.6g} for q = {q} "
-                          "(r^(sigma - 1/2) overflows below it)")
     if not 0.0 < t_max <= 200.0:
         raise DomainError("need 0 < t_max <= 200")
-    scale = math.exp(-max(sigma - 0.5, 0.0) * log_r)
-    roots, _ = _sign_change_roots(lambda ts: scale * _bracket_values(q, sigma + 1j * ts).imag,
-                                  0.0, t_max, 0.01)
-    return roots.tolist()
+    if q == 4:
+        return []
+    period = math.pi / abs(_log_bracket_ratio(q))
+    return [m * period for m in range(1, int(t_max / period) + 2) if m * period <= t_max]
 
 
 def lattice_sum_C(s):

@@ -13,6 +13,7 @@ import re
 import pytest
 
 import delta_lens.acceptance as acceptance
+import delta_lens.quotient as quotient
 from delta_lens.acceptance import (VerificationContext, run_all,
                                    run_criterion)
 from delta_lens.errors import DomainError
@@ -78,6 +79,30 @@ def test_criterion_10_amplitude_circles(ctx):
 
 def test_criterion_11_bracket_anchors(ctx):
     _run(11, ctx)
+
+
+def _shifted_bracket(values):
+    # phase zeros moved up by 0.01: no sign change within 1e-3 of an anchor
+    return lambda q, s: values(q, s - 0.01j)
+
+
+def _bracket_with_a_stray_crossing(values):
+    # the anchors kept, one more sign change of Im at t = 1.005
+    def patched(q, s):
+        v = values(q, s)
+        return v.real + 1j * v.imag * (s.imag - 1.005)
+    return patched
+
+
+@pytest.mark.parametrize("patch, detail", [
+    (_shifted_bracket, "q=3, m=1: no sign change within 1e-03 of t=10.920363"),
+    (_bracket_with_a_stray_crossing, "q=3: 1 crossings away from the anchors, first in [1.00, 1.01]")],
+    ids=["shifted", "stray-crossing"])
+def test_criterion_11_fails_on_a_moved_bracket(patch, detail, ctx, monkeypatch):
+    monkeypatch.setattr(quotient, "_bracket_values", patch(quotient._bracket_values))
+    result = run_criterion(11, ctx)
+    assert not result.passed
+    assert detail in result.detail
 
 
 def test_criterion_12_render_regression(ctx):

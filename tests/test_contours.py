@@ -78,8 +78,6 @@ def test_trace_validation():
     with pytest.raises(DomainError):
         trace_amplitude_one_line(1, sigma_start=4.0)
     with pytest.raises(DomainError):
-        trace_phase_zero_line(1, step=0.0)
-    with pytest.raises(DomainError):
         trace_phase_zero_line(2.5)
 
 
@@ -101,8 +99,7 @@ def test_trace_rejects_non_finite_sigma_start(sigma_start):
 
 @pytest.mark.parametrize("call", [
     lambda: trace_phase_zero_line(1, sigma_start=1e12),
-    lambda: argument_principle_box(1, 2, sigma_right=1e12),
-    lambda: trace_amplitude_one_line(1, step=1e-9)], ids=["trace-1e12", "box-1e12", "step-1e-9"])
+    lambda: argument_principle_box(1, 2, sigma_right=1e12)], ids=["trace-1e12", "box-1e12"])
 def test_trace_rejects_oversized_schedule(call, monkeypatch):
     # sigma_start = 1e12 at step 0.02 would be 5e13 sigma targets: the trace
     # must raise before it builds the schedule or evaluates anything
@@ -179,10 +176,11 @@ def test_trace_accepts_numpy_integer_index(merged_catalog, phase_traces):
 
 
 @pytest.mark.parametrize("ns, step", [([3, 4], 0.02), ([5, 12], 0.5)], ids=["3-4", "5-12-step0.5"])
-def test_lockstep_matches_single_traces(ns, step, merged_catalog):
+def test_lockstep_matches_single_traces(ns, step, merged_catalog, monkeypatch):
+    monkeypatch.setattr(contours, "_SIGMA_STEP", step)
     entries = merged_catalog.entries
-    together = _trace_lines("phase_zero", ns, step=step, catalog=entries)
-    alone = [trace_phase_zero_line(n, step=step, catalog=entries) for n in ns]
+    together = _trace_lines("phase_zero", ns, catalog=entries)
+    alone = [trace_phase_zero_line(n, catalog=entries) for n in ns]
     # lines traced together size their series for the whole batch, so they
     # differ from single traces in the last bits; with the analytic slope
     # that moves no t by 1e-13 (3.6e-15 seen at step 0.02, 2.1e-14 at 0.5)
@@ -193,7 +191,7 @@ def test_lockstep_matches_single_traces(ns, step, merged_catalog):
         assert max(abs(p[1] - q[1]) for p, q in zip(a.points, b.points)) <= 1e-13
         assert a.terminus_point == b.terminus_point
     if step == 0.5:  # line 5 follows the plain schedule and line 12 halves its step
-        plain = len(contours._sigma_schedule(12.0, step)) + 1
+        plain = len(contours._sigma_schedule(12.0)) + 1
         assert len(together[0].points) == plain < len(together[1].points)
 
 

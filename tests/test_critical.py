@@ -154,6 +154,23 @@ def test_refinement_does_not_stall_on_a_steep_crossing(r):
     assert len(calls) - 3 <= 24
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["rising", "falling"])
+def test_a_zero_on_a_scan_point_is_found_once(sign):
+    # 0.01 * 5 rounds to 0.05, so the scan reads [-, 0, +] (or [+, 0, -]) and
+    # no two neighbours have opposite signs
+    roots, halves = critical._sign_change_roots(lambda t: sign * (t - 0.05), 0.0, 0.2, 0.01)
+    assert roots.tolist() == [0.05] and halves.tolist() == [0.0]
+
+
+def test_find_zeros_keeps_a_zero_on_a_scan_point(monkeypatch):
+    # one root on the scan point t = 5 (0.01 * 500 rounds to 5), one between two
+    monkeypatch.setattr(critical, "_line_values",
+                        lambda source, ts: (np.asarray(ts) - 5.0) * (np.asarray(ts) - 7.123))
+    pts = find_zeros("zeta", 0.0, 10.0)
+    assert len(pts) == 2 and pts[0].t == 5.0 and pts[0].refined_to == 1e-12
+    assert abs(pts[1].t - 7.123) <= pts[1].refined_to <= 2.5e-10
+
+
 def test_find_zeros_refines_in_a_few_calls(monkeypatch):
     # the scan, the interior check, the secant rounds and the derivative
     # guard: one call of the line function each, with 3 secant rounds

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every module-level private name is used somewhere in the package.
+"""Source hygiene: every name a package module imports is used in it,
+every module-level private name is used somewhere in the package, and the
+modules import one another only down one layer order.
 
 The package __init__ is exempt from the import check because its imports
 are re-exports.
@@ -82,3 +83,39 @@ def test_detector_flags_a_dead_private_name():
     }
     assert _dead_private_names(sources) == [
         "a._DEAD (line 2)", "a._dead_too (line 3)", "a._recursive (line 5)"]
+
+
+# lowest layer first: a module may import only from modules before it
+LAYERS = ("errors", "evalcore", "quotient", "critical", "contours", "census",
+          "render", "acceptance", "cli")
+
+
+def _upward_imports(sources: dict[str, str]) -> list[str]:
+    """Intra-package imports of each module from its own or a higher layer."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                target = node.module.split(".")[0]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("delta_lens."):
+                target = node.module.split(".")[1]
+            else:
+                continue
+            if LAYERS.index(target) >= LAYERS.index(module):
+                found.append(f"{module} -> {target} (line {node.lineno})")
+    return found
+
+
+def test_layers_cover_every_module():
+    assert sorted(LAYERS) == [p.stem for p in MODULES]
+
+
+def test_imports_go_down_the_layers():
+    assert _upward_imports({p.stem: p.read_text(encoding="utf-8") for p in MODULES}) == []
+
+
+def test_detector_flags_an_upward_import():
+    sources = {"quotient": "from .critical import _sign_change_roots\nfrom .errors import DomainError\n",
+               "render": "from delta_lens.quotient import delta5\n",
+               "census": "def f():\n    from delta_lens.render import write_ppm\n"}
+    assert _upward_imports(sources) == ["quotient -> critical (line 1)", "census -> render (line 2)"]

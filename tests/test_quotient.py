@@ -8,7 +8,7 @@ import pytest
 
 from delta_lens import quotient
 from delta_lens.errors import (DomainError, GammaPoleOnPath, PoleOfDelta5, PoleOfDeltaQ,
-                               PoleOfZeta, StepTooCoarse, UnsupportedDiscriminant)
+                               PoleOfZeta, UnsupportedDiscriminant)
 from delta_lens.evalcore import beta_L, zeta
 from delta_lens.quotient import (AsymptoticPhase, QuotientKind, _delta_q_values, bracket_factor,
                                  bracket_phase_zeros, critical_phase_approx,
@@ -221,21 +221,6 @@ def test_bracket_phase_zero_anchors_at_sigma_1000(q):
     assert bracket_phase_zeros(4, 1000.0, 24.0) == []
 
 
-@pytest.mark.parametrize("sigma", [1000.5, 1500.0, 3000.0])
-def test_bracket_phase_zeros_refuses_a_large_sigma(sigma):
-    for q in (3, 7, 8):
-        with pytest.raises(DomainError, match="sigma <= 1000"):
-            bracket_phase_zeros(q, sigma, 24.0)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("q, sigma, t_max", [(8, -1500.0, 24.0), (7, -1300.0, 30.0), (3, -3000.0, 56.0)])
-def test_bracket_phase_zeros_refuses_an_overflowing_sigma(q, sigma, t_max):
-    # (1/2 - sigma) |ln r| exceeds ln(largest float): r^(sigma - 1/2) is inf
-    with pytest.raises(DomainError, match="overflows"):
-        bracket_phase_zeros(q, sigma, t_max)
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("q, sigma, t_max", [(8, -1000.0, 24.0), (7, -1200.0, 30.0), (3, -2000.0, 56.0)])
 def test_bracket_phase_zero_anchors_at_a_large_negative_sigma(q, sigma, t_max):
@@ -246,12 +231,31 @@ def test_bracket_phase_zero_anchors_at_a_large_negative_sigma(q, sigma, t_max):
         assert abs(t - m * period) < 1e-9
 
 
-def test_bracket_phase_zeros_refuses_a_coarse_step(monkeypatch):
-    # sin(2000 t) turns 20 rad per 0.01 scan step: its first bracket, at
-    # t = 0.02, hides seven sign changes
-    monkeypatch.setattr(quotient, "_bracket_values", lambda q, s: 1j * np.sin(2000.0 * s.imag))
-    with pytest.raises(StepTooCoarse, match=r"^7 sign changes inside one scan step near t = 0\.020000$"):
-        bracket_phase_zeros(8, 14.0, 1.0)
+# r = 3/4 or 4/q: the anchors are the multiples of pi / |ln r|
+_BRACKET_PERIODS = {q: math.pi / abs(math.log(r)) for q, r in ((3, 0.75), (7, 4.0 / 7.0), (8, 0.5))}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [-3000.0, -1300.0, 14.0, 1000.5, 3000.0])
+@pytest.mark.parametrize("q", [3, 7, 8])
+def test_bracket_phase_zeros_are_the_closed_form(q, sigma):
+    # r^(sigma - 1/2) overflows or underflows at the ends of this range, yet
+    # the anchors do not depend on sigma
+    period = _BRACKET_PERIODS[q]
+    count = int(200.0 / period)
+    assert bracket_phase_zeros(q, sigma, 200.0) == [m * period for m in range(1, count + 1)]
+    assert bracket_phase_zeros(4, sigma, 200.0) == []
+
+
+@pytest.mark.parametrize("q", [3, 7, 8])
+def test_bracket_phase_zeros_include_t_max(q):
+    # the interval (0, t_max] is closed at t_max
+    period = _BRACKET_PERIODS[q]
+    for m in range(1, int(200.0 / period) + 1):
+        t_max = m * period
+        assert bracket_phase_zeros(q, 14.0, t_max) == [k * period for k in range(1, m + 1)]
+        below = bracket_phase_zeros(q, 14.0, math.nextafter(t_max, 0.0))
+        assert below == [k * period for k in range(1, m)]
 
 
 def test_lattice_sum_known_values():
