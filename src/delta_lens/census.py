@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from typing import Mapping, Optional
 
 from .contours import PhasePath
-from .critical import _CATALOGUED, _KINDS, CriticalPoint, find_zeros, singular_points_delta5
+from .critical import _CATALOGUED, _KINDS, _SCAN_STEP, CriticalPoint, find_zeros, singular_points_delta5
 from .errors import (
     CatalogTooShort,
     CorruptRecord,
@@ -128,20 +128,20 @@ def count_entries(catalog: ZeroCatalog, t: float, kind: Optional[str] = None) ->
                if e.t <= t + _COUNT_TOL and (kind is None or e.kind == kind))
 
 
-def build_catalog(source: str, t_max: float, scan_step: float = 0.01,
-                  timestamp: Optional[str] = None) -> ZeroCatalog:
-    """Scan and refine a fresh catalog.  The catalog of a catalogued function
-    holds its zeros; delta5_merged interleaves the quotient's critical zeros
-    and poles (pole scan runs to 2 t_max, so t_max <= 100 there)."""
+def build_catalog(source: str, t_max: float, timestamp: Optional[str] = None) -> ZeroCatalog:
+    """Scan and refine a fresh catalog at the scan step _SCAN_STEP, which its
+    header records.  The catalog of a catalogued function holds its zeros;
+    delta5_merged interleaves the quotient's critical zeros and poles (pole
+    scan runs to 2 t_max, so t_max <= 100 there)."""
     if source in _CATALOGUED:
-        entries = find_zeros(source, 0.0, t_max, scan_step)
+        entries = find_zeros(source, 0.0, t_max)
     elif source == "delta5_merged":
-        entries = singular_points_delta5(0.0, t_max, scan_step)
+        entries = singular_points_delta5(0.0, t_max)
     else:
         raise DomainError(f"source must be one of {_CATALOG_SOURCES}")
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    meta = GeneratorMetadata(scan_step=scan_step, tolerance=1e-9, timestamp=timestamp)
+    meta = GeneratorMetadata(scan_step=_SCAN_STEP, tolerance=1e-9, timestamp=timestamp)
     return ZeroCatalog(source=source, t_max=float(t_max),
                        entries=tuple(entries), generator_metadata=meta)
 

@@ -128,7 +128,7 @@ _KIND_LETTER = {"zero": "Z", "pole": "P"}
 
 def _cmd_zeros(args) -> int:
     source = "delta5_merged" if args.source == "delta5" else args.source
-    catalog = build_catalog(source, args.t_max, args.scan_step)
+    catalog = build_catalog(source, args.t_max)
     if args.out is not None:
         save_catalog(catalog, args.out)
     payload = {"source": args.source, "t_max": args.t_max,
@@ -152,9 +152,9 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_trace(args) -> int:
     if args.kind == "phase-zero":
-        path = trace_phase_zero_line(args.n, args.sigma_start)
+        path = trace_phase_zero_line(args.n)
     else:
-        path = trace_amplitude_one_line(args.n, args.sigma_start)
+        path = trace_amplitude_one_line(args.n)
     out = args.out if args.out is not None else f"trace_{args.kind}_{args.n}.csv"
     export_trace_csv(path, out)
     payload = {"kind": args.kind, "n": args.n, "points": len(path.points),
@@ -173,7 +173,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_box_count(args) -> int:
-    report = argument_principle_box(args.n_low, args.n_high, args.sigma_right)
+    report = argument_principle_box(args.n_low, args.n_high)
     payload = {"n_low": args.n_low, "n_high": args.n_high,
                "total_arg_change": report.total_arg_change,
                "zeros_minus_poles": report.zeros_minus_poles,
@@ -245,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="scan and refine a zero catalog")
     p.add_argument("--source", required=True, choices=(*_CATALOGUED, "delta5"))
     p.add_argument("--t-max", required=True, type=float, dest="t_max")
-    p.add_argument("--scan-step", type=float, default=0.01, dest="scan_step")
     p.add_argument("--out", help="write the catalog (JSON lines) here")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_zeros)
@@ -254,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("phase-zero", "amplitude-one"),
                    default="phase-zero")
     p.add_argument("--n", required=True, type=int, help="anchor index (>= 1)")
-    p.add_argument("--sigma-start", type=float, default=12.0, dest="sigma_start")
     p.add_argument("--out", help="CSV destination (default trace_<kind>_<n>.csv)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_trace)
@@ -263,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="argument-principle winding count over a box")
     p.add_argument("--n-low", required=True, type=int, dest="n_low")
     p.add_argument("--n-high", required=True, type=int, dest="n_high")
-    p.add_argument("--sigma-right", type=float, default=12.0, dest="sigma_right")
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.set_defaults(handler=_cmd_box_count)
 

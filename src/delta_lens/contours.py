@@ -16,7 +16,7 @@ lines halfway between.  One loop traces any number of lines in lockstep:
 each pass takes one Newton step for every unfinished line in one kernel
 call, a converged line moves on to its next sigma in the next pass, and
 each line keeps its own step halving.  A single trace is the case of one
-line, and the seed at sigma_start is the first target of every line.
+line, and the seed at sigma = 12 is the first target of every line.
 
 Closed contours get a winding count by accumulating phase increments edge by
 edge, bisecting edges until every increment is below pi/2, so the branch of
@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .critical import CriticalPoint, singular_points_delta5
+from .critical import _CATALOG_T_MAX, CriticalPoint, singular_points_delta5
 from .errors import (
     DegenerateCircle,
     DomainError,
@@ -61,15 +61,16 @@ _NEWTON_TOL = 1e-10
 _MIN_STEP = 1e-4
 _MAX_NEWTON_STEP = 0.25 * math.pi / LN2  # a quarter of the anchor spacing; a longer step leaves the line
 _MATCH_RADIUS = 0.05
-_MAX_SCHEDULE = 100_000  # sigma targets per trace; _sigma_schedule builds them all up front
 _REFINE_LIMIT = 40       # nested edge splits winding_count may make
+_SIGMA_START = 12.0      # seed sigma of every line, where the 2^-s term dominates
 _SIGMA_STEP = 0.02       # spacing of a trace's sigma targets above sigma = 0.52
+_WINDOW_END = 0.5 * _CATALOG_T_MAX  # end of a trace's own window catalog
 
 
 @dataclass(frozen=True)
 class PhasePath:
     """One traced level line, recorded as (sigma, t) pairs with sigma falling
-    from sigma_start past the critical line; terminus_t is the interpolated
+    from _SIGMA_START past the critical line; terminus_t is the interpolated
     ordinate where the path crosses sigma = 1/2."""
 
     anchor_index: int
@@ -133,11 +134,11 @@ class AmplitudeCircle:
                               "closed form for this A")
 
 
-def _sigma_schedule(sigma_start: float) -> list[float]:
+def _sigma_schedule() -> list[float]:
     targets = []
     k = 1
     while True:
-        sig = sigma_start - k * _SIGMA_STEP
+        sig = _SIGMA_START - k * _SIGMA_STEP
         if sig <= 0.52 + 1e-9:
             break
         targets.append(sig)
@@ -147,15 +148,15 @@ def _sigma_schedule(sigma_start: float) -> list[float]:
 
 
 def _window_catalog(t_lo: float, t_hi: float) -> list[CriticalPoint]:
-    """Critical-line points within 4 of the termini t_lo <= t_hi.  The window
-    is widened to whole units, so find_zeros' scan grid, and with it every
-    refined ordinate, stays put when a terminus moves by rounding."""
-    return singular_points_delta5(max(math.floor(t_lo - 4.0), 0.0), min(math.ceil(t_hi + 4.0), 100.0), 0.01)
+    """Critical-line points within 4 of the termini t_lo <= t_hi, up to
+    _WINDOW_END.  Widened to whole units, the window keeps find_zeros' scan
+    grid, and with it every refined ordinate, when a terminus moves by rounding."""
+    return singular_points_delta5(max(math.floor(t_lo - 4.0), 0.0), min(math.ceil(t_hi + 4.0), _WINDOW_END))
 
 
-def _march(kind: str, ns: list[int], sigma_start: float) -> list[list]:
+def _march(kind: str, ns: list[int]) -> list[list]:
     """Predictor-corrector for the lines ns in lockstep.  Each line walks the
-    sigma schedule, sigma_start first, and at each target sigma drives the
+    sigma schedule, _SIGMA_START first, and at each target sigma drives the
     level L(t) = Im(rot l), l = log(delta^2) / 2, to zero by Newton in t: the
     folded phase for rot = 1, log|delta| for rot = 1j.  L'(t) = Re w with
     w = rot l', and L''(t) = -Im(rot l'').
@@ -171,10 +172,10 @@ def _march(kind: str, ns: list[int], sigma_start: float) -> list[list]:
     or does not converge in 8 steps halves its own step while the others go
     on.  The slope starts at w = 1, so the prediction
     for the seed is the seed itself.  Returns each line's (sigma, t) points."""
-    rot, offset, _ = _LINE_KINDS[kind]
-    schedule = list(reversed(_sigma_schedule(sigma_start))) + [sigma_start]
+    rot, offset = _LINE_KINDS[kind][:2]
+    schedule = list(reversed(_sigma_schedule())) + [_SIGMA_START]
     pending = [list(schedule) for _ in ns]  # each line's targets, next one last
-    sigma = [sigma_start] * len(ns)  # last recorded sigma, t and slope w
+    sigma = [_SIGMA_START] * len(ns)  # last recorded sigma, t and slope w
     t = [(n + offset) * math.pi / LN2 for n in ns]
     w = [1.0] * len(ns)
     guess, tries = list(t), [0] * len(ns)
@@ -240,56 +241,53 @@ def _between_points(t_star: float, catalog: Sequence[CriticalPoint]) -> None:
             "between two catalogued points")
 
 
-# line kind -> (rot, seed offset, terminus rule): the line is the zero set of
-# Im(rot log(delta^2) / 2), seeded at sigma_start, t = (n + offset) pi / ln 2
-_LINE_KINDS = {"phase_zero": (1.0, 0.0, _matched_point),
-               "amplitude_one": (1j, 0.5, _between_points)}
+# line kind -> (rot, seed offset, terminus rule, its error): the zero set of
+# Im(rot log(delta^2) / 2), seeded at _SIGMA_START, t = (n + offset) pi / ln 2
+_LINE_KINDS = {"phase_zero": (1.0, 0.0, _matched_point, NoCatalogMatch),
+               "amplitude_one": (1j, 0.5, _between_points, TerminusNotBetweenSingularities)}
 
 
-def _trace_lines(kind: str, ns: Sequence[int], sigma_start: float = 12.0,
+def _trace_lines(kind: str, ns: Sequence[int],
                  catalog: Optional[Sequence[CriticalPoint]] = None) -> list[PhasePath]:
     """Trace the lines ns of one kind together (see _march); a single line
     is the case K = 1.  Without a catalog, one window scan covers every
-    terminus.  Lines traced together size their series for the whole batch,
-    so they can differ from single traces in the last bits; where that moves
-    a Newton stop, both stay within 1e-9 of the level line."""
+    terminus, and a terminus past _WINDOW_END raises the kind's error.  Lines
+    traced together size their series for the whole batch, so they can differ
+    from single traces in the last bits; where that moves a Newton stop, both
+    stay within 1e-9 of the level line."""
     for n in ns:
         if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
             raise DomainError(f"n must be a positive integer, not {n!r}")
     ns = [int(n) for n in ns]
-    if not 8.0 <= sigma_start < math.inf:
-        raise DomainError("sigma_start must be a finite number of at least 8")
-    if (sigma_start - 0.52) / _SIGMA_STEP > _MAX_SCHEDULE:
-        raise DomainError(f"sigma_start={sigma_start:g} at step={_SIGMA_STEP:g} needs more than "
-                          f"{_MAX_SCHEDULE} predictor steps")
     with np.errstate(all="ignore"):  # non-finite Newton iterates are failures, not warnings
-        lines = _march(kind, ns, float(sigma_start))
+        lines = _march(kind, ns)
     stars = []
     for points in lines:
         (sa, ta), (sb, tb) = points[-2], points[-1]
         stars.append(ta + (tb - ta) * (sa - 0.5) / (sa - sb))
+    _, _, rule, error = _LINE_KINDS[kind]
     if catalog is None:
+        if max(stars) > _WINDOW_END:
+            raise error(f"terminus t = {max(stars):.6f} is past the catalog end t = {_WINDOW_END:g}")
         catalog = _window_catalog(min(stars), max(stars))
-    rule = _LINE_KINDS[kind][2]
     return [PhasePath(anchor_index=n, line_kind=kind, points=tuple(points), terminus_t=float(t_star),
                       terminus_point=rule(t_star, catalog)) for n, points, t_star in zip(ns, lines, stars)]
 
 
-def trace_phase_zero_line(n: int, sigma_start: float = 12.0,
-                          catalog: Optional[Sequence[CriticalPoint]] = None) -> PhasePath:
-    """Trace the n-th phase-zero line from (sigma_start, n pi/ln 2) down
-    across the critical line; the terminus must match a catalogued zero or
-    pole within 0.05 in t (NoCatalogMatch otherwise).  Pass a precomputed
-    catalog to skip the local critical-line scan."""
-    return _trace_lines("phase_zero", [n], sigma_start, catalog)[0]
+def trace_phase_zero_line(n: int, *, catalog: Optional[Sequence[CriticalPoint]] = None) -> PhasePath:
+    """Trace the n-th phase-zero line from (12, n pi/ln 2) down across the
+    critical line; the terminus must match a catalogued zero or pole within
+    0.05 in t (NoCatalogMatch otherwise, also past t = 100, where the local
+    scan ends).  Pass a precomputed catalog to skip the local scan."""
+    return _trace_lines("phase_zero", [n], catalog)[0]
 
 
-def trace_amplitude_one_line(n: int, sigma_start: float = 12.0,
-                             catalog: Optional[Sequence[CriticalPoint]] = None) -> PhasePath:
-    """Trace the n-th amplitude-one line from (sigma_start, (n+1/2) pi/ln 2);
-    its terminus must fall strictly between two consecutive catalogued
-    critical-line points (TerminusNotBetweenSingularities otherwise)."""
-    return _trace_lines("amplitude_one", [n], sigma_start, catalog)[0]
+def trace_amplitude_one_line(n: int, *, catalog: Optional[Sequence[CriticalPoint]] = None) -> PhasePath:
+    """Trace the n-th amplitude-one line from (12, (n+1/2) pi/ln 2); its
+    terminus must fall strictly between two consecutive catalogued
+    critical-line points (TerminusNotBetweenSingularities otherwise, also
+    past t = 100, where the local scan ends)."""
+    return _trace_lines("amplitude_one", [n], catalog)[0]
 
 
 def _polyline_complex(polyline) -> np.ndarray:
@@ -357,10 +355,9 @@ def winding_count(polyline) -> WindingReport:
 
 def _box_polygon(low: PhasePath, high: PhasePath) -> list[tuple[float, float]]:
     """Closed polyline around the box between phase lines low and high:
-    low traced backwards, the right edge at their common start sigma in
-    steps of 0.5, high forwards, then the left edge at sigma = 1/2 + 0.02 in
-    steps of 0.02 (clearance from the critical-line poles and zeros)."""
-    sigma_right = low.points[0][0]
+    low traced backwards, the right edge at their seed sigma _SIGMA_START
+    in steps of 0.5, high forwards, then the left edge at sigma = 1/2 + 0.02
+    in steps of 0.02 (clearance from the critical-line poles and zeros)."""
 
     def trimmed(path):
         return [p for p in path.points if p[0] >= 0.5 + _EPS_BOX - 1e-9]
@@ -370,8 +367,8 @@ def _box_polygon(low: PhasePath, high: PhasePath) -> list[tuple[float, float]]:
     poly = [(s, t) for s, t in reversed(lo_pts)]
     t_a, t_b = lo_pts[0][1], hi_pts[0][1]
     for t in np.arange(t_a + 0.5, t_b - 1e-9, 0.5):
-        poly.append((sigma_right, float(t)))
-    poly.append((sigma_right, t_b))
+        poly.append((_SIGMA_START, float(t)))
+    poly.append((_SIGMA_START, t_b))
     poly += hi_pts[1:]
     t_top, t_bot = hi_pts[-1][1], lo_pts[-1][1]
     for t in np.arange(t_top - _EPS_BOX, t_bot + 1e-9, -_EPS_BOX):
@@ -380,16 +377,16 @@ def _box_polygon(low: PhasePath, high: PhasePath) -> list[tuple[float, float]]:
     return poly
 
 
-def argument_principle_box(n_low: int, n_high: int, sigma_right: float = 12.0) -> WindingReport:
+def argument_principle_box(n_low: int, n_high: int) -> WindingReport:
     """Winding count around the box bounded below and above by phase-zero
-    lines n_low < n_high, on the right by sigma = sigma_right, and on the
+    lines n_low < n_high, on the right by their seed sigma 12, and on the
     left by sigma = 1/2 + 0.02 (clearance from the critical-line poles and
     zeros).  Zero-pole balance in the strip makes the expected count 0.
     The two lines are traced together, with one window scan for both
     termini."""
     if n_low >= n_high:
         raise DomainError("need n_low < n_high: equal indices bound no region")
-    low, high = _trace_lines("phase_zero", [n_low, n_high], sigma_right)
+    low, high = _trace_lines("phase_zero", [n_low, n_high])
     return winding_count(_box_polygon(low, high))
 
 

@@ -135,6 +135,8 @@ def _line_values(source: str, ts: np.ndarray) -> np.ndarray:
 
 # points of one sign-change scan, refused before its ordinates are allocated
 _MAX_SCAN_POINTS = 1_000_001
+_SCAN_STEP = 0.01        # spacing of every catalog scan
+_CATALOG_T_MAX = 200.0   # highest ordinate find_zeros scans; the merged catalog stops at half
 # half width of a secant pair, and so of every final sign-change bracket
 _PAIR_HALF = 2.5e-10
 
@@ -232,26 +234,25 @@ def _sign_change_roots(f, t_lo: float, t_hi: float, scan_step: float):
 
 
 def find_zeros(source: str, t_min: float, t_max: float,
-               scan_step: float = 0.01) -> list[CriticalPoint]:
+               scan_step: float = _SCAN_STEP) -> list[CriticalPoint]:
     """All critical-line zeros of a catalogued function (a key of
     _CATALOGUED) with ordinate in [t_min, t_max], ascending, found by
     _sign_change_roots on the completed function at resolution scan_step;
     each refined_to is the half width of its final sign-change bracket, at
-    most 2.5e-10.  Needs 0 <= t_min < t_max <= 200 and scan_step in
+    most 2.5e-10.  Needs 0 <= t_min < t_max <= _CATALOG_T_MAX and scan_step in
     (0, 0.05] with a scan of at most 1,000,001 points (DomainError otherwise).
     """
     if source not in _CATALOGUED:
         raise DomainError(f"source must be one of {tuple(_CATALOGUED)}")
-    if not (0.0 <= t_min < t_max <= 200.0):
-        raise DomainError("need 0 <= t_min < t_max <= 200")
+    if not (0.0 <= t_min < t_max <= _CATALOG_T_MAX):
+        raise DomainError(f"need 0 <= t_min < t_max <= {_CATALOG_T_MAX:g}")
     roots, widths = _sign_change_roots(lambda ts: _line_values(source, ts), t_min, t_max, scan_step)
     return [CriticalPoint(t=float(r), kind="zero", source=_CATALOGUED[source][1], multiplicity=1,
                           refined_to=float(max(w, 1e-12)))
             for r, w in zip(roots, widths)]
 
 
-def singular_points_delta5(t_min: float, t_max: float,
-                           scan_step: float = 0.01) -> list[CriticalPoint]:
+def singular_points_delta5(t_min: float, t_max: float) -> list[CriticalPoint]:
     """Merged catalog of the quotient's critical-line zeros (zeta and beta
     ordinates) and poles (half the zeta ordinates), sorted by t.
 
@@ -259,12 +260,12 @@ def singular_points_delta5(t_min: float, t_max: float,
     cancellation the quotient's structure does not predict; that raises
     UnexpectedCoincidence instead of silently dropping either point.
     """
-    if not (0.0 <= t_min < t_max <= 100.0):
-        raise DomainError("need 0 <= t_min < t_max <= 100 (pole scan runs to 2 t_max)")
+    if not (0.0 <= t_min < t_max <= 0.5 * _CATALOG_T_MAX):
+        raise DomainError(f"need 0 <= t_min < t_max <= {0.5 * _CATALOG_T_MAX:g} (pole scan runs to 2 t_max)")
     points = []
-    points += find_zeros("zeta", t_min, t_max, scan_step)
-    points += find_zeros("beta", t_min, t_max, scan_step)
-    for p in find_zeros("zeta", 2.0 * t_min, 2.0 * t_max, scan_step):
+    points += find_zeros("zeta", t_min, t_max)
+    points += find_zeros("beta", t_min, t_max)
+    for p in find_zeros("zeta", 2.0 * t_min, 2.0 * t_max):
         points.append(CriticalPoint(t=0.5 * p.t, kind="pole", source="half_zeta_zero",
                                     multiplicity=1, refined_to=0.5 * p.refined_to))
     points.sort(key=lambda p: p.t)

@@ -14,7 +14,9 @@ from delta_lens.census import (DistributionReport, GeneratorMetadata,
                                load_catalog, n_beta_main, n_Lq_main,
                                n_zeta_main, pairs_between_phase_lines,
                                save_catalog)
-from delta_lens.critical import _CATALOGUED, CriticalPoint
+from delta_lens import contours, critical
+from delta_lens.contours import _SIGMA_START, argument_principle_box, trace_phase_zero_line
+from delta_lens.critical import _CATALOGUED, _SCAN_STEP, CriticalPoint, find_zeros
 from delta_lens.errors import (CatalogTooShort, CorruptRecord, DomainError,
                                FormatVersionMismatch, IoFailure, MissingTrace,
                                UnsupportedDiscriminant)
@@ -165,6 +167,43 @@ def test_build_catalog_sources(source):
     assert all(e.kind == "zero" and e.source == f"{source}_zero" for e in cat.entries)
     with pytest.raises(DomainError):
         build_catalog("gamma", 7.0)
+
+
+def test_each_scan_and_seed_reads_its_one_constant(monkeypatch, tmp_path, phase_traces,
+                                                   amplitude_traces):
+    steps = []
+    roots = critical._sign_change_roots
+
+    def spy(f, t_lo, t_hi, scan_step):
+        steps.append(scan_step)
+        return roots(f, t_lo, t_hi, scan_step)
+
+    monkeypatch.setattr(critical, "_sign_change_roots", spy)
+    find_zeros("zeta", 0.0, 20.0)
+    assert steps == [_SCAN_STEP]
+    for source, scans in (("zeta", 1), ("beta", 1), ("delta5_merged", 3)):
+        steps.clear()
+        save_catalog(build_catalog(source, 20.0), tmp_path / f"{source}.jsonl")
+        assert steps == [_SCAN_STEP] * scans
+        header = (tmp_path / f"{source}.jsonl").read_text(encoding="ascii").splitlines()[0]
+        assert json.loads(header)["scan_step"] == _SCAN_STEP
+    steps.clear()
+    trace_phase_zero_line(1)  # one window scan: zeta, beta and the doubled zeta
+    assert steps == [_SCAN_STEP] * 3
+
+    for path in (*phase_traces.values(), *amplitude_traces.values()):
+        assert path.points[0][0] == _SIGMA_START
+    polygons = []
+    winding = contours.winding_count
+
+    def recording(polyline):
+        polygons.append(polyline)
+        return winding(polyline)
+
+    monkeypatch.setattr(contours, "winding_count", recording)
+    argument_principle_box(1, 2)
+    sigmas = [s for s, t in polygons[0]]
+    assert max(sigmas) == _SIGMA_START and sigmas.count(_SIGMA_START) >= 3  # seeds and right edge
 
 
 def test_catalog_validation():

@@ -140,16 +140,16 @@ def test_eval_refuses_L8_above_the_ceiling(capsys):
     assert err.startswith("DomainError: ") and "height ceiling 500" in err
 
 
-def test_zeros_refuses_an_oversized_scan(capsys, monkeypatch):
+def test_zeros_refuses_a_merged_catalog_past_its_end(capsys, monkeypatch):
+    # the merged catalog's pole scan runs to 2 t_max, so it ends at t = 100
     def no_scan(*args):
-        raise AssertionError("an oversized scan was evaluated")
+        raise AssertionError("a refused scan was evaluated")
 
     monkeypatch.setattr(critical, "_line_values", no_scan)
-    code, out, err = run_cli(capsys, "zeros", "--source", "zeta", "--t-max", "200",
-                             "--scan-step", "1.9e-4")
+    code, out, err = run_cli(capsys, "zeros", "--source", "delta5", "--t-max", "150")
     assert code == 2
     assert out == ""
-    assert err.startswith("DomainError: ")
+    assert err.startswith("DomainError: ") and "t_max <= 100" in err
 
 
 def test_zeros_delta5_kinds(capsys):

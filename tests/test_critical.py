@@ -188,7 +188,7 @@ def test_find_zeros_refines_in_a_few_calls(monkeypatch):
 
 def test_singular_points_refuse_a_zero_on_a_pole(monkeypatch):
     # a zeta zero at t = 2 and the pole at t = 2 from the zeta zero at 4
-    def fake(source, t_min, t_max, scan_step):
+    def fake(source, t_min, t_max, scan_step=critical._SCAN_STEP):
         ts = (2.0, 4.0) if source == "zeta" else ()
         return [CriticalPoint(t=t, kind="zero", source=f"{source}_zero") for t in ts if t_min <= t <= t_max]
 
