@@ -184,14 +184,13 @@ def _march(kind: str, ns: list[int]) -> list[list]:
     while live:
         vals, l1s, l2s = (a.tolist() for a in _delta5_log_derivatives(
             np.array([complex(pending[k][-1], guess[k]) for k in live])))
-        # the per-line Newton logic runs on Python scalars, which for a few
-        # lines costs less than a dozen numpy calls on tiny arrays
+        # per-line Newton logic on Python numbers: cheaper than numpy calls on a few points
         for k, v, l1, l2 in zip(live, vals, l1s, l2s):
             level = dt = math.nan
             if cmath.isfinite(v) and cmath.isfinite(l1):
                 if not _GUARD_LO <= abs(v) <= _GUARD_HI:
-                    raise SingularityTooClose(f"|delta5| = {abs(v):.3g} outside [1e-8, 1e8] at "
-                                              f"sigma={pending[k][-1]:.6f}, t={guess[k]:.6f}")
+                    raise SingularityTooClose(f"{kind} line n={ns[k]}: |delta5| = {abs(v):.3g} outside "
+                                              f"[1e-8, 1e8] at sigma={pending[k][-1]:.6f}, t={guess[k]:.6f}")
                 wk = rot * l1
                 if wk.real != 0.0:
                     level = (0.5 * rot * cmath.log(v * v)).imag
@@ -359,11 +358,7 @@ def _box_polygon(low: PhasePath, high: PhasePath) -> list[tuple[float, float]]:
     in steps of 0.5, high forwards, then the left edge at sigma = 1/2 + 0.02
     in steps of 0.02 (clearance from the critical-line poles and zeros)."""
 
-    def trimmed(path):
-        return [p for p in path.points if p[0] >= 0.5 + _EPS_BOX - 1e-9]
-
-    lo_pts = trimmed(low)
-    hi_pts = trimmed(high)
+    lo_pts, hi_pts = ([p for p in path.points if p[0] >= 0.5 + _EPS_BOX - 1e-9] for path in (low, high))
     poly = [(s, t) for s, t in reversed(lo_pts)]
     t_a, t_b = lo_pts[0][1], hi_pts[0][1]
     for t in np.arange(t_a + 0.5, t_b - 1e-9, 0.5):
@@ -419,13 +414,9 @@ def export_trace_csv(path: PhasePath, destination) -> None:
     and modulus of the quotient recomputed at every recorded point; phase is
     the principal argument in (-pi, pi].  destination is a filename or a
     writable file object."""
-    pts = np.array([complex(s, t) for s, t in path.points])
-    vals = _delta_q_values(4, pts)
-    lines = ["sigma,t,phase,modulus"]
-    for (sig, t), v in zip(path.points, vals):
-        lines.append("%.12g,%.12g,%.12g,%.12g"
-                     % (sig, t, float(np.angle(v)), float(np.abs(v))))
-    text = "\n".join(lines) + "\n"
+    vals = _delta_q_values(4, np.array([complex(s, t) for s, t in path.points])).tolist()
+    rows = ["%.12g,%.12g,%.12g,%.12g" % (s, t, cmath.phase(v), abs(v)) for (s, t), v in zip(path.points, vals)]
+    text = "\n".join(["sigma,t,phase,modulus"] + rows) + "\n"
     try:
         if hasattr(destination, "write"):
             destination.write(text)

@@ -35,8 +35,8 @@ whichever is larger.
 
 Every Dirichlet series goes through one power sum, _power_sum, with one
 exception: the tracing kernel quotient._delta5_log_derivatives sums rows 1,
-4 and 1 of _ALTERNATING itself, through one concatenated exp, to get delta5
-and the first two derivatives of its log in one pass.  A batch
+4 and 1 of _ALTERNATING itself (one exp, term counts from _cvz_count) to get
+delta5 and the first two derivatives of its log in one pass.  A batch
 that is a complete row-major sigma x t grid (a render block) or an equally
 spaced scan along one vertical line (a critical-line scan), both detected
 in O(N) without a sort, factors as k^-s = k^-a e^(-ib log k),
@@ -228,10 +228,10 @@ def _alt_series(q: int, n: int):
     return logs, np.multiply.outer(w, signs).ravel().astype(np.complex128)
 
 
-def _cvz_terms(s: np.ndarray) -> int:
+def _cvz_count(t_abs: float, sigma_min: float) -> int:
+    # CVZ terms for arguments up to |Im| = t_abs and down to Re = sigma_min: the
     # weight ratio c_k/d stops decreasing past k ~ n, so large heights need
     # n ~ pi |t| / (2 ln(3+sqrt8)); small sigma inflates the constant a bit
-    t_abs, sigma_min = np.abs(s.imag).max(initial=0.0), s.real.min()
     if t_abs > _MAX_HEIGHT:
         raise DomainError(f"a series argument has |Im| = {t_abs:.10g}, above the height ceiling "
                           f"{_MAX_HEIGHT:g} (|Im s| <= {_MAX_HEIGHT / 2:g} for a quotient)")
@@ -240,6 +240,10 @@ def _cvz_terms(s: np.ndarray) -> int:
         penalty = min(12.0, max(0.0, -math.log(max(sigma_min, 1e-8))))
     n = int((0.5 * math.pi * t_abs + _TARGET_DIGITS * 2.302585 + penalty) / 1.7627471740390859) + 12
     return min(n, 347)  # weight recurrence overflows past n ~ 415
+
+
+def _cvz_terms(s: np.ndarray) -> int:
+    return _cvz_count(np.abs(s.imag).max(initial=0.0), s.real.min())
 
 
 def _separable_sum(rows: np.ndarray, cols: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from .evalcore import (
     _central_difference,
     _character_label,
     _coerce,
-    _cvz_terms,
+    _cvz_count,
     _l_values,
     _near_nonpositive_integer,
     _one_blas_thread,
@@ -132,65 +132,70 @@ def _delta_q_values(q: int, s: np.ndarray) -> np.ndarray:
         return num / den
 
 
-@functools.cache
 def _cvz_moments(q: int, n: int, chain: float) -> np.ndarray:
     """The weights -c L w and c^2 L^2 w, c = chain, of the logs L and weights
     w that _alt_series(q, n) gives: against exp(-x L) they give the first two
-    s-derivatives of the CVZ sum A(x) = sum w e^(-x L) when x = c s + const.
-    Cached per term count, like _alt_series, as real numbers: half the memory
-    of complex ones, and the block matrix they are copied into is complex."""
+    s-derivatives of the CVZ sum A(x) = sum w e^(-x L) when x = c s + const."""
     logs, w = _alt_series(q, n)
     cl, w = chain * logs, w.real
     return np.stack([-cl * w, cl * cl * w], axis=1)
 
 
-# log delta5 = log A(s) + log B(s) - log A(x) - log q(s) + log q(x), x = 2s - 1/2,
-# with A and B the CVZ sums of rows 1 and 4 (eta and beta) and q the eta factor
-_SUM_SIGNS = np.array([1.0, 1.0, -1.0])
+@functools.lru_cache(maxsize=16)
+def _kernel_block(n: int, nx: int):
+    """Per term-count pair: rows 1 and 4's logs at n terms, concatenated, row 1's at
+    nx, the three weight vectors and the (2n + nx) x 6 block of _cvz_moments columns."""
+    (lz, wz), (lb, wb), (lx, wx) = _alt_series(1, n), _alt_series(4, n), _alt_series(1, nx)
+    block = np.zeros((2 * n + nx, 6), dtype=np.complex128)
+    block[:n, 0:2] = _cvz_moments(1, n, 1.0)
+    block[n:2 * n, 2:4] = _cvz_moments(4, n, 1.0)
+    block[2 * n:, 4:6] = _cvz_moments(1, nx, 2.0)
+    return np.concatenate([lz, lb]), lx, wz, wb, wx, block
 
 
 def _delta5_log_derivatives(s: np.ndarray):
-    """(delta, l1, l2) for a 1-D batch s, with l = log delta5, l1 = l' and
-    l2 = l''.  Where zeta(s), beta(s) and zeta(x), x = 2s - 1/2, all take
-    their rows in evalcore._l_values (tracing stays at sigma >= 0.495, where
-    they do), the exponents -s log(1 + k), -s log(1 + 2k) and -x log(1 + k), the
-    terms of rows 1, 4 and 1 of evalcore._ALTERNATING, go through one exp.
-    Each sum's value is its own product with the CVZ weights, as on
+    """(delta, l1, l2) for a 1-D batch s: delta5 and l', l'' of l = log delta5.
+    The terms -s log(1 + k), -s log(1 + 2k) and -x log(1 + k), x = 2s - 1/2, of
+    zeta(s), beta(s) and zeta(x) (rows 1, 4 and 1 of evalcore._ALTERNATING, as
+    _l_values takes them at sigma >= 0.495, where tracing stays) fill one array
+    and take one exp.  Each sum is its own product with its CVZ weights, as on
     _power_sum's outer-product path, so delta has the bits of _delta_q_values
-    on any batch that is neither a grid nor a line scan; the derivatives are
-    one product with a block matrix of _cvz_moments columns, and the eta
-    factors q enter in closed form.  From _GRID_MIN_POINTS points on, the
-    products run on one BLAS thread (evalcore._one_blas_thread).  A batch
-    with a point off that route (|q(s)| or |q(x)| < _ETA_MIN, near s or
-    x = 1 + 2 pi i k / ln 2, or Re x <= 0) takes delta from _delta_q_values
-    and delta' from evalcore._central_difference instead, with l2 = nan."""
+    on any batch that is neither a grid nor a line scan.  One product with the
+    cached block of _kernel_block gives the sums' derivatives; l1, l2 are summed
+    per point on Python numbers.  Term counts and route read max |Im s| and
+    min Re s once (|Im x| = 2 |Im s|, Re x = 2 Re s - 1/2).  From _GRID_MIN_POINTS
+    points on, the products run on one BLAS thread.  Off the route (|q(s)| or
+    |q(x)| < _ETA_MIN for the eta factors q, near s or x = 1 + 2 pi i k / ln 2, or
+    Re x <= 0) delta is _delta_q_values, delta' evalcore._central_difference, l2 nan."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
+    t_abs, sigma_min = max(map(abs, s.imag.tolist())), min(s.real.tolist())
     x = 2.0 * s - 0.5
     q = _twist_factor(1, np.array([s, x]))
-    if np.abs(q).min() < _ETA_MIN or x.real.min() <= 0.0:
+    qs, qx = q.tolist()
+    if min(map(abs, qs + qx)) < _ETA_MIN or 2.0 * sigma_min - 0.5 <= 0.0:
         v = _delta_q_values(4, s)
         d = _central_difference(lambda z: _delta_q_values(4, z), s)
         return v, d / v, np.full(s.shape, complex(math.nan, math.nan))
-    n, nx = _cvz_terms(s), _cvz_terms(x)
-    (lz, wz), (lb, wb), (lx, wx) = _alt_series(1, n), _alt_series(4, n), _alt_series(1, nx)
-    e = np.concatenate([np.multiply.outer(-s, np.concatenate([lz, lb])), np.multiply.outer(-x, lx)], axis=1)
-    e = np.exp(e, out=e)
-    moments = np.zeros((e.shape[1], 6), dtype=np.complex128)
-    moments[:n, 0:2] = _cvz_moments(1, n, 1.0)
-    moments[n:2 * n, 2:4] = _cvz_moments(4, n, 1.0)
-    moments[2 * n:, 4:6] = _cvz_moments(1, nx, 2.0)
-    a = np.empty((s.size, 3), dtype=np.complex128)
+    n, nx = _cvz_count(t_abs, sigma_min), _cvz_count(2.0 * t_abs, 2.0 * sigma_min - 0.5)
+    logs, lx, wz, wb, wx, block = _kernel_block(n, nx)
+    e = np.empty((s.size, 2 * n + nx), dtype=np.complex128)
+    np.multiply.outer(-s, logs, out=e[:, :2 * n])
+    np.multiply.outer(-x, lx, out=e[:, 2 * n:])
+    np.exp(e, out=e)
     with _one_blas_thread(s.size):
-        a[:, 0], a[:, 1], a[:, 2] = e[:, :n] @ wz, e[:, n:2 * n] @ wb, e[:, 2 * n:] @ wx
-        m = (e @ moments).reshape(-1, 3, 2)
-    g1 = m[:, :, 0] / a  # (log A)' and (log A)'' of each sum A
-    g2 = m[:, :, 1] / a - g1 * g1
-    # (log q)' = ln2 (1 - q)/q, (log q)'' = -ln2^2 (1 - q)/q - ((log q)')^2
-    q1 = LN2 * ((1.0 - q) / q)
-    q2 = -LN2 * q1 - q1 * q1
-    l1 = g1 @ _SUM_SIGNS + 2.0 * q1[1] - q1[0]  # dx/ds = 2
-    l2 = g2 @ _SUM_SIGNS + 4.0 * q2[1] - q2[0]
-    return a[:, 0] / q[0] * a[:, 1] / (a[:, 2] / q[1]), l1, l2
+        az, ab, ax = e[:, :n] @ wz, e[:, n:2 * n] @ wb, e[:, 2 * n:] @ wx
+        m = e @ block
+    # l = log A_z(s) + log A_b(s) - log A_z(x) - log q(s) + log q(x), dx/ds = 2; per sum A
+    # (log A)'' = A''/A - ((log A)')^2, per eta factor (log q)' = p = ln2 (1 - q)/q, (log q)'' = -(ln2 + p) p
+    l1, l2 = [], []
+    sums = zip(az.tolist(), ab.tolist(), ax.tolist())
+    for (z, b, y), (z1, z2, b1, b2, y1, y2), q0, q1 in zip(sums, m.tolist(), qs, qx):
+        gz, gb, gy = z1 / z, b1 / b, y1 / y
+        p0, p1 = LN2 * ((1.0 - q0) / q0), LN2 * ((1.0 - q1) / q1)
+        l1.append(gz + gb - gy - p0 + 2.0 * p1)
+        l2.append(z2 / z - gz * gz + b2 / b - gb * gb - y2 / y + gy * gy
+                  + (LN2 + p0) * p0 - 4.0 * (LN2 + p1) * p1)
+    return az / q[0] * ab / (ax / q[1]), np.array(l1), np.array(l2)
 
 
 def _check_poles(q: int, s: np.ndarray):

@@ -125,6 +125,18 @@ def test_trace_refuses_a_singular_value(monkeypatch):
         trace_phase_zero_line(5, catalog=[])
 
 
+def test_singular_value_names_its_line(monkeypatch):
+    # a box marches lines 5 (seed t = 22.7) and 6 (seed t = 27.2) in lockstep;
+    # only line 6 meets the guard, and the message says so
+    def singular_above_25(s, v, l1, l2):
+        return np.where(s.imag > 25.0, 1e9 * v, v), l1, l2
+
+    _patched_kernel(monkeypatch, singular_above_25)
+    with pytest.raises(SingularityTooClose, match=r"^phase_zero line n=6: \|delta5\| = .* outside "
+                       r"\[1e-8, 1e8\] at sigma=12\.000000, t=27\."):
+        argument_principle_box(5, 6)
+
+
 def test_phase_trace_without_catalog_match():
     with pytest.raises(NoCatalogMatch, match=r"no catalogued point near terminus t = "):
         trace_phase_zero_line(5, catalog=[])
@@ -216,6 +228,22 @@ def test_box_polygon_on_shared_traces_matches_box(n, phase_traces):
     box = argument_principle_box(n, n + 1)
     assert shared.zeros_minus_poles == box.zeros_minus_poles == 0
     assert abs(shared.total_arg_change - box.total_arg_change) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["phase", "amplitude"])
+def test_every_exported_row_lies_on_its_level_line(kind, request):
+    # phase lines: folded phase 0, i.e. phase 0 or pi; amplitude lines:
+    # modulus 1 (2.5e-11 at worst over lines 1..21 of both kinds)
+    for path in request.getfixturevalue(f"{kind}_traces").values():
+        buf = io.StringIO()
+        export_trace_csv(path, buf)
+        rows = [[float(x) for x in line.split(",")] for line in buf.getvalue().splitlines()[1:]]
+        np.testing.assert_allclose(np.array(rows)[:, :2], np.array(path.points), rtol=1e-11, atol=0.0)
+        for _, _, phase, modulus in rows:
+            if kind == "phase":
+                assert min(abs(phase), math.pi - abs(phase)) <= 1e-9
+            else:
+                assert abs(math.log(modulus)) <= 1e-9
 
 
 def test_phase_path_validation(phase_traces):
@@ -371,6 +399,7 @@ def test_export_trace_csv(phase_traces, tmp_path):
 
     buf = io.StringIO()
     export_trace_csv(path, buf)
+    assert buf.getvalue() == out.read_text()
     assert buf.getvalue().splitlines()[0] == "sigma,t,phase,modulus"
 
     with pytest.raises(IoFailure):

@@ -338,6 +338,21 @@ def test_log_derivative_kernel_matches_oracle(sigma):
     assert np.max(np.abs(delta - _delta_q_values(4, s)) / np.abs(delta)) <= 4e-15
 
 
+@pytest.mark.parametrize("size", [1, 2])
+def test_log_derivative_kernel_at_the_march_batch_sizes(size):
+    # the march calls the kernel on one or two points; every oracle row alone,
+    # and every two consecutive rows together, keep the oracle bounds, and
+    # delta keeps the bits of _delta_q_values on the same batch
+    for i in range(len(LOG_DERIVATIVE_ORACLE) - size + 1):
+        rows = LOG_DERIVATIVE_ORACLE[i:i + size]
+        s = np.array([complex(sig, t) for sig, t, _, _ in rows])
+        delta, l1, l2 = quotient._delta5_log_derivatives(s)
+        want1, want2 = np.array([row[2] for row in rows]), np.array([row[3] for row in rows])
+        assert np.max(np.abs(l1 - want1) / np.abs(want1)) <= 1e-11
+        assert np.max(np.abs(l2 - want2) / np.abs(want2)) <= 1e-10
+        assert np.array_equal(delta, _delta_q_values(4, s))
+
+
 def test_log_derivative_kernel_fallback():
     for s, want1 in LOG_DERIVATIVE_FALLBACK:
         delta, l1, l2 = quotient._delta5_log_derivatives(np.array([s]))
