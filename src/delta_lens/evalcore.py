@@ -42,7 +42,12 @@ spaced scan along one vertical line (a critical-line scan), both detected
 in O(N) without a sort, factors as k^-s = k^-a e^(-ib log k),
 with a = sigma and b = t on a grid and a = sigma + coarse t, b = fine t steps
 on a line, so its sum is one matrix product (_separable_sum); other batches
-take one complex exp per point and term.
+take one complex exp per point and term.  On a grid a is real and so are the
+weights, so the product is real: the (R x n) real factor against the
+(re, im) pairs of the (n x C) complex one.  A line's complex rows keep the
+complex product.  The twist factor 1 - chi(2) 2^(1-w) of a grid is
+likewise the outer product of row and column factors (_twist_factor);
+lines, probes, secant pairs and polylines take expm1.
 
 Piecewise definitions (the reflection half-plane, the rational Hurwitz
 reflection) go through one branch helper, _branches: a batch that lies in
@@ -249,10 +254,14 @@ def _cvz_terms(s: np.ndarray) -> int:
 def _separable_sum(rows: np.ndarray, cols: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_k w_k exp(-(r + i c) logs_k) for every row exponent r (complex or
     real) and column ordinate c (real), as one (R x n) @ (n x C) product of
-    exp(-r logs_k) w_k and exp(-i c logs_k)."""
-    a = np.exp(-np.multiply.outer(rows, logs)) * w
-    b = np.exp(-1j * np.multiply.outer(cols, logs))
-    return a @ b.T
+    exp(-r logs_k) w_k and exp(-i c logs_k).  With real rows and real weights
+    the left factor is real, and the product is one real product with the
+    right factor's (re, im) pairs as 2C real columns."""
+    a = np.exp(-np.multiply.outer(rows, logs))
+    if np.isrealobj(a) and not w.imag.any():
+        b = np.exp(-1j * np.multiply.outer(logs, cols))
+        return (a * w.real @ b.view(np.float64)).view(np.complex128)
+    return a * w @ np.exp(-1j * np.multiply.outer(cols, logs)).T
 
 
 def _line_layout(sigma: float, t: np.ndarray):
@@ -505,12 +514,37 @@ def _hurwitz_values(s: np.ndarray, a: float) -> np.ndarray:
                      (~left, lambda m: _em_hurwitz(s[m], (a,))))
 
 
-def _twist_factor(q: int, w: np.ndarray) -> np.ndarray:
-    """1 - chi(2) 2^(1-w) of row q of _ALTERNATING, chi(2) = +-1, by expm1.
-    Its zeros lie on Re w = 1: at 1 + 2 pi i k / ln 2 for chi(2) = 1 (q = 1,
-    7), at 1 + (2k + 1) pi i / ln 2 for chi(2) = -1 (q = 3)."""
+def _twist_factor(q: int, w: np.ndarray, width: int = 0) -> np.ndarray:
+    """1 - chi(2) 2^(1-w) of row q of _ALTERNATING, chi(2) = +-1.  Its zeros
+    lie on Re w = 1: at 1 + 2 pi i k / ln 2 for chi(2) = 1 (q = 1, 7), at
+    1 + (2k + 1) pi i / ln 2 for chi(2) = -1 (q = 3).  By expm1, or, for the
+    row argument w of _l_values on a grid of this width > 1 (_twist_width),
+    as the outer product of the row factors e^(-i t ln 2), t = Im w in the
+    first column, and the column factors 2^(1 - Re w), conjugated in the
+    columns of the other branch (w = s or 1 - s); _l_values reads no factor
+    below _ETA_MIN, where 1 - 2^(1-w) would cancel."""
+    chi2 = _ALTERNATING[q][3]
+    if width > 1:
+        im = w.imag.reshape(-1, width)
+        t = im[:, 0] * LN2
+        col = np.exp2(1.0 - w.real.reshape(-1)[:width])
+        flip = (im != im[:, :1]).any(axis=0)
+        f = np.empty(im.shape, dtype=np.complex128)
+        f.real = 1.0 - chi2 * np.multiply.outer(np.cos(t), col)
+        f.imag = chi2 * np.multiply.outer(np.sin(t), np.where(flip, -col, col))
+        return f.reshape(w.shape)
     x = np.expm1((1.0 - w) * LN2)  # 2^(1-w) - 1
-    return -x if _ALTERNATING[q][3] == 1 else 2.0 + x
+    return -x if chi2 == 1 else 2.0 + x
+
+
+def _twist_width(s: np.ndarray) -> int:
+    """The width _twist_factor takes for the batch s of _l_values: that of
+    _grid_width from _GRID_MIN_POINTS points on, except that a batch of one
+    Re s (a line scan) skips the test and takes 0, as do smaller ones."""
+    flat = s.reshape(-1)
+    if flat.size < _GRID_MIN_POINTS or np.all(flat.real == flat.real[0]):
+        return 0
+    return _grid_width(flat.real, flat.imag)
 
 
 def _em_values(q: int, s: np.ndarray) -> np.ndarray:
@@ -545,7 +579,7 @@ def _l_values(q: int, s: np.ndarray) -> np.ndarray:
     chi2 = _ALTERNATING[q][3]
     right = s.real > 0.0
     w = np.where(right, s, 1.0 - s)
-    f = _twist_factor(q, w) if chi2 else None
+    f = _twist_factor(q, w, _twist_width(s)) if chi2 else None
 
     def row(m):
         a = _power_sum(w[m], *_alt_series(q, _cvz_terms(w[m])))

@@ -2,16 +2,22 @@
 emitted as binary P6 pixmaps.
 
 A phase portrait colors each pixel by the quadrant of the function value
-(yellow, red, purple, light blue for quadrants 1-4); zeros and poles show up
-as points where all four colors meet, which locate_quadrant_meeting_points
-detects from the finished image.  An amplitude portrait ramps blue above
-modulus 1 and green below, with a white band where the modulus is 1 to
-within 1e-3.
+(yellow, red, purple, light blue for quadrants 1-4), one lookup of a 16-row
+palette by the signs of Re and Im; zeros and poles show up as points where
+all four colors meet, which locate_quadrant_meeting_points detects from the
+finished image.  An amplitude portrait ramps blue above modulus 1 and green
+below, with a white band where the modulus is 1 to within 1e-3.
 
 Rendering is deterministic for a fixed spec: pixel centers map linearly into
 the rectangle (top pixel row carries t_max), and rows are evaluated on one
 thread in blocks of 64.  Each block is a sigma x t grid, so evalcore sums its
-Dirichlet series as one matrix product per block.
+Dirichlet series as one matrix product per block and takes its twist
+factors from row and column factors.
+
+The detector reads each pixel as a 4-bit mask of the quadrant colors it
+has, ORs the masks over each window's columns and then its rows (as many
+shifted slices as the window is wide, then high), and takes the windows
+whose mask has all four bits.
 """
 
 from __future__ import annotations
@@ -85,16 +91,21 @@ class PixelGrid:
             raise SpecInvalid("pixel buffer length must be 3 * width * height")
 
 
+# the color of each sign code (Re > 0) + 2 (Re < 0) + 4 (Im > 0) + 8 (Im < 0)
+# under that convention; the zero's code 0 and those no finite value takes
+# (3, 7, 11-15) are black
+_PHASE_PALETTE = np.array([BLACK, Q1_RGB, Q3_RGB, BLACK, Q2_RGB, Q1_RGB, Q2_RGB, BLACK,
+                           Q4_RGB, Q4_RGB, Q3_RGB] + [BLACK] * 5, dtype=np.uint8)
+
+
 def _phase_colors(vals: np.ndarray) -> np.ndarray:
     re, im = vals.real, vals.imag
-    ok = np.isfinite(vals)
-    out = np.zeros((vals.size, 3), dtype=np.uint8)
-    out[ok & (re > 0) & (im >= 0)] = Q1_RGB
-    out[ok & (re <= 0) & (im > 0)] = Q2_RGB
-    out[ok & (re < 0) & (im <= 0)] = Q3_RGB
-    out[ok & (re >= 0) & (im < 0)] = Q4_RGB
-    # the exact zero (0, 0) satisfies no quadrant and stays black
-    return out
+    code = (re > 0).view(np.uint8)
+    for bit, side in enumerate((re < 0, im > 0, im < 0), start=1):
+        code |= side.view(np.uint8) << bit
+    code[~np.isfinite(vals)] = 0
+    return np.take(_PHASE_PALETTE, code, axis=0)
+
 
 def _amplitude_colors(vals: np.ndarray) -> np.ndarray:
     out = np.zeros((vals.size, 3), dtype=np.uint8)
@@ -145,12 +156,18 @@ def render_amplitude(spec: PortraitSpec) -> PixelGrid:
     return _render(spec)
 
 
-def _quadrant_labels(grid: PixelGrid) -> np.ndarray:
+def _quadrant_mask(grid: PixelGrid) -> np.ndarray:
+    """Per pixel, bit k - 1 set where it has the color of quadrant k: its
+    RGB packed into one key, r << 16 | g << 8 | b, against the palette's."""
     rgb = np.frombuffer(grid.pixels, dtype=np.uint8).reshape(grid.height, grid.width, 3)
-    labels = np.zeros((grid.height, grid.width), dtype=np.uint8)
-    for code, col in enumerate((Q1_RGB, Q2_RGB, Q3_RGB, Q4_RGB), start=1):
-        labels[np.all(rgb == np.array(col, dtype=np.uint8), axis=2)] = code
-    return labels
+    key = rgb[..., 0].astype(np.uint32)
+    for c in (1, 2):
+        key <<= 8
+        key |= rgb[..., c]
+    mask = np.zeros(key.shape, dtype=np.uint8)
+    for bit, (r, g, b) in enumerate((Q1_RGB, Q2_RGB, Q3_RGB, Q4_RGB)):
+        mask |= (key == (r << 16 | g << 8 | b)).view(np.uint8) << bit
+    return mask
 
 
 def _window_shape(spec: PortraitSpec) -> tuple[int, int]:
@@ -185,11 +202,16 @@ def locate_quadrant_meeting_points(grid: PixelGrid, spec: PortraitSpec
     rows, cols = _window_shape(spec)
     if grid.height < rows or grid.width < cols:
         return []
-    lab = _quadrant_labels(grid)
-    all4 = True
-    for code in (1, 2, 3, 4):
-        present = np.lib.stride_tricks.sliding_window_view(lab == code, cols, axis=1).any(axis=2)
-        all4 = all4 & np.lib.stride_tricks.sliding_window_view(present, rows, axis=0).any(axis=2)
+    # the colors in each window: the masks ORed over its cols, then its rows
+    mask = _quadrant_mask(grid)
+    n_i, n_j = grid.width - cols + 1, grid.height - rows + 1
+    across = mask[:, :n_i].copy()
+    for c in range(1, cols):
+        across |= mask[:, c:c + n_i]
+    window = across[:n_j].copy()
+    for r in range(1, rows):
+        window |= across[r:r + n_j]
+    all4 = window == 15
     dsig, dt = spec.pixel_size()
     pitch = max(dsig, dt)
     # single linkage in s-space measured in coarse pitches, as the lattice

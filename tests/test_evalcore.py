@@ -117,10 +117,11 @@ def test_grid_path_matches_point_path(values, layout, monkeypatch):
 
 def test_eta_fallback_points_keep_a_render_block_whole(monkeypatch):
     # a 64-row block of a 150-wide portrait over sigma in [-1, 2], rows top
-    # down as render lays them out, through the zeros of 1 - 2^(1-x) at
-    # x = 1 + 2 pi i k / ln 2: the numerator's zeta(s) meets the first at
-    # t = 9.06, the denominator's zeta(2s - 1/2) the first two at t = 4.53
-    # and 9.06; each reflected branch meets them near sigma = 0 or 1/4
+    # down as render lays them out, through the zeros of 1 - chi(2) 2^(1-x):
+    # at x = 1 + 2 pi i k / ln 2 (t = 9.06 k) for zeta and L_-7, and at
+    # 1 + (2k + 1) pi i / ln 2 (t = 4.53 (2k + 1)) for L_-3.  The numerator's
+    # s meets t = 4.53 and 9.06, the denominator's 2s - 1/2 t = 9.06, 13.6
+    # and 18.1; each reflected branch meets them near sigma = 0 or 1/4
     sig = -1.0 + (np.arange(150) + 0.5) * 0.02
     ts = 4.53 + 0.0906 * (np.arange(63, -1, -1) - 10)
     s = (sig[None, :] + 1j * ts[:, None]).ravel()
@@ -128,22 +129,30 @@ def test_eta_fallback_points_keep_a_render_block_whole(monkeypatch):
     separable_sum = evalcore._separable_sum
 
     def spy(rows, cols, logs, w):
-        calls.append((rows.size, cols.size))
+        calls.append((rows.size, cols.size, np.isrealobj(rows)))
         return separable_sum(rows, cols, logs, w)
 
     monkeypatch.setattr(evalcore, "_separable_sum", spy)
     _delta_q_values(4, s)
     # zeta, beta and the denominator, each on both sides of its reflection
-    # line: six series, each summed by one product over whole columns
-    assert len(calls) == 6 and {cols for _, cols in calls} == {ts.size}
-    assert sum(rows for rows, _ in calls) == 3 * sig.size
-    for x in (s, 2.0 * s - 0.5):
-        right = np.where(x.real > 0.0, x, 1.0 - x)  # the argument of the eta route
-        fallback = np.flatnonzero(np.abs(evalcore._twist_factor(1, right)) < evalcore._ETA_MIN)
-        assert fallback.size >= 4
-        block = _l_values(1, x)[fallback]
-        one = np.array([_l_values(1, x[k:k + 1])[0] for k in fallback])
-        assert np.max(np.abs(block - one) / np.abs(one)) <= 1e-13
+    # line: six series, each summed by one real-weight product over whole
+    # columns
+    assert len(calls) == 6 and {(cols, real) for _, cols, real in calls} == {(ts.size, True)}
+    assert sum(rows for rows, _, _ in calls) == 3 * sig.size
+    for q, f_min in ((1, evalcore._ETA_MIN), (3, evalcore._TWIST_MIN), (7, evalcore._TWIST_MIN)):
+        for x in (s, 2.0 * s - 0.5):
+            right = np.where(x.real > 0.0, x, 1.0 - x)  # the argument of the twisted row
+            f = evalcore._twist_factor(q, right)
+            grid = evalcore._twist_factor(q, right, evalcore._twist_width(x))
+            assert evalcore._twist_width(x) == sig.size
+            # row times column factors, against expm1 where _l_values reads them
+            assert np.max(np.abs(grid - f)[np.abs(f) >= f_min]) <= 2e-15
+            assert np.count_nonzero(np.abs(f) < f_min) >= 4
+            # the Euler-Maclaurin points and the band where 1 - p cancels most
+            near = np.flatnonzero(np.abs(f) < 4.0 * f_min)
+            block = _l_values(q, x)[near]
+            one = np.array([_l_values(q, x[k:k + 1])[0] for k in near])
+            assert np.max(np.abs(block - one) / np.abs(one)) <= 1e-13
 
 
 @pytest.mark.parametrize("values", [lambda s: _l_values(1, s), lambda s: _l_values(4, s),
@@ -156,7 +165,19 @@ def test_line_path_matches_blocked_path(values, monkeypatch):
     ts = 0.01 * np.arange(20001)
     ts[-1] = 199.995
     s = 0.5 + 1j * ts
+    calls = []
+    separable_sum = evalcore._separable_sum
+
+    def spy(rows, cols, logs, w):
+        # complex rows keep the complex product, and its bits
+        out = separable_sum(rows, cols, logs, w)
+        calls.append(np.iscomplexobj(rows) and np.array_equal(
+            out, np.exp(-np.multiply.outer(rows, logs)) * w @ np.exp(-1j * np.multiply.outer(cols, logs)).T))
+        return out
+
+    monkeypatch.setattr(evalcore, "_separable_sum", spy)
     line = values(s)
+    assert calls == [True]
     monkeypatch.setattr(evalcore, "_GRID_MIN_POINTS", s.size + 1)
     blocked = values(s)
     assert np.any(line != blocked)  # the line path really ran

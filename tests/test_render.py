@@ -9,7 +9,7 @@ import pytest
 from delta_lens.errors import IoFailure, SpecInvalid
 from delta_lens.quotient import QuotientKind, delta5
 from delta_lens.render import (PixelGrid, PortraitSpec, Q1_RGB, Q2_RGB, Q3_RGB,
-                               Q4_RGB, _render_rows, _window_shape,
+                               Q4_RGB, _phase_colors, _render_rows, _window_shape,
                                locate_quadrant_meeting_points,
                                render_amplitude, render_phase_quadrants,
                                write_ppm)
@@ -77,6 +77,30 @@ def test_quadrant_palette_matches_values():
         grid = render_phase_quadrants(_one_pixel_spec(sigma, t))
         assert _pixel(grid, 0, 0) == palette[code]
     assert seen == {1, 2, 3, 4}  # probes cover all four quadrants
+
+
+def test_phase_colors_follow_the_boundary_convention():
+    # every pair of real and imaginary parts from signed zeros, the axes,
+    # tiny and ordinary values, infinities and nan, against the convention
+    # written out per value
+    parts = [0.0, -0.0, 1.0, -1.0, 5e-324, -2.5, math.inf, -math.inf, math.nan]
+    vals = np.empty(len(parts) ** 2, dtype=np.complex128)
+    vals.real, vals.imag = np.repeat(parts, len(parts)), np.tile(parts, len(parts))
+
+    def color(v):
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            return (0, 0, 0)
+        if v.real > 0 and v.imag >= 0:
+            return Q1_RGB
+        if v.real <= 0 and v.imag > 0:
+            return Q2_RGB
+        if v.real < 0 and v.imag <= 0:
+            return Q3_RGB
+        if v.real >= 0 and v.imag < 0:
+            return Q4_RGB
+        return (0, 0, 0)
+
+    assert [tuple(rgb) for rgb in _phase_colors(vals).tolist()] == [color(v) for v in vals.tolist()]
 
 
 def test_exact_zero_and_pole_pixels_black():
@@ -223,17 +247,18 @@ def test_pixel_grid_validation():
         PixelGrid(width=2, height=2, pixels=bytes(5))
 
 
-def _reference_meeting_points(grid, spec):
+def _reference_meeting_points(grid, spec, all4=None):
     """Single linkage written out plainly: the windows that show all four
-    quadrant colors, counted from summed-area tables; every pair of them
-    with its distance in coarse pitches; components from the linked pairs,
-    labelled by their first window and grown until no label changes."""
+    quadrant colors (all4, or counted from summed-area tables); every pair
+    of them with its distance in coarse pitches; components from the linked
+    pairs, labelled by their first window and grown until no label changes."""
     rows, cols = _window_shape(spec)
-    rgb = np.frombuffer(grid.pixels, dtype=np.uint8).reshape(grid.height, grid.width, 3)
-    all4 = True
-    for col in (Q1_RGB, Q2_RGB, Q3_RGB, Q4_RGB):
-        c = np.pad(np.all(rgb == col, axis=2).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
-        all4 = all4 & (c[rows:, cols:] - c[:-rows, cols:] - c[rows:, :-cols] + c[:-rows, :-cols] > 0)
+    if all4 is None:
+        rgb = np.frombuffer(grid.pixels, dtype=np.uint8).reshape(grid.height, grid.width, 3)
+        all4 = True
+        for col in (Q1_RGB, Q2_RGB, Q3_RGB, Q4_RGB):
+            c = np.pad(np.all(rgb == col, axis=2).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+            all4 = all4 & (c[rows:, cols:] - c[:-rows, cols:] - c[rows:, :-cols] + c[:-rows, :-cols] > 0)
     jj, ii = np.nonzero(all4)
     dsig, dt = spec.pixel_size()
     pitch = max(dsig, dt)
@@ -282,3 +307,27 @@ def test_meeting_points_link_just_under_the_linkage_radius():
     # the row boundary y = 4; the linked pair averages its two corners
     t = spec.t_max - 4 * 5 / 64
     assert points == [((21 + 38) / 2 / 64, t), (56 / 64, t)]
+
+
+@pytest.mark.parametrize("aspect", [1.0, 5.0, 2.5, 1 / 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_meeting_points_match_a_window_loop(aspect, seed):
+    # random maps of the four quadrant colors, black and one color that is
+    # Q1's but for one byte, on pixels of aspect dt / dsig; the windows that
+    # show all four colors are found by a plain loop over every window
+    rng = np.random.default_rng(seed)
+    width, height = int(rng.integers(12, 31)), int(rng.integers(12, 31))
+    spec = PortraitSpec(sigma_min=0.0, sigma_max=width / 64, t_min=1.0, t_max=1.0 + height * aspect / 64,
+                        width=width, height=height, mode="phase_quadrant")
+    rows, cols = _window_shape(spec)
+    colors = [Q1_RGB, Q2_RGB, Q3_RGB, Q4_RGB, (0, 0, 0), (255, 220, 1)]
+    picks = rng.choice(len(colors), size=(height, width), p=[0.2, 0.2, 0.2, 0.2, 0.1, 0.1])
+    grid = PixelGrid(width=width, height=height,
+                     pixels=np.array(colors, dtype=np.uint8)[picks].tobytes())
+    all4 = np.zeros((height - rows + 1, width - cols + 1), dtype=bool)
+    for j in range(all4.shape[0]):
+        for i in range(all4.shape[1]):
+            seen = {colors[k] for k in picks[j:j + rows, i:i + cols].ravel().tolist()}
+            all4[j, i] = {Q1_RGB, Q2_RGB, Q3_RGB, Q4_RGB} <= seen
+    assert 0 < all4.sum() < all4.size
+    assert locate_quadrant_meeting_points(grid, spec) == _reference_meeting_points(grid, spec, all4)
