@@ -2,21 +2,14 @@
 
 Phase-zero lines (folded phase of the quotient = 0) and amplitude-one lines
 (|quotient| = 1) are the zero sets of Im(rot l), l = log(delta^2) / 2, with
-rot = 1 (Im l is the folded phase) and rot = 1j (Re l = log|delta|).  Both are
-marched from large sigma toward the critical line by the tangent predictor
-dt/dsigma = -Im w / Re w and the Newton corrector t -= Im(rot l) / Re w at
-fixed sigma, w = rot l'.  delta, l' and l'' come from one fused kernel,
-quotient._delta5_log_derivatives, in closed form from the CVZ sums.  Every
-Newton step is taken; a line stops iterating once its level was within the
-tolerance or l'' predicts a residual within it after the step, so most
-traced points cost one kernel call and every traced t lies within 1e-9 of
-its level line.  Both families are anchored at large sigma by the loud 2^-s
-term of the Dirichlet series: phase lines near t = n pi / ln 2, amplitude
-lines halfway between.  One loop traces any number of lines in lockstep:
-each pass takes one Newton step for every unfinished line in one kernel
-call, a converged line moves on to its next sigma in the next pass, and
-each line keeps its own step halving.  A single trace is the case of one
-line, and the seed at sigma = 12 is the first target of every line.
+rot = 1 (Im l is the folded phase) and rot = 1j (Re l = log|delta|).  Both
+are anchored at large sigma by the loud 2^-s term of the Dirichlet series,
+phase lines near t = n pi / ln 2 and amplitude lines halfway between, and
+marched toward the critical line by a tangent predictor and a Newton
+corrector in t (_march), every traced t within 1e-9 of its level line.
+delta, l' and l'' come from one fused kernel, quotient._log_derivatives, in
+closed form from the CVZ sums; one loop traces any number of lines in
+lockstep, one kernel call per pass.
 
 Closed contours get a winding count by accumulating phase increments edge by
 edge, bisecting edges until every increment is below pi/2, so the branch of
@@ -53,7 +46,7 @@ from .errors import (
     TraceStalled,
 )
 from .evalcore import LN2
-from .quotient import _delta5_log_derivatives, _delta_q_values
+from .quotient import _delta_q_values, _log_derivatives
 
 _EPS_BOX = 0.02          # clearance of the box's left edge from sigma = 1/2
 _GUARD_LO, _GUARD_HI = 1e-8, 1e8
@@ -157,21 +150,17 @@ def _window_catalog(t_lo: float, t_hi: float) -> list[CriticalPoint]:
 def _march(kind: str, ns: list[int]) -> list[list]:
     """Predictor-corrector for the lines ns in lockstep.  Each line walks the
     sigma schedule, _SIGMA_START first, and at each target sigma drives the
-    level L(t) = Im(rot l), l = log(delta^2) / 2, to zero by Newton in t: the
-    folded phase for rot = 1, log|delta| for rot = 1j.  L'(t) = Re w with
-    w = rot l', and L''(t) = -Im(rot l'').
-
-    Each pass makes one call of the fused kernel
-    quotient._delta5_log_derivatives with the current iterate of every
-    unfinished line and takes one Newton step dt = L / Re w per line.  A line
-    converges when, after that step, |L| was within _NEWTON_TOL or the step
-    predicts a residual 4 |L''| dt^2 / 2 within it (4 is a safety factor):
-    it records the stepped t and predicts its next target along the tangent,
-    dt/dsigma = -Im w / Re w, for the next pass.  A line that meets a
-    non-finite value, would take a Newton step longer than _MAX_NEWTON_STEP
-    or does not converge in 8 steps halves its own step while the others go
-    on.  The slope starts at w = 1, so the prediction
-    for the seed is the seed itself.  Returns each line's (sigma, t) points."""
+    level L(t) = Im(rot l), l = log(delta^2) / 2, to zero by Newton in t (the
+    folded phase for rot = 1, log|delta| for rot = 1j; L'(t) = Re w with
+    w = rot l', L''(t) = -Im(rot l'')).  Each pass makes one call of the
+    kernel quotient._log_derivatives for every unfinished line and takes one
+    Newton step dt = L / Re w per line.  A line converges when |L| was within
+    _NEWTON_TOL or the step predicts a residual 4 |L''| dt^2 / 2 within it (4
+    is a safety factor), records the stepped t and predicts its next target
+    along the tangent dt/dsigma = -Im w / Re w, from w = 1 at the seed.  A
+    line that meets a non-finite value, would step further than
+    _MAX_NEWTON_STEP or does not converge in 8 steps halves its own step; its
+    errors carry its recorded points.  Returns each line's (sigma, t) points."""
     rot, offset = _LINE_KINDS[kind][:2]
     schedule = list(reversed(_sigma_schedule())) + [_SIGMA_START]
     pending = [list(schedule) for _ in ns]  # each line's targets, next one last
@@ -182,15 +171,17 @@ def _march(kind: str, ns: list[int]) -> list[list]:
     points = [[] for _ in ns]
     live = list(range(len(ns)))
     while live:
-        vals, l1s, l2s = (a.tolist() for a in _delta5_log_derivatives(
-            np.array([complex(pending[k][-1], guess[k]) for k in live])))
+        vals, l1s, l2s = (a.tolist() for a in _log_derivatives(
+            4, np.array([complex(pending[k][-1], guess[k]) for k in live])))
         # per-line Newton logic on Python numbers: cheaper than numpy calls on a few points
         for k, v, l1, l2 in zip(live, vals, l1s, l2s):
             level = dt = math.nan
             if cmath.isfinite(v) and cmath.isfinite(l1):
                 if not _GUARD_LO <= abs(v) <= _GUARD_HI:
                     raise SingularityTooClose(f"{kind} line n={ns[k]}: |delta5| = {abs(v):.3g} outside "
-                                              f"[1e-8, 1e8] at sigma={pending[k][-1]:.6f}, t={guess[k]:.6f}")
+                                              f"[1e-8, 1e8] at sigma={pending[k][-1]:.6f}, t={guess[k]:.6f}",
+                                              kind=kind, line=ns[k], last=(pending[k][-1], guess[k]),
+                                              points=points[k])
                 wk = rot * l1
                 if wk.real != 0.0:
                     level = (0.5 * rot * cmath.log(v * v)).imag
@@ -208,8 +199,8 @@ def _march(kind: str, ns: list[int]) -> list[list]:
             else:
                 half = 0.5 * (sigma[k] + pending[k][-1])
                 if sigma[k] - half < _MIN_STEP:
-                    raise TraceStalled(
-                        f"{kind} line n={ns[k]} stalled at sigma={sigma[k]:.6f} (step below 1e-4)")
+                    raise TraceStalled(f"{kind} line n={ns[k]} stalled at sigma={sigma[k]:.6f} (step below 1e-4)",
+                                       kind=kind, line=ns[k], last=(sigma[k], t[k]), points=points[k])
                 pending[k].append(half)
             tries[k] = 0
             if pending[k]:

@@ -71,11 +71,19 @@ class UnexpectedCoincidence(DeltaLensError):
     """A zero ordinate and a pole ordinate agree within refinement tolerance."""
 
 
-class TraceStalled(DeltaLensError):
+class _TraceFailure(DeltaLensError):
+    """A traced line that could not go on: its kind and line, its last (sigma, t) and its recorded points."""
+
+    def __init__(self, message: str, *, kind=None, line=None, last=None, points=()):
+        super().__init__(message)
+        self.kind, self.line, self.last, self.points = kind, line, last, tuple(points)
+
+
+class TraceStalled(_TraceFailure):
     """Predictor-corrector stepping could not advance even at the minimum step."""
 
 
-class SingularityTooClose(DeltaLensError):
+class SingularityTooClose(_TraceFailure):
     """Traced path ran into a zero/pole (quotient modulus left [1e-8, 1e8])."""
 
 

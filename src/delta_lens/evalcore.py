@@ -3,68 +3,46 @@ Hurwitz zeta, the Dirichlet beta function, and real-character L functions
 for discriminants -3, -4, -7, -8.
 
 Every public operation accepts a Python complex (or float) or a numpy array
-of them and returns the matching shape.  There is one numerical
-configuration: series cutoffs are sized for _TARGET_DIGITS = 14 significant
-digits and Euler-Maclaurin carries _EM_ORDER = 12 Bernoulli corrections,
-which gives an error of about 1e-13 absolute or relative, whichever is
-larger, for |Im s| <= 200 (near |Im s| = 200 phase rounding in the
-reflection factors caps it around 4e-13):
+of them and returns the matching shape.  Series cutoffs are sized for
+_TARGET_DIGITS = 14 significant digits and Euler-Maclaurin carries
+_EM_ORDER = 12 Bernoulli corrections: the error is about 1e-13 absolute or
+relative, whichever is larger, for |Im s| <= 200 (near |Im s| = 200 phase
+rounding in the reflection factors caps it around 4e-13).
+
+The characters are data: CHARACTER_TABLES, with zeta's principal character
+mod 1 (_CHARACTERS), is the only hand-written character table.  Each
+conductor's row of _ALTERNATING (_alternating_row), the parity of its
+functional equation (_PARITY) and its Euler-Maclaurin threshold (_EM_MIN)
+are read off it.
 
 * zeta, beta_L and dirichlet_L: one evaluator, _l_values.  Row q of
   _ALTERNATING is the accelerated alternating series (binomial weights,
   error ~ (3+sqrt 8)^-n) of (1 - chi(2) 2^(1-w)) L(w), w = s for Re s > 0
-  and 1 - s below, reflected.  Euler-Maclaurin takes the points next to
-  the zeros of that twist factor, and those of L_-3 and L_-7 above the
-  series' height ceiling, L_-q as one _em_hurwitz character sum
-  q^-s sum_a chi(a) zeta(s, a/q), entire since sum chi = 0.
+  and 1 - s below, reflected through one functional equation, _reflection,
+  with one log Gamma per point; its sine, _log_sinpi, keeps values next to
+  a trivial zero accurate and the trivial zeros exactly 0.  Euler-Maclaurin
+  (_em_values) takes the points next to the zeros of the twist factor.
 * hurwitz_zeta: Euler-Maclaurin with Bernoulli corrections; for Re s < 0
   with rational a = p/q the discrete reflection formula is used instead,
   because the direct sum loses digits to cancellation there.
 
-zeta, beta_L and dirichlet_L reflect through one functional equation,
-_reflection, with one log Gamma per point.  Its sine, _log_sinpi, reduces
-its argument exactly to the nearest integer, so values next to a trivial
-zero keep their relative accuracy and the trivial zeros come out exactly 0.
-
-The CVZ series refuse |Im| above _MAX_HEIGHT = 500 with DomainError
-(their 347-term cap loses digits above it), so zeta, L_-4 and L_-8 do; a
+The CVZ series refuse |Im| above _MAX_HEIGHT = 500 with DomainError (their
+347-term cap loses digits above it), so zeta, L_-4 and L_-8 do; a
 quotient's denominator zeta(2s - 1/2) sets its ceiling at |Im s| = 250.
-L_-3 and L_-7 have none: above it they take Euler-Maclaurin, and from
-|Im s| = 200 to 1000 their error is within 2e-12 absolute or relative,
-whichever is larger.
+L_-3 and L_-7 take Euler-Maclaurin above it, and from |Im s| = 200 to 1000
+their error is within 2e-12 absolute or relative, whichever is larger.
 
-Every Dirichlet series goes through one power sum, _power_sum, with one
-exception: the tracing kernel quotient._delta5_log_derivatives sums rows 1,
-4 and 1 of _ALTERNATING itself (one exp, term counts from _cvz_count) to get
-delta5 and the first two derivatives of its log in one pass.  A batch
-that is a complete row-major sigma x t grid (a render block) or an equally
-spaced scan along one vertical line (a critical-line scan), both detected
-in O(N) without a sort, factors as k^-s = k^-a e^(-ib log k),
-with a = sigma and b = t on a grid and a = sigma + coarse t, b = fine t steps
-on a line, so its sum is one matrix product (_separable_sum); other batches
-take one complex exp per point and term.  On a grid a is real and so are the
-weights, so the product is real: the (R x n) real factor against the
-(re, im) pairs of the (n x C) complex one.  A line's complex rows keep the
-complex product.  The twist factor 1 - chi(2) 2^(1-w) of a grid is
-likewise the outer product of row and column factors (_twist_factor);
-lines, probes, secant pairs and polylines take expm1.
-
-Piecewise definitions (the reflection half-plane, the rational Hurwitz
-reflection) go through one branch helper, _branches: a batch that lies in
-one branch, such as a scalar probe or a round of secant pairs, is
-handed to that branch whole, without a copy or a scatter.  Their masks
-split a render block by columns, so each branch is again a grid.  A twisted
-row runs on the whole batch, and Euler-Maclaurin overwrites the few points
-where its factor is too small (_l_values), so a block keeps no holes.  log
-Gamma shifts each argument only as far as the Stirling series needs
-(_stirling_lgamma).
-
-Products of _GRID_MIN_POINTS points or more, the power sums' and the
-Euler-Maclaurin tail's, run on one BLAS thread (_one_blas_thread):
-threaded, numpy's bundled OpenBLAS spins its workers between calls, which
-doubles CPU time, and moves the last bits of a value with the thread
-count.  _BLAS_THREADS, that library's thread count, is loaded once at
-import through ctypes; without it the pin does nothing.
+Every Dirichlet series goes through one power sum, _power_sum, except in
+the tracing kernel quotient._log_derivatives, which sums a quotient's rows
+itself to get delta_q and the first two derivatives of its log in one pass.
+_power_sum sums a render grid or an equally spaced line scan as one matrix
+product (_separable_sum) and other batches point by point; a grid's twist
+factor is likewise an outer product (_twist_factor).  Piecewise definitions
+go through one branch helper, _branches, whose masks keep a render block a
+grid.  Products of _GRID_MIN_POINTS points or more run on one BLAS thread
+(_one_blas_thread): threaded, numpy's bundled OpenBLAS spins its workers
+between calls, which doubles CPU time, and moves a value's last bits with
+the thread count.
 
 All functions are pure; the module keeps only immutable weight caches and
 the BLAS handle, and leaves the process's BLAS thread count as it found it.
@@ -118,6 +96,31 @@ _TWIST_MIN = 0.1  # the same for L_-3, L_-7: 3e-14 of row rounding near t = 200 
 _GRID_MIN_POINTS = 16
 # largest |Im| of a CVZ series: the 347-term cap is off 1e-10 at 550, 4e-6 at 600
 _MAX_HEIGHT = 500.0
+
+
+# every L function evalcore sums, by conductor q; zeta's character is the
+# principal one mod 1, chi(0) = 1, which holds for no other q
+_CHARACTERS = {1: {0: 1}, **CHARACTER_TABLES}
+# per q: the parity a of its functional equation, chi(-1) = (-1)^a, and the
+# smallest |1 - chi(2) 2^(1-w)| its row is divided by, Euler-Maclaurin below it
+_PARITY = {q: (1 - chars[q - 1]) / 2 for q, chars in _CHARACTERS.items()}
+_EM_MIN = {q: _ETA_MIN if 0 in chars else _TWIST_MIN for q, chars in _CHARACTERS.items()}
+
+
+def _alternating_row(q: int) -> tuple:
+    """Row (step, offsets, signs, chi(2)) of the character chi mod q: the series
+    sum_k (-1)^k sum_r eps_r (step k + r)^-s = (1 - chi(2) 2^(1-s)) L(s), L zeta
+    (q = 1) or L_-q.  For odd q, n = q k + r turns sum_n (-1)^(n+1) chi(n) n^-s
+    into it, eps_r = (-1)^(r+1) chi(r).  For even q (4, 8) chi(2) = 0, so no twist
+    factor, and chi(n + q/2) = -chi(n): L alternates in q/2 blocks, eps_r = chi(r)."""
+    chi = [_CHARACTERS[q].get(n % q, 0) for n in range(q + 1)]  # chi(0), ..., chi(q)
+    chi2 = chi[2 % q]
+    step = q if chi2 else q // 2
+    offsets = tuple(r for r in range(1, step + 1) if chi[r])
+    return step, offsets, tuple((-1) ** (r + 1) * chi[r] if chi2 else chi[r] for r in offsets), chi2
+
+
+_ALTERNATING = {q: _alternating_row(q) for q in _CHARACTERS}
 
 
 class _BlasPin:
@@ -203,16 +206,6 @@ def _branches(shape, *cases) -> np.ndarray:
     return out
 
 
-# The CVZ-summed series by conductor: row (step, offsets, signs, chi(2)) is
-# sum_k (-1)^k sum_r eps_r (step k + r)^-s = (1 - chi(2) 2^(1-s)) L(s), L
-# zeta for q = 1 and L_-q otherwise.  For odd q, n = q k + r turns the
-# alternating sum_n (-1)^(n+1) chi(n) n^-s into it, eps_r = (-1)^(r+1) chi(r);
-# 4 is beta, and 8 is L_-8, whose character +, +, -, - on 1, 3, 5, 7
-# alternates in pairs; neither has a factor (chi(2) = 0).
-_ALTERNATING = {1: (1, (1,), (1,), 1), 3: (3, (1, 2), (1, 1), -1), 4: (2, (1,), (1,), 0),
-                7: (7, (1, 2, 3, 4, 5, 6), (1, -1, -1, -1, -1, 1), 1), 8: (4, (1, 3), (1, 1), 0)}
-
-
 @functools.cache
 def _alt_series(q: int, n: int):
     """(logs, weights) of the first n blocks of row q of _ALTERNATING: each
@@ -245,10 +238,6 @@ def _cvz_count(t_abs: float, sigma_min: float) -> int:
         penalty = min(12.0, max(0.0, -math.log(max(sigma_min, 1e-8))))
     n = int((0.5 * math.pi * t_abs + _TARGET_DIGITS * 2.302585 + penalty) / 1.7627471740390859) + 12
     return min(n, 347)  # weight recurrence overflows past n ~ 415
-
-
-def _cvz_terms(s: np.ndarray) -> int:
-    return _cvz_count(np.abs(s.imag).max(initial=0.0), s.real.min())
 
 
 def _separable_sum(rows: np.ndarray, cols: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -298,26 +287,17 @@ def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     At _GRID_MIN_POINTS points or more, two rules factor the term as
     exp(-a logs_k) w_k * exp(-i b logs_k) and sum a whole batch as one
-    (A x n) @ (n x B) product, _separable_sum:
-
-    * line rule: all points on one vertical line with equally spaced
-      ordinates t0 + h (Q p + q), as in a critical-line scan; a is sigma plus
-      the coarse ordinate t0 + h Q p, b the fine step h q (_line_layout).
-    * grid rule: a complete row-major sigma x t grid of H rows of W points,
-      each row repeating the real parts of the first at one imaginary part,
-      as render blocks are laid out (_grid_width); a is sigma, b is t, and
-      the W x H product is transposed back.  The column masks of the
-      reflection branches keep this layout.
-
-    Points no rule covers (scalar and scattered probes, short refinement
-    levels, secant pairs, a scan's clipped last ordinate, grids with
-    holes or in column-major order) take the
-    outer product exp(-s logs) @ w: one product below _GRID_MIN_POINTS,
-    blocked above so it stays small.
-
-    Every product from _GRID_MIN_POINTS points on runs on one BLAS thread
-    (_one_blas_thread), so a value has the same bits whatever thread count
-    the process's BLAS is set to; smaller products never go threaded.
+    (A x n) @ (n x B) product, _separable_sum: the line rule for points on
+    one vertical line with equally spaced ordinates, as in a critical-line
+    scan (_line_layout), and the grid rule for a complete row-major sigma x t
+    grid, as render blocks and their reflection branches' column masks are
+    laid out (_grid_width; a is sigma, b is t, the W x H product transposed
+    back).  Points no rule covers (probes, short refinement levels, secant
+    pairs, a scan's clipped last ordinate, grids with holes or in
+    column-major order) take the outer product exp(-s logs) @ w: one product
+    below _GRID_MIN_POINTS, blocked above so it stays small.  Every product
+    from _GRID_MIN_POINTS points on runs on one BLAS thread, so a value has
+    the same bits whatever thread count the process's BLAS is set to.
     """
     flat = np.ascontiguousarray(s, dtype=np.complex128).reshape(-1)
     if flat.size < _GRID_MIN_POINTS:
@@ -393,17 +373,16 @@ def _log_sinpi(w: np.ndarray) -> np.ndarray:
 
 def _reflection(q: int, s: np.ndarray, l_reflected: np.ndarray) -> np.ndarray:
     """L(s) from l_reflected = L(1 - s) by the functional equation of the L
-    function of conductor q (q = 1 and a = 0 for zeta, a = 1 for the odd
-    real characters; Davenport, Multiplicative Number Theory, ch. 9):
+    function of conductor q, a = _PARITY[q] (Davenport, Multiplicative Number
+    Theory, ch. 9):
 
         L(s) = (2 pi/q)^s (sqrt q / pi) sin(pi (s + a)/2) Gamma(1 - s) L(1 - s),
 
     one log Gamma per point.  The sine comes from _log_sinpi, so a value
     next to a trivial zero keeps its relative accuracy and a trivial zero
     itself comes out exactly 0."""
-    a = 0.0 if q == 1 else 1.0
     with np.errstate(divide="ignore"):
-        log_sin = _log_sinpi(0.5 * (s + a))
+        log_sin = _log_sinpi(0.5 * (s + _PARITY[q]))
     log_factor = (s * math.log(TWO_PI / q) + math.log(math.sqrt(q) / math.pi) + log_sin
                   + _stirling_lgamma(1.0 - s))
     return np.exp(log_factor) * l_reflected
@@ -476,28 +455,28 @@ def _em_tail(s: np.ndarray, P: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _log_gamma_factor(q: int, s: np.ndarray) -> np.ndarray:
     """G(s) = log Gamma((s + a)/2) - ((s + a)/2) log(pi/q), the log gamma factor
-    that completes the L function of conductor q (q = 1 and a = 0 for zeta,
-    a = 1 for odd characters): exp(G(s)) L(s) is symmetric under s -> 1 - s."""
-    w = 0.5 * (s + (0.0 if q == 1 else 1.0))
+    that completes the L function of conductor q, a = _PARITY[q]: exp(G(s)) L(s)
+    is symmetric under s -> 1 - s."""
+    w = 0.5 * (s + _PARITY[q])
     return _stirling_lgamma(w) - w * math.log(math.pi / q)
 
 
-def _hurwitz_rational_left(s: np.ndarray, p: int, q: int) -> np.ndarray:
-    """zeta(s, p/q) for Re s < 0 via the discrete reflection formula.
+def _hurwitz_rational_left(s: np.ndarray, p: int, d: int) -> np.ndarray:
+    """zeta(s, p/d) for Re s < 0 via the discrete reflection formula.
 
-    zeta(1-u, p/q) = 2 Gamma(u) / (2 pi q)^u * sum_r cos(pi u/2 - phi_r) zeta(u, r/q),
-    phi_r = 2 pi r p/q, u = 1 - s, so every Hurwitz evaluation on the right is well
+    zeta(1-u, p/d) = 2 Gamma(u) / (2 pi d)^u * sum_r cos(pi u/2 - phi_r) zeta(u, r/d),
+    phi_r = 2 pi r p/d, u = 1 - s, so every Hurwitz evaluation on the right is well
     conditioned; cos(pi u/2) cos phi_r + sin(pi u/2) sin phi_r makes the sum two
-    weighted _em_hurwitz calls, one for q <= 2, where every sin phi_r is 0.
+    weighted _em_hurwitz calls, one for d <= 2, where every sin phi_r is 0.
     """
     s = np.ascontiguousarray(s, dtype=np.complex128)
     u = 1.0 - s
-    offsets = [r / q for r in range(1, q + 1)]
-    phases = [TWO_PI * r * p / q for r in range(1, q + 1)]
+    offsets = [r / d for r in range(1, d + 1)]
+    phases = [TWO_PI * r * p / d for r in range(1, d + 1)]
     acc = np.cos(0.5 * math.pi * u) * _em_hurwitz(u, offsets, [math.cos(phi) for phi in phases])
-    if q > 2:
+    if d > 2:
         acc += np.sin(0.5 * math.pi * u) * _em_hurwitz(u, offsets, [math.sin(phi) for phi in phases])
-    scale = np.exp(_stirling_lgamma(u) + LN2 - u * math.log(TWO_PI * q))
+    scale = np.exp(_stirling_lgamma(u) + LN2 - u * math.log(TWO_PI * d))
     return scale * acc
 
 
@@ -522,7 +501,7 @@ def _twist_factor(q: int, w: np.ndarray, width: int = 0) -> np.ndarray:
     as the outer product of the row factors e^(-i t ln 2), t = Im w in the
     first column, and the column factors 2^(1 - Re w), conjugated in the
     columns of the other branch (w = s or 1 - s); _l_values reads no factor
-    below _ETA_MIN, where 1 - 2^(1-w) would cancel."""
+    below _EM_MIN[q], where 1 - chi(2) 2^(1-w) would cancel."""
     chi2 = _ALTERNATING[q][3]
     if width > 1:
         im = w.imag.reshape(-1, width)
@@ -552,7 +531,7 @@ def _em_values(q: int, s: np.ndarray) -> np.ndarray:
     would meet the pole of zeta(1 - s) at s = 0; L_-q as the character sum
     q^-w sum_a chi(a) zeta(w, a/q), entire since sum chi = 0, at w = s or,
     for Re s <= 0, where its direct sum loses digits, at 1 - s, reflected."""
-    if q == 1:
+    if 0 in _CHARACTERS[q]:  # zeta's
         return _em_hurwitz(s, (1.0,))
     chars = CHARACTER_TABLES[q]
     right = s.real > 0.0
@@ -567,28 +546,29 @@ def _l_values(q: int, s: np.ndarray) -> np.ndarray:
 
     Row q of _ALTERNATING at w = s for Re s > 0 and at w = 1 - s below,
     reflected, divided by its _twist_factor f(w) if it has one.  _em_values
-    overwrites |f(w)| < _ETA_MIN (zeta) or _TWIST_MIN, one call per zero of
-    f with a cutoff sized for its height (zeta's direct sum on Re s <= 0
-    loses digits as the cutoff grows: 3e-13 below t = 100 with the cutoff
-    for t = 500), and takes L_-3 and L_-7 above _MAX_HEIGHT, where rows refuse."""
+    overwrites |f(w)| < _EM_MIN[q], one call per zero of f with a cutoff
+    sized for its height (zeta's direct sum on Re s <= 0 loses digits as the
+    cutoff grows: 3e-13 below t = 100 with the cutoff for t = 500), and takes
+    L_-3 and L_-7 above _MAX_HEIGHT, where rows refuse."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    if q in (3, 7):
+    chi2 = _ALTERNATING[q][3]
+    if chi2 and 0 not in _CHARACTERS[q]:  # a twisted odd row, L_-3 or L_-7
         above = np.abs(s.imag) > _MAX_HEIGHT
         if above.any():
             return _branches(s.shape, (above, lambda m: _em_values(q, s[m])), (~above, lambda m: _l_values(q, s[m])))
-    chi2 = _ALTERNATING[q][3]
     right = s.real > 0.0
     w = np.where(right, s, 1.0 - s)
     f = _twist_factor(q, w, _twist_width(s)) if chi2 else None
 
     def row(m):
-        a = _power_sum(w[m], *_alt_series(q, _cvz_terms(w[m])))
+        wm = w[m]
+        a = _power_sum(wm, *_alt_series(q, _cvz_count(np.abs(wm.imag).max(initial=0.0), wm.real.min())))
         return a / f[m] if chi2 else a
 
     with np.errstate(divide="ignore", invalid="ignore"):  # f = 0 at s = 0, 1, ...
         out = _branches(s.shape, (right, row), (~right, lambda m: _reflection(q, s[m], row(m))))
         if chi2:
-            em = np.abs(f) < (_ETA_MIN if q == 1 else _TWIST_MIN)
+            em = np.abs(f) < _EM_MIN[q]
             if em.any():
                 k = np.where(em, np.round(np.abs(s.imag) * (LN2 / math.pi)), -1.0)  # the zero of f nearby
                 for zero in set(k[em].tolist()):  # not np.unique, whose first call adds 1.7 MB of RSS
@@ -600,7 +580,7 @@ def _character_label(q) -> int:
     """q as a key of CHARACTER_TABLES; any other label, 8.0 included, raises."""
     if not isinstance(q, numbers.Integral) or q not in CHARACTER_TABLES:
         raise UnsupportedDiscriminant(
-            f"no character table for discriminant label {q!r}; supported: 3, 4, 7, 8")
+            f"no character table for discriminant label {q!r}; supported: {', '.join(map(str, CHARACTER_TABLES))}")
     return int(q)
 
 

@@ -1,20 +1,22 @@
-"""The quotient delta5(s) = zeta(s) L_-4(s) / zeta(2s - 1/2), its reflection
-factor f5, their asymptotic forms, and the sibling quotients delta_q for
-discriminants -3, -7, -8.
+"""The quotient family delta_q(s) = zeta(s) L_-q(s) / zeta(2s - 1/2) times a
+bracket factor, for discriminants -3, -4, -7, -8, as one table, _QUOTIENTS
+(q = 4 is delta5, without a bracket); the reflection factor f5 of delta5
+and their asymptotic forms.  _delta_q_values and the tracing kernel
+_log_derivatives read the table and form delta through one _product.
 
 Conventions used throughout:
 
 * "folded" phase means the representative of arg modulo pi inside the
   half-open interval (-pi/2, pi/2].
-* pole rule: delta5 / delta_q raise PoleOfDelta5 (q = 4) / PoleOfDeltaQ
-  within 1e-10 of a pole (with a 1e-3 relative margin for the rounding of
-  pole + 1e-10), so path-tracing code never silently steps onto one; an
-  array raises for its first offending element.  Closed forms cover s = 1,
-  the real poles s = 1/4 - k (k >= 1), and for q != 4 the bracket zero
-  s = 1/2 plus, for q = 7, 8, s = 1/2 + i k 2 pi / ln(q/4); the error
-  carries the pole itself.  The critical-line poles 1/2 + i gamma/2 raise
-  when the first-order distance |Z| / (2 |Z'|), Z = zeta(2s - 1/2) and Z' a
-  central difference, is within the disc; the error carries the point.
+* pole rule: delta5 / delta_q raise the table's error, PoleOfDelta5 (q = 4)
+  or PoleOfDeltaQ, within 1e-10 of a pole (with a 1e-3 relative margin for
+  the rounding of pole + 1e-10), so path-tracing code never silently steps
+  onto one; an array raises for its first offending element.  Closed forms
+  cover s = 1, the real poles s = 1/4 - k (k >= 1), the bracket zero s = 1/2
+  and, where the bracket divides (q = 7, 8), its every zero; the error
+  carries the pole.  The critical-line poles 1/2 + i gamma/2 raise when the
+  first-order distance |Z| / (2 |Z'|), Z = zeta(2s - 1/2) and Z' a central
+  difference, is within the disc; the error carries the point.
 * the first-order zero of every quotient at s = 3/4 is returned as exactly
   0 for |s - 3/4| <= 1e-12 (the raw quotient divides by a pole there).
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +38,8 @@ from .errors import (
     PoleOfZeta,
 )
 from .evalcore import (
-    _ETA_MIN,
+    _ALTERNATING,
+    _EM_MIN,
     LN2,
     _POLE_TOL,
     _alt_series,
@@ -95,116 +99,138 @@ def fold_phase(phi: float) -> float:
     return r
 
 
-def _log_bracket_ratio(q: int) -> float:
-    # ratio r < 1 so that the factor 1 - r^(s - 1/2) tends to 1 as sigma grows
-    return math.log(q / 4.0 if q < 4 else 4.0 / q)
+# q -> (rows of evalcore._ALTERNATING whose L is taken at s, those taken at x = 2s - 1/2, the
+# bracket 1 - r^(s - 1/2) as (ln r, exponent) or None, name and error of a pole): delta_q =
+# prod L(s) / prod L(x) bracket^exponent, and r < 1, so the bracket tends to 1 as sigma grows
+_QUOTIENTS = {
+    3: ((1, 3), (1,), (math.log(3 / 4), 1), "delta_q (q = 3)", PoleOfDeltaQ),
+    4: ((1, 4), (1,), None, "delta5", PoleOfDelta5),
+    7: ((1, 7), (1,), (math.log(4 / 7), -1), "delta_q (q = 7)", PoleOfDeltaQ),
+    8: ((1, 8), (1,), (math.log(4 / 8), -1), "delta_q (q = 8)", PoleOfDeltaQ),
+}
 
 
 def _bracket_values(q: int, s: np.ndarray) -> np.ndarray:
-    return -np.expm1((s - 0.5) * _log_bracket_ratio(q))
+    return -np.expm1((s - 0.5) * _QUOTIENTS[q][2][0])
 
 
 def bracket_factor(q: int, s):
-    """The normalizing factor 1 - r^(s-1/2) of delta_q (r = 3/4 or 4/q).
-
-    For q = 4 the factor is identically 1.
-    """
+    """The normalizing factor 1 - r^(s-1/2) of delta_q (r = 3/4 or 4/q); 1 for q = 4."""
     q = _label(q)
     arr, scalar = _coerce(s)
-    vals = np.ones(arr.shape, dtype=np.complex128) if q == 4 else _bracket_values(q, arr)
+    vals = _bracket_values(q, arr) if _QUOTIENTS[q][2] else np.ones(arr.shape, dtype=np.complex128)
     return _release(vals, scalar)
 
 
+def _product(q: int, s: np.ndarray, num: list, den: list) -> np.ndarray:
+    """delta_q at s from the lists of L values num of its rows at s and den at
+    2s - 1/2: the bracket is appended to its side, each side multiplied in order,
+    then num / den; the one product of _delta_q_values and the kernel."""
+    bracket = _QUOTIENTS[q][2]
+    if bracket:
+        (num if bracket[1] > 0 else den).append(_bracket_values(q, s))
+    return functools.reduce(operator.mul, num) / functools.reduce(operator.mul, den)
+
+
 def _delta_q_values(q: int, s: np.ndarray) -> np.ndarray:
-    """Vector quotient values; pole neighborhoods yield inf/nan, never raise.
-
-    This is the grid backend for rendering and tracing; delta5 / delta_q add
-    the pole classification on top of it.
-    """
+    """Vector quotient values, the grid backend for rendering and tracing: pole
+    neighborhoods yield inf/nan, and delta5 / delta_q add the pole checks."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
+    num, den = _QUOTIENTS[q][:2]
     with np.errstate(all="ignore"):
-        num = _l_values(1, s) * _l_values(q, s)
-        den = _l_values(1, 2.0 * s - 0.5)
-        if q == 3:
-            num = num * _bracket_values(q, s)
-        elif q > 4:
-            den = den * _bracket_values(q, s)
-        return num / den
-
-
-def _cvz_moments(q: int, n: int, chain: float) -> np.ndarray:
-    """The weights -c L w and c^2 L^2 w, c = chain, of the logs L and weights
-    w that _alt_series(q, n) gives: against exp(-x L) they give the first two
-    s-derivatives of the CVZ sum A(x) = sum w e^(-x L) when x = c s + const."""
-    logs, w = _alt_series(q, n)
-    cl, w = chain * logs, w.real
-    return np.stack([-cl * w, cl * cl * w], axis=1)
+        return _product(q, s, [_l_values(r, s) for r in num], [_l_values(r, 2.0 * s - 0.5) for r in den])
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel_block(n: int, nx: int):
-    """Per term-count pair: rows 1 and 4's logs at n terms, concatenated, row 1's at
-    nx, the three weight vectors and the (2n + nx) x 6 block of _cvz_moments columns."""
-    (lz, wz), (lb, wb), (lx, wx) = _alt_series(1, n), _alt_series(4, n), _alt_series(1, nx)
-    block = np.zeros((2 * n + nx, 6), dtype=np.complex128)
-    block[:n, 0:2] = _cvz_moments(1, n, 1.0)
-    block[n:2 * n, 2:4] = _cvz_moments(4, n, 1.0)
-    block[2 * n:, 4:6] = _cvz_moments(1, nx, 2.0)
-    return np.concatenate([lz, lb]), lx, wz, wb, wx, block
+def _kernel_block(q: int, n: int, nx: int):
+    """_log_derivatives' data for delta_q at these term counts: the negated
+    logs -L of its rows at s (n terms) and at x = 2s - 1/2 (nx terms); per
+    row its columns, weights w, exponent e and twist factor f as (index among
+    twisted rows, argument: 0 for s, 1 for x) or None; the block whose columns
+    2i, 2i + 1 hold e -c L w and e c^2 L^2 w, c = dx/ds, for row i's first two
+    s-derivatives; per factor 1 - C r^w (each f, exponent -e, then the
+    bracket) (index of its values, argument, ln r, weights in l' and l'',
+    _EM_MIN); and the twisted rows."""
+    num, den, bracket = _QUOTIENTS[q][:3]
+    rows = [(r, 0, 1.0, 1.0, *_alt_series(r, n)) for r in num] + [(r, 1, 2.0, -1.0, *_alt_series(r, nx)) for r in den]
+    neg = -np.concatenate([row[4] for row in rows])
+    block = np.zeros((neg.size, 2 * len(rows)), dtype=np.complex128)
+    spans, factors, twisted, lo = [], [], {}, 0
+    for i, (r, k, c, e, logs, w) in enumerate(rows):
+        cl, hi = c * logs, lo + logs.size
+        block[lo:hi, 2 * i:2 * i + 2] = e * np.stack([-cl * w.real, cl * cl * w.real], axis=1)
+        f = (twisted.setdefault(r, len(twisted)), k) if _ALTERNATING[r][3] else None
+        spans.append((slice(lo, hi), w, e, f))
+        if f:
+            factors.append((*f, -LN2, -e * c, -e * c * c, _EM_MIN[r]))
+        lo = hi
+    if bracket:
+        factors.append((len(twisted), 0, *bracket, bracket[1], 0.0))
+    cut = spans[len(num)][0].start
+    return neg[:cut], neg[cut:], spans, block, factors, list(twisted)
 
 
-def _delta5_log_derivatives(s: np.ndarray):
-    """(delta, l1, l2) for a 1-D batch s: delta5 and l', l'' of l = log delta5.
-    The terms -s log(1 + k), -s log(1 + 2k) and -x log(1 + k), x = 2s - 1/2, of
-    zeta(s), beta(s) and zeta(x) (rows 1, 4 and 1 of evalcore._ALTERNATING, as
-    _l_values takes them at sigma >= 0.495, where tracing stays) fill one array
-    and take one exp.  Each sum is its own product with its CVZ weights, as on
-    _power_sum's outer-product path, so delta has the bits of _delta_q_values
-    on any batch that is neither a grid nor a line scan.  One product with the
-    cached block of _kernel_block gives the sums' derivatives; l1, l2 are summed
-    per point on Python numbers.  Term counts and route read max |Im s| and
-    min Re s once (|Im x| = 2 |Im s|, Re x = 2 Re s - 1/2).  From _GRID_MIN_POINTS
-    points on, the products run on one BLAS thread.  Off the route (|q(s)| or
-    |q(x)| < _ETA_MIN for the eta factors q, near s or x = 1 + 2 pi i k / ln 2, or
-    Re x <= 0) delta is _delta_q_values, delta' evalcore._central_difference, l2 nan."""
+def _log_derivatives(q: int, s: np.ndarray):
+    """(delta, l1, l2) for a 1-D batch s: delta_q and l', l'' of l = log delta_q.
+    The terms of its rows at s and x = 2s - 1/2, as _l_values takes them at
+    sigma >= 0.495, where tracing stays, take one exp; each sum is its own
+    product with its weights, as on _power_sum's outer-product path, and
+    _product forms delta, so delta has the bits of _delta_q_values on any
+    batch that is neither a grid nor a line scan.  One product with the
+    cached _kernel_block gives the sums' derivatives, the twist and bracket
+    factors have closed forms, and l1, l2 are summed per point on Python
+    numbers.  Off the route (a twist factor below _EM_MIN, or Re x <= 0) delta
+    is _delta_q_values, delta' evalcore._central_difference, l2 nan."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     t_abs, sigma_min = max(map(abs, s.imag.tolist())), min(s.real.tolist())
-    x = 2.0 * s - 0.5
-    q = _twist_factor(1, np.array([s, x]))
-    qs, qx = q.tolist()
-    if min(map(abs, qs + qx)) < _ETA_MIN or 2.0 * sigma_min - 0.5 <= 0.0:
-        v = _delta_q_values(4, s)
-        d = _central_difference(lambda z: _delta_q_values(4, z), s)
-        return v, d / v, np.full(s.shape, complex(math.nan, math.nan))
     n, nx = _cvz_count(t_abs, sigma_min), _cvz_count(2.0 * t_abs, 2.0 * sigma_min - 0.5)
-    logs, lx, wz, wb, wx, block = _kernel_block(n, nx)
-    e = np.empty((s.size, 2 * n + nx), dtype=np.complex128)
-    np.multiply.outer(-s, logs, out=e[:, :2 * n])
-    np.multiply.outer(-x, lx, out=e[:, 2 * n:])
+    logs, lx, spans, block, factors, twisted = _kernel_block(q, n, nx)
+    sx = np.array([s, 2.0 * s - 0.5])
+    f = [_twist_factor(r, sx) for r in twisted] + ([_bracket_values(q, sx[:1])] if _QUOTIENTS[q][2] else [])
+    fl = [v.tolist() for v in f]
+    for i, k, _, _, _, em in factors:  # the route; every quotient has a twist factor
+        if min(map(abs, fl[i][k])) < em or 2.0 * sigma_min - 0.5 <= 0.0:
+            v = _delta_q_values(q, s)
+            d = _central_difference(functools.partial(_delta_q_values, q), s)
+            return v, d / v, np.full(s.shape, complex(math.nan, math.nan))
+    e = np.empty((s.size, logs.size + lx.size), dtype=np.complex128)
+    np.multiply.outer(s, logs, out=e[:, :logs.size])
+    np.multiply.outer(sx[1], lx, out=e[:, logs.size:])
     np.exp(e, out=e)
     with _one_blas_thread(s.size):
-        az, ab, ax = e[:, :n] @ wz, e[:, n:2 * n] @ wb, e[:, 2 * n:] @ wx
+        sums = [e[:, span] @ w for span, w, _, _ in spans]
         m = e @ block
-    # l = log A_z(s) + log A_b(s) - log A_z(x) - log q(s) + log q(x), dx/ds = 2; per sum A
-    # (log A)'' = A''/A - ((log A)')^2, per eta factor (log q)' = p = ln2 (1 - q)/q, (log q)'' = -(ln2 + p) p
+    sum_lists = [a.tolist() for a in sums]
     l1, l2 = [], []
-    sums = zip(az.tolist(), ab.tolist(), ax.tolist())
-    for (z, b, y), (z1, z2, b1, b2, y1, y2), q0, q1 in zip(sums, m.tolist(), qs, qx):
-        gz, gb, gy = z1 / z, b1 / b, y1 / y
-        p0, p1 = LN2 * ((1.0 - q0) / q0), LN2 * ((1.0 - q1) / q1)
-        l1.append(gz + gb - gy - p0 + 2.0 * p1)
-        l2.append(z2 / z - gz * gz + b2 / b - gb * gb - y2 / y + gy * gy
-                  + (LN2 + p0) * p0 - 4.0 * (LN2 + p1) * p1)
-    return az / q[0] * ab / (ax / q[1]), np.array(l1), np.array(l2)
+    # per sum A^e: e A'/A and e A''/A - e (A'/A)^2, the block holding e A', e A''; per factor
+    # v = 1 - C r^w: (log v)' = g = ln r (v - 1)/v and (log v)'' = g (ln r - g)
+    for j, d in enumerate(m.tolist()):
+        d1 = d2 = 0.0
+        for a, (_, _, ei, _), m1, m2 in zip(sum_lists, spans, d[::2], d[1::2]):
+            g = m1 / a[j]
+            d1 += g
+            d2 += m2 / a[j]
+            d2 -= ei * g * g
+        for i, k, lr, w1, w2, _ in factors:
+            v = fl[i][k][j]
+            g = lr * ((v - 1.0) / v)
+            d1 += w1 * g
+            d2 += w2 * (g * (lr - g))
+        l1.append(d1)
+        l2.append(d2)
+    vals = [a / f[tw[0]][tw[1]] if tw else a for a, (_, _, _, tw) in zip(sums, spans)]
+    cut = len(_QUOTIENTS[q][0])
+    return _product(q, s, vals[:cut], vals[cut:]), np.array(l1), np.array(l2)
 
 
 def _check_poles(q: int, s: np.ndarray):
     """Raise for the first element of the flat array s inside a pole disc."""
+    bracket, name, error = _QUOTIENTS[q][2:]
     k = np.maximum(np.round(0.25 - s.real), 1.0)
     closed = [1.0, 0.25 - k]  # s = 1 and the real poles s = 1/4 - k
-    if q != 4:  # bracket zeros 1/2 + i m 2 pi/ln(q/4); for q = 3 only m = 0
-        period = 2.0 * math.pi / abs(_log_bracket_ratio(q))
-        closed.append(0.5 + 1j * period * (np.round(s.imag / period) if q > 4 else 0.0))
+    if bracket:  # its zeros 1/2 + i m 2 pi/|ln r|; in the numerator only m = 0
+        period = 2.0 * math.pi / abs(bracket[0])
+        closed.append(0.5 + 1j * period * (np.round(s.imag / period) if bracket[1] < 0 else 0.0))
     hit = np.zeros(s.shape, dtype=bool)
     loc = s
     for pole in closed:
@@ -222,8 +248,7 @@ def _check_poles(q: int, s: np.ndarray):
             hit[line[small]] |= z[small] <= 2.0 * _QUOTIENT_POLE_TOL * dz
     if np.any(hit):
         i = int(np.argmax(hit))
-        name, err = ("delta5", PoleOfDelta5) if q == 4 else (f"delta_q (q = {q})", PoleOfDeltaQ)
-        raise err(f"{name}: s = {complex(s[i])} is within 1e-10 of a pole", complex(loc[i]))
+        raise error(f"{name}: s = {complex(s[i])} is within 1e-10 of a pole", complex(loc[i]))
 
 
 def delta5(s):
@@ -234,11 +259,9 @@ def delta5(s):
 
 def delta_q(kind, s):
     """The quotient family member for discriminant label q in {3, 4, 7, 8},
-    given as a QuotientKind or a plain int; q = 4 is delta5.
-
-    The bracket factor 1 - r^(s-1/2) vanishes at s = 1/2 for every q != 4;
-    that degeneracy of the construction is reported as a pole, like the
-    bracket zeros in the denominator (q > 4).  Pole rule: module docstring.
+    given as a QuotientKind or a plain int; q = 4 is delta5.  The zero of the
+    bracket at s = 1/2, a degeneracy of the construction, is reported as a
+    pole, like the bracket zeros in a denominator.  Pole rule: module docstring.
     """
     q = _label(kind)
     arr, scalar = _coerce(s)
@@ -337,21 +360,19 @@ def reflected_approx(sigma: float, t: float) -> complex:
 
 def bracket_phase_zeros(q: int, sigma: float, t_max: float) -> list[float]:
     """Ordinates in (0, t_max] where the bracket factor's phase crosses zero
-    along the vertical line Re s = sigma.
-
-    Im(1 - r^(s - 1/2)) = -r^(sigma - 1/2) sin(t ln r), so they are the
-    multiples m pi / |ln r|, m >= 1, at least pi / ln 2 apart, whatever
-    sigma is; q = 4 has none.  Needs finite sigma and 0 < t_max <= 200
-    (DomainError otherwise).
-    """
+    along the vertical line Re s = sigma.  Im(1 - r^(s - 1/2)) =
+    -r^(sigma - 1/2) sin(t ln r), so they are the multiples m pi / |ln r|,
+    m >= 1, at least pi / ln 2 apart, whatever sigma is; q = 4 has none.
+    Needs finite sigma and 0 < t_max <= 200 (DomainError otherwise)."""
     q = _label(q)
     if not -math.inf < sigma < math.inf:
         raise DomainError("sigma must be finite")
     if not 0.0 < t_max <= 200.0:
         raise DomainError("need 0 < t_max <= 200")
-    if q == 4:
+    bracket = _QUOTIENTS[q][2]
+    if not bracket:
         return []
-    period = math.pi / abs(_log_bracket_ratio(q))
+    period = math.pi / abs(bracket[0])
     return [m * period for m in range(1, int(t_max / period) + 2) if m * period <= t_max]
 
 

@@ -18,7 +18,7 @@ from delta_lens.errors import (DegenerateCircle, DomainError, IoFailure,
                                NoCatalogMatch, RefinementExhausted,
                                SingularityTooClose, SingularOnContour,
                                TerminusNotBetweenSingularities, TraceStalled)
-from delta_lens.quotient import _delta5_log_derivatives, delta5, fold_phase
+from delta_lens.quotient import _log_derivatives, delta5, fold_phase
 
 FIRST_BETA_ZERO = 6.020948904697586
 
@@ -66,7 +66,7 @@ def test_traced_points_lie_on_their_level_line(kind, rot, request):
     s = np.array([complex(sigma, t) for path in traces.values() for sigma, t in path.points])
     t = s.imag
     for _ in range(3):
-        v, l1, _ = _delta5_log_derivatives(s.real + 1j * t)
+        v, l1, _ = _log_derivatives(4, s.real + 1j * t)
         t = t - (0.5 * rot * np.log(v * v)).imag / (rot * l1).real
     assert float(np.max(np.abs(t - s.imag))) <= 1e-9
 
@@ -89,8 +89,8 @@ def test_trace_rejects_non_integer_index(n):
 
 
 def _patched_kernel(monkeypatch, change):
-    kernel = contours._delta5_log_derivatives
-    monkeypatch.setattr(contours, "_delta5_log_derivatives", lambda s: change(s, *kernel(s)))
+    kernel = contours._log_derivatives
+    monkeypatch.setattr(contours, "_log_derivatives", lambda q, s: change(s, *kernel(q, s)))
 
 
 def test_trace_stalls_at_the_seed(monkeypatch):
@@ -98,8 +98,10 @@ def test_trace_stalls_at_the_seed(monkeypatch):
     # step left to halve
     nan = complex(math.nan, math.nan)
     _patched_kernel(monkeypatch, lambda s, v, l1, l2: (np.full_like(v, nan),) * 3)
-    with pytest.raises(TraceStalled, match=r"line n=5 stalled at sigma=12\.000000 \(step below 1e-4\)"):
+    with pytest.raises(TraceStalled, match=r"line n=5 stalled at sigma=12\.000000 \(step below 1e-4\)") as info:
         trace_phase_zero_line(5, catalog=[])
+    assert (info.value.kind, info.value.line, info.value.points) == ("phase_zero", 5, ())
+    assert info.value.last == (12.0, 5.0 * math.pi / math.log(2.0))
 
 
 def test_trace_stalls_at_the_minimum_step(monkeypatch):
@@ -115,8 +117,14 @@ def test_trace_stalls_at_the_minimum_step(monkeypatch):
 def test_trace_stalls_instead_of_leaving_the_line():
     # line 51 ends next to a singular point near t = 232, where Re w ~ 0: an
     # unbounded Newton step there sent t to 666,285, above the height ceiling
-    with pytest.raises(TraceStalled, match=r"line n=51 stalled at sigma=0\.50\d+ \(step below 1e-4\)"):
+    with pytest.raises(TraceStalled, match=r"line n=51 stalled at sigma=0\.50\d+ \(step below 1e-4\)") as info:
         trace_phase_zero_line(51, catalog=())
+    # the error carries the path traced so far: it ends next to the zeta zero
+    # at t = 231.98724 that the line converges on
+    err = info.value
+    assert (err.kind, err.line) == ("phase_zero", 51) and err.last == err.points[-1]
+    assert err.points[0][0] == 12.0 and 0.5 < err.points[-1][0] < 0.501
+    assert abs(err.points[-1][1] - 231.9869) <= 1e-3
 
 
 def test_trace_refuses_a_singular_value(monkeypatch):
@@ -133,8 +141,10 @@ def test_singular_value_names_its_line(monkeypatch):
 
     _patched_kernel(monkeypatch, singular_above_25)
     with pytest.raises(SingularityTooClose, match=r"^phase_zero line n=6: \|delta5\| = .* outside "
-                       r"\[1e-8, 1e8\] at sigma=12\.000000, t=27\."):
+                       r"\[1e-8, 1e8\] at sigma=12\.000000, t=27\.") as info:
         argument_principle_box(5, 6)
+    assert (info.value.kind, info.value.line, info.value.points) == ("phase_zero", 6, ())
+    assert info.value.last == (12.0, 6.0 * math.pi / math.log(2.0))
 
 
 def test_phase_trace_without_catalog_match():
@@ -211,13 +221,13 @@ def test_corrector_takes_one_kernel_call_per_point(monkeypatch, merged_catalog):
     # a Newton step whose predicted residual is within the tolerance is
     # accepted without a confirming evaluation
     calls = []
-    kernel = contours._delta5_log_derivatives
+    kernel = contours._log_derivatives
 
-    def counting(s):
+    def counting(q, s):
         calls.append(np.size(s))
-        return kernel(s)
+        return kernel(q, s)
 
-    monkeypatch.setattr(contours, "_delta5_log_derivatives", counting)
+    monkeypatch.setattr(contours, "_log_derivatives", counting)
     path = trace_phase_zero_line(5, catalog=merged_catalog.entries)
     assert len(calls) <= 1.2 * len(path.points)  # 661 calls for 577 points seen
 

@@ -14,8 +14,8 @@ from delta_lens.errors import DomainError, PoleOfGamma, PoleOfZeta, UnsupportedD
 from delta_lens.evalcore import (CHARACTER_TABLES, _ALTERNATING, _l_values, beta_L, dirichlet_L, hurwitz_zeta,
                                  log_gamma, zeta)
 from delta_lens.critical import completed_beta, completed_zeta
-from delta_lens.quotient import (_delta5_log_derivatives, _delta_q_values, bracket_factor, delta5, delta_q,
-                                 f5, f5_asymptotic, lattice_sum_C)
+from delta_lens.quotient import (_delta_q_values, _log_derivatives, bracket_factor, delta5, delta_q, f5,
+                                 f5_asymptotic, lattice_sum_C)
 
 # reference values computed independently at 30+ digit working precision
 ZETA_32 = 2.6123753486854883
@@ -196,7 +196,7 @@ TRACE_BATCH = 0.6 + 0.01 * np.arange(64) + 1j * np.linspace(1.0, 100.0, 64)
 
 def _batched_values():
     grids = [_delta_q_values(q, DIGEST_GRID) for q in (3, 4, 7, 8)]
-    return grids + list(_delta5_log_derivatives(TRACE_BATCH))
+    return grids + list(_log_derivatives(4, TRACE_BATCH))
 
 
 @pytest.fixture
@@ -236,7 +236,7 @@ def test_pin_restores_the_caller_thread_count(blas_threads, monkeypatch):
     _delta_q_values(4, DIGEST_GRID)
     assert inside and set(inside) == {1}
     assert blas_threads.get() == 2
-    _delta5_log_derivatives(TRACE_BATCH)
+    _log_derivatives(4, TRACE_BATCH)
     assert blas_threads.get() == 2
 
 
@@ -414,6 +414,13 @@ def test_alternating_rows_expand_to_the_characters():
             chi(m) - (2 * chi2 * chi(m // 2) if m % 2 == 0 else 0) for m in range(1, 8 * q + 1)]
 
 
+def test_alternating_rows_are_the_frozen_table():
+    # an oracle independent of the derivation from CHARACTER_TABLES: the five
+    # rows written out by hand
+    assert _ALTERNATING == {1: (1, (1,), (1,), 1), 3: (3, (1, 2), (1, 1), -1), 4: (2, (1,), (1,), 0),
+                            7: (7, (1, 2, 3, 4, 5, 6), (1, -1, -1, -1, -1, 1), 1), 8: (4, (1, 3), (1, 1), 0)}
+
+
 def test_cvz_characters_share_the_height_ceiling():
     # L_-4 and L_-8 are CVZ series, so they refuse above |Im| = 500 as
     # zeta and beta_L do; L_-3 and L_-7 (Euler-Maclaurin) still answer
@@ -548,9 +555,10 @@ def test_non_finite_input_is_refused(name, point):
 
 
 def test_dirichlet_L_rejects_unknown_discriminant():
-    # the same label rule as QuotientKind: 8.0 is not the integer label 8
-    for q in (5, 8.0, 3.5, True):
-        with pytest.raises(UnsupportedDiscriminant):
+    # the same label rule as QuotientKind: 8.0 is not the integer label 8, and
+    # zeta's conductor 1, a row of the series table, is not a label either
+    for q in (1, 5, 8.0, 3.5, True):
+        with pytest.raises(UnsupportedDiscriminant, match=r"supported: 3, 4, 7, 8$"):
             dirichlet_L(q, 2.0)
 
 

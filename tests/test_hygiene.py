@@ -1,6 +1,8 @@
 """Source hygiene: every name a package module imports is used in it,
-every module-level private name is used somewhere in the package, and the
-modules import one another only down one layer order.
+every module-level private name is used somewhere in the package, the
+modules import one another only down one layer order, and evalcore and
+quotient branch on no conductor literal: what depends on q is read from
+their character and quotient tables.
 
 The package __init__ is exempt from the import check because its imports
 are re-exports.
@@ -119,3 +121,34 @@ def test_detector_flags_an_upward_import():
                "render": "from delta_lens.quotient import delta5\n",
                "census": "def f():\n    from delta_lens.render import write_ppm\n"}
     assert _upward_imports(sources) == ["quotient -> critical (line 1)", "census -> render (line 2)"]
+
+
+def _literal_ints(node) -> bool:
+    """An int literal, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(_literal_ints(e) for e in node.elts)
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _conductor_branches(source: str) -> list[str]:
+    """Comparisons of the conductor name q with integer literals, such as
+    q == 4, q in (3, 7) or q > 4."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Name) and o.id == "q" for o in operands)
+                    and any(_literal_ints(o) for o in operands)):
+                found.append(node.lineno)
+    return [f"line {n}" for n in sorted(found)]
+
+
+@pytest.mark.parametrize("name", ["evalcore", "quotient"])
+def test_no_conductor_branches(name):
+    assert _conductor_branches((SRC / f"{name}.py").read_text(encoding="utf-8")) == []
+
+
+def test_detector_flags_a_conductor_branch():
+    source = ("if q == 4:\n    pass\nx = 1 if q in (3, 7) else 2\nwhile q > 4:\n    break\n"
+              "y = q in TABLE\nz = n == 4\nw = 4 < q\nv = q is None\nu = q == 4.0\n")
+    assert _conductor_branches(source) == ["line 1", "line 3", "line 4", "line 8"]

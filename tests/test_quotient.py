@@ -330,7 +330,7 @@ LOG_DERIVATIVE_FALLBACK = [
 def test_log_derivative_kernel_matches_oracle(sigma):
     rows = [row for row in LOG_DERIVATIVE_ORACLE if row[0] == sigma]
     s = np.array([complex(sig, t) for sig, t, _, _ in rows])
-    delta, l1, l2 = quotient._delta5_log_derivatives(s)
+    delta, l1, l2 = quotient._log_derivatives(4, s)
     want1, want2 = np.array([row[2] for row in rows]), np.array([row[3] for row in rows])
     assert np.max(np.abs(l1 - want1) / np.abs(want1)) <= 1e-11  # worst seen 9.7e-13
     assert np.max(np.abs(l2 - want2) / np.abs(want2)) <= 1e-10  # worst seen 2.2e-12
@@ -346,7 +346,7 @@ def test_log_derivative_kernel_at_the_march_batch_sizes(size):
     for i in range(len(LOG_DERIVATIVE_ORACLE) - size + 1):
         rows = LOG_DERIVATIVE_ORACLE[i:i + size]
         s = np.array([complex(sig, t) for sig, t, _, _ in rows])
-        delta, l1, l2 = quotient._delta5_log_derivatives(s)
+        delta, l1, l2 = quotient._log_derivatives(4, s)
         want1, want2 = np.array([row[2] for row in rows]), np.array([row[3] for row in rows])
         assert np.max(np.abs(l1 - want1) / np.abs(want1)) <= 1e-11
         assert np.max(np.abs(l2 - want2) / np.abs(want2)) <= 1e-10
@@ -355,12 +355,48 @@ def test_log_derivative_kernel_at_the_march_batch_sizes(size):
 
 def test_log_derivative_kernel_fallback():
     for s, want1 in LOG_DERIVATIVE_FALLBACK:
-        delta, l1, l2 = quotient._delta5_log_derivatives(np.array([s]))
+        delta, l1, l2 = quotient._log_derivatives(4, np.array([s]))
         np.testing.assert_allclose(delta, _delta_q_values(4, np.array([s])), rtol=4e-15, atol=0.0)
         assert np.all(np.isfinite(l1)) and abs(l1[0] - want1) <= 1e-8 * abs(want1)  # 3.3e-9 seen
         assert np.isnan(l2[0].real) and np.isnan(l2[0].imag)
     # one fallback point sends its whole batch through the central difference
     s = np.array([3.0 + 14.3j, LOG_DERIVATIVE_FALLBACK[0][0]])
-    delta, l1, l2 = quotient._delta5_log_derivatives(s)
+    delta, l1, l2 = quotient._log_derivatives(4, s)
     np.testing.assert_allclose(delta, _delta_q_values(4, s), rtol=4e-15, atol=0.0)
     assert np.all(np.isfinite(l1)) and np.all(np.isnan(l2.imag))
+
+
+# sibling kernels: sigma >= 0.6, t <= 100, away from the zeros of every twist factor
+SIBLING_POINTS = [complex(sigma, t) for sigma in (0.6, 1.3, 3.0) for t in (2.0, 14.3, 37.7, 61.0, 99.0)]
+
+
+@pytest.mark.parametrize("q", [3, 7, 8])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_log_derivative_kernel_of_the_siblings(q, size):
+    # delta keeps the bits of _delta_q_values on 1- to 3-point batches, and
+    # l', l'' match five-point central differences of log delta_q (step h;
+    # 5.5e-9 and 1.1e-6 relative to 1 + |l|, at worst, on 900 random batches)
+    h = 1e-3
+    for i in range(len(SIBLING_POINTS) - size + 1):
+        s = np.array(SIBLING_POINTS[i:i + size])
+        delta, l1, l2 = quotient._log_derivatives(q, s)
+        assert np.array_equal(delta, _delta_q_values(q, s))
+        a2, a1, b1, b2 = (np.log(_delta_q_values(q, s + k * h) / delta) for k in (2, 1, -1, -2))
+        d1 = (-a2 + 8.0 * a1 - 8.0 * b1 + b2) / (12.0 * h)
+        d2 = (-a2 + 16.0 * a1 + 16.0 * b1 - b2) / (12.0 * h * h)
+        assert np.all(np.abs(l1 - d1) <= 1e-7 * (1.0 + np.abs(l1)))
+        assert np.all(np.abs(l2 - d2) <= 1e-5 * (1.0 + np.abs(l2)))
+
+
+def test_log_derivative_kernel_routes_by_each_rows_threshold():
+    # 0.1 right of the zero 1 + 2 pi i / ln 2 of 1 - 2^(1-s), the twist factor
+    # of zeta's row and of L_-7's, |f| = 0.067 lies above zeta's _ETA_MIN and
+    # below L_-7's _TWIST_MIN, where _l_values takes Euler-Maclaurin: delta_7
+    # takes the central-difference route, delta5 does not
+    s = np.array([1.1 + 2j * math.pi / math.log(2.0)])
+    delta, l1, l2 = quotient._log_derivatives(7, s)
+    assert np.array_equal(delta, _delta_q_values(7, s))
+    assert np.isnan(l2[0].real) and np.isnan(l2[0].imag)
+    want = np.log(_delta_q_values(7, s + 1e-4) / _delta_q_values(7, s - 1e-4)) / 2e-4
+    assert abs(l1[0] - want[0]) <= 1e-6 * abs(want[0])
+    assert np.all(np.isfinite(quotient._log_derivatives(4, s)[2]))

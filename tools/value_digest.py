@@ -18,9 +18,10 @@ values are identical bit for bit.  It covers
 * log_gamma on the probe pool, as one vector and in 1-point batches, and
   on the boundary pool of its per-point Stirling shift in
   tests/mpmath_reference.json;
-* the tracing kernel quotient._delta5_log_derivatives (delta5 and the first
-  two derivatives of its log) on the probe-pool points with sigma >= 0.495,
-  as one vector and in 3-point batches;
+* the tracing kernel quotient._log_derivatives (delta_q and the first two
+  derivatives of its log) on the probe-pool points with sigma >= 0.495: for
+  q = 4 as one vector and in 3-point batches, for q = 3, 7, 8 in 3-point
+  batches;
 * the raw critical-line scan values critical._line_values of zeta on the
   0..200 and of beta on the 0..100 scan grid of find_zeros (the line
   matrix-product path);
@@ -62,7 +63,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from delta_lens import census, contours, critical, evalcore, render  # noqa: E402
-from delta_lens.quotient import (QuotientKind, _delta5_log_derivatives, _delta_q_values,  # noqa: E402
+from delta_lens.quotient import (QuotientKind, _delta_q_values, _log_derivatives,  # noqa: E402
                                  bracket_phase_zeros)
 
 QS = (3, 4, 7, 8)
@@ -160,8 +161,8 @@ def main() -> None:
                                  ("boundary", boundary, boundary.size)):
         print(f"log_gamma/{label} {_digest_call(_values, evalcore.log_gamma, points, batch)}")
     right = pool[pool.real >= 0.495]
-    for label, batch in (("vector", right.size), ("batch3", 3)):
-        digest = _digest_call(_values, lambda s: np.concatenate(_delta5_log_derivatives(s)), right, batch)
+    for label, q, batch in (("vector", 4, right.size), ("batch3", 4, 3), ("q3", 3, 3), ("q7", 7, 3), ("q8", 8, 3)):
+        digest = _digest_call(_values, lambda s: np.concatenate(_log_derivatives(q, s)), right, batch)
         print(f"logderiv/{label} {digest}")
     for source, hi in (("zeta", 200.0), ("beta", 100.0)):
         ts = np.append(0.01 * np.arange(int(round(hi / 0.01))), hi)  # as find_zeros builds it
