@@ -128,16 +128,8 @@ class AmplitudeCircle:
 
 
 def _sigma_schedule() -> list[float]:
-    targets = []
-    k = 1
-    while True:
-        sig = _SIGMA_START - k * _SIGMA_STEP
-        if sig <= 0.52 + 1e-9:
-            break
-        targets.append(sig)
-        k += 1
-    targets += [0.52, 0.505, 0.495]
-    return targets
+    steps = (_SIGMA_START - k * _SIGMA_STEP for k in range(1, int(_SIGMA_START / _SIGMA_STEP)))
+    return [sig for sig in steps if sig > 0.52 + 1e-9] + [0.52, 0.505, 0.495]
 
 
 def _window_catalog(t_lo: float, t_hi: float) -> list[CriticalPoint]:
@@ -212,12 +204,12 @@ def _march(kind: str, ns: list[int]) -> list[list]:
 def _matched_point(t_star: float, catalog: Sequence[CriticalPoint]) -> CriticalPoint:
     """Phase-line terminus rule: the catalogued point within 0.05 of t_star."""
     if not catalog:
-        raise NoCatalogMatch(f"no catalogued point near terminus t = {t_star:.6f}")
+        raise NoCatalogMatch(f"no catalogued point near terminus t = {t_star:.6f}", t_star=t_star)
     nearest = min(catalog, key=lambda p: abs(p.t - t_star))
     if abs(nearest.t - t_star) > _MATCH_RADIUS:
         raise NoCatalogMatch(
             f"terminus t = {t_star:.6f} is {abs(nearest.t - t_star):.4f} from the "
-            f"nearest catalogued point (limit {_MATCH_RADIUS})")
+            f"nearest catalogued point (limit {_MATCH_RADIUS})", t_star=t_star, nearest=nearest)
     return nearest
 
 
@@ -228,7 +220,7 @@ def _between_points(t_star: float, catalog: Sequence[CriticalPoint]) -> None:
     if not below or not above or min(abs(p.t - t_star) for p in catalog) <= 1e-9:
         raise TerminusNotBetweenSingularities(
             f"amplitude-one terminus t = {t_star:.6f} does not fall strictly "
-            "between two catalogued points")
+            "between two catalogued points", t_star=t_star)
 
 
 # line kind -> (rot, seed offset, terminus rule, its error): the zero set of
@@ -258,7 +250,8 @@ def _trace_lines(kind: str, ns: Sequence[int],
     _, _, rule, error = _LINE_KINDS[kind]
     if catalog is None:
         if max(stars) > _WINDOW_END:
-            raise error(f"terminus t = {max(stars):.6f} is past the catalog end t = {_WINDOW_END:g}")
+            raise error(f"terminus t = {max(stars):.6f} is past the catalog end t = {_WINDOW_END:g}",
+                        t_star=max(stars))
         catalog = _window_catalog(min(stars), max(stars))
     return [PhasePath(anchor_index=n, line_kind=kind, points=tuple(points), terminus_t=float(t_star),
                       terminus_point=rule(t_star, catalog)) for n, points, t_star in zip(ns, lines, stars)]
@@ -330,7 +323,8 @@ def winding_count(polyline) -> WindingReport:
             k = np.argmax(jump)
             raise RefinementExhausted(
                 f"edge near sigma={sa[k].real:.6f}, t={sa[k].imag:.6f} still jumps "
-                f"{abs(inc[k]):.3f} rad after {_REFINE_LIMIT} splits")
+                f"{abs(inc[k]):.3f} rad after {_REFINE_LIMIT} splits",
+                edge=(complex(sa[k]), complex(sb[k])), increment=float(inc[k]))
         sa, sb, va, vb = sa[jump], sb[jump], va[jump], vb[jump]
         sm = 0.5 * (sa + sb)
         vm = _contour_values(sm)

@@ -72,11 +72,13 @@ class UnexpectedCoincidence(DeltaLensError):
 
 
 class _TraceFailure(DeltaLensError):
-    """A traced line that could not go on: its kind and line, its last (sigma, t) and its recorded points."""
+    """A traced line that could not go on: its kind and line, its last (sigma, t) and its recorded points; or whose
+    terminus the catalog does not support: its t_star and the nearest catalogued point, or None."""
 
-    def __init__(self, message: str, *, kind=None, line=None, last=None, points=()):
+    def __init__(self, message: str, *, kind=None, line=None, last=None, points=(), t_star=None, nearest=None):
         super().__init__(message)
         self.kind, self.line, self.last, self.points = kind, line, last, tuple(points)
+        self.t_star, self.nearest = t_star, nearest
 
 
 class TraceStalled(_TraceFailure):
@@ -87,16 +89,21 @@ class SingularityTooClose(_TraceFailure):
     """Traced path ran into a zero/pole (quotient modulus left [1e-8, 1e8])."""
 
 
-class NoCatalogMatch(DeltaLensError):
+class NoCatalogMatch(_TraceFailure):
     """Phase-line terminus has no catalogued critical point within tolerance."""
 
 
-class TerminusNotBetweenSingularities(DeltaLensError):
+class TerminusNotBetweenSingularities(_TraceFailure):
     """Amplitude-line terminus failed to land strictly between catalogued points."""
 
 
 class RefinementExhausted(DeltaLensError):
-    """Contour refinement hit its split budget before increments were small."""
+    """Contour refinement hit its split budget before increments were small: the
+    edge's two endpoints and its last increment."""
+
+    def __init__(self, message: str, *, edge=None, increment=None):
+        super().__init__(message)
+        self.edge, self.increment = edge, increment
 
 
 class SingularOnContour(DeltaLensError):

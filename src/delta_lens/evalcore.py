@@ -32,17 +32,17 @@ quotient's denominator zeta(2s - 1/2) sets its ceiling at |Im s| = 250.
 L_-3 and L_-7 take Euler-Maclaurin above it, and from |Im s| = 200 to 1000
 their error is within 2e-12 absolute or relative, whichever is larger.
 
-Every Dirichlet series goes through one power sum, _power_sum, except in
-the tracing kernel quotient._log_derivatives, which sums a quotient's rows
-itself to get delta_q and the first two derivatives of its log in one pass.
-_power_sum sums a render grid or an equally spaced line scan as one matrix
-product (_separable_sum) and other batches point by point; a grid's twist
-factor is likewise an outer product (_twist_factor).  Piecewise definitions
-go through one branch helper, _branches, whose masks keep a render block a
-grid.  Products of _GRID_MIN_POINTS points or more run on one BLAS thread
-(_one_blas_thread): threaded, numpy's bundled OpenBLAS spins its workers
-between calls, which doubles CPU time, and moves a value's last bits with
-the thread count.
+Every Dirichlet series goes through one power sum, _power_sum, the twist
+factor 1 - chi(2) 2^(1-w) (_twist_factor) included, except in the tracing
+kernel quotient._log_derivatives, which sums a quotient's rows and twist
+factors itself to get delta_q and the first two derivatives of its log in
+one pass.  _power_sum sums a render grid or an equally spaced line scan as
+one matrix product (_separable_sum), other batches point by point.
+Piecewise definitions go through one branch helper, _branches, whose masks
+keep a render block a grid.  Products of _GRID_MIN_POINTS points or more
+run on one BLAS thread (_one_blas_thread): threaded, numpy's bundled
+OpenBLAS spins its workers between calls, which doubles CPU time, and
+moves a value's last bits with the thread count.
 
 All functions are pure; the module keeps only immutable weight caches and
 the BLAS handle, and leaves the process's BLAS thread count as it found it.
@@ -121,6 +121,9 @@ def _alternating_row(q: int) -> tuple:
 
 
 _ALTERNATING = {q: _alternating_row(q) for q in _CHARACTERS}
+# a twist factor 1 - chi(2) 2^(1-w) is 1 - 2 chi(2) 2^-w: its one log and, per q, its weight
+_TWIST_LOGS = np.array([LN2])
+_TWIST_WEIGHTS = {q: np.array([2.0 * row[3]], dtype=np.complex128) for q, row in _ALTERNATING.items() if row[3]}
 
 
 class _BlasPin:
@@ -493,37 +496,13 @@ def _hurwitz_values(s: np.ndarray, a: float) -> np.ndarray:
                      (~left, lambda m: _em_hurwitz(s[m], (a,))))
 
 
-def _twist_factor(q: int, w: np.ndarray, width: int = 0) -> np.ndarray:
-    """1 - chi(2) 2^(1-w) of row q of _ALTERNATING, chi(2) = +-1.  Its zeros
-    lie on Re w = 1: at 1 + 2 pi i k / ln 2 for chi(2) = 1 (q = 1, 7), at
-    1 + (2k + 1) pi i / ln 2 for chi(2) = -1 (q = 3).  By expm1, or, for the
-    row argument w of _l_values on a grid of this width > 1 (_twist_width),
-    as the outer product of the row factors e^(-i t ln 2), t = Im w in the
-    first column, and the column factors 2^(1 - Re w), conjugated in the
-    columns of the other branch (w = s or 1 - s); _l_values reads no factor
-    below _EM_MIN[q], where 1 - chi(2) 2^(1-w) would cancel."""
-    chi2 = _ALTERNATING[q][3]
-    if width > 1:
-        im = w.imag.reshape(-1, width)
-        t = im[:, 0] * LN2
-        col = np.exp2(1.0 - w.real.reshape(-1)[:width])
-        flip = (im != im[:, :1]).any(axis=0)
-        f = np.empty(im.shape, dtype=np.complex128)
-        f.real = 1.0 - chi2 * np.multiply.outer(np.cos(t), col)
-        f.imag = chi2 * np.multiply.outer(np.sin(t), np.where(flip, -col, col))
-        return f.reshape(w.shape)
-    x = np.expm1((1.0 - w) * LN2)  # 2^(1-w) - 1
-    return -x if chi2 == 1 else 2.0 + x
-
-
-def _twist_width(s: np.ndarray) -> int:
-    """The width _twist_factor takes for the batch s of _l_values: that of
-    _grid_width from _GRID_MIN_POINTS points on, except that a batch of one
-    Re s (a line scan) skips the test and takes 0, as do smaller ones."""
-    flat = s.reshape(-1)
-    if flat.size < _GRID_MIN_POINTS or np.all(flat.real == flat.real[0]):
-        return 0
-    return _grid_width(flat.real, flat.imag)
+def _twist_factor(q: int, w: np.ndarray) -> np.ndarray:
+    """1 - chi(2) 2^(1-w) of row q of _ALTERNATING, chi(2) = +-1, through
+    _power_sum as the one-term series 2 chi(2) 2^-w.  Its zeros lie on Re w
+    = 1: at 1 + 2 pi i k / ln 2 for chi(2) = 1 (q = 1, 7), at 1 + (2k + 1)
+    pi i / ln 2 for chi(2) = -1 (q = 3); _l_values reads no factor below
+    _EM_MIN[q], where 1 - chi(2) 2^(1-w) would cancel."""
+    return 1.0 - _power_sum(w, _TWIST_LOGS, _TWIST_WEIGHTS[q])
 
 
 def _em_values(q: int, s: np.ndarray) -> np.ndarray:
@@ -544,7 +523,8 @@ def _l_values(q: int, s: np.ndarray) -> np.ndarray:
     """Vector zeta (q = 1) or L_-q without pole checks (zeta at s = 1 gives
     inf); the trivial zeros come out exactly 0.
 
-    Row q of _ALTERNATING at w = s for Re s > 0 and at w = 1 - s below,
+    Row q of _ALTERNATING at w = s for Re s > 0 and at w = 1 - conj(s) below
+    (Im w = Im s, so a grid stays one grid), conjugated to L(1 - s) and
     reflected, divided by its _twist_factor f(w) if it has one.  _em_values
     overwrites |f(w)| < _EM_MIN[q], one call per zero of f with a cutoff
     sized for its height (zeta's direct sum on Re s <= 0 loses digits as the
@@ -557,8 +537,8 @@ def _l_values(q: int, s: np.ndarray) -> np.ndarray:
         if above.any():
             return _branches(s.shape, (above, lambda m: _em_values(q, s[m])), (~above, lambda m: _l_values(q, s[m])))
     right = s.real > 0.0
-    w = np.where(right, s, 1.0 - s)
-    f = _twist_factor(q, w, _twist_width(s)) if chi2 else None
+    w = np.where(right, s, 1.0 - s.conj())
+    f = _twist_factor(q, w) if chi2 else None
 
     def row(m):
         wm = w[m]
@@ -566,7 +546,7 @@ def _l_values(q: int, s: np.ndarray) -> np.ndarray:
         return a / f[m] if chi2 else a
 
     with np.errstate(divide="ignore", invalid="ignore"):  # f = 0 at s = 0, 1, ...
-        out = _branches(s.shape, (right, row), (~right, lambda m: _reflection(q, s[m], row(m))))
+        out = _branches(s.shape, (right, row), (~right, lambda m: _reflection(q, s[m], row(m).conj())))
         if chi2:
             em = np.abs(f) < _EM_MIN[q]
             if em.any():

@@ -38,8 +38,8 @@ from .errors import (
     PoleOfZeta,
 )
 from .evalcore import (
-    _ALTERNATING,
     _EM_MIN,
+    _TWIST_WEIGHTS,
     LN2,
     _POLE_TOL,
     _alt_series,
@@ -52,7 +52,6 @@ from .evalcore import (
     _one_blas_thread,
     _release,
     _stirling_lgamma,
-    _twist_factor,
 )
 
 _QUOTIENT_POLE_TOL = 1e-10 * (1.0 + 1e-3)
@@ -144,62 +143,65 @@ def _delta_q_values(q: int, s: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _kernel_block(q: int, n: int, nx: int):
     """_log_derivatives' data for delta_q at these term counts: the negated
-    logs -L of its rows at s (n terms) and at x = 2s - 1/2 (nx terms); per
-    row its columns, weights w, exponent e and twist factor f as (index among
-    twisted rows, argument: 0 for s, 1 for x) or None; the block whose columns
-    2i, 2i + 1 hold e -c L w and e c^2 L^2 w, c = dx/ds, for row i's first two
-    s-derivatives; per factor 1 - C r^w (each f, exponent -e, then the
-    bracket) (index of its values, argument, ln r, weights in l' and l'',
-    _EM_MIN); and the twisted rows."""
+    logs -L of its rows' terms at s (n per row) and at x = 2s - 1/2 (nx per
+    row), a twisted row's followed by the one term -ln 2 of its twist factor
+    1 - 2 chi(2) 2^-w (evalcore._twist_factor); per row its columns, weights
+    w, exponent e and twist factor's index or None; the block whose columns
+    2i, 2i + 1 hold e -c L w and e c^2 L^2 w, c = dx/ds, for row i's first
+    two s-derivatives and whose last columns hold each twist term's weight
+    2 chi(2); per factor 1 - C r^w (each twist factor, exponent -e, then the
+    bracket) (ln r, weights in l' and l'', _EM_MIN)."""
     num, den, bracket = _QUOTIENTS[q][:3]
-    rows = [(r, 0, 1.0, 1.0, *_alt_series(r, n)) for r in num] + [(r, 1, 2.0, -1.0, *_alt_series(r, nx)) for r in den]
-    neg = -np.concatenate([row[4] for row in rows])
-    block = np.zeros((neg.size, 2 * len(rows)), dtype=np.complex128)
-    spans, factors, twisted, lo = [], [], {}, 0
-    for i, (r, k, c, e, logs, w) in enumerate(rows):
+    rows = [(r, 1.0, 1.0, *_alt_series(r, n)) for r in num] + [(r, 2.0, -1.0, *_alt_series(r, nx)) for r in den]
+    twists = sum(r in _TWIST_WEIGHTS for r, *_ in rows)
+    size, cols = sum(row[3].size for row in rows) + twists, 2 * len(rows)
+    neg, block = np.full(size, -LN2), np.zeros((size, cols + twists), dtype=np.complex128)
+    spans, factors, lo = [], [], 0
+    for i, (r, c, e, logs, w) in enumerate(rows):
         cl, hi = c * logs, lo + logs.size
+        neg[lo:hi] = -logs  # the twist terms keep -ln 2
         block[lo:hi, 2 * i:2 * i + 2] = e * np.stack([-cl * w.real, cl * cl * w.real], axis=1)
-        f = (twisted.setdefault(r, len(twisted)), k) if _ALTERNATING[r][3] else None
-        spans.append((slice(lo, hi), w, e, f))
-        if f:
-            factors.append((*f, -LN2, -e * c, -e * c * c, _EM_MIN[r]))
+        spans.append((slice(lo, hi), w, e, len(factors) if r in _TWIST_WEIGHTS else None))
+        if r in _TWIST_WEIGHTS:
+            block[hi, cols + len(factors)] = _TWIST_WEIGHTS[r][0]
+            factors.append((-LN2, -e * c, -e * c * c, _EM_MIN[r]))
+            hi += 1
         lo = hi
     if bracket:
-        factors.append((len(twisted), 0, *bracket, bracket[1], 0.0))
+        factors.append((*bracket, bracket[1], 0.0))
     cut = spans[len(num)][0].start
-    return neg[:cut], neg[cut:], spans, block, factors, list(twisted)
+    return neg[:cut], neg[cut:], spans, block, factors
 
 
 def _log_derivatives(q: int, s: np.ndarray):
     """(delta, l1, l2) for a 1-D batch s: delta_q and l', l'' of l = log delta_q.
-    The terms of its rows at s and x = 2s - 1/2, as _l_values takes them at
-    sigma >= 0.495, where tracing stays, take one exp; each sum is its own
-    product with its weights, as on _power_sum's outer-product path, and
-    _product forms delta, so delta has the bits of _delta_q_values on any
-    batch that is neither a grid nor a line scan.  One product with the
-    cached _kernel_block gives the sums' derivatives, the twist and bracket
-    factors have closed forms, and l1, l2 are summed per point on Python
-    numbers.  Off the route (a twist factor below _EM_MIN, or Re x <= 0) delta
-    is _delta_q_values, delta' evalcore._central_difference, l2 nan."""
+    The terms of its rows and twist factors at s and x = 2s - 1/2, as
+    _l_values takes them at sigma >= 0.495, where tracing stays, take one exp;
+    each row's sum is its own product with its weights, as on _power_sum's
+    outer-product path, and _product forms delta, so delta has the bits of
+    _delta_q_values on any batch that is neither a grid nor a line scan.  One
+    product with the cached _kernel_block gives the rows' derivatives and the
+    twist factors, the factors' derivatives have closed forms, and l1, l2
+    are summed per point on Python numbers.  Off the route (a twist factor
+    below _EM_MIN, or Re x <= 0) delta is _delta_q_values, delta'
+    evalcore._central_difference, l2 nan."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
     t_abs, sigma_min = max(map(abs, s.imag.tolist())), min(s.real.tolist())
     n, nx = _cvz_count(t_abs, sigma_min), _cvz_count(2.0 * t_abs, 2.0 * sigma_min - 0.5)
-    logs, lx, spans, block, factors, twisted = _kernel_block(q, n, nx)
-    sx = np.array([s, 2.0 * s - 0.5])
-    f = [_twist_factor(r, sx) for r in twisted] + ([_bracket_values(q, sx[:1])] if _QUOTIENTS[q][2] else [])
-    fl = [v.tolist() for v in f]
-    for i, k, _, _, _, em in factors:  # the route; every quotient has a twist factor
-        if min(map(abs, fl[i][k])) < em or 2.0 * sigma_min - 0.5 <= 0.0:
-            v = _delta_q_values(q, s)
-            d = _central_difference(functools.partial(_delta_q_values, q), s)
-            return v, d / v, np.full(s.shape, complex(math.nan, math.nan))
+    logs, lx, spans, block, factors = _kernel_block(q, n, nx)
     e = np.empty((s.size, logs.size + lx.size), dtype=np.complex128)
     np.multiply.outer(s, logs, out=e[:, :logs.size])
-    np.multiply.outer(sx[1], lx, out=e[:, logs.size:])
+    np.multiply.outer(2.0 * s - 0.5, lx, out=e[:, logs.size:])
     np.exp(e, out=e)
     with _one_blas_thread(s.size):
         sums = [e[:, span] @ w for span, w, _, _ in spans]
         m = e @ block
+    f = 1.0 - m[:, 2 * len(spans):]  # column k: twist factor k, 1 - 2 chi(2) 2^-w
+    fl = f.T.tolist() + ([_bracket_values(q, s).tolist()] if _QUOTIENTS[q][2] else [])
+    if 2.0 * sigma_min - 0.5 <= 0.0 or any(min(map(abs, v)) < em for v, (*_, em) in zip(fl, factors)):
+        v = _delta_q_values(q, s)
+        d = _central_difference(functools.partial(_delta_q_values, q), s)
+        return v, d / v, np.full(s.shape, complex(math.nan, math.nan))
     sum_lists = [a.tolist() for a in sums]
     l1, l2 = [], []
     # per sum A^e: e A'/A and e A''/A - e (A'/A)^2, the block holding e A', e A''; per factor
@@ -211,14 +213,13 @@ def _log_derivatives(q: int, s: np.ndarray):
             d1 += g
             d2 += m2 / a[j]
             d2 -= ei * g * g
-        for i, k, lr, w1, w2, _ in factors:
-            v = fl[i][k][j]
-            g = lr * ((v - 1.0) / v)
+        for v, (lr, w1, w2, _) in zip(fl, factors):
+            g = lr * ((v[j] - 1.0) / v[j])
             d1 += w1 * g
             d2 += w2 * (g * (lr - g))
         l1.append(d1)
         l2.append(d2)
-    vals = [a / f[tw[0]][tw[1]] if tw else a for a, (_, _, _, tw) in zip(sums, spans)]
+    vals = [a if k is None else a / f[:, k] for a, (_, _, _, k) in zip(sums, spans)]
     cut = len(_QUOTIENTS[q][0])
     return _product(q, s, vals[:cut], vals[cut:]), np.array(l1), np.array(l2)
 

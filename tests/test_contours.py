@@ -147,12 +147,24 @@ def test_singular_value_names_its_line(monkeypatch):
     assert info.value.last == (12.0, 6.0 * math.pi / math.log(2.0))
 
 
-def test_phase_trace_without_catalog_match():
-    with pytest.raises(NoCatalogMatch, match=r"no catalogued point near terminus t = "):
+def test_phase_trace_without_catalog_match(phase_traces, merged_catalog):
+    # each failure carries its terminus t_star, with the digits of its
+    # message, and the nearest catalogued point, None where there is none
+    with pytest.raises(NoCatalogMatch, match=r"no catalogued point near terminus t = ") as info:
         trace_phase_zero_line(5, catalog=[])
+    assert f"t = {info.value.t_star:.6f}" in str(info.value) and info.value.nearest is None
+    t_star = info.value.t_star
+    assert abs(t_star - phase_traces[5].terminus_t) <= 1e-9  # the lockstep trace differs in its last bits
+    far = [e for e in merged_catalog.entries if abs(e.t - t_star) > 0.5]
+    with pytest.raises(NoCatalogMatch, match=r"from the nearest catalogued point \(limit 0\.05\)") as info:
+        trace_phase_zero_line(5, catalog=far)
+    assert info.value.t_star == t_star
+    assert info.value.nearest == min(far, key=lambda p: abs(p.t - t_star))
+    assert f"is {abs(info.value.nearest.t - t_star):.4f} from" in str(info.value)
     # line 22 ends at t = 100.63, past the end of its own window scan at t = 100
-    with pytest.raises(NoCatalogMatch, match=r"terminus t = 100\.6\d+ is "):
+    with pytest.raises(NoCatalogMatch, match=r"terminus t = 100\.6\d+ is ") as info:
         trace_phase_zero_line(22)
+    assert 100.6 < info.value.t_star < 100.7 and info.value.nearest is None
 
 
 @pytest.mark.parametrize("trace, n, error", [
@@ -169,15 +181,18 @@ def test_trace_past_the_catalog_end_raises_its_terminus_error(trace, n, error, m
         raise AssertionError("a window was scanned")
 
     monkeypatch.setattr(contours, "singular_points_delta5", no_scan)
-    with pytest.raises(error, match=r"^terminus t = 1\d\d\.\d{6} is past the catalog end t = 100$"):
+    with pytest.raises(error, match=r"^terminus t = 1\d\d\.\d{6} is past the catalog end t = 100$") as info:
         trace(n)
+    assert str(info.value).startswith(f"terminus t = {info.value.t_star:.6f} ") and info.value.nearest is None
 
 
 def test_amplitude_trace_needs_points_on_both_sides(amplitude_traces, merged_catalog):
     t_star = amplitude_traces[3].terminus_t
     below = [e for e in merged_catalog.entries if e.t < t_star]
-    with pytest.raises(TerminusNotBetweenSingularities, match=r"terminus t = \d+\.\d{6} does not"):
+    with pytest.raises(TerminusNotBetweenSingularities, match=r"terminus t = \d+\.\d{6} does not") as info:
         trace_amplitude_one_line(3, catalog=below)
+    assert f"t = {info.value.t_star:.6f} " in str(info.value) and info.value.nearest is None
+    assert abs(info.value.t_star - t_star) <= 1e-9
 
 
 def test_trace_accepts_numpy_integer_index(merged_catalog, phase_traces):
@@ -303,8 +318,11 @@ def test_winding_error_channels(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(contours, "_REFINE_LIMIT", 1)
         with pytest.raises(RefinementExhausted, match=r"edge near sigma=0\.900000, t=-0\.150000 "
-                                                      r"still jumps 1\.741 rad after 1 splits"):
+                                                      r"still jumps 1\.741 rad after 1 splits") as info:
             winding_count(square)
+    # the edge's endpoints: half of the square's right side after the one split
+    assert info.value.edge == (0.9 - 0.15j, 0.9 + 0.0j)
+    assert abs(info.value.increment) == pytest.approx(1.741, abs=5e-4)
     with pytest.raises(DomainError):  # not closed
         winding_count([(0.6, -0.1), (0.75, 0.0), (0.9, 0.1)])
     with pytest.raises(DomainError, match="at least three vertices"):

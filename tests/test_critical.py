@@ -162,6 +162,21 @@ def test_a_zero_on_a_scan_point_is_found_once(sign):
     assert roots.tolist() == [0.05] and halves.tolist() == [0.0]
 
 
+@pytest.mark.xfail(strict=True,
+                   reason="two roots inside one scan step leave the scan with no sign change "
+                          "(or only the scan-point root), so the scan misses them without a "
+                          "word; counting the zeros up to each end of the range would catch it")
+@pytest.mark.parametrize("first", [0.051, 0.05], ids=["inside", "on-a-scan-point"])
+def test_two_roots_in_one_scan_step_are_found_or_refused(first):
+    # (t - first)(t - 0.055) is positive at the scan points 0.04 and 0.06
+    # (and 0 at 0.05 when first = 0.05): both roots, or StepTooCoarse
+    try:
+        roots, _ = critical._sign_change_roots(lambda t: (t - first) * (t - 0.055), 0.0, 0.2, 0.01)
+    except StepTooCoarse:
+        return
+    assert roots.size == 2 and np.max(np.abs(roots - [first, 0.055])) <= 2.5e-10
+
+
 def test_find_zeros_keeps_a_zero_on_a_scan_point(monkeypatch):
     # one root on the scan point t = 5 (0.01 * 500 rounds to 5), one between two
     monkeypatch.setattr(critical, "_line_values",

@@ -135,18 +135,19 @@ def test_eta_fallback_points_keep_a_render_block_whole(monkeypatch):
     monkeypatch.setattr(evalcore, "_separable_sum", spy)
     _delta_q_values(4, s)
     # zeta, beta and the denominator, each on both sides of its reflection
-    # line: six series, each summed by one real-weight product over whole
-    # columns
-    assert len(calls) == 6 and {(cols, real) for _, cols, real in calls} == {(ts.size, True)}
-    assert sum(rows for rows, _, _ in calls) == 3 * sig.size
+    # line: six series, and the twist factors of zeta at s and at 2s - 1/2,
+    # each summed by one real-weight product over whole columns
+    assert len(calls) == 8 and {(cols, real) for _, cols, real in calls} == {(ts.size, True)}
+    assert sum(rows for rows, _, _ in calls) == 5 * sig.size
     for q, f_min in ((1, evalcore._ETA_MIN), (3, evalcore._TWIST_MIN), (7, evalcore._TWIST_MIN)):
+        chi2 = _ALTERNATING[q][3]
         for x in (s, 2.0 * s - 0.5):
-            right = np.where(x.real > 0.0, x, 1.0 - x)  # the argument of the twisted row
-            f = evalcore._twist_factor(q, right)
-            grid = evalcore._twist_factor(q, right, evalcore._twist_width(x))
-            assert evalcore._twist_width(x) == sig.size
-            # row times column factors, against expm1 where _l_values reads them
-            assert np.max(np.abs(grid - f)[np.abs(f) >= f_min]) <= 2e-15
+            w = np.where(x.real > 0.0, x, 1.0 - x.conj())  # the argument of the twisted row
+            f = evalcore._twist_factor(q, w)
+            p = np.expm1((1.0 - w) * math.log(2.0))  # 2^(1-w) - 1
+            closed = -p if chi2 == 1 else 2.0 + p
+            # the grid product against expm1 where _l_values reads the factor
+            assert np.max(np.abs(f - closed)[np.abs(closed) >= f_min]) <= 2e-15
             assert np.count_nonzero(np.abs(f) < f_min) >= 4
             # the Euler-Maclaurin points and the band where 1 - p cancels most
             near = np.flatnonzero(np.abs(f) < 4.0 * f_min)
@@ -155,9 +156,9 @@ def test_eta_fallback_points_keep_a_render_block_whole(monkeypatch):
             assert np.max(np.abs(block - one) / np.abs(one)) <= 1e-13
 
 
-@pytest.mark.parametrize("values", [lambda s: _l_values(1, s), lambda s: _l_values(4, s),
-                                    lambda s: _l_values(8, s)], ids=["zeta", "beta", "L8"])
-def test_line_path_matches_blocked_path(values, monkeypatch):
+@pytest.mark.parametrize("values, products", [(GRID_VALUES["zeta"], 2), (GRID_VALUES["beta"], 1),
+                                              (GRID_VALUES["L8"], 1)], ids=["zeta", "beta", "L8"])
+def test_line_path_matches_blocked_path(values, products, monkeypatch):
     # the scan of find_zeros(source, 0, 199.995): 0.5 + i h k at h = 0.01,
     # the last ordinate clipped off the progression to t_max; one batch takes
     # the line product of _power_sum, against the blocked outer-product path
@@ -177,13 +178,34 @@ def test_line_path_matches_blocked_path(values, monkeypatch):
 
     monkeypatch.setattr(evalcore, "_separable_sum", spy)
     line = values(s)
-    assert calls == [True]
+    assert calls == [True] * products  # zeta's twist factor is a line product too
     monkeypatch.setattr(evalcore, "_GRID_MIN_POINTS", s.size + 1)
     blocked = values(s)
     assert np.any(line != blocked)  # the line path really ran
     # the values reach about 6 in modulus; the gap is rounding of the phases
-    # t log k (7.4e-13 for zeta, 4.4e-13 for beta, 4.0e-13 for L8)
+    # t log k (4.9e-13 for zeta, 4.4e-13 for beta, 4.0e-13 for L8)
     assert np.max(np.abs(line - blocked)) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 3, 7])
+def test_twist_factor_matches_expm1(q):
+    # 1 - chi(2) 2^(1-w) as the one-term series of _power_sum against its
+    # expm1 form, on loose points (one-point calls and a scattered batch,
+    # the outer product) and on the 0..200 scan of find_zeros (the line
+    # product, whose rounding of the phases t ln 2 sets the looser bound)
+    chi2 = _ALTERNATING[q][3]
+
+    def closed(w):
+        p = np.expm1((1.0 - w) * math.log(2.0))  # 2^(1-w) - 1
+        return -p if chi2 == 1 else 2.0 + p
+
+    rng = np.random.default_rng(q)
+    loose = rng.uniform(0.01, 3.0, 400) + 1j * rng.uniform(-200.0, 200.0, 400)
+    one = np.array([evalcore._twist_factor(q, loose[k:k + 1])[0] for k in range(loose.size)])
+    for f in (evalcore._twist_factor(q, loose), one):
+        assert np.max(np.abs(f - closed(loose))) <= 2e-15
+    line = 0.5 + 1j * np.append(0.01 * np.arange(20000), 200.0)
+    assert np.max(np.abs(evalcore._twist_factor(q, line) - closed(line))) <= 1e-13
 
 
 # the 30 x 40 grid of tools/value_digest.py, and a 64-point tracing batch;

@@ -15,6 +15,10 @@ values are identical bit for bit.  It covers
   s = 0 and next to the zeros of 1 - 2^(1-s) and 1 - 2^s there, and L3
   and L7 next to the zeros of their twist factors (twist_zeros), each as
   one vector;
+* the twist factor evalcore._twist_factor of zeta, L3 and L7 at the
+  argument of their rows in _l_values (s for Re s > 0, 1 - conj(s)
+  below), on the probe pool as one vector and in 1-point batches, on the
+  30 x 40 grid and on the 0..200 critical-line scan grid of find_zeros;
 * log_gamma on the probe pool, as one vector and in 1-point batches, and
   on the boundary pool of its per-point Stirling shift in
   tests/mpmath_reference.json;
@@ -152,6 +156,13 @@ def main() -> None:
         points = rows[:, 1] + 1j * rows[:, 2]
         digest = _digest_call(_values, lambda s: evalcore.dirichlet_L(q, s), points, points.size)
         print(f"L{q}/twist_zeros {digest}")
+    line = 0.5 + 1j * np.append(0.01 * np.arange(20000), 200.0)  # the scan grid of find_zeros
+    for q in (1, 3, 7):
+        def twist(s, q=q):
+            return evalcore._twist_factor(q, np.where(s.real > 0.0, s, 1.0 - s.conj()))
+        for label, points, batch in (("vector", pool, pool.size), ("batch1", pool, 1),
+                                     ("grid30x40", grid.ravel(), grid.size), ("line/0-200", line, line.size)):
+            print(f"twist/q{q}/{label} {_digest_call(_values, twist, points, batch)}")
     ring = np.array([complex(*row[:2]) for row in fixture["zeta_near_zero"]])
     print(f"zeta/near_zero {_digest_call(_values, evalcore.zeta, ring, ring.size)}")
     eta_zeros = np.array([complex(*row[:2]) for row in fixture["eta_zeros"]])
