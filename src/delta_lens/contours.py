@@ -373,14 +373,12 @@ def argument_principle_box(n_low: int, n_high: int) -> WindingReport:
 def amplitude_circle(A: float) -> AmplitudeCircle:
     """Locus of |1 - 1/(16 conj(s))| = A: by the Apollonius construction of
     |s - 1/16| = A |s| this is the circle centered at 1/(16(1-A^2)) with
-    radius A/(16 |1-A^2|)."""
-    if not 0.0 < A < math.inf:
-        raise DomainError("A must be positive and finite")
-    if abs(A - 1.0) <= 1e-12:
-        raise DegenerateCircle("A = 1 gives a vertical line, not a circle")
-    return AmplitudeCircle(A=float(A),
-                           center_sigma=1.0 / (16.0 * (1.0 - A * A)),
-                           radius=A / (16.0 * abs(1.0 - A * A)))
+    radius A/(16 |1-A^2|).  AmplitudeCircle refuses an A that is not
+    positive and finite, or within 1e-12 of 1."""
+    denom = 16.0 * (1.0 - A * A)
+    # |A| = 1 has no center to divide by, and the dataclass refuses it
+    center, radius = (1.0 / denom, A / abs(denom)) if denom else (math.inf, math.inf)
+    return AmplitudeCircle(A=float(A), center_sigma=center, radius=radius)
 
 
 def sample_circle_moduli(circle: AmplitudeCircle, count: int = 32) -> np.ndarray:

@@ -103,7 +103,7 @@ def _completed_values(source: str, s: np.ndarray) -> np.ndarray:
     q, _ = _CATALOGUED[source]
     s = np.ascontiguousarray(s, dtype=np.complex128)
     s = np.where(s.real < 0.5, 1.0 - s, s)  # use the symmetric half-plane
-    return np.exp(_log_gamma_factor(q, s)) * _l_values(q, s)
+    return np.exp(_log_gamma_factor(q, s)) * _l_values((q,), s)[0]
 
 
 def completed_zeta(s):
@@ -130,7 +130,7 @@ def _line_values(source: str, ts: np.ndarray) -> np.ndarray:
     # derivative guard threshold stays meaningful at large t
     q, _ = _CATALOGUED[source]
     s = 0.5 + 1j * np.asarray(ts, dtype=np.float64)
-    return (np.exp(1j * _log_gamma_factor(q, s).imag) * _l_values(q, s)).real
+    return (np.exp(1j * _log_gamma_factor(q, s).imag) * _l_values((q,), s)[0]).real
 
 
 # points of one sign-change scan, refused before its ordinates are allocated

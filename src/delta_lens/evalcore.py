@@ -15,13 +15,15 @@ conductor's row of _ALTERNATING (_alternating_row), the parity of its
 functional equation (_PARITY) and its Euler-Maclaurin threshold (_EM_MIN)
 are read off it.
 
-* zeta, beta_L and dirichlet_L: one evaluator, _l_values.  Row q of
-  _ALTERNATING is the accelerated alternating series (binomial weights,
-  error ~ (3+sqrt 8)^-n) of (1 - chi(2) 2^(1-w)) L(w), w = s for Re s > 0
-  and 1 - s below, reflected through one functional equation, _reflection,
-  with one log Gamma per point; its sine, _log_sinpi, keeps values next to
-  a trivial zero accurate and the trivial zeros exactly 0.  Euler-Maclaurin
-  (_em_values) takes the points next to the zeros of the twist factor.
+* zeta, beta_L and dirichlet_L: one evaluator, _l_values, for every row
+  at one argument.  Row q of _ALTERNATING is the accelerated alternating
+  series (binomial weights, error ~ (3+sqrt 8)^-n) of (1 - chi(2) 2^(1-w))
+  L(w), w = s for Re s > 0 and 1 - conj(s) below, summed once over both
+  branches and reflected through one functional equation, _reflection,
+  with one log Gamma per point shared by the rows; its sine, _log_sinpi,
+  keeps values next to a trivial zero accurate and the trivial zeros
+  exactly 0.  Euler-Maclaurin (_em_values) takes the points next to the
+  zeros of the twist factor.
 * hurwitz_zeta: Euler-Maclaurin with Bernoulli corrections; for Re s < 0
   with rational a = p/q the discrete reflection formula is used instead,
   because the direct sum loses digits to cancellation there.
@@ -38,8 +40,8 @@ kernel quotient._log_derivatives, which sums a quotient's rows and twist
 factors itself to get delta_q and the first two derivatives of its log in
 one pass.  _power_sum sums a render grid or an equally spaced line scan as
 one matrix product (_separable_sum), other batches point by point.
-Piecewise definitions go through one branch helper, _branches, whose masks
-keep a render block a grid.  Products of _GRID_MIN_POINTS points or more
+Piecewise definitions go through one branch helper, _branches, which
+_l_values calls after its sums.  Products of _GRID_MIN_POINTS points or more
 run on one BLAS thread (_one_blas_thread): threaded, numpy's bundled
 OpenBLAS spins its workers between calls, which doubles CPU time, and
 moves a value's last bits with the thread count.
@@ -374,20 +376,19 @@ def _log_sinpi(w: np.ndarray) -> np.ndarray:
         (im < -20.0, lambda m: 1j * z[m] + np.log1p(-np.exp(-2j * z[m]).real) - LN2 - 0.5j * math.pi))
 
 
-def _reflection(q: int, s: np.ndarray, l_reflected: np.ndarray) -> np.ndarray:
-    """L(s) from l_reflected = L(1 - s) by the functional equation of the L
-    function of conductor q, a = _PARITY[q] (Davenport, Multiplicative Number
-    Theory, ch. 9):
+def _reflection(q: int, s: np.ndarray, l_reflected: np.ndarray, lgamma: np.ndarray) -> np.ndarray:
+    """L(s) from l_reflected = L(1 - s) and lgamma = log Gamma(1 - s) by the
+    functional equation of the L function of conductor q, a = _PARITY[q]
+    (Davenport, Multiplicative Number Theory, ch. 9):
 
-        L(s) = (2 pi/q)^s (sqrt q / pi) sin(pi (s + a)/2) Gamma(1 - s) L(1 - s),
+        L(s) = (2 pi/q)^s (sqrt q / pi) sin(pi (s + a)/2) Gamma(1 - s) L(1 - s).
 
-    one log Gamma per point.  The sine comes from _log_sinpi, so a value
-    next to a trivial zero keeps its relative accuracy and a trivial zero
-    itself comes out exactly 0."""
+    The caller takes log Gamma(1 - s) once for every row it reflects at s.
+    The sine comes from _log_sinpi, so a value next to a trivial zero keeps
+    its relative accuracy and a trivial zero itself comes out exactly 0."""
     with np.errstate(divide="ignore"):
         log_sin = _log_sinpi(0.5 * (s + _PARITY[q]))
-    log_factor = (s * math.log(TWO_PI / q) + math.log(math.sqrt(q) / math.pi) + log_sin
-                  + _stirling_lgamma(1.0 - s))
+    log_factor = s * math.log(TWO_PI / q) + math.log(math.sqrt(q) / math.pi) + log_sin + lgamma
     return np.exp(log_factor) * l_reflected
 
 
@@ -505,55 +506,72 @@ def _twist_factor(q: int, w: np.ndarray) -> np.ndarray:
     return 1.0 - _power_sum(w, _TWIST_LOGS, _TWIST_WEIGHTS[q])
 
 
-def _em_values(q: int, s: np.ndarray) -> np.ndarray:
+def _em_values(q: int, s: np.ndarray, lgamma: np.ndarray) -> np.ndarray:
     """zeta (q = 1) or L_-q by Euler-Maclaurin: zeta at s, whose reflection
     would meet the pole of zeta(1 - s) at s = 0; L_-q as the character sum
     q^-w sum_a chi(a) zeta(w, a/q), entire since sum chi = 0, at w = s or,
-    for Re s <= 0, where its direct sum loses digits, at 1 - s, reflected."""
+    for Re s <= 0, where its direct sum loses digits, at 1 - s, reflected
+    with lgamma = log Gamma(1 - s) at those points."""
     if 0 in _CHARACTERS[q]:  # zeta's
         return _em_hurwitz(s, (1.0,))
     chars = CHARACTER_TABLES[q]
     right = s.real > 0.0
     w = np.where(right, s, 1.0 - s)
     v = np.exp(-w * math.log(q)) * _em_hurwitz(w, [a / q for a in chars], list(chars.values()))
-    return _branches(s.shape, (right, lambda m: v[m]), (~right, lambda m: _reflection(q, s[m], v[m])))
+    return _branches(s.shape, (right, lambda m: v[m]), (~right, lambda m: _reflection(q, s[m], v[m], lgamma[m])))
 
 
-def _l_values(q: int, s: np.ndarray) -> np.ndarray:
-    """Vector zeta (q = 1) or L_-q without pole checks (zeta at s = 1 gives
-    inf); the trivial zeros come out exactly 0.
-
-    Row q of _ALTERNATING at w = s for Re s > 0 and at w = 1 - conj(s) below
-    (Im w = Im s, so a grid stays one grid), conjugated to L(1 - s) and
-    reflected, divided by its _twist_factor f(w) if it has one.  _em_values
-    overwrites |f(w)| < _EM_MIN[q], one call per zero of f with a cutoff
-    sized for its height (zeta's direct sum on Re s <= 0 loses digits as the
-    cutoff grows: 3e-13 below t = 100 with the cutoff for t = 500), and takes
-    L_-3 and L_-7 above _MAX_HEIGHT, where rows refuse."""
-    s = np.ascontiguousarray(s, dtype=np.complex128)
+def _cvz_row(q: int, s: np.ndarray, w: np.ndarray, right: np.ndarray, lgamma: np.ndarray) -> np.ndarray:
+    """Row q of _ALTERNATING at the points s of _l_values, with their
+    arguments w, branch mask right and log Gamma(1 - s)."""
     chi2 = _ALTERNATING[q][3]
-    if chi2 and 0 not in _CHARACTERS[q]:  # a twisted odd row, L_-3 or L_-7
-        above = np.abs(s.imag) > _MAX_HEIGHT
-        if above.any():
-            return _branches(s.shape, (above, lambda m: _em_values(q, s[m])), (~above, lambda m: _l_values(q, s[m])))
-    right = s.real > 0.0
-    w = np.where(right, s, 1.0 - s.conj())
-    f = _twist_factor(q, w) if chi2 else None
-
-    def row(m):
-        wm = w[m]
-        a = _power_sum(wm, *_alt_series(q, _cvz_count(np.abs(wm.imag).max(initial=0.0), wm.real.min())))
-        return a / f[m] if chi2 else a
-
+    a = _power_sum(w, *_alt_series(q, _cvz_count(np.abs(w.imag).max(initial=0.0), w.real.min(initial=math.inf))))
     with np.errstate(divide="ignore", invalid="ignore"):  # f = 0 at s = 0, 1, ...
-        out = _branches(s.shape, (right, row), (~right, lambda m: _reflection(q, s[m], row(m).conj())))
+        if chi2:
+            f = _twist_factor(q, w)
+            a = a / f
+        out = _branches(s.shape, (right, lambda m: a[m]),
+                        (~right, lambda m: _reflection(q, s[m], a[m].conj(), lgamma[m])))
         if chi2:
             em = np.abs(f) < _EM_MIN[q]
             if em.any():
                 k = np.where(em, np.round(np.abs(s.imag) * (LN2 / math.pi)), -1.0)  # the zero of f nearby
                 for zero in set(k[em].tolist()):  # not np.unique, whose first call adds 1.7 MB of RSS
-                    out[k == zero] = _em_values(q, s[k == zero])
+                    out[k == zero] = _em_values(q, s[k == zero], lgamma[k == zero])
     return out
+
+
+def _l_values(qs, s: np.ndarray) -> list:
+    """Vector zeta (q = 1) or L_-q for each q of qs, all at s: one array per
+    row, without pole checks (zeta at s = 1 gives inf); the trivial zeros
+    come out exactly 0.
+
+    The rows share the branch mask, w = s for Re s > 0 and 1 - conj(s) below
+    (Im w = Im s, so a grid stays one grid), and log Gamma(1 - s) at the
+    reflected points.  Each row is summed once over the batch at w, so one
+    term count covers both branches (a reflected point's count follows its
+    right-branch batch-mates), divided by its _twist_factor f(w) if it has
+    one, and conjugated to L(1 - s) and reflected below.  _em_values
+    overwrites |f(w)| < _EM_MIN[q], one call per zero of f with a cutoff
+    sized for its height (zeta's direct sum on Re s <= 0 loses digits as the
+    cutoff grows: 3e-13 below t = 100 with the cutoff for t = 500), and takes
+    L_-3 and L_-7 above _MAX_HEIGHT, where rows refuse."""
+    s = np.ascontiguousarray(s, dtype=np.complex128)
+    right = s.real > 0.0
+    w = np.where(right, s, 1.0 - s.conj())
+    lgamma = np.zeros(s.shape, dtype=np.complex128)
+    if not right.all():
+        lgamma[~right] = _stirling_lgamma(1.0 - s[~right])
+    rows = []
+    for q in qs:
+        if _ALTERNATING[q][3] and 0 not in _CHARACTERS[q]:  # a twisted odd row, L_-3 or L_-7
+            above = np.abs(s.imag) > _MAX_HEIGHT
+            if above.any():
+                rows.append(_branches(s.shape, (above, lambda m: _em_values(q, s[m], lgamma[m])),
+                                      (~above, lambda m: _cvz_row(q, s[m], w[m], right[m], lgamma[m]))))
+                continue
+        rows.append(_cvz_row(q, s, w, right, lgamma))
+    return rows
 
 
 def _character_label(q) -> int:
@@ -596,7 +614,7 @@ def zeta(s):
     arr, scalar = _coerce(s)
     if np.any(np.abs(arr - 1.0) <= _POLE_TOL):
         raise PoleOfZeta("zeta pole at s = 1", 1.0 + 0.0j)
-    return _release(_l_values(1, arr), scalar)
+    return _release(_l_values((1,), arr)[0], scalar)
 
 
 def hurwitz_zeta(s, a: float):
@@ -613,7 +631,7 @@ def hurwitz_zeta(s, a: float):
 def beta_L(s):
     """Dirichlet beta sum_{n>=0} (-1)^n (2n+1)^-s = dirichlet_L(4, s), entire in s."""
     arr, scalar = _coerce(s)
-    return _release(_l_values(4, arr), scalar)
+    return _release(_l_values((4,), arr)[0], scalar)
 
 
 def dirichlet_L(q: int, s):
@@ -621,4 +639,4 @@ def dirichlet_L(q: int, s):
     L_-4 and L_-8 refuse |Im s| > _MAX_HEIGHT (DomainError), L_-3 and L_-7 do not."""
     q = _character_label(q)
     arr, scalar = _coerce(s)
-    return _release(_l_values(q, arr), scalar)
+    return _release(_l_values((q,), arr)[0], scalar)

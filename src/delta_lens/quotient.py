@@ -137,7 +137,7 @@ def _delta_q_values(q: int, s: np.ndarray) -> np.ndarray:
     s = np.ascontiguousarray(s, dtype=np.complex128)
     num, den = _QUOTIENTS[q][:2]
     with np.errstate(all="ignore"):
-        return _product(q, s, [_l_values(r, s) for r in num], [_l_values(r, 2.0 * s - 0.5) for r in den])
+        return _product(q, s, _l_values(num, s), _l_values(den, 2.0 * s - 0.5))
 
 
 @functools.lru_cache(maxsize=16)
@@ -242,10 +242,10 @@ def _check_poles(q: int, s: np.ndarray):
     line = np.flatnonzero(np.abs(s.real - 0.5) <= _LINE_SCREEN)
     if line.size:
         w = 2.0 * s[line] - 0.5
-        z = np.abs(_l_values(1, w))
+        z = np.abs(_l_values((1,), w)[0])
         small = z <= _DEN_SCREEN
         if np.any(small):
-            dz = np.abs(_central_difference(functools.partial(_l_values, 1), w[small]))
+            dz = np.abs(_central_difference(lambda x: _l_values((1,), x)[0], w[small]))
             hit[line[small]] |= z[small] <= 2.0 * _QUOTIENT_POLE_TOL * dz
     if np.any(hit):
         i = int(np.argmax(hit))
@@ -284,17 +284,18 @@ _F5_SHIFTS = (  # gamma factors of f5 as (scale, offset, sign): Gamma(scale*s + 
 def f5(s):
     """Reflection factor Gamma(1-s) Gamma(s-1/4) / (Gamma(s) Gamma(3/4-s)).
 
-    Computed through log-gamma differences, so it neither overflows nor
-    underflows for |Im s| up to 200.
+    Computed through log-gamma differences, the four arguments as one
+    log-gamma batch, so it neither overflows nor underflows for |Im s| up
+    to 200.
     """
     arr, scalar = _coerce(s)
-    factors = [(scale * arr + offset, sign) for scale, offset, sign in _F5_SHIFTS]
-    for args, _ in factors:
-        hit = _near_nonpositive_integer(args)
+    args = np.stack([scale * arr + offset for scale, offset, _ in _F5_SHIFTS])
+    for a in args:
+        hit = _near_nonpositive_integer(a)
         if np.any(hit):
             loc = complex(arr[hit][0])
             raise GammaPoleOnPath(f"gamma factor of f5 has a pole at s = {loc}", loc)
-    log_f = sum(sign * _stirling_lgamma(args) for args, sign in factors)
+    log_f = sum(sign * lg for lg, (*_, sign) in zip(_stirling_lgamma(args), _F5_SHIFTS))
     return _release(np.exp(log_f), scalar)
 
 
@@ -383,4 +384,5 @@ def lattice_sum_C(s):
     arr, scalar = _coerce(s)
     if np.any(np.abs(arr - 1.0) <= _POLE_TOL):
         raise PoleOfZeta("lattice sum has a pole at s = 1", 1.0 + 0.0j)
-    return _release(4.0 * _l_values(1, arr) * _l_values(4, arr), scalar)
+    z, b = _l_values((1, 4), arr)
+    return _release(4.0 * z * b, scalar)

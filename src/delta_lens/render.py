@@ -10,9 +10,9 @@ below, with a white band where the modulus is 1 to within 1e-3.
 
 Rendering is deterministic for a fixed spec: pixel centers map linearly into
 the rectangle (top pixel row carries t_max), and rows are evaluated on one
-thread in blocks of 64.  Each block is a sigma x t grid, so evalcore sums its
-Dirichlet series as one matrix product per block and takes its twist
-factors from row and column factors.
+thread in blocks of 64.  Each block is a sigma x t grid, and so is the
+argument of every series on it across both reflection branches, so evalcore
+sums each series and each twist factor as one matrix product per block.
 
 The detector reads each pixel as a 4-bit mask of the quadrant colors it
 has, ORs the masks over each window's columns and then its rows (as many

@@ -414,6 +414,22 @@ def test_amplitude_circle_validation():
         AmplitudeCircle(A=2.0, center_sigma=math.nan, radius=math.nan)
 
 
+@pytest.mark.parametrize("A, error, message", [
+    (1.0, DegenerateCircle, "A = 1 gives a vertical line, not a circle"),
+    (1.0 + 5e-13, DegenerateCircle, "A = 1 gives a vertical line, not a circle"),
+    (1.0 - 5e-13, DegenerateCircle, "A = 1 gives a vertical line, not a circle"),
+    (0.0, DomainError, "A must be positive and finite"),
+    (-1.0, DomainError, "A must be positive and finite"),
+    (math.nan, DomainError, "A must be positive and finite"),
+    (math.inf, DomainError, "A must be positive and finite"),
+], ids=["1", "1+5e-13", "1-5e-13", "0", "-1", "nan", "inf"])
+def test_amplitude_circle_refuses_through_the_dataclass(A, error, message):
+    # the exact A = 1 and A = -1 make 1 - A^2 zero before AmplitudeCircle sees them
+    with pytest.raises(error) as info:
+        amplitude_circle(A)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_export_trace_csv(phase_traces, tmp_path):
     path = phase_traces[1]
     out = tmp_path / "trace.csv"

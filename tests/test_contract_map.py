@@ -29,9 +29,9 @@ SAMPLE_SEED = 7
 
 # reference key -> (public function, raw vector evaluator)
 FUNCTIONS = {
-    "zeta": (zeta, lambda s: _l_values(1, s)),
-    "beta": (beta_L, lambda s: _l_values(4, s)),
-    **{f"L{q}": (lambda s, q=q: dirichlet_L(q, s), lambda s, q=q: _l_values(q, s))
+    "zeta": (zeta, lambda s: _l_values((1,), s)[0]),
+    "beta": (beta_L, lambda s: _l_values((4,), s)[0]),
+    **{f"L{q}": (lambda s, q=q: dirichlet_L(q, s), lambda s, q=q: _l_values((q,), s)[0])
        for q in (3, 7, 8)},
     "delta5": (delta5, lambda s: _delta_q_values(4, s)),
     **{f"deltaq{q}": (lambda s, q=q: delta_q(q, s), lambda s, q=q: _delta_q_values(q, s))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import delta_lens.evalcore as evalcore
+import delta_lens.quotient as quotient
 from delta_lens.errors import DomainError, PoleOfGamma, PoleOfZeta, UnsupportedDiscriminant
 from delta_lens.evalcore import (CHARACTER_TABLES, _ALTERNATING, _l_values, beta_L, dirichlet_L, hurwitz_zeta,
                                  log_gamma, zeta)
@@ -82,8 +83,7 @@ _SIG16, _T16 = np.linspace(-1.5, 2.25, 16), np.linspace(0.7, 61.3, 16)
 # 16x16 grids across the reflection lines sigma = 0 and sigma = 1/2, laid
 # out as render blocks are (row-major: sigma varies along a row), transposed,
 # as one row of 48 points, with a repeated sigma column, and with one point
-# removed; a holed grid takes the grid rule only on the branches without
-# the hole, the rest of it and the transposed grid take the blocked path
+# removed; the holed grid and the transposed grid take the blocked path
 GRID_LAYOUTS = {
     "holed": np.delete((_SIG16[None, :] + 1j * _T16[:, None]).ravel(), 37),
     "row-major": (_SIG16[None, :] + 1j * _T16[:, None]).ravel(),
@@ -91,8 +91,8 @@ GRID_LAYOUTS = {
     "single-row": np.linspace(-1.5, 2.25, 48) + 30.7j,
     "repeated-sigma": (np.insert(_SIG16, 6, _SIG16[6])[None, :] + 1j * _T16[:, None]).ravel(),
 }
-GRID_VALUES = {"zeta": lambda s: _l_values(1, s), "beta": lambda s: _l_values(4, s),
-               "L8": lambda s: _l_values(8, s), "delta5": lambda s: _delta_q_values(4, s)}
+GRID_VALUES = {"zeta": lambda s: _l_values((1,), s)[0], "beta": lambda s: _l_values((4,), s)[0],
+               "L8": lambda s: _l_values((8,), s)[0], "delta5": lambda s: _delta_q_values(4, s)}
 
 
 @pytest.mark.parametrize("values, layout", [
@@ -107,7 +107,9 @@ def test_grid_path_matches_point_path(values, layout, monkeypatch):
     point = np.array([values(s[k:k + 1])[0] for k in range(s.size)])
     monkeypatch.setattr(evalcore, "_GRID_MIN_POINTS", s.size + 1)
     blocked = values(s)
-    if layout != "column-major":
+    if layout == "holed":  # its argument w is no grid: the blocked path on both branches
+        assert np.array_equal(grid, blocked)
+    elif layout != "column-major":
         assert np.any(grid != blocked)  # the grid rule really ran
     assert np.max(np.abs(grid - blocked) / np.abs(blocked)) <= 1e-13
     # one-point calls size their series for that point alone, so they agree
@@ -115,16 +117,19 @@ def test_grid_path_matches_point_path(values, layout, monkeypatch):
     assert np.max(np.abs(grid - point) / np.abs(point)) <= 1e-12
 
 
+# a 64-row block of a 150-wide portrait over sigma in [-1, 2], rows top
+# down as render lays them out, through the zeros of 1 - chi(2) 2^(1-x): at
+# x = 1 + 2 pi i k / ln 2 (t = 9.06 k) for zeta and L_-7, and at
+# 1 + (2k + 1) pi i / ln 2 (t = 4.53 (2k + 1)) for L_-3.  The numerator's s
+# meets t = 4.53 and 9.06, the denominator's 2s - 1/2 t = 9.06, 13.6 and
+# 18.1; each reflected branch meets them near sigma = 0 or 1/4
+_BLOCK_SIG = -1.0 + (np.arange(150) + 0.5) * 0.02
+_BLOCK_T = 4.53 + 0.0906 * (np.arange(63, -1, -1) - 10)
+RENDER_BLOCK = (_BLOCK_SIG[None, :] + 1j * _BLOCK_T[:, None]).ravel()
+
+
 def test_eta_fallback_points_keep_a_render_block_whole(monkeypatch):
-    # a 64-row block of a 150-wide portrait over sigma in [-1, 2], rows top
-    # down as render lays them out, through the zeros of 1 - chi(2) 2^(1-x):
-    # at x = 1 + 2 pi i k / ln 2 (t = 9.06 k) for zeta and L_-7, and at
-    # 1 + (2k + 1) pi i / ln 2 (t = 4.53 (2k + 1)) for L_-3.  The numerator's
-    # s meets t = 4.53 and 9.06, the denominator's 2s - 1/2 t = 9.06, 13.6
-    # and 18.1; each reflected branch meets them near sigma = 0 or 1/4
-    sig = -1.0 + (np.arange(150) + 0.5) * 0.02
-    ts = 4.53 + 0.0906 * (np.arange(63, -1, -1) - 10)
-    s = (sig[None, :] + 1j * ts[:, None]).ravel()
+    sig, ts, s = _BLOCK_SIG, _BLOCK_T, RENDER_BLOCK
     calls = []
     separable_sum = evalcore._separable_sum
 
@@ -134,10 +139,10 @@ def test_eta_fallback_points_keep_a_render_block_whole(monkeypatch):
 
     monkeypatch.setattr(evalcore, "_separable_sum", spy)
     _delta_q_values(4, s)
-    # zeta, beta and the denominator, each on both sides of its reflection
-    # line: six series, and the twist factors of zeta at s and at 2s - 1/2,
-    # each summed by one real-weight product over whole columns
-    assert len(calls) == 8 and {(cols, real) for _, cols, real in calls} == {(ts.size, True)}
+    # zeta, beta and the denominator, each once across both sides of its
+    # reflection line, and the twist factors of zeta at s and at 2s - 1/2,
+    # each summed by one real-weight product over all 150 columns
+    assert len(calls) == 5 and {(cols, real) for _, cols, real in calls} == {(ts.size, True)}
     assert sum(rows for rows, _, _ in calls) == 5 * sig.size
     for q, f_min in ((1, evalcore._ETA_MIN), (3, evalcore._TWIST_MIN), (7, evalcore._TWIST_MIN)):
         chi2 = _ALTERNATING[q][3]
@@ -151,9 +156,68 @@ def test_eta_fallback_points_keep_a_render_block_whole(monkeypatch):
             assert np.count_nonzero(np.abs(f) < f_min) >= 4
             # the Euler-Maclaurin points and the band where 1 - p cancels most
             near = np.flatnonzero(np.abs(f) < 4.0 * f_min)
-            block = _l_values(q, x)[near]
-            one = np.array([_l_values(q, x[k:k + 1])[0] for k in near])
+            block = _l_values((q,), x)[0][near]
+            one = np.array([_l_values((q,), x[k:k + 1])[0][0] for k in near])
             assert np.max(np.abs(block - one) / np.abs(one)) <= 1e-13
+
+
+@pytest.mark.parametrize("q", [3, 4, 7, 8])
+def test_one_product_per_row_per_argument(q, monkeypatch):
+    # each row of delta_q at s and at 2s - 1/2, and each twist factor, is one
+    # product over the whole render block, both reflection branches together
+    calls = []
+    separable_sum = evalcore._separable_sum
+
+    def spy(rows, cols, logs, w):
+        calls.append((rows.size, cols.size, logs.size))
+        return separable_sum(rows, cols, logs, w)
+
+    monkeypatch.setattr(evalcore, "_separable_sum", spy)
+    _delta_q_values(q, RENDER_BLOCK)
+    num, den = quotient._QUOTIENTS[q][:2]
+    assert {(rows, cols) for rows, cols, _ in calls} == {(_BLOCK_SIG.size, _BLOCK_T.size)}
+    assert sum(logs > 1 for *_, logs in calls) == len(num) + len(den)
+    assert sum(logs == 1 for *_, logs in calls) == sum(r in evalcore._TWIST_WEIGHTS for r in num + den)
+
+
+def test_rows_at_one_argument_share_one_log_gamma(monkeypatch):
+    # log Gamma(1 - s) is taken once for all the rows at s: a quotient makes
+    # one batch at s and one at 2s - 1/2, lattice_sum_C one for zeta and
+    # beta, and f5 one for its four gamma factors
+    calls = []
+    stirling = evalcore._stirling_lgamma
+
+    def spy(z):
+        calls.append(z.size)
+        return stirling(z)
+
+    monkeypatch.setattr(evalcore, "_stirling_lgamma", spy)
+    monkeypatch.setattr(quotient, "_stirling_lgamma", spy)
+    for q in (3, 4, 7, 8):
+        calls.clear()
+        _delta_q_values(q, RENDER_BLOCK)
+        assert len(calls) == 2
+    for fn, size in ((lattice_sum_C, np.count_nonzero(RENDER_BLOCK.real <= 0.0)), (f5, 4 * RENDER_BLOCK.size)):
+        calls.clear()
+        fn(RENDER_BLOCK)
+        assert calls == [size]
+
+
+_RNG = np.random.default_rng(29)
+_MIXED = _RNG.uniform(-3.0, 4.0, 40) + 1j * _RNG.uniform(-200.0, 200.0, 40)  # both sides of Re s = 0
+
+
+@pytest.mark.parametrize("rows, s", [
+    ((1, 3, 4, 7, 8), RENDER_BLOCK), ((1, 3, 4, 7, 8), 2.0 * RENDER_BLOCK - 0.5), ((1, 3, 4, 7, 8), _MIXED),
+    ((1, 3, 4, 7, 8), _MIXED[:3]), ((3, 7), np.linspace(-3.0, 3.0, 32) + 1j * np.linspace(-980.0, 980.0, 32)),
+], ids=["block", "block-2s-1/2", "mixed", "mixed3", "L3-L7-above"])
+def test_joint_rows_equal_each_row_alone(rows, s):
+    # the shared branch mask, argument and log-gamma are the ones a row takes
+    # alone, so every row of a joint call keeps its bits
+    with np.errstate(all="ignore"):
+        joint = _l_values(rows, s)
+        for q, values in zip(rows, joint):
+            assert values.tobytes() == _l_values((q,), s)[0].tobytes()
 
 
 @pytest.mark.parametrize("values, products", [(GRID_VALUES["zeta"], 2), (GRID_VALUES["beta"], 1),
@@ -268,20 +332,20 @@ def test_pin_restores_the_caller_thread_count_on_error(blas_threads, monkeypatch
 
     monkeypatch.setattr(evalcore, "_separable_sum", fail)
     with pytest.raises(RuntimeError, match="product failed"):
-        _l_values(1, DIGEST_GRID)
+        _l_values((1,), DIGEST_GRID)[0]
     assert blas_threads.get() == 2
 
 
 def test_overlapping_pins_restore_the_caller_thread_count(blas_threads):
     # 4 Python threads on 2 cores pin and unpin concurrently; each pin that
     # saved the count another thread had set to 1 would restore 1
-    want = _l_values(1, DIGEST_GRID)
+    want = _l_values((1,), DIGEST_GRID)[0]
     results, errors = [], []
 
     def work():
         try:
             for _ in range(25):
-                results.append(np.array_equal(_l_values(1, DIGEST_GRID), want))
+                results.append(np.array_equal(_l_values((1,), DIGEST_GRID)[0], want))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -315,7 +379,7 @@ def test_euler_maclaurin_tail_runs_on_one_blas_thread(blas_threads, monkeypatch)
     # CVZ ceiling: 16 points on each side of Re s = 0, t in [520, 980]
     above = np.linspace(-3.0, 3.0, 32) + 1j * np.linspace(520.0, 980.0, 32)
     for q in (3, 7):
-        _l_values(q, above)
+        _l_values((q,), above)[0]
     hurwitz_zeta(DIGEST_GRID + 2.0, 0.25)
     zeta(1.0 + 2j * math.pi / math.log(2.0) + np.linspace(-0.04, 0.04, 32))  # zeta's overwrite
     assert len(inside) >= 4 and all(size >= evalcore._GRID_MIN_POINTS for size, _ in inside)
