@@ -15,8 +15,9 @@ Conventions used throughout:
   cover s = 1, the real poles s = 1/4 - k (k >= 1), the bracket zero s = 1/2
   and, where the bracket divides (q = 7, 8), its every zero; the error
   carries the pole.  The critical-line poles 1/2 + i gamma/2 raise when the
-  first-order distance |Z| / (2 |Z'|), Z = zeta(2s - 1/2) and Z' a central
-  difference, is within the disc; the error carries the point.
+  first-order distance |Z| / (2 |Z'|) is within the disc, Z = zeta(2s - 1/2)
+  read from the denominator row the call evaluates and Z' a central
+  difference taken where |Z| <= _DEN_SCREEN; the error carries the point.
 * the first-order zero of every quotient at s = 3/4 is returned as exactly
   0 for |s - 3/4| <= 1e-12 (the raw quotient divides by a pole there).
 """
@@ -56,10 +57,10 @@ from .evalcore import (
 
 _QUOTIENT_POLE_TOL = 1e-10 * (1.0 + 1e-3)
 _EXACT_ZERO_TOL = 1e-12
-# the distance rule only looks at points this close to the critical line
-# whose denominator is this small; inside the disc |Z| <= 2e-10 |Z'|, and
-# |zeta'| at the zeta zeros up to t = 200 stays below 6, far under 5e3
-_LINE_SCREEN = 1e-9
+# the distance rule takes Z' only where |Z| is this small; inside the disc |Z| <= 2e-10 |Z'|, and
+# |zeta'| at the zeta zeros up to t = 500 (|Im s| <= 250) stays below 8 (7.73 at t = 498.6), far
+# under 5e3.  Zeta has no other zeros there but -2k (Platt and Trudgian 2021), so off the critical
+# line only points next to the real poles 1/4 - k pass, and the closed forms own those
 _DEN_SCREEN = 1e-6
 
 
@@ -224,29 +225,25 @@ def _log_derivatives(q: int, s: np.ndarray):
     return _product(q, s, vals[:cut], vals[cut:]), np.array(l1), np.array(l2)
 
 
-def _check_poles(q: int, s: np.ndarray):
-    """Raise for the first element of the flat array s inside a pole disc."""
+def _check_poles(q: int, s: np.ndarray, z: np.ndarray):
+    """Raise for the first element of the flat array s inside a pole disc,
+    z = |zeta(2s - 1/2)| at s, from delta_q's denominator row."""
     bracket, name, error = _QUOTIENTS[q][2:]
     k = np.maximum(np.round(0.25 - s.real), 1.0)
     closed = [1.0, 0.25 - k]  # s = 1 and the real poles s = 1/4 - k
     if bracket:  # its zeros 1/2 + i m 2 pi/|ln r|; in the numerator only m = 0
         period = 2.0 * math.pi / abs(bracket[0])
         closed.append(0.5 + 1j * period * (np.round(s.imag / period) if bracket[1] < 0 else 0.0))
-    hit = np.zeros(s.shape, dtype=bool)
+    # critical-line poles: first-order distance |Z| / (2 |Z'|), Z = zeta(2s - 1/2)
+    hit = z <= _DEN_SCREEN
+    if np.any(hit):
+        dz = np.abs(_central_difference(lambda x: _l_values((1,), x)[0], 2.0 * s[hit] - 0.5))
+        hit[hit] = z[hit] <= 2.0 * _QUOTIENT_POLE_TOL * dz
     loc = s
     for pole in closed:
         near = np.abs(s - pole) <= _QUOTIENT_POLE_TOL
         hit |= near
         loc = np.where(near, pole, loc)
-    # critical-line poles: first-order distance |Z| / (2 |Z'|), Z = zeta(2s - 1/2)
-    line = np.flatnonzero(np.abs(s.real - 0.5) <= _LINE_SCREEN)
-    if line.size:
-        w = 2.0 * s[line] - 0.5
-        z = np.abs(_l_values((1,), w)[0])
-        small = z <= _DEN_SCREEN
-        if np.any(small):
-            dz = np.abs(_central_difference(lambda x: _l_values((1,), x)[0], w[small]))
-            hit[line[small]] |= z[small] <= 2.0 * _QUOTIENT_POLE_TOL * dz
     if np.any(hit):
         i = int(np.argmax(hit))
         raise error(f"{name}: s = {complex(s[i])} is within 1e-10 of a pole", complex(loc[i]))
@@ -266,9 +263,11 @@ def delta_q(kind, s):
     """
     q = _label(kind)
     arr, scalar = _coerce(s)
-    flat = arr.reshape(-1)
-    _check_poles(q, flat)
-    out = _delta_q_values(q, flat)
+    flat = np.ascontiguousarray(arr.reshape(-1))
+    with np.errstate(all="ignore"):  # the rows of _delta_q_values, evaluated once
+        num, den = _l_values(_QUOTIENTS[q][0], flat), _l_values(_QUOTIENTS[q][1], 2.0 * flat - 0.5)
+        _check_poles(q, flat, np.abs(den[0]))
+        out = _product(q, flat, num, den)
     out[np.abs(flat - 0.75) <= _EXACT_ZERO_TOL] = 0.0
     return _release(out.reshape(arr.shape), scalar)
 

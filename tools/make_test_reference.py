@@ -21,6 +21,9 @@ The fixture holds
   double-precision context (mpmath.fp), the frozen values at 40 digits;
 * zeta_zeros: the ordinates of the 79 zeta zeros up to t = 200
   (mpmath.zetazero);
+* zeta_zeros_500: the ordinates of the 269 zeta zeros up to t = 500, the
+  critical-line poles 1/2 + i gamma/2 of the quotients up to |Im s| = 250
+  (mpmath.zetazero);
 * beta_zeros: the ordinates of the 50 beta zeros up to t = 100, bracketed by
   the sign changes of the rotated beta function exp(i theta(t)) beta(1/2 + it)
   (real, theta the phase of its gamma factor) on a scan of step 0.02 and
@@ -81,6 +84,7 @@ CHARACTERS = {  # chi(0), ..., chi(q - 1)
 L_POINTS = ((3, 0.5, 140.0), (7, 0.5, 148.0))
 MINIMA_QS, MINIMA_STEP, MINIMA_COUNT, MINIMA_BELOW = (4, 8), 0.01, 20000, 0.02
 ZETA_ZERO_COUNT = 79  # every zeta zero up to t = 200
+ZETA_T_MAX = 500.0  # the quotients' pole domain |Im s| <= 250
 BETA_T_MAX, BETA_SCAN_STEP = 100, 0.02
 TRIVIAL_OFFSETS = (1e-9, -1e-9, 1e-7, 1e-5, 1e-3, 1e-6j)
 RING_RADII = (1e-8, 1e-6, 1e-4, 1e-2, 0.0499, 0.0501)
@@ -182,6 +186,13 @@ def _hurwitz_left_rows():
                 yield [p / q, x, y, *_pair(mp.zeta(mp.mpc(x, y), mp.mpf(p) / q))]
 
 
+def _zeta_zeros(t_max: float) -> list[float]:
+    out = []
+    while (t := float(mp.im(mp.zetazero(len(out) + 1)))) <= t_max:
+        out.append(t)
+    return out
+
+
 def _beta_line(t):
     # beta on the critical line rotated by the phase of its gamma factor
     # (pi/4)^(-(s+1)/2) Gamma((s+1)/2): real, with the zeros of beta
@@ -204,6 +215,7 @@ def main() -> None:
         "dirichlet_L": [[q, x, y, *_pair(mp.dirichlet(mp.mpc(x, y), CHARACTERS[q]))] for q, x, y in L_POINTS],
         "line_minima": [[q, s.real, s.imag, *_pair(_L(q, s))] for q, s in _line_minima()],
         "zeta_zeros": [float(mp.im(mp.zetazero(n))) for n in range(1, ZETA_ZERO_COUNT + 1)],
+        "zeta_zeros_500": _zeta_zeros(ZETA_T_MAX),
         "beta_zeros": _beta_zeros(),
         "trivial_zeros": [[q, s.real, s.imag, *_pair(_L(q, s))] for q, s in _trivial_zero_points()],
         "zeta_near_zero": [[s.real, s.imag, *_pair(_L(1, s))] for s in _near_zero_points()],

@@ -9,6 +9,11 @@ values are identical bit for bit.  It covers
   q = 3, 4, 7, 8 on the probe pool of benchmark/reference.json, evaluated
   as one vector, in 3-point batches and in 1-point batches;
 * the same functions on a 30 x 40 grid (the grid matrix-product path);
+* the public quotient delta_q (delta5 for q = 4; pole checks and the exact
+  zero at s = 3/4 included) for q = 3, 4, 7, 8, one point at a time and as
+  one vector, 1e-9 right of each critical-line pole 1/2 + i gamma/2 of
+  benchmark/reference.json (t up to 100) and on the probe-pool points with
+  sigma >= 0.5;
 * zeta, beta_L and dirichlet_L next to their trivial zeros, on the points
   of tests/mpmath_reference.json (zeta's for zeta, beta's for beta_L and
   L4, each character's for L3, L7 and L8), and zeta on its rings around
@@ -68,7 +73,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from delta_lens import census, contours, critical, evalcore, render  # noqa: E402
 from delta_lens.quotient import (QuotientKind, _delta_q_values, _log_derivatives,  # noqa: E402
-                                 bracket_phase_zeros)
+                                 bracket_phase_zeros, delta_q)
 
 QS = (3, 4, 7, 8)
 LINES = range(1, 22)
@@ -133,7 +138,8 @@ def _portraits():
 
 def main() -> None:
     with open(ROOT / "benchmark" / "reference.json", encoding="ascii") as fh:
-        probes = json.load(fh)["probes"]
+        reference = json.load(fh)
+    probes = reference["probes"]
     pool = np.array([complex(p["sigma"], p["t"]) for p in probes])
     sig, t = np.meshgrid(np.linspace(-1.5, 2.5, 30), np.linspace(0.5, 80.0, 40))
     grid = sig + 1j * t
@@ -142,6 +148,12 @@ def main() -> None:
         for label, batch in (("vector", pool.size), ("batch3", 3), ("batch1", 1)):
             print(f"{name}/{label} {_digest_call(_values, fn, pool, batch)}")
         print(f"{name}/grid30x40 {_digest_call(lambda: np.asarray(fn(grid)).tobytes())}")
+    poles = 0.5 + 0.5j * np.array(reference["zeta_zeros"])  # t up to 100
+    public = np.concatenate([poles + 1e-9, pool[pool.real >= 0.5]])
+    for q in QS:
+        digest = _digest_call(lambda: np.array([delta_q(q, complex(s)) for s in public]).tobytes())
+        print(f"delta_q/public/q{q}/scalar {digest}")
+        print(f"delta_q/public/q{q}/batch {_digest_call(lambda: delta_q(q, public).tobytes())}")
     with open(ROOT / "tests" / "mpmath_reference.json", encoding="ascii") as fh:
         fixture = json.load(fh)
     trivial = np.array(fixture["trivial_zeros"])
