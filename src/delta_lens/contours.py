@@ -9,7 +9,9 @@ marched toward the critical line by a tangent predictor and a Newton
 corrector in t (_march), every traced t within 1e-9 of its level line.
 delta, l' and l'' come from one fused kernel, quotient._log_derivatives, in
 closed form from the CVZ sums; one loop traces any number of lines in
-lockstep, one kernel call per pass.
+lockstep, one kernel call per Newton pass for a block of each line's next
+_BLOCK sigma targets, all but the first speculative and recorded only where
+Newton from the tangent would reach the same root.
 
 Closed contours get a winding count by accumulating phase increments edge by
 edge, bisecting edges until every increment is below pi/2, so the branch of
@@ -58,6 +60,7 @@ _REFINE_LIMIT = 40       # nested edge splits winding_count may make
 _SIGMA_START = 12.0      # seed sigma of every line, where the 2^-s term dominates
 _SIGMA_STEP = 0.02       # spacing of a trace's sigma targets above sigma = 0.52
 _WINDOW_END = 0.5 * _CATALOG_T_MAX  # end of a trace's own window catalog
+_BLOCK = 16              # sigma targets a line puts in one kernel call: its next one and 15 speculative
 
 
 @dataclass(frozen=True)
@@ -139,41 +142,88 @@ def _window_catalog(t_lo: float, t_hi: float) -> list[CriticalPoint]:
     return singular_points_delta5(max(math.floor(t_lo - 4.0), 0.0), min(math.ceil(t_hi + 4.0), _WINDOW_END))
 
 
+class _Target:
+    """A sigma target of a line's block: its t iterate, Newton tries, and
+    (w, |Im(rot l'')|) at its last iterate once converged."""
+
+    __slots__ = ("sigma", "t", "tries", "done", "spec")
+
+    def __init__(self, sigma: float, t: float, spec: bool):
+        self.sigma, self.t, self.tries, self.done, self.spec = sigma, t, 0, None, spec
+
+
+def _new_block(pending: list, points: list, last: tuple) -> list:
+    """A line's next block: its next target at the tangent prediction from
+    the last recorded point (sigma, t, w), then, once four points are
+    recorded, up to _BLOCK - 1 speculative targets at the cubic through the
+    last four (Newton form, newest first), stopping before a guess that is
+    not finite or lies more than _MAX_NEWTON_STEP from the tangent."""
+    sigma, t, w = last
+    slope = w.imag / w.real
+    block = [_Target(pending[-1], t - slope * (pending[-1] - sigma), False)]
+    if len(points) >= 4:
+        (s0, c0), (s1, c1), (s2, c2), (s3, c3) = points[-1:-5:-1]
+        c1, c2, c3 = (c1 - c0) / (s1 - s0), (c2 - c1) / (s2 - s1), (c3 - c2) / (s3 - s2)
+        c2, c3 = (c2 - c1) / (s2 - s0), (c3 - c2) / (s3 - s1)
+        c3 = (c3 - c2) / (s3 - s0)
+        for x in pending[-2:-_BLOCK - 1:-1]:
+            guess = c0 + (x - s0) * (c1 + (x - s1) * (c2 + (x - s2) * c3))
+            if not abs(guess - (t - slope * (x - sigma))) <= _MAX_NEWTON_STEP:  # nan fails too
+                break
+            block.append(_Target(x, guess, True))
+    return block
+
+
 def _march(kind: str, ns: list[int]) -> list[list]:
     """Predictor-corrector for the lines ns in lockstep.  Each line walks the
     sigma schedule, _SIGMA_START first, and at each target sigma drives the
     level L(t) = Im(rot l), l = log(delta^2) / 2, to zero by Newton in t (the
     folded phase for rot = 1, log|delta| for rot = 1j; L'(t) = Re w with
-    w = rot l', L''(t) = -Im(rot l'')).  Each pass makes one call of the
-    kernel quotient._log_derivatives for every unfinished line and takes one
-    Newton step dt = L / Re w per line.  A line converges when |L| was within
-    _NEWTON_TOL or the step predicts a residual 4 |L''| dt^2 / 2 within it (4
-    is a safety factor), records the stepped t and predicts its next target
-    along the tangent dt/dsigma = -Im w / Re w, from w = 1 at the seed.  A
-    line that meets a non-finite value, would step further than
-    _MAX_NEWTON_STEP or does not converge in 8 steps halves its own step; its
-    errors carry its recorded points.  Returns each line's (sigma, t) points."""
+    w = rot l', L''(t) = -Im(rot l'')), one step dt = L / Re w per pass, and
+    records the stepped t once |L| was within _NEWTON_TOL or the step
+    predicts a residual 4 |L''| dt^2 / 2 within it (4 is a safety factor).
+    A line works on a block of targets (_new_block); each pass makes one
+    kernel call (quotient._log_derivatives) for the unconverged targets of
+    every unfinished line, each block in schedule order.  Targets are
+    recorded in schedule order, a speculative one only if its t lies within
+    half its Newton basin radius |Re w| / |Im(rot l'')| of the tangent
+    prediction dt/dsigma = -Im w / Re w from the point before it, so Newton
+    from there, where a one-target march starts, reaches the same root (a
+    nan l'' fails).  A speculative target that meets a guard, a non-finite
+    value, a step beyond _MAX_NEWTON_STEP or 8 tries, or fails that check,
+    ends its block; the next starts from the last recorded point.  The first
+    target raises SingularityTooClose at a guard and otherwise halves its
+    line's step (TraceStalled below _MIN_STEP); errors carry the line's
+    recorded points.  _BLOCK = 1 is the one-target march.  Returns each
+    line's (sigma, t) points."""
     rot, offset = _LINE_KINDS[kind][:2]
     schedule = list(reversed(_sigma_schedule())) + [_SIGMA_START]
     pending = [list(schedule) for _ in ns]  # each line's targets, next one last
-    sigma = [_SIGMA_START] * len(ns)  # last recorded sigma, t and slope w
-    t = [(n + offset) * math.pi / LN2 for n in ns]
-    w = [1.0] * len(ns)
-    guess, tries = list(t), [0] * len(ns)
+    last = [(_SIGMA_START, (n + offset) * math.pi / LN2, 1.0) for n in ns]  # last recorded sigma, t, w
     points = [[] for _ in ns]
+    blocks = [[] for _ in ns]
     live = list(range(len(ns)))
     while live:
+        for k in live:
+            if not blocks[k]:
+                blocks[k] = _new_block(pending[k], points[k], last[k])
+        batch = [(k, j, p) for k in live for j, p in enumerate(blocks[k]) if p.done is None]
         vals, l1s, l2s = (a.tolist() for a in _log_derivatives(
-            4, np.array([complex(pending[k][-1], guess[k]) for k in live])))
-        # per-line Newton logic on Python numbers: cheaper than numpy calls on a few points
-        for k, v, l1, l2 in zip(live, vals, l1s, l2s):
+            4, np.array([complex(p.sigma, p.t) for _, _, p in batch])))
+        # per-target Newton logic on Python numbers: cheaper than numpy calls on a few points
+        for (k, j, p), v, l1, l2 in zip(batch, vals, l1s, l2s):
+            block = blocks[k]
+            if j >= len(block):  # its block ended earlier in this pass
+                continue
             level = dt = math.nan
             if cmath.isfinite(v) and cmath.isfinite(l1):
                 if not _GUARD_LO <= abs(v) <= _GUARD_HI:
+                    if p.spec:
+                        del block[j:]
+                        continue
                     raise SingularityTooClose(f"{kind} line n={ns[k]}: |delta5| = {abs(v):.3g} outside "
-                                              f"[1e-8, 1e8] at sigma={pending[k][-1]:.6f}, t={guess[k]:.6f}",
-                                              kind=kind, line=ns[k], last=(pending[k][-1], guess[k]),
-                                              points=points[k])
+                                              f"[1e-8, 1e8] at sigma={p.sigma:.6f}, t={p.t:.6f}",
+                                              kind=kind, line=ns[k], last=(p.sigma, p.t), points=points[k])
                 wk = rot * l1
                 if wk.real != 0.0:
                     level = (0.5 * rot * cmath.log(v * v)).imag
@@ -181,22 +231,35 @@ def _march(kind: str, ns: list[int]) -> list[list]:
                     if abs(dt) > _MAX_NEWTON_STEP:  # a failed step, like a non-finite one
                         level = dt = math.nan
                     else:
-                        guess[k] -= dt
-            tries[k] += 1
-            if abs(level) <= _NEWTON_TOL or 2.0 * abs((rot * l2).imag) * dt * dt <= _NEWTON_TOL:
-                sigma[k], t[k], w[k] = pending[k].pop(), guess[k], wk
-                points[k].append((sigma[k], t[k]))
-            elif math.isfinite(dt) and tries[k] < 8:
+                        p.t -= dt
+            p.tries += 1
+            curvature = abs((rot * l2).imag)
+            if abs(level) <= _NEWTON_TOL or 2.0 * curvature * dt * dt <= _NEWTON_TOL:
+                p.done = (wk, curvature)
+            elif math.isfinite(dt) and p.tries < 8:
                 continue
+            elif p.spec:
+                del block[j:]
             else:
-                half = 0.5 * (sigma[k] + pending[k][-1])
-                if sigma[k] - half < _MIN_STEP:
-                    raise TraceStalled(f"{kind} line n={ns[k]} stalled at sigma={sigma[k]:.6f} (step below 1e-4)",
-                                       kind=kind, line=ns[k], last=(sigma[k], t[k]), points=points[k])
+                sigma, t, _ = last[k]
+                half = 0.5 * (sigma + pending[k][-1])
+                if sigma - half < _MIN_STEP:
+                    raise TraceStalled(f"{kind} line n={ns[k]} stalled at sigma={sigma:.6f} (step below 1e-4)",
+                                       kind=kind, line=ns[k], last=(sigma, t), points=points[k])
                 pending[k].append(half)
-            tries[k] = 0
-            if pending[k]:
-                guess[k] = t[k] - w[k].imag / w[k].real * (pending[k][-1] - sigma[k])
+                block.clear()
+        for k in live:  # record each block's converged head in schedule order
+            block = blocks[k]
+            while block and block[0].done:
+                p = block.pop(0)
+                sigma, t, w = last[k]
+                wk, curvature = p.done
+                miss = abs(p.t - (t - w.imag / w.real * (p.sigma - sigma)))  # from the tangent before it
+                if p.spec and not 2.0 * curvature * miss <= abs(wk.real):
+                    block.clear()
+                    break
+                last[k] = (pending[k].pop(), p.t, wk)
+                points[k].append(last[k][:2])
         live = [k for k in live if pending[k]]
     return points
 

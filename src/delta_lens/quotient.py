@@ -17,7 +17,8 @@ Conventions used throughout:
   carries the pole.  The critical-line poles 1/2 + i gamma/2 raise when the
   first-order distance |Z| / (2 |Z'|) is within the disc, Z = zeta(2s - 1/2)
   read from the denominator row the call evaluates and Z' a central
-  difference taken where |Z| <= _DEN_SCREEN; the error carries the point.
+  difference taken where |Z| <= _DEN_SCREEN and Re s > -1/4; the error
+  carries the point.
 * the first-order zero of every quotient at s = 3/4 is returned as exactly
   0 for |s - 3/4| <= 1e-12 (the raw quotient divides by a pole there).
 """
@@ -57,10 +58,11 @@ from .evalcore import (
 
 _QUOTIENT_POLE_TOL = 1e-10 * (1.0 + 1e-3)
 _EXACT_ZERO_TOL = 1e-12
-# the distance rule takes Z' only where |Z| is this small; inside the disc |Z| <= 2e-10 |Z'|, and
-# |zeta'| at the zeta zeros up to t = 500 (|Im s| <= 250) stays below 8 (7.73 at t = 498.6), far
-# under 5e3.  Zeta has no other zeros there but -2k (Platt and Trudgian 2021), so off the critical
-# line only points next to the real poles 1/4 - k pass, and the closed forms own those
+# the distance rule takes Z' only where |Z| is this small and Re s > -1/4.  Inside the disc
+# |Z| <= 2e-10 |Z'|, and |zeta'| at the zeta zeros up to t = 500 (|Im s| <= 250) stays below 8
+# (7.73 at t = 498.6), far under 5e3.  Zeta has no other zeros there but -2k (Platt and Trudgian
+# 2021), so left of Re s = -1/4 only the real poles 1/4 - k make |Z| this small (up to 8e-5 from
+# them), and the closed forms own those
 _DEN_SCREEN = 1e-6
 
 
@@ -235,7 +237,7 @@ def _check_poles(q: int, s: np.ndarray, z: np.ndarray):
         period = 2.0 * math.pi / abs(bracket[0])
         closed.append(0.5 + 1j * period * (np.round(s.imag / period) if bracket[1] < 0 else 0.0))
     # critical-line poles: first-order distance |Z| / (2 |Z'|), Z = zeta(2s - 1/2)
-    hit = z <= _DEN_SCREEN
+    hit = (z <= _DEN_SCREEN) & (s.real > -0.25)
     if np.any(hit):
         dz = np.abs(_central_difference(lambda x: _l_values((1,), x)[0], 2.0 * s[hit] - 0.5))
         hit[hit] = z[hit] <= 2.0 * _QUOTIENT_POLE_TOL * dz

@@ -13,7 +13,8 @@ TEST_REFERENCE = Path(__file__).resolve().parent / "mpmath_reference.json"
 
 @pytest.fixture(scope="session")
 def reference():
-    """Frozen mpmath values (30 digits): zeta zero ordinates to t = 200 and a
+    """Frozen mpmath values (30 digits, benchmark/make_reference.py): zeta
+    zero ordinates to t = 200, beta zero ordinates to t = 100 and a
     1,000-point probe pool over sigma in [-3, 4], |t| <= 200."""
     with open(REFERENCE, encoding="ascii") as fh:
         return json.load(fh)
@@ -21,9 +22,11 @@ def reference():
 
 @pytest.fixture(scope="session")
 def mpmath_reference():
-    """Frozen mpmath values (40 digits, tools/make_test_reference.py): log
-    Gamma on the boundary pool of the Stirling shift and two critical-line
-    L values of small modulus."""
+    """Frozen mpmath values (40 digits), the fourteen tables that
+    tools/make_test_reference.py writes and documents: log_gamma,
+    dirichlet_L, line_minima, zeta_zeros, zeta_zeros_500, beta_zeros,
+    trivial_zeros, zeta_near_zero, delta5, eta_zeros, character_rings,
+    character_heights, twist_zeros and hurwitz_left."""
     with open(TEST_REFERENCE, encoding="ascii") as fh:
         return json.load(fh)
 

@@ -232,9 +232,7 @@ def test_own_window_terminus_matches_shared_catalog():
         assert abs(own.t - path.terminus_point.t) <= 1e-12  # 3.6e-15 seen, 20 of 21 identical
 
 
-def test_corrector_takes_one_kernel_call_per_point(monkeypatch, merged_catalog):
-    # a Newton step whose predicted residual is within the tolerance is
-    # accepted without a confirming evaluation
+def _counted_kernel(monkeypatch):
     calls = []
     kernel = contours._log_derivatives
 
@@ -243,8 +241,76 @@ def test_corrector_takes_one_kernel_call_per_point(monkeypatch, merged_catalog):
         return kernel(q, s)
 
     monkeypatch.setattr(contours, "_log_derivatives", counting)
+    return calls
+
+
+def test_corrector_takes_one_kernel_call_per_point(monkeypatch, merged_catalog):
+    # a Newton step whose predicted residual is within the tolerance is
+    # accepted without a confirming evaluation
+    calls = _counted_kernel(monkeypatch)
     path = trace_phase_zero_line(5, catalog=merged_catalog.entries)
-    assert len(calls) <= 1.2 * len(path.points)  # 661 calls for 577 points seen
+    assert len(calls) <= 1.2 * len(path.points)  # 661 calls for 577 points seen one target at a time
+
+
+def test_block_march_takes_a_kernel_call_per_eight_points(monkeypatch, merged_catalog):
+    # a line puts its next _BLOCK targets in one call per Newton pass; a
+    # one-target march makes 661 calls for these 577 points
+    calls = _counted_kernel(monkeypatch)
+    path = trace_phase_zero_line(5, catalog=merged_catalog.entries)
+    assert len(calls) <= len(path.points) / 8  # 58 calls seen
+    assert max(calls) == contours._BLOCK
+
+
+PHASE_LINES, AMPLITUDE_LINES = (11, 23, 24, 30, 35, 42, 45), (5, 53, 54)
+
+
+@pytest.mark.parametrize("trace, n", [(trace_phase_zero_line, n) for n in PHASE_LINES]
+                         + [(trace_amplitude_one_line, n) for n in AMPLITUDE_LINES],
+                         ids=[f"phase-{n}" for n in PHASE_LINES] + [f"amplitude-{n}" for n in AMPLITUDE_LINES])
+def test_block_march_keeps_the_one_target_march(trace, n, monkeypatch):
+    # a speculative point is kept only within half its Newton basin of the
+    # tangent from the point before it; bounding that distance by
+    # _MAX_NEWTON_STEP instead moves lines among these to other branches
+    # (phase 11, 42, 45 and amplitude 5, 53 by 0.04 to 2.4)
+    marched, ends = [], []
+    march = contours._march
+
+    def recording(kind, ns):
+        marched.append(march(kind, ns)[0])
+        return marched[-1:]
+
+    monkeypatch.setattr(contours, "_march", recording)
+    for block in (contours._BLOCK, 1):
+        monkeypatch.setattr(contours, "_BLOCK", block)
+        try:
+            ends.append(trace(n).terminus_point)
+        except (NoCatalogMatch, TerminusNotBetweenSingularities) as exc:  # termini past t = 100
+            ends.append(type(exc))
+    assert ends[0] == ends[1]
+    a, b = marched
+    assert [p[0] for p in a] == [p[0] for p in b]
+    assert max(abs(p[1] - q[1]) for p, q in zip(a, b)) <= 1e-9  # 6.8e-10 seen over lines 1..54 of both kinds
+
+
+@pytest.mark.parametrize("trace", [trace_phase_zero_line, trace_amplitude_one_line], ids=["phase", "amplitude"])
+def test_poisoned_speculation_is_the_one_target_march(trace, merged_catalog, monkeypatch):
+    # a single line's block enters the kernel first target first; with every
+    # speculative point poisoned, each block ends at its first target, and
+    # the first target, evaluated alone, takes today's path bit for bit
+    kernel = contours._log_derivatives
+    entries = merged_catalog.entries
+    monkeypatch.setattr(contours, "_BLOCK", 1)
+    single = trace(5, catalog=entries)
+
+    def poisoned(q, s):
+        out = [np.full(s.shape, complex(math.nan, math.nan)) for _ in range(3)]
+        for full, first in zip(out, kernel(q, s[:1])):
+            full[:1] = first
+        return tuple(out)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(contours, "_log_derivatives", poisoned)
+    assert trace(5, catalog=entries) == single
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -106,3 +106,20 @@ def test_one_evaluation_per_argument(q, s, monkeypatch):
     _quotient(q)[0](s)
     s = np.atleast_1d(s)
     assert calls == [((1, q), s.tolist()), ((1,), (2.0 * s - 0.5).tolist())]
+
+
+@pytest.mark.parametrize("q", KINDS)
+@pytest.mark.parametrize("s", [-0.75 + 1e-5, -4.75 + 1e-5, -2.75 + 1e-5j], ids=["-0.75+1e-5", "-4.75+1e-5", "-2.75+1e-5j"])
+def test_no_central_difference_next_to_the_real_poles(q, s, monkeypatch):
+    # |zeta(2s - 1/2)| <= 1e-6 holds up to 8e-5 from the real poles 1/4 - k,
+    # which the closed forms own: only the two rows are evaluated, no central
+    # difference of the denominator
+    calls, l_values = [], quotient._l_values
+
+    def spy(rows, x):
+        calls.append(rows)
+        return l_values(rows, x)
+
+    monkeypatch.setattr(quotient, "_l_values", spy)
+    assert np.isfinite(_quotient(q)[0](s))
+    assert calls == [(1, q), (1,)]

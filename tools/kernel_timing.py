@@ -7,11 +7,18 @@ Each round runs one fresh Python process per tree, the order alternating
 from round to round (A first in even rounds), ROUNDS rounds, 6 by
 default.  A process imports the package from its tree's src/ and, for
 each case, takes the best of 5 repeats of 1000 calls of
-_log_derivatives(4, s), s a 1-D batch of k = 1, 2 or 3 points with sigma
-in linspace(0.6, 3, k) at one t = 20, 60 or 95, after one warm-up call
-that fills the kernel's cache.  The script prints one JSON object: per
-case ("1pt/t20", ...) and tree, the min, median and max over the rounds
-of the process bests, in microseconds per call.
+_log_derivatives(4, s), s a 1-D batch of k = 1, 2, 3, 16 or 32 points
+with sigma in linspace(0.6, 3, k) at one t = 20, 60 or 95, after one
+warm-up call that fills the kernel's cache.  The script prints one JSON
+object: per case ("1pt/t20", ...) and tree, the min, median and max over
+the rounds of the process bests, in microseconds per call.
+
+The sizes are those of a trace: contours._march evaluates a line's block
+of up to 16 sigma targets in one call, and a box's two lines put their two
+blocks in one call of up to 32 points.  The 1- to 3-point calls are a
+line's first targets, before it has the four points its guesses need, and
+a block's last Newton passes, once most of its targets have converged;
+they show the fixed cost of a call.
 
 Compare the medians against the other tree's min..max: the host's speed
 moves every process, so only alternating processes are comparable.  Uses
@@ -26,7 +33,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-CASES = [(k, t) for k in (1, 2, 3) for t in (20.0, 60.0, 95.0)]
+CASES = [(k, t) for k in (1, 2, 3, 16, 32) for t in (20.0, 60.0, 95.0)]
 REPEATS, CALLS = 5, 1000
 
 # run in a fresh process with the tree as argv[1]; prints {case: best us per call}
