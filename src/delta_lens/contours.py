@@ -8,7 +8,8 @@ phase lines near t = n pi / ln 2 and amplitude lines halfway between, and
 marched toward the critical line by a tangent predictor and a Newton
 corrector in t (_march), every traced t within 1e-9 of its level line.
 delta, l' and l'' come from one fused kernel, quotient._log_derivatives, in
-closed form from the CVZ sums; one loop traces any number of lines in
+closed form from the CVZ sums, whose rows at s and at 2s - 1/2 read one
+power table of m^-s per point; one loop traces any number of lines in
 lockstep, one kernel call per Newton pass for a block of each line's next
 _BLOCK sigma targets, all but the first speculative and recorded only where
 Newton from the tangent would reach the same root.

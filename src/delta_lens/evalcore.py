@@ -16,11 +16,12 @@ functional equation (_PARITY) and its Euler-Maclaurin threshold (_EM_MIN)
 are read off it.
 
 * zeta, beta_L and dirichlet_L: one evaluator, _l_values, for every row
-  at one argument.  Row q of _ALTERNATING is the accelerated alternating
-  series (binomial weights, error ~ (3+sqrt 8)^-n) of (1 - chi(2) 2^(1-w))
-  L(w), w = s for Re s > 0 and 1 - conj(s) below, summed once over both
-  branches and reflected through one functional equation, _reflection,
-  with one log Gamma per point shared by the rows; its sine, _log_sinpi,
+  at one argument s and, for a quotient's denominator, at x = 2s - 1/2.
+  Row q of _ALTERNATING is the accelerated alternating series (binomial
+  weights, error ~ (3+sqrt 8)^-n) of (1 - chi(2) 2^(1-w)) L(w), w = s for
+  Re s > 0 and 1 - conj(s) below, summed once over both branches and
+  reflected through one functional equation, _reflection, with one log
+  Gamma per point and argument shared by the rows; its sine, _log_sinpi,
   keeps values next to a trivial zero accurate and the trivial zeros
   exactly 0.  Euler-Maclaurin (_em_values) takes the points next to the
   zeros of the twist factor.
@@ -34,12 +35,16 @@ quotient's denominator zeta(2s - 1/2) sets its ceiling at |Im s| = 250.
 L_-3 and L_-7 take Euler-Maclaurin above it, and from |Im s| = 200 to 1000
 their error is within 2e-12 absolute or relative, whichever is larger.
 
-Every Dirichlet series goes through one power sum, _power_sum, the twist
-factor 1 - chi(2) 2^(1-w) (_twist_factor) included, except in the tracing
-kernel quotient._log_derivatives, which sums a quotient's rows and twist
-factors itself to get delta_q and the first two derivatives of its log in
-one pass.  _power_sum sums a render grid or an equally spaced line scan as
-one matrix product (_separable_sum), other batches point by point.
+Every Dirichlet series, the rows of an _l_values call at both its
+arguments and the one term 2^-w of each twist factor 1 - chi(2) 2^(1-w),
+is summed in one of two ways.  A render grid or an equally spaced line
+scan takes one matrix product per series (_series_sum, _separable_sum).
+Other batches take one table of m^-w per point over the distinct m of all
+the series (_row_table, _table_sums): a row at s gathers its terms, and a
+row at x reads m^-(2w - 1/2) as sqrt(m) (m^-w)^2 where s and x share a
+reflection branch, so a quotient point pays one exp per distinct m for
+both arguments.  The tracing kernel quotient._log_derivatives takes its
+terms from the same table (_table_terms).
 Piecewise definitions go through one branch helper, _branches, which
 _l_values calls after its sums.  Products of _GRID_MIN_POINTS points or more
 run on one BLAS thread (_one_blas_thread): threaded, numpy's bundled
@@ -93,9 +98,12 @@ _TARGET_DIGITS = 14  # significant digits the CVZ and Euler-Maclaurin cutoffs ar
 _EM_ORDER = 12  # Bernoulli correction terms of Euler-Maclaurin, B_2 .. B_24
 _ETA_MIN = 0.05  # smallest |1 - 2^(1-s)| the eta row of zeta is divided by
 _TWIST_MIN = 0.1  # the same for L_-3, L_-7: 3e-14 of row rounding near t = 200 over 0.1 is 3e-13
-# below this many points the line and grid tests in _power_sum cost more
+# below this many points the line and grid tests in _series_sum cost more
 # than they can save (scalar probes, short refinement levels, secant pairs)
 _GRID_MIN_POINTS = 16
+# points per block of _table_sums: a block's exps and gathered terms for delta5 at t = 100 take
+# 2.7 MB at 256 points; blocks of 1,024 ran a box polygon 1.6x slower and held 6 MB more
+_TABLE_BLOCK = 256
 # largest |Im| of a CVZ series: the 347-term cap is off 1e-10 at 550, 4e-6 at 600
 _MAX_HEIGHT = 500.0
 
@@ -126,6 +134,8 @@ _ALTERNATING = {q: _alternating_row(q) for q in _CHARACTERS}
 # a twist factor 1 - chi(2) 2^(1-w) is 1 - 2 chi(2) 2^-w: its one log and, per q, its weight
 _TWIST_LOGS = np.array([LN2])
 _TWIST_WEIGHTS = {q: np.array([2.0 * row[3]], dtype=np.complex128) for q, row in _ALTERNATING.items() if row[3]}
+# the twisted odd rows, L_-3 and L_-7, which take Euler-Maclaurin above _MAX_HEIGHT in a call of their own
+_EM_ABOVE = frozenset(q for q in _TWIST_WEIGHTS if 0 not in _CHARACTERS[q])
 
 
 class _BlasPin:
@@ -259,7 +269,7 @@ def _separable_sum(rows: np.ndarray, cols: np.ndarray, logs: np.ndarray, w: np.n
 
 
 def _line_layout(sigma: float, t: np.ndarray):
-    """Line rule of _power_sum for the points sigma + i t_j: (rows, cols, on)
+    """Line rule of _series_sum for the points sigma + i t_j: (rows, cols, on)
     such that _separable_sum(rows, cols), flattened, holds the sum at point
     j in entry j for every j in the mask on, the points whose t_j lies on
     the progression t0 + h j to a few ulps.  With N = P Q points and
@@ -276,7 +286,7 @@ def _line_layout(sigma: float, t: np.ndarray):
 
 
 def _grid_width(re: np.ndarray, im: np.ndarray) -> int:
-    """Grid rule of _power_sum: W when the points re + i im are a row-major
+    """Grid rule of _series_sum: W when the points re + i im are a row-major
     grid, each row of W points repeating the real parts re[:W] at one
     imaginary part (W is the first index where Im changes, or N for a
     single row); 0 otherwise.  O(N), no sort."""
@@ -287,45 +297,126 @@ def _grid_width(re: np.ndarray, im: np.ndarray) -> int:
     return w if grid else 0
 
 
-def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k w_k exp(-s logs_k).
+def _series(qs: tuple, n: int):
+    """(logs, weights) of each row of qs over n blocks (_alt_series), each
+    followed by its twist term 2^-w, weight 2 chi(2), if it has one."""
+    for q in qs:
+        yield _alt_series(q, n)
+        if q in _TWIST_WEIGHTS:
+            yield _TWIST_LOGS, _TWIST_WEIGHTS[q]
 
-    At _GRID_MIN_POINTS points or more, two rules factor the term as
-    exp(-a logs_k) w_k * exp(-i b logs_k) and sum a whole batch as one
-    (A x n) @ (n x B) product, _separable_sum: the line rule for points on
-    one vertical line with equally spaced ordinates, as in a critical-line
-    scan (_line_layout), and the grid rule for a complete row-major sigma x t
-    grid, as render blocks and their reflection branches' column masks are
-    laid out (_grid_width; a is sigma, b is t, the W x H product transposed
-    back).  Points no rule covers (probes, short refinement levels, secant
-    pairs, a scan's clipped last ordinate, grids with holes or in
-    column-major order) take the outer product exp(-s logs) @ w: one product
-    below _GRID_MIN_POINTS, blocked above so it stays small.  Every product
-    from _GRID_MIN_POINTS points on runs on one BLAS thread, so a value has
-    the same bits whatever thread count the process's BLAS is set to.
-    """
-    flat = np.ascontiguousarray(s, dtype=np.complex128).reshape(-1)
+
+@functools.lru_cache(maxsize=64)
+def _row_table(qs: tuple, n: int, qx: tuple = (), nx: int = 0) -> tuple:
+    """The power table of the series of the rows qs over n blocks and of the
+    rows qx over nx blocks, taken at 2w - 1/2 (_series): (logs, gather, cut,
+    series).  logs are the distinct logs of all their terms.  gather lists,
+    for every series in turn, the columns of logs of its terms (None for one
+    series, whose terms are logs), and the series of qx start at column cut
+    of the gathered terms.  series holds per series (span, logs, weights,
+    table weights): span selects its gathered terms; a series of qx reads
+    its terms m^-(2w - 1/2) as sqrt(m) (m^-w)^2, so its table weights are its
+    weights times sqrt(m), m = e^logs; a series of qs keeps its weights."""
+    at_s = [*_series(qs, n)]
+    raw = at_s + [*_series(qx, nx)]
+    ends = np.cumsum([lg.size for lg, _ in raw]).tolist()
+    series = tuple((slice(end - lg.size, end), lg, w, w * np.sqrt(np.rint(np.exp(lg))) if i >= len(at_s) else w)
+                   for i, (end, (lg, w)) in enumerate(zip(ends, raw)))
+    if len(raw) == 1:
+        return raw[0][0], None, ends[0], series
+    every = np.concatenate([lg for lg, _ in raw])
+    logs = np.sort(every)
+    logs = logs[np.append(True, logs[1:] != logs[:-1])]  # not np.unique, whose first call adds 1.7 MB of RSS
+    return logs, np.searchsorted(logs, every), ends[len(at_s) - 1], series
+
+
+def _table_terms(s: np.ndarray, table: tuple) -> tuple:
+    """(terms, sums) of a table (_row_table) at the flat points s: one
+    exp(-s logs) per point and distinct log, every series' terms gathered
+    in turn (np.take keeps them C-ordered, as a row's own exps are), those
+    of the series at x squared in place, and each series' sum, its terms
+    times its table weights.  Each product spans all the points, as a
+    row's own sum does: numpy takes one point's product as a dot product,
+    whose bits differ from a matrix-vector product's.  The tracing kernel
+    quotient._log_derivatives takes its derivatives from the same terms."""
+    logs, gather, cut, series = table
+    terms = np.exp(np.multiply.outer(-s, logs))
+    if gather is not None:
+        terms = np.take(terms, gather, axis=1)
+    np.square(terms[:, cut:], out=terms[:, cut:])
+    with _one_blas_thread(s.size):
+        return terms, [terms[:, span] @ tw for span, _, _, tw in series]
+
+
+def _table_sums(w: np.ndarray, table: tuple, x=None, tied=None) -> list:
+    """The sums of a table's series at the points w, one array each, in
+    blocks of at most _TABLE_BLOCK points (_table_terms).  Where a table has
+    series at x and tied is False (w and x on different reflection
+    branches), those series take their own exps at x instead; a lone such
+    point of a larger block is summed as two rows, so its product is a
+    matrix-vector product as in a block of its own argument."""
+    flat = w.reshape(-1)
+    if flat.size > _TABLE_BLOCK:
+        xf, tf = (None, None) if x is None else (x.reshape(-1), tied.reshape(-1))
+        parts = [_table_sums(flat[c], table, None if xf is None else xf[c], None if tf is None else tf[c])
+                 for c in np.array_split(np.arange(flat.size), -(-flat.size // _TABLE_BLOCK))]
+        return [np.concatenate(p).reshape(w.shape) for p in zip(*parts)]
+    sums = _table_terms(flat, table)[1]
+    if tied is not None and not tied.all():
+        apart = np.flatnonzero(~tied.reshape(-1))
+        xs = x.reshape(-1)[apart if apart.size > 1 or flat.size == 1 else apart.repeat(2)]
+        for (span, lg, wt, _), v in zip(table[3], sums):
+            if span.start >= table[2]:
+                v[apart] = (np.exp(np.multiply.outer(-xs, lg)) @ wt)[:apart.size]
+    return [v.reshape(w.shape) for v in sums]
+
+
+def _separable_layout(flat: np.ndarray):
+    """The rule of _series_sum that sums the flat points as separable
+    products: the (rows, cols, on) of the line rule, the width of the grid
+    rule, or None for points no rule covers."""
     if flat.size < _GRID_MIN_POINTS:
-        return (np.exp(np.multiply.outer(-flat, logs)) @ w).reshape(s.shape)
+        return None
+    re = flat.real
+    if np.all(re == re[0]):
+        layout = _line_layout(re[0], flat.imag)
+        return layout if np.count_nonzero(layout[2]) >= _GRID_MIN_POINTS else None
+    return _grid_width(re, flat.imag) or None
+
+
+def _series_sum(w: np.ndarray, logs: np.ndarray, c: np.ndarray, layout) -> np.ndarray:
+    """The power sum sum_k c_k exp(-w logs_k) of one series at the points w,
+    with the layout of w (_separable_layout).
+
+    Two rules factor the term as exp(-a logs_k) c_k * exp(-i b logs_k) and
+    sum a whole batch as one (A x n) @ (n x B) product, _separable_sum: the
+    line rule for points on one vertical line with equally spaced
+    ordinates, as in a critical-line scan (_line_layout), and the grid rule
+    for a complete row-major sigma x t grid, as render blocks and their
+    reflection branches' column masks are laid out (_grid_width; a is sigma,
+    b is t, the W x H product transposed back).  Points no rule covers (a
+    scan's clipped last ordinate, a batch without a layout) take a table of
+    the series' own terms per point (_table_sums).  Every product from
+    _GRID_MIN_POINTS points on runs on one BLAS thread, so a value has the
+    same bits whatever thread count the process's BLAS is set to.
+    """
+    if layout is None:
+        return _table_sums(w, (logs, None, logs.size, ((slice(None), logs, c, c),)))[0]
+    flat = w.reshape(-1)
     with _one_blas_thread(flat.size):
-        out = np.empty(flat.shape, dtype=np.complex128)
-        rest = np.ones(flat.shape, dtype=bool)
-        re = flat.real
-        if np.all(re == re[0]):
-            rows, cols, on = _line_layout(re[0], flat.imag)
-            if np.count_nonzero(on) >= _GRID_MIN_POINTS:
-                out[on] = _separable_sum(rows, cols, logs, w).reshape(-1)[:flat.size][on]
-                rest = ~on
-        else:
-            width = _grid_width(re, flat.imag)
-            if width:
-                return _separable_sum(re[:width], flat.imag[::width], logs, w).T.reshape(s.shape)
-        idx = np.flatnonzero(rest)
-        blk = 4096
-        for i in range(0, idx.size, blk):
-            chunk = idx[i:i + blk]
-            out[chunk] = np.exp(np.multiply.outer(-flat[chunk], logs)) @ w
-    return out.reshape(s.shape)
+        if isinstance(layout, int):
+            return _separable_sum(flat.real[:layout], flat.imag[::layout], logs, c).T.reshape(w.shape)
+        rows, cols, on = layout
+        v = np.empty(flat.shape, dtype=np.complex128)
+        v[on] = _separable_sum(rows, cols, logs, c).reshape(-1)[:flat.size][on]
+        v[~on] = _series_sum(flat[~on], logs, c, None)
+    return v.reshape(w.shape)
+
+
+def _power_sum(s: np.ndarray, logs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k w_k exp(-s logs_k), _series_sum with the layout read off s."""
+    s = np.ascontiguousarray(s, dtype=np.complex128)
+    return _series_sum(s, logs, w, _separable_layout(s.reshape(-1)))
 
 
 def _stirling_lgamma(z: np.ndarray) -> np.ndarray:
@@ -497,15 +588,6 @@ def _hurwitz_values(s: np.ndarray, a: float) -> np.ndarray:
                      (~left, lambda m: _em_hurwitz(s[m], (a,))))
 
 
-def _twist_factor(q: int, w: np.ndarray) -> np.ndarray:
-    """1 - chi(2) 2^(1-w) of row q of _ALTERNATING, chi(2) = +-1, through
-    _power_sum as the one-term series 2 chi(2) 2^-w.  Its zeros lie on Re w
-    = 1: at 1 + 2 pi i k / ln 2 for chi(2) = 1 (q = 1, 7), at 1 + (2k + 1)
-    pi i / ln 2 for chi(2) = -1 (q = 3); _l_values reads no factor below
-    _EM_MIN[q], where 1 - chi(2) 2^(1-w) would cancel."""
-    return 1.0 - _power_sum(w, _TWIST_LOGS, _TWIST_WEIGHTS[q])
-
-
 def _em_values(q: int, s: np.ndarray, lgamma: np.ndarray) -> np.ndarray:
     """zeta (q = 1) or L_-q by Euler-Maclaurin: zeta at s, whose reflection
     would meet the pole of zeta(1 - s) at s = 0; L_-q as the character sum
@@ -521,18 +603,21 @@ def _em_values(q: int, s: np.ndarray, lgamma: np.ndarray) -> np.ndarray:
     return _branches(s.shape, (right, lambda m: v[m]), (~right, lambda m: _reflection(q, s[m], v[m], lgamma[m])))
 
 
-def _cvz_row(q: int, s: np.ndarray, w: np.ndarray, right: np.ndarray, lgamma: np.ndarray) -> np.ndarray:
-    """Row q of _ALTERNATING at the points s of _l_values, with their
-    arguments w, branch mask right and log Gamma(1 - s)."""
-    chi2 = _ALTERNATING[q][3]
-    a = _power_sum(w, *_alt_series(q, _cvz_count(np.abs(w.imag).max(initial=0.0), w.real.min(initial=math.inf))))
+def _cvz_row(q: int, s: np.ndarray, a: np.ndarray, twist, right: np.ndarray, lgamma: np.ndarray) -> np.ndarray:
+    """Row q of _ALTERNATING at the points s of _l_values from its power sum
+    a at their arguments w and, for a twisted row, the power sum twist of
+    its twist term, with their branch mask right and log Gamma(1 - s).  The
+    twist factor f = 1 - twist = 1 - chi(2) 2^(1-w) has its zeros on Re w =
+    1: at 1 + 2 pi i k / ln 2 for chi(2) = 1 (q = 1, 7), at 1 + (2k + 1)
+    pi i / ln 2 for chi(2) = -1 (q = 3); no row is read off a factor below
+    _EM_MIN[q], where f would cancel."""
     with np.errstate(divide="ignore", invalid="ignore"):  # f = 0 at s = 0, 1, ...
-        if chi2:
-            f = _twist_factor(q, w)
+        if twist is not None:
+            f = 1.0 - twist
             a = a / f
         out = _branches(s.shape, (right, lambda m: a[m]),
                         (~right, lambda m: _reflection(q, s[m], a[m].conj(), lgamma[m])))
-        if chi2:
+        if twist is not None:
             em = np.abs(f) < _EM_MIN[q]
             if em.any():
                 k = np.where(em, np.round(np.abs(s.imag) * (LN2 / math.pi)), -1.0)  # the zero of f nearby
@@ -541,37 +626,76 @@ def _cvz_row(q: int, s: np.ndarray, w: np.ndarray, right: np.ndarray, lgamma: np
     return out
 
 
-def _l_values(qs, s: np.ndarray) -> list:
-    """Vector zeta (q = 1) or L_-q for each q of qs, all at s: one array per
-    row, without pole checks (zeta at s = 1 gives inf); the trivial zeros
-    come out exactly 0.
+def _cvz_rows(qs, s: np.ndarray, sums, right: np.ndarray, lgamma: np.ndarray) -> list:
+    """_cvz_row of each row of qs at the points s from the power sums of its
+    series (_series), taken in turn from the iterable sums."""
+    sums = iter(sums)
+    return [_cvz_row(q, s, next(sums), next(sums) if q in _TWIST_WEIGHTS else None, right, lgamma) for q in qs]
 
-    The rows share the branch mask, w = s for Re s > 0 and 1 - conj(s) below
-    (Im w = Im s, so a grid stays one grid), and log Gamma(1 - s) at the
-    reflected points.  Each row is summed once over the batch at w, so one
-    term count covers both branches (a reflected point's count follows its
-    right-branch batch-mates), divided by its _twist_factor f(w) if it has
-    one, and conjugated to L(1 - s) and reflected below.  _em_values
-    overwrites |f(w)| < _EM_MIN[q], one call per zero of f with a cutoff
-    sized for its height (zeta's direct sum on Re s <= 0 loses digits as the
-    cutoff grows: 3e-13 below t = 100 with the cutoff for t = 500), and takes
-    L_-3 and L_-7 above _MAX_HEIGHT, where rows refuse."""
-    s = np.ascontiguousarray(s, dtype=np.complex128)
+
+def _branch(s: np.ndarray) -> tuple:
+    """(right, w, lgamma) of the points s: the branch mask Re s > 0, the
+    argument w = s there and 1 - conj(s) elsewhere (Im w = Im s, so a grid
+    stays one grid), and log Gamma(1 - s) at the reflected points, 0 at the
+    others."""
     right = s.real > 0.0
-    w = np.where(right, s, 1.0 - s.conj())
     lgamma = np.zeros(s.shape, dtype=np.complex128)
     if not right.all():
         lgamma[~right] = _stirling_lgamma(1.0 - s[~right])
-    rows = []
-    for q in qs:
-        if _ALTERNATING[q][3] and 0 not in _CHARACTERS[q]:  # a twisted odd row, L_-3 or L_-7
-            above = np.abs(s.imag) > _MAX_HEIGHT
-            if above.any():
-                rows.append(_branches(s.shape, (above, lambda m: _em_values(q, s[m], lgamma[m])),
-                                      (~above, lambda m: _cvz_row(q, s[m], w[m], right[m], lgamma[m]))))
-                continue
-        rows.append(_cvz_row(q, s, w, right, lgamma))
-    return rows
+    return right, np.where(right, s, 1.0 - s.conj()), lgamma
+
+
+def _l_values(qs, s: np.ndarray, qx=()) -> list:
+    """Vector zeta (q = 1) or L_-q for each q of qs at s, then for each q of
+    qx at x = 2s - 1/2: one array per row, without pole checks (zeta at
+    s = 1 gives inf); the trivial zeros come out exactly 0.
+
+    The rows at one argument share its branch data (_branch) and its term
+    count, read off the batch's largest |Im w| and smallest Re w, so one
+    count covers both branches (a reflected point's count follows its
+    right-branch batch-mates).  The layout of the arguments w at s
+    (_separable_layout) is read once.  A grid or a line scan, whose
+    arguments at x are one too, sums its rows and twist terms (_series) as
+    separable products (_series_sum) and forms them before it takes the
+    rows at x the same way, so a render block holds one argument's arrays
+    at a time.  Other batches sum every series of both arguments from one
+    power table (_row_table) at w (_table_sums).
+    Where s and x share a branch (Re s > 1/4, or Re s <= 0), the argument of
+    x is 2w - 1/2, so a row at x reads its terms m^-(2w - 1/2) as
+    sqrt(m) (m^-w)^2 from the table at w: one exp per distinct m for both
+    arguments.  Points with 0 < Re s <= 1/4 sum x's rows from their own
+    exps.  Each row is divided by
+    its twist factor if it has one, and conjugated to L(1 - s) and
+    reflected below (_cvz_row).  _em_values overwrites |f(w)| < _EM_MIN[q],
+    one call per zero of f with a cutoff sized for its height (zeta's
+    direct sum on Re s <= 0 loses digits as the cutoff grows: 3e-13 below
+    t = 100 with the cutoff for t = 500), and, in a call of L_-3 and L_-7
+    rows at s alone, takes the points above _MAX_HEIGHT, where the series
+    refuse."""
+    s = np.ascontiguousarray(s, dtype=np.complex128)
+    if not qx and _EM_ABOVE.issuperset(qs) and (above := np.abs(s.imag) > _MAX_HEIGHT).any():
+        lgamma = _branch(s[above])[2]
+        rows = []
+        for q, values in zip(qs, _l_values(qs, s[~above])):
+            row = np.empty(s.shape, dtype=np.complex128)
+            row[above] = _em_values(q, s[above], lgamma)
+            row[~above] = values
+            rows.append(row)
+        return rows
+    right, w, lgamma = _branch(s)
+    n = _cvz_count(np.abs(w.imag).max(initial=0.0), w.real.min(initial=math.inf))
+    layout = _separable_layout(w.reshape(-1))
+    if layout is not None:  # a grid or a line scan, and so are its arguments at x: each argument in turn
+        rows = _cvz_rows(qs, s, (_series_sum(w, lg, c, layout) for lg, c in _series(qs, n)), right, lgamma)
+        del right, w, lgamma  # freed before the rows at x are taken, as in a call of their own
+        return rows + (_l_values(qx, 2.0 * s - 0.5) if qx else [])
+    if not qx:
+        return _cvz_rows(qs, s, _table_sums(w, _row_table(tuple(qs), n)), right, lgamma)
+    x = 2.0 * s - 0.5
+    right_x, w_x, lgamma_x = _branch(x)
+    nx = _cvz_count(np.abs(w_x.imag).max(initial=0.0), w_x.real.min(initial=math.inf))
+    sums = iter(_table_sums(w, _row_table(tuple(qs), n, tuple(qx), nx), w_x, right == right_x))
+    return _cvz_rows(qs, s, sums, right, lgamma) + _cvz_rows(qx, x, sums, right_x, lgamma_x)
 
 
 def _character_label(q) -> int:

@@ -2,7 +2,10 @@
 bracket factor, for discriminants -3, -4, -7, -8, as one table, _QUOTIENTS
 (q = 4 is delta5, without a bracket); the reflection factor f5 of delta5
 and their asymptotic forms.  _delta_q_values and the tracing kernel
-_log_derivatives read the table and form delta through one _product.
+_log_derivatives read the table, take the rows at s and at 2s - 1/2 in
+one evalcore._l_values call (off grids and line scans, from one power
+table per point, evalcore._row_table) and form delta through one
+_product.
 
 Conventions used throughout:
 
@@ -44,7 +47,6 @@ from .evalcore import (
     _TWIST_WEIGHTS,
     LN2,
     _POLE_TOL,
-    _alt_series,
     _central_difference,
     _character_label,
     _coerce,
@@ -53,7 +55,9 @@ from .evalcore import (
     _near_nonpositive_integer,
     _one_blas_thread,
     _release,
+    _row_table,
     _stirling_lgamma,
+    _table_terms,
 )
 
 _QUOTIENT_POLE_TOL = 1e-10 * (1.0 + 1e-3)
@@ -140,91 +144,88 @@ def _delta_q_values(q: int, s: np.ndarray) -> np.ndarray:
     s = np.ascontiguousarray(s, dtype=np.complex128)
     num, den = _QUOTIENTS[q][:2]
     with np.errstate(all="ignore"):
-        return _product(q, s, _l_values(num, s), _l_values(den, 2.0 * s - 0.5))
+        rows = _l_values(num, s, den)
+        return _product(q, s, rows[:len(num)], rows[len(num):])
 
 
 @functools.lru_cache(maxsize=16)
 def _kernel_block(q: int, n: int, nx: int):
-    """_log_derivatives' data for delta_q at these term counts: the negated
-    logs -L of its rows' terms at s (n per row) and at x = 2s - 1/2 (nx per
-    row), a twisted row's followed by the one term -ln 2 of its twist factor
-    1 - 2 chi(2) 2^-w (evalcore._twist_factor); per row its columns, weights
-    w, exponent e and twist factor's index or None; the block whose columns
-    2i, 2i + 1 hold e -c L w and e c^2 L^2 w, c = dx/ds, for row i's first
-    two s-derivatives and whose last columns hold each twist term's weight
-    2 chi(2); per factor 1 - C r^w (each twist factor, exponent -e, then the
-    bracket) (ln r, weights in l' and l'', _EM_MIN)."""
+    """_log_derivatives' data for delta_q at these term counts: the power
+    table of its rows at s (n blocks) and at x = 2s - 1/2 (nx blocks),
+    evalcore._row_table; per row the index of its series and of its twist
+    term's series or None; the rows' exponents e, 1 at s and -1 at x; the
+    block, one row per gathered term of the table, whose columns 2i, 2i + 1
+    hold e -c L w and e c^2 L^2 w for row i's first two s-derivatives,
+    c = dx/ds and w its table weights; and per factor 1 - C r^w (each twist
+    factor, exponent -e, then the bracket) ln r, its weights in l' and l'',
+    and _EM_MIN, as four arrays."""
     num, den, bracket = _QUOTIENTS[q][:3]
-    rows = [(r, 1.0, 1.0, *_alt_series(r, n)) for r in num] + [(r, 2.0, -1.0, *_alt_series(r, nx)) for r in den]
-    twists = sum(r in _TWIST_WEIGHTS for r, *_ in rows)
-    size, cols = sum(row[3].size for row in rows) + twists, 2 * len(rows)
-    neg, block = np.full(size, -LN2), np.zeros((size, cols + twists), dtype=np.complex128)
-    spans, factors, lo = [], [], 0
-    for i, (r, c, e, logs, w) in enumerate(rows):
-        cl, hi = c * logs, lo + logs.size
-        neg[lo:hi] = -logs  # the twist terms keep -ln 2
-        block[lo:hi, 2 * i:2 * i + 2] = e * np.stack([-cl * w.real, cl * cl * w.real], axis=1)
-        spans.append((slice(lo, hi), w, e, len(factors) if r in _TWIST_WEIGHTS else None))
-        if r in _TWIST_WEIGHTS:
-            block[hi, cols + len(factors)] = _TWIST_WEIGHTS[r][0]
+    table = _row_table(num, n, den, nx)
+    series = table[3]
+    block = np.zeros((series[-1][0].stop, 2 * (len(num) + len(den))), dtype=np.complex128)
+    rows, factors, k = [], [], 0
+    for i, (r, c, e) in enumerate([(r, 1.0, 1.0) for r in num] + [(r, 2.0, -1.0) for r in den]):
+        twist = r in _TWIST_WEIGHTS
+        span, lg, _, tw = series[k]
+        block[span, 2 * i:2 * i + 2] = e * np.stack([-c * lg * tw.real, (c * lg) ** 2 * tw.real], axis=1)
+        rows.append((k, k + 1 if twist else None))
+        if twist:
             factors.append((-LN2, -e * c, -e * c * c, _EM_MIN[r]))
-            hi += 1
-        lo = hi
+        k += 1 + twist
     if bracket:
         factors.append((*bracket, bracket[1], 0.0))
-    cut = spans[len(num)][0].start
-    return neg[:cut], neg[cut:], spans, block, factors
+    exps = np.array([1.0] * len(num) + [-1.0] * len(den))[:, None]
+    lr, w1, w2, em = map(np.array, zip(*factors))
+    return table, rows, exps, block, lr[:, None], w1, w2, em[:, None]
 
 
 def _log_derivatives(q: int, s: np.ndarray):
     """(delta, l1, l2) for a 1-D batch s: delta_q and l', l'' of l = log delta_q.
-    The terms of its rows and twist factors at s and x = 2s - 1/2, as
-    _l_values takes them at sigma >= 0.495, where tracing stays, take one exp;
-    each row's sum is its own product with its weights, as on _power_sum's
-    outer-product path, and _product forms delta, so delta has the bits of
-    _delta_q_values on any batch that is neither a grid nor a line scan.  One
-    product with the cached _kernel_block gives the rows' derivatives and the
-    twist factors, the factors' derivatives have closed forms, and l1, l2
-    are summed per point on Python numbers.  Off the route (a twist factor
-    below _EM_MIN, or Re x <= 0) delta is _delta_q_values, delta'
-    evalcore._central_difference, l2 nan."""
+    The route is taken per point.  Where s and x = 2s - 1/2 take their rows'
+    alternating series directly (Re x > 0; tracing stays at sigma >= 0.495)
+    and every twist factor is at least its row's _EM_MIN, the terms and the
+    rows' sums come from the power table at s that _l_values sums
+    (evalcore._table_terms): a row at s gathers its terms, a row at x takes
+    (m^-s)^2 against its weights times sqrt(m).  _product forms delta, so
+    delta has the bits of _delta_q_values on any batch that is neither a
+    grid nor a line scan, for every q.  One product of the terms with the
+    cached _kernel_block gives the rows' derivatives, the factors'
+    derivatives have closed forms, and l1 and l2 are summed as array
+    operations over the batch.  At the other points delta is
+    _delta_q_values on those points, l1 comes from
+    evalcore._central_difference, and l2 is nan."""
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    t_abs, sigma_min = max(map(abs, s.imag.tolist())), min(s.real.tolist())
-    n, nx = _cvz_count(t_abs, sigma_min), _cvz_count(2.0 * t_abs, 2.0 * sigma_min - 0.5)
-    logs, lx, spans, block, factors = _kernel_block(q, n, nx)
-    e = np.empty((s.size, logs.size + lx.size), dtype=np.complex128)
-    np.multiply.outer(s, logs, out=e[:, :logs.size])
-    np.multiply.outer(2.0 * s - 0.5, lx, out=e[:, logs.size:])
-    np.exp(e, out=e)
+    # the term counts _l_values reads off the arguments w at s and x, w = 1 - conj(p) where Re p <= 0
+    re, xr = s.real.tolist(), (2.0 * s.real - 0.5).tolist()
+    t_abs = max(map(abs, s.imag.tolist()))
+    n = _cvz_count(t_abs, min(r if r > 0.0 else 1.0 - r for r in re))
+    nx = _cvz_count(2.0 * t_abs, min(r if r > 0.0 else 1.0 - r for r in xr))
+    table, rows, exps, block, lr, w1, w2, em = _kernel_block(q, n, nx)
+    terms, sums = _table_terms(s, table)
     with _one_blas_thread(s.size):
-        sums = [e[:, span] @ w for span, w, _, _ in spans]
-        m = e @ block
-    f = 1.0 - m[:, 2 * len(spans):]  # column k: twist factor k, 1 - 2 chi(2) 2^-w
-    fl = f.T.tolist() + ([_bracket_values(q, s).tolist()] if _QUOTIENTS[q][2] else [])
-    if 2.0 * sigma_min - 0.5 <= 0.0 or any(min(map(abs, v)) < em for v, (*_, em) in zip(fl, factors)):
-        v = _delta_q_values(q, s)
-        d = _central_difference(functools.partial(_delta_q_values, q), s)
-        return v, d / v, np.full(s.shape, complex(math.nan, math.nan))
-    sum_lists = [a.tolist() for a in sums]
-    l1, l2 = [], []
+        m = (terms @ block).T
     # per sum A^e: e A'/A and e A''/A - e (A'/A)^2, the block holding e A', e A''; per factor
-    # v = 1 - C r^w: (log v)' = g = ln r (v - 1)/v and (log v)'' = g (ln r - g)
-    for j, d in enumerate(m.tolist()):
-        d1 = d2 = 0.0
-        for a, (_, _, ei, _), m1, m2 in zip(sum_lists, spans, d[::2], d[1::2]):
-            g = m1 / a[j]
-            d1 += g
-            d2 += m2 / a[j]
-            d2 -= ei * g * g
-        for v, (lr, w1, w2, _) in zip(fl, factors):
-            g = lr * ((v[j] - 1.0) / v[j])
-            d1 += w1 * g
-            d2 += w2 * (g * (lr - g))
-        l1.append(d1)
-        l2.append(d2)
-    vals = [a if k is None else a / f[:, k] for a, (_, _, _, k) in zip(sums, spans)]
-    cut = len(_QUOTIENTS[q][0])
-    return _product(q, s, vals[:cut], vals[cut:]), np.array(l1), np.array(l2)
+    # v = 1 - C r^w: (log v)' = g = ln r (v - 1)/v and (log v)'' = g (ln r - g); rows index points
+    with np.errstate(all="ignore"):  # the points off the route, replaced below
+        a = np.array([sums[k] for k, _ in rows])
+        f = [1.0 - sums[t] for _, t in rows if t is not None]
+        v = np.array(f + ([_bracket_values(q, s)] if _QUOTIENTS[q][2] else []))
+        g = m[0::2] / a
+        h = lr * ((v - 1.0) / v)
+        l1 = g.sum(axis=0) + w1 @ h
+        l2 = (m[1::2] / a - exps * (g * g)).sum(axis=0) + w2 @ (h * (lr - h))
+        f = iter(f)
+        vals = [sums[k] if t is None else sums[k] / next(f) for k, t in rows]
+        n_num = len(_QUOTIENTS[q][0])
+        delta = _product(q, s, vals[:n_num], vals[n_num:])
+    off = (np.abs(v) < em).any(axis=0)
+    if min(xr) <= 0.0:
+        off |= np.array(xr) <= 0.0
+    if off.any():
+        delta[off] = _delta_q_values(q, s[off])
+        l1[off] = _central_difference(functools.partial(_delta_q_values, q), s[off]) / delta[off]
+        l2[off] = complex(math.nan, math.nan)
+    return delta, l1, l2
 
 
 def _check_poles(q: int, s: np.ndarray, z: np.ndarray):
@@ -266,10 +267,11 @@ def delta_q(kind, s):
     q = _label(kind)
     arr, scalar = _coerce(s)
     flat = np.ascontiguousarray(arr.reshape(-1))
+    num, den = _QUOTIENTS[q][:2]
     with np.errstate(all="ignore"):  # the rows of _delta_q_values, evaluated once
-        num, den = _l_values(_QUOTIENTS[q][0], flat), _l_values(_QUOTIENTS[q][1], 2.0 * flat - 0.5)
-        _check_poles(q, flat, np.abs(den[0]))
-        out = _product(q, flat, num, den)
+        rows = _l_values(num, flat, den)
+        _check_poles(q, flat, np.abs(rows[len(num)]))
+        out = _product(q, flat, rows[:len(num)], rows[len(num):])
     out[np.abs(flat - 0.75) <= _EXACT_ZERO_TOL] = 0.0
     return _release(out.reshape(arr.shape), scalar)
 

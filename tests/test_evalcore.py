@@ -18,6 +18,12 @@ from delta_lens.critical import completed_beta, completed_zeta
 from delta_lens.quotient import (_delta_q_values, _log_derivatives, bracket_factor, delta5, delta_q, f5,
                                  f5_asymptotic, lattice_sum_C)
 
+def _twist_factor(q, w):
+    """1 - chi(2) 2^(1-w) of row q at its argument w: 1 minus the one-term
+    power sum 2 chi(2) 2^-w, the twist term of the row's power table."""
+    return 1.0 - evalcore._power_sum(w, evalcore._TWIST_LOGS, evalcore._TWIST_WEIGHTS[q])
+
+
 # reference values computed independently at 30+ digit working precision
 ZETA_32 = 2.6123753486854883
 ZETA_34 = -3.4412853869452229
@@ -148,7 +154,7 @@ def test_eta_fallback_points_keep_a_render_block_whole(monkeypatch):
         chi2 = _ALTERNATING[q][3]
         for x in (s, 2.0 * s - 0.5):
             w = np.where(x.real > 0.0, x, 1.0 - x.conj())  # the argument of the twisted row
-            f = evalcore._twist_factor(q, w)
+            f = _twist_factor(q, w)
             p = np.expm1((1.0 - w) * math.log(2.0))  # 2^(1-w) - 1
             closed = -p if chi2 == 1 else 2.0 + p
             # the grid product against expm1 where _l_values reads the factor
@@ -220,6 +226,35 @@ def test_joint_rows_equal_each_row_alone(rows, s):
             assert values.tobytes() == _l_values((q,), s)[0].tobytes()
 
 
+_SPREAD = np.random.default_rng(33).uniform((-3.0, -200.0), (4.0, 200.0), (2000, 2)) @ np.array([1.0, 1.0j])
+
+
+@pytest.mark.parametrize("batch", [2000, 3], ids=["vector", "batch3"])
+@pytest.mark.parametrize("q", [3, 4, 7, 8])
+def test_rows_at_both_arguments_share_one_table(q, batch):
+    # a quotient's one _l_values call: the rows at s keep the bits of each
+    # row alone, the row at 2s - 1/2, read as sqrt(m) (m^-w)^2 from the table
+    # at s, stays within 2e-14 of its own sum (relative to max(1, |zeta|)),
+    # and where s and 2s - 1/2 lie on different branches (0 < Re s <= 1/4)
+    # it keeps its own sum's bits.  The largest gap, 1.54e-14, is at
+    # s = 0.2893 + 0.1068i in the vector, where Re(2s - 1/2) = 0.079 and the
+    # batch's 347 terms barely decay; both sums are 9e-14 from zeta there.
+    # Small |Im x| with the capped term count is where the two roundings
+    # part most (up to 6e-14 there, each sum as far from zeta as the other),
+    # so this bound pins the seeded spread, not a worst case
+    num, den = quotient._QUOTIENTS[q][:2]
+    for i in range(0, _SPREAD.size, batch):
+        s = _SPREAD[i:i + batch]
+        band = (s.real > 0.0) & (s.real <= 0.25)
+        with np.errstate(all="ignore"):
+            joint = _l_values(num, s, den)
+            for r, values in zip(num, joint):
+                assert values.tobytes() == _l_values((r,), s)[0].tobytes()
+            z = _l_values(den, 2.0 * s - 0.5)[0]
+        assert np.all(np.abs(joint[-1] - z) <= 2e-14 * np.maximum(1.0, np.abs(z)))
+        assert joint[-1][band].tobytes() == z[band].tobytes()
+
+
 @pytest.mark.parametrize("values, products", [(GRID_VALUES["zeta"], 2), (GRID_VALUES["beta"], 1),
                                               (GRID_VALUES["L8"], 1)], ids=["zeta", "beta", "L8"])
 def test_line_path_matches_blocked_path(values, products, monkeypatch):
@@ -265,11 +300,11 @@ def test_twist_factor_matches_expm1(q):
 
     rng = np.random.default_rng(q)
     loose = rng.uniform(0.01, 3.0, 400) + 1j * rng.uniform(-200.0, 200.0, 400)
-    one = np.array([evalcore._twist_factor(q, loose[k:k + 1])[0] for k in range(loose.size)])
-    for f in (evalcore._twist_factor(q, loose), one):
+    one = np.array([_twist_factor(q, loose[k:k + 1])[0] for k in range(loose.size)])
+    for f in (_twist_factor(q, loose), one):
         assert np.max(np.abs(f - closed(loose))) <= 2e-15
     line = 0.5 + 1j * np.append(0.01 * np.arange(20000), 200.0)
-    assert np.max(np.abs(evalcore._twist_factor(q, line) - closed(line))) <= 1e-13
+    assert np.max(np.abs(_twist_factor(q, line) - closed(line))) <= 1e-13
 
 
 # the 30 x 40 grid of tools/value_digest.py, and a 64-point tracing batch;

@@ -94,32 +94,53 @@ def test_array_returns_exact_zero_at_three_quarters(q):
     assert np.allclose(out[[0, 2]], [f(pts[0]), f(pts[2])], rtol=1e-13, atol=0.0)
 
 
+# the first-order zero at s = 3/4 is exactly 0 within 1e-12 of it (a real d
+# of 1e-12 lands 1.00009e-12 away after rounding), and the raw quotient,
+# small but not 0, from 2e-12 on
+AT_ZERO = (0.0, 5e-13, -5e-13, 9e-13, -9e-13, 9e-13j, -9e-13j, 1e-12j, -1e-12j)
+NEAR_ZERO = (2e-12, -2e-12, 2e-12j, -2e-12j, 1e-9, -1e-9, 1e-9j)
+
+
+@pytest.mark.parametrize("q", KINDS)
+def test_exact_zero_at_three_quarters_ends_at_its_tolerance(q):
+    f, _ = _quotient(q)
+    for d in AT_ZERO:
+        assert f(0.75 + d) == 0, d
+    for d in NEAR_ZERO:
+        value = f(0.75 + d)
+        assert value != 0 and np.isfinite(value), d
+    assert np.all(f(0.75 + np.array(AT_ZERO)) == 0)
+    values = f(0.75 + np.array(NEAR_ZERO))
+    assert np.all(values != 0) and np.all(np.isfinite(values))
+
+
 @pytest.mark.parametrize("q, s", [(4, 0.5 + 20j), (4, 0.3 + 20j), (7, [0.5 + 10j, 0.5 + 30j, 0.7 + 5j])])
 def test_one_evaluation_per_argument(q, s, monkeypatch):
+    # one call carries the rows at s and at 2s - 1/2; a second evaluation of
+    # either argument would be a second call
     calls, l_values = [], quotient._l_values
 
-    def spy(rows, x):
-        calls.append((rows, x.tolist()))
-        return l_values(rows, x)
+    def spy(rows, x, rows_x=()):
+        calls.append((rows, x.tolist(), rows_x))
+        return l_values(rows, x, rows_x)
 
     monkeypatch.setattr(quotient, "_l_values", spy)
     _quotient(q)[0](s)
-    s = np.atleast_1d(s)
-    assert calls == [((1, q), s.tolist()), ((1,), (2.0 * s - 0.5).tolist())]
+    assert calls == [((1, q), np.atleast_1d(s).tolist(), (1,))]
 
 
 @pytest.mark.parametrize("q", KINDS)
 @pytest.mark.parametrize("s", [-0.75 + 1e-5, -4.75 + 1e-5, -2.75 + 1e-5j], ids=["-0.75+1e-5", "-4.75+1e-5", "-2.75+1e-5j"])
 def test_no_central_difference_next_to_the_real_poles(q, s, monkeypatch):
     # |zeta(2s - 1/2)| <= 1e-6 holds up to 8e-5 from the real poles 1/4 - k,
-    # which the closed forms own: only the two rows are evaluated, no central
-    # difference of the denominator
+    # which the closed forms own: only the one call of the rows at s and at
+    # 2s - 1/2 is made, no central difference of the denominator
     calls, l_values = [], quotient._l_values
 
-    def spy(rows, x):
-        calls.append(rows)
-        return l_values(rows, x)
+    def spy(rows, x, rows_x=()):
+        calls.append((rows, rows_x))
+        return l_values(rows, x, rows_x)
 
     monkeypatch.setattr(quotient, "_l_values", spy)
     assert np.isfinite(_quotient(q)[0](s))
-    assert calls == [(1, q), (1,)]
+    assert calls == [((1, q), (1,))]

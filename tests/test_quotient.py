@@ -359,11 +359,20 @@ def test_log_derivative_kernel_fallback():
         np.testing.assert_allclose(delta, _delta_q_values(4, np.array([s])), rtol=4e-15, atol=0.0)
         assert np.all(np.isfinite(l1)) and abs(l1[0] - want1) <= 1e-8 * abs(want1)  # 3.3e-9 seen
         assert np.isnan(l2[0].real) and np.isnan(l2[0].imag)
-    # one fallback point sends its whole batch through the central difference
-    s = np.array([3.0 + 14.3j, LOG_DERIVATIVE_FALLBACK[0][0]])
-    delta, l1, l2 = quotient._log_derivatives(4, s)
-    np.testing.assert_allclose(delta, _delta_q_values(4, s), rtol=4e-15, atol=0.0)
-    assert np.all(np.isfinite(l1)) and np.all(np.isnan(l2.imag))
+
+
+@pytest.mark.parametrize("fallback", [s for s, _ in LOG_DERIVATIVE_FALLBACK] + [0.2 + 30j])
+def test_log_derivative_kernel_routes_each_point(fallback):
+    # the route is taken per point: a fallback point (a twist factor below
+    # _EM_MIN, or Re(2s - 1/2) <= 0) loses its l'', its batch-mate keeps l''
+    # as its own call gives it
+    on = 3.0 + 14.3j
+    delta, l1, l2 = quotient._log_derivatives(4, np.array([on, fallback]))
+    np.testing.assert_allclose(delta, _delta_q_values(4, np.array([on, fallback])), rtol=4e-15, atol=0.0)
+    assert np.all(np.isfinite(l1))
+    alone = quotient._log_derivatives(4, np.array([on]))[2][0]
+    assert np.isfinite(l2[0]) and abs(l2[0] - alone) <= 1e-12 * abs(alone)
+    assert np.isnan(l2[1].real) and np.isnan(l2[1].imag)
 
 
 # sibling kernels: sigma >= 0.6, t <= 100, away from the zeros of every twist factor

@@ -9,6 +9,9 @@ values are identical bit for bit.  It covers
   q = 3, 4, 7, 8 on the probe pool of benchmark/reference.json, evaluated
   as one vector, in 3-point batches and in 1-point batches;
 * the same functions on a 30 x 40 grid (the grid matrix-product path);
+* _delta_q_values for q = 3, 4, 7, 8 on the probe-pool points with
+  0 < Re s <= 1/4, as one vector ("band"), where s and 2s - 1/2 lie on
+  different reflection branches and each argument sums its own terms;
 * the public quotient delta_q (delta5 for q = 4; pole checks and the exact
   zero at s = 3/4 included) for q = 3, 4, 7, 8, one point at a time and as
   one vector, 1e-9 right of each critical-line pole 1/2 + i gamma/2 of
@@ -20,8 +23,9 @@ values are identical bit for bit.  It covers
   s = 0 and next to the zeros of 1 - 2^(1-s) and 1 - 2^s there, and L3
   and L7 next to the zeros of their twist factors (twist_zeros), each as
   one vector;
-* the twist factor evalcore._twist_factor of zeta, L3 and L7 at the
-  argument of their rows in _l_values (s for Re s > 0, 1 - conj(s)
+* the twist factor 1 - chi(2) 2^(1-w) of zeta, L3 and L7 (1 minus the
+  one-term power sum of its twist term) at the argument of their rows in
+  _l_values (s for Re s > 0, 1 - conj(s)
   below), on the probe pool as one vector and in 1-point batches, on the
   30 x 40 grid and on the 0..200 critical-line scan grid of find_zeros;
 * log_gamma on the probe pool, as one vector and in 1-point batches, and
@@ -148,6 +152,9 @@ def main() -> None:
         for label, batch in (("vector", pool.size), ("batch3", 3), ("batch1", 1)):
             print(f"{name}/{label} {_digest_call(_values, fn, pool, batch)}")
         print(f"{name}/grid30x40 {_digest_call(lambda: np.asarray(fn(grid)).tobytes())}")
+    band = pool[(pool.real > 0.0) & (pool.real <= 0.25)]
+    for q in QS:
+        print(f"delta_q_values{q}/band {_digest_call(_values, lambda s: _delta_q_values(q, s), band, band.size)}")
     poles = 0.5 + 0.5j * np.array(reference["zeta_zeros"])  # t up to 100
     public = np.concatenate([poles + 1e-9, pool[pool.real >= 0.5]])
     for q in QS:
@@ -171,7 +178,8 @@ def main() -> None:
     line = 0.5 + 1j * np.append(0.01 * np.arange(20000), 200.0)  # the scan grid of find_zeros
     for q in (1, 3, 7):
         def twist(s, q=q):
-            return evalcore._twist_factor(q, np.where(s.real > 0.0, s, 1.0 - s.conj()))
+            w = np.where(s.real > 0.0, s, 1.0 - s.conj())
+            return 1.0 - evalcore._power_sum(w, evalcore._TWIST_LOGS, evalcore._TWIST_WEIGHTS[q])
         for label, points, batch in (("vector", pool, pool.size), ("batch1", pool, 1),
                                      ("grid30x40", grid.ravel(), grid.size), ("line/0-200", line, line.size)):
             print(f"twist/q{q}/{label} {_digest_call(_values, twist, points, batch)}")
